@@ -11,7 +11,7 @@
 
    The report experiment also writes BENCH_pr2.json, the streaming
    experiment BENCH_pr3.json, the sharding experiment BENCH_pr9.json
-   (frames-vs-per-event transport curve) and the serve soak
+   (1/2/4/8-shard curve against the plain detector) and the serve soak
    BENCH_pr6.json (all pmdb-bench/v1: per-bench
    slowdowns + dispatch-latency quantiles + a telemetry snapshot);
    validate them with `pmdb stats --check BENCH_prN.json`. *)
@@ -953,10 +953,9 @@ let streaming () =
 
 (* ------------------------------------------------------------------ *)
 (* Sharded detection: replay the streaming trace through the            *)
-(* domain-parallel Shard_router over both transports — the frame-       *)
-(* batched default at 1/2/4/8 shards plus a frame-size sweep, and the   *)
-(* per-event baseline at 1/2/4 — and check every merged report against  *)
-(* the plain single-detector run. Writes BENCH_pr9.json.                *)
+(* domain-parallel Shard_router at 1/2/4/8 shards, compare each row's   *)
+(* speed with the plain single detector, and check every merged report  *)
+(* against the plain run. Writes BENCH_pr9.json.                        *)
 (* ------------------------------------------------------------------ *)
 
 let sharding () =
@@ -986,44 +985,19 @@ let sharding () =
     (report, Unix.gettimeofday () -. t0, hist)
   in
   let plain_report, plain_s, plain_hist = run_once (fun () -> mk_pmdebugger Pmdebugger.Detector.Strict ()) in
-  (* The curve: the framed transport (default frame size) against the
-     per-event baseline at matching shard counts, plus a frame-size
-     sweep at 4 shards to show where the amortization saturates. Labels
-     carry transport + shard count so rows are self-describing. *)
-  let fs_default = Shard_router.default_frame_size in
-  let configs =
-    List.concat
-      [
-        List.map (fun n -> (Printf.sprintf "per-event-shards-%d" n, n, 0)) [ 1; 2; 4 ];
-        List.map (fun n -> (Printf.sprintf "frames-shards-%d" n, n, fs_default)) [ 1; 2; 4; 8 ];
-        List.map (fun fs -> (Printf.sprintf "frames-fs-%d-shards-4" fs, 4, fs)) [ 16; 4096 ];
-      ]
-  in
   let sharded =
     List.map
-      (fun (name, n, fs) ->
+      (fun n ->
         let reg = Obs.Metrics.create () in
-        let report, dt, hist =
-          run_once (fun () -> Shard_router.sink ~shards:n ~frame_size:fs ~metrics:reg worker)
-        in
-        (name, report, dt, hist, reg))
-      configs
+        let report, dt, hist = run_once (fun () -> Shard_router.sink ~shards:n ~metrics:reg worker) in
+        (Printf.sprintf "shards-%d" n, report, dt, hist, reg))
+      [ 1; 2; 4; 8 ]
   in
   let expected = canon plain_report in
   let reports_match = List.for_all (fun (_, r, _, _, _) -> canon r = expected) sharded in
-  let time_of name =
-    match List.find_opt (fun (name', _, _, _, _) -> name' = name) sharded with
-    | Some (_, _, dt, _, _) -> dt
-    | None -> infinity
-  in
-  (* Each transport's speedup is measured against its own 1-shard run:
-     that isolates scaling from constant transport overhead. Per-event
-     reproduced 0.63x at 4 shards in BENCH_pr5 — the regression frames
-     exist to fix. *)
-  let frames_1 = time_of "frames-shards-1" in
-  let per_event_1 = time_of "per-event-shards-1" in
-  let speedup_frames_4 = frames_1 /. time_of "frames-shards-4" in
-  let speedup_per_event_4 = per_event_1 /. time_of "per-event-shards-4" in
+  (* Every row's speedup is taken against the plain detector: sharding
+     pays off only where it beats running without it. *)
+  let best_speedup = List.fold_left (fun acc (_, _, dt, _, _) -> Float.max acc (plain_s /. dt)) 0.0 sharded in
   let host_cores = Domain.recommended_domain_count () in
   let p hist frac = Obs.Metrics.quantile (Obs.Metrics.hist_view hist) frac in
   let eps t = float_of_int events /. t in
@@ -1040,27 +1014,21 @@ let sharding () =
   T.print
     ~title:
       (Printf.sprintf "Sharded detection: %d events, %d host core(s) (quick=%b)" events host_cores q)
-    ~header:[ "config"; "replay"; "events/s"; "p50 disp."; "p95 disp."; "vs same 1-shard" ]
+    ~header:[ "config"; "replay"; "events/s"; "p50 disp."; "p95 disp."; "vs plain" ]
     (row_print "plain" plain_s plain_hist None
-    :: List.map
-         (fun (name, _, dt, hist, _) ->
-           let base = if String.length name >= 6 && String.sub name 0 6 = "frames" then frames_1 else per_event_1 in
-           row_print name dt hist (Some (base /. dt)))
-         sharded);
-  Printf.printf
-    "  reports match: %b (%d finding(s)); 4-shard speedup: frames %.2fx, per-event %.2fx (each over its own \
-     1-shard run) on %d core(s)\n"
+    :: List.map (fun (name, _, dt, hist, _) -> row_print name dt hist (Some (plain_s /. dt))) sharded);
+  Printf.printf "  reports match: %b (%d finding(s)); best sharded speedup over plain: %.2fx on %d core(s)\n"
     reports_match
     (List.length plain_report.Bug.bugs)
-    speedup_frames_4 speedup_per_event_4 host_cores;
-  if host_cores < 4 then
-    Printf.printf
-      "  note: fewer than 4 cores — the curve measures correctness and overhead, not parallel speedup\n";
+    best_speedup host_cores;
+  if best_speedup < 1.0 then
+    Printf.printf "  note: no sharded configuration beats the plain detector on this host\n";
   let open Obs.Json in
-  (* Stage attribution per row: the per-shard residency/decode
-     histograms folded bucket-wise across labels (the worker registries
-     are absorbed into the router's at finish), p50 interpolated. The
-     plain run has no hand-off, so its stage fields are null. *)
+  (* Stage attribution per row: the per-shard residency and per-frame
+     worker histograms folded bucket-wise across labels (the worker
+     registries are absorbed into the router's at finish), p50
+     interpolated. The plain run has no hand-off, so its stage fields
+     are null. *)
   let stage_p50 reg name =
     let folded =
       List.fold_left
@@ -1091,25 +1059,21 @@ let sharding () =
         ("n", Int events);
         ("native_s", Float gen_s);
         ( "slowdowns",
-          Obj
-            [
-              ("replay_vs_generate", Float (total_s /. gen_s));
-              ("vs_frames_single_shard", Float (total_s /. frames_1));
-            ] );
+          Obj [ ("replay_vs_generate", Float (total_s /. gen_s)); ("vs_plain", Float (total_s /. plain_s)) ] );
         ("dispatch_p50_s", Float (p hist 0.5));
         ("dispatch_p95_s", Float (p hist 0.95));
         ("dispatch_p99_s", Float (p hist 0.99));
         ("residency_p50_s", stage "shard_frame_residency_seconds");
-        ("decode_p50_s", stage "shard_frame_decode_seconds");
+        ("frame_p50_s", stage "shard_worker_frame_seconds");
         ("events_per_sec", Float (eps total_s));
       ]
   in
-  (* The framed 4-shard registry carries the per-shard counters
+  (* The 4-shard registry carries the per-shard counters
      (shard_events_total{shard}, shard_barrier_stalls_total, queue
      depth peaks, per-frame worker latency) — that's the telemetry
      worth diffing in CI. *)
   let telemetry =
-    match List.find_opt (fun (name, _, _, _, _) -> name = "frames-shards-4") sharded with
+    match List.find_opt (fun (name, _, _, _, _) -> name = "shards-4") sharded with
     | Some (_, _, _, _, reg) -> Obs.Metrics.to_json reg
     | None -> Obs.Metrics.to_json (Obs.Metrics.create ())
   in
@@ -1120,10 +1084,8 @@ let sharding () =
         ("quick", Bool q);
         ("events", Int events);
         ("host_cores", Int host_cores);
-        ("frame_size", Int fs_default);
         ("reports_match", Bool reports_match);
-        ("speedup_frames_4_over_1", Float speedup_frames_4);
-        ("speedup_per_event_4_over_1", Float speedup_per_event_4);
+        ("best_speedup_over_plain", Float best_speedup);
         ( "rows",
           List
             (row "replay-plain" plain_s plain_hist
@@ -1141,18 +1103,12 @@ let sharding () =
     List.iter
       (fun (name, r, _, _, _) ->
         if canon r <> expected then
-          Printf.eprintf "  %s: %d finding(s) vs expected %d\n" name (List.length r.Bug.bugs)
-            (List.length plain_report.Bug.bugs))
+          Printf.eprintf "  %s: %d finding(s) vs expected %d%s\n" name (List.length r.Bug.bugs)
+            (List.length plain_report.Bug.bugs)
+            (match r.Bug.failure with Some msg -> " (" ^ msg ^ ")" | None -> ""))
       sharded;
     exit 1
-  end;
-  (* The >=2x scaling target is only meaningful where 4 worker domains
-     can actually run in parallel; on smaller hosts the JSON still
-     records the measured curve. *)
-  if host_cores > 1 && speedup_frames_4 < 1.0 then
-    Printf.eprintf
-      "sharding: WARNING — framed 4-shard run slower than framed 1-shard (%.2fx) on %d cores\n" speedup_frames_4
-      host_cores
+  end
 
 (* ------------------------------------------------------------------ *)
 (* pmdb serve soak: N concurrent clients streaming the same synthetic  *)

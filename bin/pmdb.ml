@@ -28,11 +28,10 @@ let backend_for ~metrics = function
 (* [heatmap] feeds the plain pmdebugger path only: shard detectors run
    on worker domains where a shared single-domain table would race. *)
 let sink_for ?(metrics = Obs.Metrics.disabled) ?(heatmap = Obs.Heatmap.disabled) ?flightrec
-    ?worker_flightrecs ?(shards = 0) ?(frame_size = Shard_router.default_frame_size) ?(backend = "hybrid")
-    name model config =
+    ?worker_flightrecs ?(shards = 0) ?(backend = "hybrid") name model config =
   match name with
   | "pmdebugger" when shards >= 1 ->
-      Shard_router.sink ~shards ~frame_size ~metrics ?flightrec ?worker_flightrecs (fun _shard ->
+      Shard_router.sink ~shards ~metrics ?flightrec ?worker_flightrecs (fun _shard ->
           let backend = backend_for ~metrics:Obs.Metrics.disabled backend in
           Pmdebugger.Detector.worker (Pmdebugger.Detector.create ~model ~config ?backend ~walk_dedup:false ()))
   | "pmdebugger" ->
@@ -123,13 +122,13 @@ let print_findings ~max_print report =
   Printf.printf "%d finding(s); kinds: %s\n" total
     (String.concat ", " (List.map Bug.kind_name (Bug.kinds_found report)))
 
-let run_workload_reports ?(shards = 0) ?(frame_size = Shard_router.default_frame_size) ?(backend = "hybrid")
+let run_workload_reports ?(shards = 0) ?(backend = "hybrid")
     ?flightrec ?worker_flightrecs ~metrics ~spans workload n detector config annotate =
   let spec = Workloads.Registry.find_exn workload in
   let config = load_config config in
   let engine = Engine.create ~metrics () in
   Engine.attach engine
-    (sink_for ~metrics ?flightrec ?worker_flightrecs ~shards ~frame_size ~backend detector spec.W.model config);
+    (sink_for ~metrics ?flightrec ?worker_flightrecs ~shards ~backend detector spec.W.model config);
   let t0 = Unix.gettimeofday () in
   Obs.Span.record spans ~attrs:[ ("workload", workload) ] "run" (fun () ->
       spec.W.run (W.params ~annotate ~n ()) engine);
@@ -165,11 +164,20 @@ let dump_causal_trace ~trace_out ~spans ~flightrec ~worker_flightrecs =
       Obs.Json.to_file path (Obs.Tracecat.merge ~spans:(Obs.Span.finished spans) rings);
       Printf.printf "causal trace written to %s (open in ui.perfetto.dev)\n" path
 
-let run_cmd workload n detector config annotate max_print shards frame_size backend metrics_file trace_out =
+(* Session errors share one exit-code convention between offline runs
+   and the daemon (see Serve.Status): 0 ok, 2 trace/protocol error,
+   3 detector quarantined, 4 evicted, 5 idle timeout, 6 daemon
+   shutdown. *)
+let exit_for_report report =
+  match report.Bug.failure with
+  | Some _ -> exit (Serve.Status.exit_code Serve.Status.Detector_error)
+  | None -> ()
+
+let run_cmd workload n detector config annotate max_print shards backend metrics_file trace_out =
   with_metrics ~spans_on:(trace_out <> None) metrics_file (fun metrics spans ->
       let flightrec, worker_flightrecs = trace_rings ~trace_out ~shards in
       let engine, reports, dt =
-        run_workload_reports ?flightrec ?worker_flightrecs ~shards ~frame_size ~backend ~metrics ~spans
+        run_workload_reports ?flightrec ?worker_flightrecs ~shards ~backend ~metrics ~spans
           workload n detector config annotate
       in
       dump_causal_trace ~trace_out ~spans ~flightrec ~worker_flightrecs;
@@ -183,7 +191,9 @@ let run_cmd workload n detector config annotate max_print shards frame_size back
           print_findings ~max_print report;
           List.iter (fun (k, v) -> Printf.printf "  stat %-28s %.2f\n" k v) report.Bug.stats)
         reports;
-      print_quarantined engine)
+      print_quarantined engine;
+      reports)
+  |> List.iter exit_for_report
 
 let characterize_cmd workload n json =
   let spec = Workloads.Registry.find_exn workload in
@@ -257,15 +267,6 @@ let record_cmd workload n annotate out =
   in
   Printf.printf "recorded %d event(s) from %s (n=%d) to %s\n" count workload n out
 
-(* Session errors share one exit-code convention between offline replay
-   and the daemon (see Serve.Status): 0 ok, 2 trace/protocol error,
-   3 detector quarantined, 4 evicted, 5 idle timeout, 6 daemon
-   shutdown. *)
-let exit_for_report report =
-  match report.Bug.failure with
-  | Some _ -> exit (Serve.Status.exit_code Serve.Status.Detector_error)
-  | None -> ()
-
 let session_name_for file =
   let base = Filename.remove_extension (Filename.basename file) in
   let sane =
@@ -304,7 +305,7 @@ let replay_daemon_cmd ~socket ~file ~max_print ~lenient =
             (Option.value error ~default:"(no detail)"));
       exit (Serve.Status.exit_code frame.Serve.Wire.status)
 
-let replay_cmd file detector config max_print lenient daemon shards frame_size backend metrics_file trace_out =
+let replay_cmd file detector config max_print lenient daemon shards backend metrics_file trace_out =
   match daemon with
   | Some _ when trace_out <> None ->
       Printf.eprintf "error: --trace-out needs a local replay (the daemon dumps its own via serve --trace-out)\n";
@@ -322,7 +323,7 @@ let replay_cmd file detector config max_print lenient daemon shards frame_size b
          regardless of trace size. *)
       let engine = Engine.create ~metrics () in
       Engine.attach engine
-        (sink_for ~metrics ?flightrec ?worker_flightrecs ~shards ~frame_size ~backend detector
+        (sink_for ~metrics ?flightrec ?worker_flightrecs ~shards ~backend detector
            Pmdebugger.Detector.Strict config);
       Obs.Span.record spans ~attrs:[ ("file", file) ] "replay" (fun () ->
           if lenient then (
@@ -354,7 +355,8 @@ let replay_cmd file detector config max_print lenient daemon shards frame_size b
           print_findings ~max_print report)
         reports;
       print_quarantined engine;
-      List.iter exit_for_report reports)
+      reports)
+  |> List.iter exit_for_report
 
 (* ---------------------------------------------------------------- *)
 (* crash-explore: replay a program prefix-by-prefix and test every   *)
@@ -887,7 +889,7 @@ let stats_cmd workload n detector config check check_prometheus diff files check
           Printf.printf "metrics written to %s\n" path
 
 let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sessions detector config shards
-    frame_size metrics_file flightrec_dir heatmap_cap trace_out stop probe =
+    metrics_file flightrec_dir heatmap_cap trace_out stop probe =
   if stop then (
     match Serve.Client.stop ~socket with
     | Ok () -> Printf.printf "daemon at %s stopped\n" socket
@@ -940,7 +942,7 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
            registries disabled like the plain one — the daemon's merged
            telemetry comes from the dispatch/worker registries. *)
         let make_sink ~heatmap =
-          sink_for ~metrics:Obs.Metrics.disabled ~heatmap ~shards ~frame_size detector
+          sink_for ~metrics:Obs.Metrics.disabled ~heatmap ~shards detector
             Pmdebugger.Detector.Strict config
         in
         let daemon = Serve.Daemon.create ~metrics ~make_sink cfg in
@@ -1064,18 +1066,11 @@ let metrics_arg =
 let shards_arg =
   let doc =
     "Shard pmdebugger's detection across $(docv) parallel domain workers (events partitioned by cache line; the \
-     merged report is identical to a single-shard run). 0 = the plain in-process detector. Requires -d pmdebugger."
+     merged report is identical to a single-shard run; a run that leaves that contract, e.g. a shard reorganizing \
+     its spill tree, is reported as a detector failure, exit 3). 0 = the plain in-process detector. Requires -d \
+     pmdebugger."
   in
   Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
-
-let frame_size_arg =
-  let doc =
-    "Events per published frame on the sharded hand-off: the router batches each shard's events into flat byte \
-     frames and publishes a whole frame at a time, amortizing the per-event synchronization that capped sharded \
-     throughput. 0 = the per-event transport (one boxed message per event; the measured baseline). Only meaningful \
-     with --shards >= 1."
-  in
-  Arg.(value & opt int Shard_router.default_frame_size & info [ "frame-size" ] ~docv:"EVENTS" ~doc)
 
 let backend_arg =
   let doc =
@@ -1095,7 +1090,7 @@ let trace_out_arg =
 let run_term =
   Term.(
     const run_cmd $ workload_arg $ n_arg $ detector_arg $ config_arg $ annotate_arg $ max_bugs_arg $ shards_arg
-    $ frame_size_arg $ backend_arg $ metrics_arg $ trace_out_arg)
+    $ backend_arg $ metrics_arg $ trace_out_arg)
 
 let out_arg =
   let doc = "Output trace file." in
@@ -1118,7 +1113,7 @@ let daemon_arg =
 let replay_term =
   Term.(
     const replay_cmd $ trace_file_arg $ detector_arg $ config_arg $ max_bugs_arg $ lenient_arg $ daemon_arg
-    $ shards_arg $ frame_size_arg $ backend_arg $ metrics_arg $ trace_out_arg)
+    $ shards_arg $ backend_arg $ metrics_arg $ trace_out_arg)
 
 let socket_arg =
   let doc = "Unix-domain socket path the daemon listens on." in
@@ -1187,7 +1182,7 @@ let probe_arg =
 let serve_term =
   Term.(
     const serve_cmd $ socket_arg $ workers_arg $ queue_capacity_arg $ idle_timeout_arg $ session_budget_arg
-    $ max_sessions_arg $ detector_arg $ config_arg $ shards_arg $ frame_size_arg $ metrics_file_arg
+    $ max_sessions_arg $ detector_arg $ config_arg $ shards_arg $ metrics_file_arg
     $ flightrec_dir_arg $ heatmap_cap_arg $ serve_trace_out_arg $ serve_stop_arg $ probe_arg)
 
 let case_arg =

@@ -89,10 +89,10 @@ let render ~prev ~cur ~dt =
     + counter cur ~labels:[ ("reason", "detector") ] "serve_quarantines_total")
     (rung ~prev ~cur)
     (counter cur "serve_backpressure_stalls_total");
-  line "  latency: e2e %s  residency %s  decode %s"
+  line "  latency: e2e %s  residency %s  frame %s"
     (fmt_quantiles (hist_total cur "serve_session_e2e_seconds"))
     (fmt_quantiles (hist_total cur "shard_frame_residency_seconds"))
-    (fmt_quantiles (hist_total cur "shard_frame_decode_seconds"));
+    (fmt_quantiles (hist_total cur "shard_worker_frame_seconds"));
   (* Worker balance: share of all worker-dispatched events per domain. *)
   (match series cur "serve_worker_events_total" with
   | [] -> ()

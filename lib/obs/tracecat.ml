@@ -3,12 +3,12 @@
 
    The separate per-ring dumps (Flightrec.dump_to_perfetto) already
    show each domain's recent history, but causality between domains —
-   which router publish a worker's decode burst answers to — is
+   which router publish a worker's burst of work answers to — is
    invisible when each ring normalizes its own clock. Here every ring
    shares one tmin, one track per ring, and matched frame
    publish/pop records (cat="frame", a = shard, b = frame index; the
-   FIFO contract of Frame_ring makes (shard, index) name one frame end
-   to end) render as paired slices joined by a Chrome flow arrow from
+   shard's queue is FIFO, so (shard, index) names one frame end to
+   end) render as paired slices joined by a Chrome flow arrow from
    the publishing track to the consuming track. *)
 
 let frame_pub e = e.Flightrec.e_cat = "frame" && e.Flightrec.e_name = "publish"

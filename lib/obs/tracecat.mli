@@ -9,9 +9,10 @@
     frame hand-offs render as flow arrows:
 
     - a router records [cat="frame", name="publish", a=shard, b=index]
-      at each {!Frame_ring} publish, the consuming worker records
+      at each frame publish, the consuming worker records
       [cat="frame", name="pop"] with the same [(a, b)];
-    - the ring is FIFO, so [(shard, index)] names one frame end to end;
+    - the shard's queue is FIFO, so [(shard, index)] names one frame
+      end to end;
       each matched pair becomes a 1µs slice on both tracks joined by a
       Chrome flow arrow ([ph="s"]/[ph="f"]) from the publishing track
       to the consuming track. Unmatched records (the other end fell out

@@ -10,14 +10,12 @@ open Pmem
    one canonical report whose findings equal the single-shard run —
    see DESIGN.md "Sharded detection" for the equality contract.
 
-   Transport: by default events are batched into frames ([Frame_ring]):
-   the router encodes each event into the destination shard's staging
-   buffer (no per-event allocation) and publishes a whole frame every
-   [frame_size] events; workers decode and dispatch a frame at a time
-   and bump [processed] once per frame. The drain barrier flushes
-   partial frames first, so cross-shard stalls see every routed event.
-   [frame_size = 0] selects the legacy per-event SPSC hand-off, kept as
-   the honest baseline for the frames-vs-per-event bench curve. *)
+   Transport: [route] appends each event to its destination shard's
+   open frame; a full frame (or the barrier/finish flush of a partial
+   one) is published as an immutable [frame] record over the shard's
+   [Spsc] queue. The worker runs a frame at a time and bumps
+   [processed] once per frame. Inline mode runs the same per-frame
+   step on the router's domain at each publish. *)
 
 let max_prior_seqs = 8
 (* Must match the per-backend cap (Store_intf.max_prior_seqs references
@@ -25,7 +23,10 @@ let max_prior_seqs = 8
    the union, which equals the single-shard cap because each shard's
    list is itself the 8 smallest of its partition. *)
 
-let default_frame_size = 256
+(* Events per full frame, and frames a shard's queue holds before the
+   router blocks (~1024 events in flight per shard). *)
+let frame_events = 256
+let queue_frames = 4
 
 type store_obs = { so_overlapped : bool; so_prior_seqs : int list }
 
@@ -62,274 +63,152 @@ let merge_clf_obs obs =
     co_redundant = List.concat_map (fun o -> o.co_redundant) obs;
   }
 
-(* {2 Worker messages and execution} *)
+(* {2 Frames and the worker side} *)
 
-type msg = Ev of { seq : int; silent : bool; ev : Event.t } | Stop
+(* One published batch of a shard's events, in stream order. Never
+   mutated after the publish: its arrays are fresh copies, so the
+   consumer owns them outright. [f_stop] marks a shard's last frame;
+   [f_ts] is [Obs.Clock.now] at the publish. *)
+type frame = {
+  f_events : Event.t array;
+  f_seqs : int array;
+  f_silent : bool array;
+  f_count : int;
+  f_stop : bool;
+  f_ts : float;
+}
 
-type transport =
-  | Per_event of msg Spsc.t array (* one boxed message + one atomic store per event *)
-  | Framed of Frame_ring.t array (* flat byte frames, published every [frame_size] events *)
+(* A shard's worker and its accounting. The mutable fields and the
+   registry belong to the domain that runs the shard's frames (its own
+   domain, or the router's inline); the router reads [c_processed], and
+   calls [c_worker] directly only while the shard is drained. *)
+type consumer = {
+  c_shard : int;
+  c_worker : worker;
+  c_processed : int Atomic.t; (* events run, bumped once per frame *)
+  c_metrics : Obs.Metrics.t; (* private registry, folded into the router's at finish *)
+  c_labels : (string * string) list;
+  c_flightrec : Obs.Flightrec.t;
+  mutable c_popped : int; (* frames run so far *)
+  mutable c_failure : string option; (* first detector exception *)
+}
+
+(* The one per-frame step, for the domain loop and inline mode alike.
+   A detector exception is recorded and the remaining events skipped,
+   so the stream keeps draining. The [processed] bump comes last: a
+   router that reads it may touch the worker's state directly. With
+   metrics off the timing is one branch per frame. *)
+let run_frame c f =
+  let metrics_on = Obs.Metrics.is_on c.c_metrics in
+  let t0 = if metrics_on then Obs.Clock.now () else 0.0 in
+  for k = 0 to f.f_count - 1 do
+    if c.c_failure = None then
+      try c.c_worker.w_event ~seq:f.f_seqs.(k) ~silent:f.f_silent.(k) f.f_events.(k)
+      with exn -> c.c_failure <- Some (Printexc.to_string exn)
+  done;
+  if metrics_on && f.f_count > 0 then begin
+    Obs.Metrics.inc c.c_metrics ~labels:c.c_labels ~by:f.f_count "shard_worker_events_total";
+    Obs.Metrics.observe c.c_metrics ~labels:c.c_labels "shard_worker_frame_seconds" (Obs.Clock.now () -. t0);
+    Obs.Metrics.observe c.c_metrics ~labels:c.c_labels "shard_frame_residency_seconds"
+      (Float.max 0.0 (t0 -. f.f_ts))
+  end;
+  if Obs.Flightrec.is_on c.c_flightrec then
+    Obs.Flightrec.record c.c_flightrec ~ts:(Obs.Clock.now ()) ~cat:"frame" ~name:"pop" ~a:c.c_shard
+      ~b:c.c_popped;
+  c.c_popped <- c.c_popped + 1;
+  ignore (Atomic.fetch_and_add c.c_processed f.f_count)
+
+let finish_worker c =
+  let r =
+    try c.c_worker.w_finish ()
+    with exn -> { (Bug.empty_report "sharded") with Bug.failure = Some (Printexc.to_string exn) }
+  in
+  match c.c_failure with None -> r | Some msg -> { r with Bug.failure = Some msg }
+
+(* The queue is closed on every exit path: if a worker domain ever dies
+   (it should not — detector exceptions are caught in [run_frame]), the
+   router's next push raises [Spsc.Closed] instead of blocking forever
+   on a consumer that is gone; the engine then quarantines the router
+   sink. *)
+let worker_loop c q =
+  Fun.protect ~finally:(fun () -> Spsc.close q) @@ fun () ->
+  let rec go () =
+    let f = Spsc.pop q in
+    run_frame c f;
+    if f.f_stop then finish_worker c else go ()
+  in
+  go ()
+
+(* {2 The router} *)
+
+(* A shard's open frame: [fill] events staged since the last publish. *)
+type staging = {
+  s_events : Event.t array;
+  s_seqs : int array;
+  s_silent : bool array;
+  mutable s_fill : int;
+}
 
 type t = {
   shards : int;
-  workers : worker array;
-  transport : transport;
-  pushed : int array; (* per shard, router side *)
-  processed : int Atomic.t array;
-      (* per shard: bumped by the worker after each event (per-event
-         transport) or once per decoded frame, by its event count
-         (framed transport) *)
+  consumers : consumer array;
+  staging : staging array;
+  queues : frame Spsc.t array; (* empty in inline mode *)
+  pushed : int array; (* per shard: events published *)
+  published : int array; (* per shard: frames published *)
   domains : Bug.report Domain.t array; (* empty in inline mode *)
-  inline_failures : string option ref array;
-  use_domains : bool;
   mutable registered : Addr.range list;
   mutable track_all : bool;
   pinned : (int, unit) Hashtbl.t; (* line index -> (), lines of registered vars *)
   mutable events : int;
   metrics : Obs.Metrics.t;
-  worker_metrics : Obs.Metrics.t array;
-      (* one registry per worker, mutated only on that worker's domain;
-         folded into [metrics] by [finish] after the workers join *)
-  labels : (string * string) list array;
-      (* per-shard label lists, preallocated — the send path must not
-         allocate a label list per event *)
-  enc_acc : float array;
-      (* per shard, router side: seconds spent encoding/publishing into
-         the staging frame since its last publish; observed as
-         [shard_encode_seconds] when the frame goes out *)
   flightrec : Obs.Flightrec.t; (* router-side ring: frame publishes, barrier stalls *)
-  worker_flightrecs : Obs.Flightrec.t array; (* one per worker domain: frame pops *)
   max_bugs_per_kind : int;
   mutable result : Bug.report option;
 }
 
 let shard_label i = [ ("shard", string_of_int i) ]
 
-(* The transport is closed on every exit path: if a worker domain ever
-   dies (it should not — detector exceptions are caught below), the
-   router's next push raises [Spsc.Closed]/[Frame_ring.Closed] instead
-   of blocking forever on a consumer that is gone; the engine then
-   quarantines the router sink. *)
-let worker_loop w q processed wreg shard =
-  Fun.protect ~finally:(fun () -> Spsc.close q) @@ fun () ->
-  let failure = ref None in
-  let labels = shard_label shard in
-  let rec go () =
-    match Spsc.pop q with
-    | Ev { seq; silent; ev } ->
-        (* Worker-side telemetry lives in the worker's own registry:
-           zero cross-domain contention, folded in at finish. The
-           latency histogram is what attributes hand-off vs. detector
-           cost for the sharding regression (ROADMAP Open item 1). *)
-        (if !failure = None then
-           if not (Obs.Metrics.is_on wreg) then (
-             try w.w_event ~seq ~silent ev with exn -> failure := Some (Printexc.to_string exn))
-           else begin
-             Obs.Metrics.inc wreg ~labels "shard_worker_events_total";
-             let t0 = Unix.gettimeofday () in
-             (try w.w_event ~seq ~silent ev with exn -> failure := Some (Printexc.to_string exn));
-             Obs.Metrics.observe wreg ~labels "shard_worker_event_seconds"
-               (Unix.gettimeofday () -. t0)
-           end);
-        Atomic.incr processed;
-        go ()
-    | Stop -> (
-        let r =
-          try w.w_finish ()
-          with exn -> { (Bug.empty_report "sharded") with Bug.failure = Some (Printexc.to_string exn) }
-        in
-        match !failure with None -> r | Some msg -> { r with Bug.failure = Some msg })
-  in
-  go ()
+let use_domains t = Array.length t.queues > 0
 
-(* Framed twin of [worker_loop]: decode a published frame, dispatch its
-   events, then account the whole batch — one [processed] bump and one
-   histogram observation per stage per frame, which is the point of
-   batching. Stage attribution (all against [Obs.Clock], the clock the
-   producer stamps frames with):
-
-     residency = consume start - frame publish stamp   (time in queue)
-     dispatch  = sum of the per-event detector calls
-     decode    = frame total - dispatch                (byte decoding)
-
-   When metrics are off the whole attribution path is behind one branch
-   per frame plus the plain dispatch closure — the overhead guard test
-   pins it. *)
-let framed_worker_loop w ring processed wreg fring shard =
-  Fun.protect ~finally:(fun () -> Frame_ring.close ring) @@ fun () ->
-  let failure = ref None in
-  let labels = shard_label shard in
-  let on_event_plain ~seq ~silent ev =
-    if !failure = None then
-      try w.w_event ~seq ~silent ev with exn -> failure := Some (Printexc.to_string exn)
+(* Close shard [i]'s open frame and hand it over: pushed to the worker
+   domain, or run right here in inline mode. The depth gauge samples
+   on each publish, so every shard that saw traffic (or a stop) has a
+   peak. *)
+let publish t i ~stop =
+  let s = t.staging.(i) in
+  let n = s.s_fill in
+  let f =
+    {
+      f_events = Array.sub s.s_events 0 n;
+      f_seqs = Array.sub s.s_seqs 0 n;
+      f_silent = Array.sub s.s_silent 0 n;
+      f_count = n;
+      f_stop = stop;
+      f_ts = Obs.Clock.now ();
+    }
   in
-  let metrics_on = Obs.Metrics.is_on wreg in
-  let fr_on = Obs.Flightrec.is_on fring in
-  let disp_acc = ref 0.0 in
-  let on_event =
-    if not metrics_on then on_event_plain
-    else fun ~seq ~silent ev ->
-      let t0 = Obs.Clock.now () in
-      on_event_plain ~seq ~silent ev;
-      disp_acc := !disp_acc +. (Obs.Clock.now () -. t0)
-  in
-  let finish () =
-    let r =
-      try w.w_finish ()
-      with exn -> { (Bug.empty_report "sharded") with Bug.failure = Some (Printexc.to_string exn) }
-    in
-    match !failure with None -> r | Some msg -> { r with Bug.failure = Some msg }
-  in
-  let account n t0 =
-    if n > 0 then begin
-      if metrics_on then begin
-        let total = Obs.Clock.now () -. t0 in
-        let dispatch = !disp_acc in
-        Obs.Metrics.inc wreg ~labels ~by:n "shard_worker_events_total";
-        Obs.Metrics.observe wreg ~labels "shard_worker_frame_seconds" total;
-        Obs.Metrics.observe wreg ~labels "shard_frame_residency_seconds"
-          (Float.max 0.0 (t0 -. Frame_ring.last_frame_ts ring));
-        Obs.Metrics.observe wreg ~labels "shard_frame_dispatch_seconds" dispatch;
-        Obs.Metrics.observe wreg ~labels "shard_frame_decode_seconds"
-          (Float.max 0.0 (total -. dispatch))
-      end;
-      ignore (Atomic.fetch_and_add processed n)
-    end;
-    disp_acc := 0.0;
-    if fr_on then
-      Obs.Flightrec.record fring ~ts:(Obs.Clock.now ()) ~cat:"frame" ~name:"pop" ~a:shard
-        ~b:(Frame_ring.consumed_frames ring - 1)
-  in
-  let rec go () =
-    Frame_ring.wait ring;
-    let t0 = if metrics_on then Obs.Clock.now () else 0.0 in
-    match Frame_ring.try_consume ring ~f:on_event with
-    | `Empty -> go ()
-    | `Frame n ->
-        account n t0;
-        go ()
-    | `Stop n ->
-        account n t0;
-        finish ()
-  in
-  go ()
-
-(* Inline dispatch of one event to worker [i] on the router's domain,
-   with the same failure capture as the domain loops. *)
-let inline_event t i ~seq ~silent ev =
-  if !(t.inline_failures.(i)) = None then
-    try t.workers.(i).w_event ~seq ~silent ev
-    with exn -> t.inline_failures.(i) := Some (Printexc.to_string exn)
-
-(* Inline framed mode decodes published frames synchronously right
-   after publishing them — same encode/decode path and frame boundaries
-   as the domain mode, deterministic scheduling. *)
-let consume_inline t i ring =
-  let wreg = t.worker_metrics.(i) in
-  let labels = t.labels.(i) in
-  let metrics_on = Obs.Metrics.is_on wreg in
-  let fring = t.worker_flightrecs.(i) in
-  let fr_on = Obs.Flightrec.is_on fring in
-  let disp_acc = ref 0.0 in
-  let on_event =
-    if not metrics_on then fun ~seq ~silent ev -> inline_event t i ~seq ~silent ev
-    else fun ~seq ~silent ev ->
-      let t0 = Obs.Clock.now () in
-      inline_event t i ~seq ~silent ev;
-      disp_acc := !disp_acc +. (Obs.Clock.now () -. t0)
-  in
-  let rec go () =
-    let t0 = if metrics_on then Obs.Clock.now () else 0.0 in
-    match Frame_ring.try_consume ring ~f:on_event with
-    | `Empty -> ()
-    | `Frame n | `Stop n ->
-        if n > 0 then begin
-          if metrics_on then begin
-            let total = Obs.Clock.now () -. t0 in
-            let dispatch = !disp_acc in
-            Obs.Metrics.inc wreg ~labels ~by:n "shard_worker_events_total";
-            Obs.Metrics.observe wreg ~labels "shard_worker_frame_seconds" total;
-            Obs.Metrics.observe wreg ~labels "shard_frame_residency_seconds"
-              (Float.max 0.0 (t0 -. Frame_ring.last_frame_ts ring));
-            Obs.Metrics.observe wreg ~labels "shard_frame_dispatch_seconds" dispatch;
-            Obs.Metrics.observe wreg ~labels "shard_frame_decode_seconds"
-              (Float.max 0.0 (total -. dispatch))
-          end;
-          ignore (Atomic.fetch_and_add t.processed.(i) n)
-        end;
-        disp_acc := 0.0;
-        if fr_on then
-          Obs.Flightrec.record fring ~ts:(Obs.Clock.now ()) ~cat:"frame" ~name:"pop" ~a:i
-            ~b:(Frame_ring.consumed_frames ring - 1);
-        go ()
-  in
-  go ()
-
-(* Router-side accounting for a just-published frame of [n] events.
-   [shard_events_total] is bumped per frame (by the frame's count), not
-   per event — totals are exact once the stream is flushed, and the
-   queue-depth gauge samples on the shard's own publish cadence. *)
-let on_publish t i ring n =
-  if Obs.Metrics.is_on t.metrics then begin
-    Obs.Metrics.inc t.metrics ~labels:t.labels.(i) ~by:n "shard_events_total";
-    Obs.Metrics.max_set t.metrics ~labels:t.labels.(i) "shard_queue_depth_peak"
-      (float_of_int (Frame_ring.length ring));
-    (* The encode stage: accumulated per-event push time (including any
-       full-ring wait — honest backpressure) since this shard's previous
-       publish, attributed to the frame that just went out. *)
-    Obs.Metrics.observe t.metrics ~labels:t.labels.(i) "shard_encode_seconds" t.enc_acc.(i);
-    t.enc_acc.(i) <- 0.0
-  end;
+  s.s_fill <- 0;
+  t.pushed.(i) <- t.pushed.(i) + n;
   if Obs.Flightrec.is_on t.flightrec then
-    Obs.Flightrec.record t.flightrec ~ts:(Obs.Clock.now ()) ~cat:"frame" ~name:"publish" ~a:i
-      ~b:(Frame_ring.published_frames ring - 1);
-  if not t.use_domains then consume_inline t i ring
-
-(* Per-event transport: sample the depth gauge on the shard's own push
-   count — every shard gets an early sample (first push) and then one
-   every 64 of *its* pushes, instead of all shards sampling on the same
-   global tick (which left shards with <64 routed events unsampled). *)
-let sample_depth t i q =
+    Obs.Flightrec.record t.flightrec ~ts:f.f_ts ~cat:"frame" ~name:"publish" ~a:i ~b:t.published.(i);
+  t.published.(i) <- t.published.(i) + 1;
+  if use_domains t then Spsc.push t.queues.(i) f else run_frame t.consumers.(i) f;
   if Obs.Metrics.is_on t.metrics then begin
-    let p = t.pushed.(i) in
-    if p = 1 || p land 63 = 0 then
-      Obs.Metrics.max_set t.metrics ~labels:t.labels.(i) "shard_queue_depth_peak"
-        (float_of_int (Spsc.length q))
+    let labels = t.consumers.(i).c_labels in
+    Obs.Metrics.inc t.metrics ~labels ~by:n "shard_events_total";
+    Obs.Metrics.max_set t.metrics ~labels "shard_queue_depth_peak"
+      (if use_domains t then float_of_int (Spsc.length t.queues.(i)) else 0.0)
   end
 
 let send t i ~seq ~silent ev =
-  t.pushed.(i) <- t.pushed.(i) + 1;
-  match t.transport with
-  | Per_event queues ->
-      Obs.Metrics.inc t.metrics ~labels:t.labels.(i) "shard_events_total";
-      if t.use_domains then begin
-        Spsc.push queues.(i) (Ev { seq; silent; ev });
-        sample_depth t i queues.(i)
-      end
-      else begin
-        let wreg = t.worker_metrics.(i) in
-        (if !(t.inline_failures.(i)) = None then
-           if not (Obs.Metrics.is_on wreg) then inline_event t i ~seq ~silent ev
-           else begin
-             Obs.Metrics.inc wreg ~labels:t.labels.(i) "shard_worker_events_total";
-             let t0 = Unix.gettimeofday () in
-             inline_event t i ~seq ~silent ev;
-             Obs.Metrics.observe wreg ~labels:t.labels.(i) "shard_worker_event_seconds"
-               (Unix.gettimeofday () -. t0)
-           end);
-        Atomic.incr t.processed.(i)
-      end
-  | Framed rings ->
-      if Obs.Metrics.is_on t.metrics then begin
-        let t0 = Obs.Clock.now () in
-        let n = Frame_ring.push rings.(i) ~seq ~silent ev in
-        t.enc_acc.(i) <- t.enc_acc.(i) +. (Obs.Clock.now () -. t0);
-        if n > 0 then on_publish t i rings.(i) n
-      end
-      else begin
-        let n = Frame_ring.push rings.(i) ~seq ~silent ev in
-        if n > 0 then on_publish t i rings.(i) n
-      end
+  let s = t.staging.(i) in
+  let k = s.s_fill in
+  s.s_events.(k) <- ev;
+  s.s_seqs.(k) <- seq;
+  s.s_silent.(k) <- silent;
+  s.s_fill <- k + 1;
+  if k + 1 = frame_events then publish t i ~stop:false
 
 let broadcast t ~seq ?silent_except ev =
   for i = 0 to t.shards - 1 do
@@ -337,28 +216,20 @@ let broadcast t ~seq ?silent_except ev =
     send t i ~seq ~silent ev
   done
 
-(* Publish every shard's staged partial frame. Part of the barrier
-   protocol: a drain that did not flush first would spin forever on
-   events parked in staging buffers no worker can see. *)
-let flush_frames t =
-  match t.transport with
-  | Per_event _ -> ()
-  | Framed rings ->
-      for i = 0 to t.shards - 1 do
-        let n = Frame_ring.flush rings.(i) in
-        if n > 0 then on_publish t i rings.(i) n
-      done
-
-(* Wait until every worker has consumed everything pushed so far. The
-   Atomic read of [processed] after the worker's last mutation gives the
-   router a happens-before edge: once drained, the router may touch
-   worker state directly (the workers are parked in [pop]/[wait]). *)
+(* Wait until every worker has run everything routed so far. Partial
+   frames are published first: a drain that did not flush would spin
+   forever on staged events no worker can see. The Atomic read of
+   [processed] after the worker's last mutation gives the router a
+   happens-before edge: once drained, the router may touch worker state
+   directly (the workers are parked in [Spsc.pop]). *)
 let drain t =
-  flush_frames t;
-  if t.use_domains then
+  for i = 0 to t.shards - 1 do
+    if t.staging.(i).s_fill > 0 then publish t i ~stop:false
+  done;
+  if use_domains t then
     for i = 0 to t.shards - 1 do
       let n = ref 0 in
-      while Atomic.get t.processed.(i) < t.pushed.(i) do
+      while Atomic.get t.consumers.(i).c_processed < t.pushed.(i) do
         if !n < 64 then Domain.cpu_relax () else Unix.sleepf 0.000_05;
         incr n
       done
@@ -404,12 +275,12 @@ let stalled_address_event t ~seq ~tid ~lo ~hi ev =
   | `Store ->
       List.iter (fun l -> Hashtbl.replace t.pinned l ()) (Addr.lines_of_range ~lo ~hi);
       let obs =
-        List.init t.shards (fun i -> t.workers.(i).w_scan_store ~seq ~tid ~lo ~hi)
+        List.init t.shards (fun i -> t.consumers.(i).c_worker.w_scan_store ~seq ~tid ~lo ~hi)
       in
-      t.workers.(fire_shard).w_fire_store ~seq ~addr:lo ~size:(hi - lo) (merge_store_obs obs)
+      t.consumers.(fire_shard).c_worker.w_fire_store ~seq ~addr:lo ~size:(hi - lo) (merge_store_obs obs)
   | `Clf ->
-      let obs = List.init t.shards (fun i -> t.workers.(i).w_scan_clf ~seq ~tid ~lo ~hi) in
-      t.workers.(fire_shard).w_fire_clf ~seq ~addr:lo ~size:(hi - lo) (merge_clf_obs obs)
+      let obs = List.init t.shards (fun i -> t.consumers.(i).c_worker.w_scan_clf ~seq ~tid ~lo ~hi) in
+      t.consumers.(fire_shard).c_worker.w_fire_clf ~seq ~addr:lo ~size:(hi - lo) (merge_clf_obs obs)
 
 let address_event t ~seq ~tid ~addr ~size ev_tag ev =
   let lo = addr and hi = addr + size in
@@ -457,80 +328,6 @@ let route t ev =
   | Event.Join_strand _ | Event.Call _ | Event.Annotation _ | Event.Program_end ->
       broadcast t ~seq ev
 
-(* {2 Vectorized batch routing}
-
-   Framed mode stages incoming events into a batch and routes the batch
-   in two passes: pass 1 classifies every event into an int target code
-   (single shard, broadcast, pinned-broadcast, drop), pass 2 appends to
-   the per-shard frames driven by the codes alone — no per-event
-   constructor dispatch on the append path. Classification only depends
-   on router state ([registered], [track_all], [pinned]) that fast
-   events never mutate, so a classified run makes decisions identical
-   to the scalar [route] loop; events that DO mutate routing state
-   (registrations, and stores that stall and pin lines) end the run and
-   take the scalar path at their exact stream position. *)
-
-let code_broadcast = -1
-let code_drop = -2
-let code_slow = -3
-
-(* Target code for [ev], or [code_slow] when the event needs the scalar
-   path. Codes [0..shards-1] send to that shard; [shards + i] broadcasts
-   silently except at shard [i] (single pinned line). Mirrors [route] /
-   [address_event] case for case. *)
-let classify t ev =
-  match ev with
-  | Event.Store { addr; size; _ } | Event.Clf { addr; size; _ } -> (
-      let lo = addr and hi = addr + size in
-      if size <= 0 || not (in_registered t ~lo ~hi) then code_drop
-      else
-        match Addr.lines_of_range ~lo ~hi with
-        | [ l ] -> if Hashtbl.mem t.pinned l then t.shards + owner t l else owner t l
-        | l :: rest
-          when (not (List.exists (Hashtbl.mem t.pinned) (l :: rest)))
-               && List.for_all (fun l' -> owner t l' = owner t l) rest ->
-            owner t l
-        | _ -> code_slow)
-  | Event.Tx_log _ -> 0
-  | Event.Register_pmem _ | Event.Register_var _ -> code_slow
-  | Event.Fence _ | Event.Epoch_begin _ | Event.Epoch_end _ | Event.Strand_begin _ | Event.Strand_end _
-  | Event.Join_strand _ | Event.Call _ | Event.Annotation _ | Event.Program_end ->
-      code_broadcast
-
-let route_batch t evs codes n =
-  let i = ref 0 in
-  while !i < n do
-    (* Pass 1: classify a run of fast events. *)
-    let s = !i in
-    let stop = ref (-1) in
-    let k = ref s in
-    while !stop < 0 && !k < n do
-      let c = classify t evs.(!k) in
-      if c = code_slow then stop := !k
-      else begin
-        codes.(!k) <- c;
-        incr k
-      end
-    done;
-    (* Pass 2: append the run to the per-shard frames, dispatching on
-       the precomputed codes only. *)
-    for j = s to !k - 1 do
-      t.events <- t.events + 1;
-      let seq = t.events in
-      let c = codes.(j) in
-      if c >= t.shards then broadcast t ~seq ~silent_except:(c - t.shards) evs.(j)
-      else if c >= 0 then send t c ~seq ~silent:false evs.(j)
-      else if c = code_broadcast then broadcast t ~seq evs.(j)
-      (* [code_drop]: the event consumes a seq but is routed nowhere,
-         exactly like the scalar unregistered/empty-range path. *)
-    done;
-    if !stop >= 0 then begin
-      route t evs.(!stop);
-      i := !stop + 1
-    end
-    else i := !k
-  done
-
 (* {2 Merging shard reports} *)
 
 (* Since no location is ever clipped (spanning ranges are replicated
@@ -559,14 +356,31 @@ let dedup_by_kind_addr bugs =
       end)
     bugs
 
+(* The kept findings, and (kind, seq) for every kind whose cut fell
+   between two findings of the same seq. The plain run caps in
+   discovery order, the merge in canonical order; both are sorted by
+   seq, so they keep the same findings unless the cut splits a run of
+   equal-seq findings, whose order may differ. *)
 let cap_per_kind limit bugs =
-  let counts = Hashtbl.create 16 in
-  List.filter
-    (fun (b : Bug.t) ->
-      let n = match Hashtbl.find_opt counts b.Bug.kind with None -> 0 | Some n -> n in
-      Hashtbl.replace counts b.Bug.kind (n + 1);
-      n < limit)
-    bugs
+  let counts = Hashtbl.create 16 and last_kept = Hashtbl.create 16 in
+  let ambiguous = ref [] in
+  let kept =
+    List.filter
+      (fun (b : Bug.t) ->
+        let n = match Hashtbl.find_opt counts b.Bug.kind with None -> 0 | Some n -> n in
+        Hashtbl.replace counts b.Bug.kind (n + 1);
+        if n < limit then begin
+          Hashtbl.replace last_kept b.Bug.kind b.Bug.seq;
+          true
+        end
+        else begin
+          if n = limit && Hashtbl.find_opt last_kept b.Bug.kind = Some b.Bug.seq then
+            ambiguous := (b.Bug.kind, b.Bug.seq) :: !ambiguous;
+          false
+        end)
+      bugs
+  in
+  (kept, List.rev !ambiguous)
 
 (* Merge over the *union* of stat keys: a key present only in shards
    1..N-1 (a backend counter that never tripped on shard 0's partition,
@@ -608,13 +422,46 @@ let merge_stats reports =
                 0.0 reports ))
         !order
 
+(* The contract breaches the merge can see (DESIGN "Sharded detection"):
+   a shard that reorganized its spill tree has coarsened provenance,
+   and a per-kind cap that cut inside a run of equal-seq findings may
+   keep other findings than the plain run's. Either may make the merged
+   findings differ from the plain run, so the report says so instead
+   of diverging silently. *)
+let contract_breach ~limit reports ambiguous =
+  let reorganized =
+    List.concat
+      (List.mapi
+         (fun i r ->
+           match List.assoc_opt "reorganizations" r.Bug.stats with
+           | Some n when n > 0.0 -> [ Printf.sprintf "shard %d reorganized its spill tree %.0f time(s)" i n ]
+           | _ -> [])
+         reports)
+  in
+  let capped =
+    List.map
+      (fun (kind, seq) ->
+        Printf.sprintf "the per-kind cap (%d) cut the %s findings of seq %d" limit (Bug.kind_name kind) seq)
+      ambiguous
+  in
+  match reorganized @ capped with
+  | [] -> None
+  | conditions ->
+      Some
+        ("sharded equality contract breached: " ^ String.concat "; " conditions
+       ^ "; findings may differ from the unsharded run")
+
 let merge_reports t reports =
   let bugs = List.concat_map (fun r -> r.Bug.bugs) reports in
-  let bugs =
+  let bugs, ambiguous =
     List.sort Bug.compare_canonical bugs |> dedup_replicas |> dedup_by_kind_addr
     |> cap_per_kind t.max_bugs_per_kind
   in
-  let failure = List.fold_left (fun acc r -> match acc with Some _ -> acc | None -> r.Bug.failure) None reports in
+  let failure =
+    match List.find_map (fun r -> r.Bug.failure) reports with
+    | Some _ as f -> f
+    | None -> contract_breach ~limit:t.max_bugs_per_kind reports ambiguous
+  in
   {
     Bug.detector = (match reports with r :: _ -> r.Bug.detector | [] -> "sharded");
     bugs;
@@ -631,167 +478,81 @@ let finish t =
   | None ->
       (* Guarantee every worker observes the end of the trace even when
          the replayed file lacks an explicit Program_end (end-of-trace
-         rules are idempotent on a second delivery). *)
+         rules are idempotent on a second delivery). Each shard's last
+         frame carries its staged tail and the stop. *)
       broadcast t ~seq:t.events Event.Program_end;
+      for i = 0 to t.shards - 1 do
+        publish t i ~stop:true
+      done;
       let reports =
-        if t.use_domains then begin
-          (* Final transport sample + stop, per shard: the depth gauge
-             is read before the stop lands (after the join it would
-             always read an empty, drained queue). *)
-          (match t.transport with
-          | Per_event queues ->
-              Array.iteri
-                (fun i q ->
-                  if Obs.Metrics.is_on t.metrics then
-                    Obs.Metrics.max_set t.metrics ~labels:t.labels.(i) "shard_queue_depth_peak"
-                      (float_of_int (Spsc.length q));
-                  Spsc.push q Stop)
-                queues
-          | Framed rings ->
-              Array.iteri
-                (fun i ring ->
-                  let n = Frame_ring.flush ring in
-                  if n > 0 then on_publish t i ring n;
-                  if Obs.Metrics.is_on t.metrics then
-                    Obs.Metrics.max_set t.metrics ~labels:t.labels.(i) "shard_queue_depth_peak"
-                      (float_of_int (Frame_ring.length ring));
-                  Frame_ring.push_stop ring)
-                rings);
-          Array.to_list (Array.map Domain.join t.domains)
-        end
-        else begin
-          flush_frames t;
-          Array.to_list
-            (Array.mapi
-               (fun i w ->
-                 let r = w.w_finish () in
-                 match !(t.inline_failures.(i)) with
-                 | None -> r
-                 | Some msg -> { r with Bug.failure = Some msg })
-               t.workers)
-        end
+        if use_domains t then Array.to_list (Array.map Domain.join t.domains)
+        else Array.to_list (Array.map finish_worker t.consumers)
       in
       (* The workers have joined (or ran inline): reading their
          registries is race-free, and absorbing them gives the router's
          registry whole-run truth including worker-domain series. *)
-      Array.iter (fun wreg -> Obs.Metrics.absorb t.metrics (Obs.Metrics.snapshot wreg)) t.worker_metrics;
+      Array.iter (fun c -> Obs.Metrics.absorb t.metrics (Obs.Metrics.snapshot c.c_metrics)) t.consumers;
       let r = merge_reports t reports in
       t.result <- Some r;
       r
 
-let create ~shards ?(queue_capacity = 1024) ?(frame_size = default_frame_size) ?(domains = true)
-    ?(metrics = Obs.Metrics.disabled) ?(flightrec = Obs.Flightrec.disabled) ?worker_flightrecs
-    ?(max_bugs_per_kind = 1000) make_worker =
-  if shards < 1 then invalid_arg "Shard_router.create: shards must be >= 1";
-  if frame_size < 0 then invalid_arg "Shard_router.create: frame_size must be >= 0";
+let sink ?name:(sink_name = "pmdebugger-sharded") ~shards ?(domains = true) ?(metrics = Obs.Metrics.disabled)
+    ?(flightrec = Obs.Flightrec.disabled) ?worker_flightrecs ?(max_bugs_per_kind = 1000) make_worker =
+  if shards < 1 then invalid_arg "Shard_router.sink: shards must be >= 1";
   let worker_flightrecs =
     match worker_flightrecs with
     | None -> Array.init shards (fun _ -> Obs.Flightrec.disabled)
     | Some a ->
         if Array.length a <> shards then
-          invalid_arg "Shard_router.create: worker_flightrecs must have one ring per shard";
+          invalid_arg "Shard_router.sink: worker_flightrecs must have one ring per shard";
         a
   in
-  let workers = Array.init shards make_worker in
-  let transport =
-    if frame_size = 0 then
-      Per_event (Array.init shards (fun _ -> Spsc.create ~capacity:queue_capacity))
-    else begin
-      (* [queue_capacity] stays denominated in events: the ring holds
-         roughly that many in-flight events, split into frames. *)
-      let slots = max 2 ((queue_capacity + frame_size - 1) / frame_size) in
-      Framed (Array.init shards (fun _ -> Frame_ring.create ~slots ~frame_events:frame_size ()))
-    end
-  in
-  let processed = Array.init shards (fun _ -> Atomic.make 0) in
-  let worker_metrics =
-    Array.init shards (fun _ -> Obs.Metrics.create ~enabled:(Obs.Metrics.is_on metrics) ())
+  let consumers =
+    Array.init shards (fun i ->
+        {
+          c_shard = i;
+          c_worker = make_worker i;
+          c_processed = Atomic.make 0;
+          c_metrics = Obs.Metrics.create ~enabled:(Obs.Metrics.is_on metrics) ();
+          c_labels = shard_label i;
+          c_flightrec = worker_flightrecs.(i);
+          c_popped = 0;
+          c_failure = None;
+        })
   in
   if Obs.Metrics.is_on metrics then begin
-    for i = 0 to shards - 1 do
-      Obs.Metrics.inc metrics ~labels:(shard_label i) ~by:0 "shard_events_total";
-      Obs.Metrics.inc worker_metrics.(i) ~labels:(shard_label i) ~by:0 "shard_worker_events_total"
-    done;
+    Array.iter
+      (fun c ->
+        Obs.Metrics.inc metrics ~labels:c.c_labels ~by:0 "shard_events_total";
+        Obs.Metrics.inc c.c_metrics ~labels:c.c_labels ~by:0 "shard_worker_events_total")
+      consumers;
     Obs.Metrics.inc metrics ~by:0 "shard_barrier_stalls_total"
   end;
+  let queues = if domains then Array.init shards (fun _ -> Spsc.create ~capacity:queue_frames) else [||] in
   let t =
     {
       shards;
-      workers;
-      transport;
+      consumers;
+      staging =
+        Array.init shards (fun _ ->
+            {
+              s_events = Array.make frame_events Event.Program_end;
+              s_seqs = Array.make frame_events 0;
+              s_silent = Array.make frame_events false;
+              s_fill = 0;
+            });
+      queues;
       pushed = Array.make shards 0;
-      processed;
-      domains = [||];
-      inline_failures = Array.init shards (fun _ -> ref None);
-      use_domains = domains;
+      published = Array.make shards 0;
+      domains = Array.mapi (fun i q -> Domain.spawn (fun () -> worker_loop consumers.(i) q)) queues;
       registered = [];
       track_all = true;
       pinned = Hashtbl.create 16;
       events = 0;
       metrics;
-      worker_metrics;
-      labels = Array.init shards shard_label;
-      enc_acc = Array.make shards 0.0;
       flightrec;
-      worker_flightrecs;
       max_bugs_per_kind;
       result = None;
     }
   in
-  let t =
-    if domains then
-      {
-        t with
-        domains =
-          Array.init shards (fun i ->
-              match transport with
-              | Per_event queues ->
-                  Domain.spawn (fun () ->
-                      worker_loop workers.(i) queues.(i) processed.(i) worker_metrics.(i) i)
-              | Framed rings ->
-                  Domain.spawn (fun () ->
-                      framed_worker_loop workers.(i) rings.(i) processed.(i) worker_metrics.(i)
-                        worker_flightrecs.(i) i));
-      }
-    else t
-  in
-  t
-
-let sink ?name:(sink_name = "pmdebugger-sharded") ~shards ?queue_capacity ?frame_size ?domains ?metrics
-    ?flightrec ?worker_flightrecs ?max_bugs_per_kind make_worker =
-  let t =
-    create ~shards ?queue_capacity ?frame_size ?domains ?metrics ?flightrec ?worker_flightrecs
-      ?max_bugs_per_kind make_worker
-  in
-  match t.transport with
-  | Per_event _ ->
-      (* The per-event transport is the measured baseline: route each
-         event as it arrives, no staging. *)
-      Sink.make ~name:sink_name ~on_event:(fun ev -> route t ev) ~finish:(fun () -> finish t)
-  | Framed _ ->
-      (* Framed mode stages one frame's worth of events and routes the
-         whole batch with the two-pass classify/append loop. Staged
-         events are only parked between sink calls — the flush in
-         [finish] runs before the end-of-trace broadcast, so workers
-         still see the complete stream. *)
-      let cap =
-        match frame_size with Some n when n > 0 -> n | _ -> default_frame_size
-      in
-      let buf = Array.make cap Event.Program_end in
-      let codes = Array.make cap 0 in
-      let fill = ref 0 in
-      let flush_batch () =
-        if !fill > 0 then begin
-          let n = !fill in
-          fill := 0;
-          route_batch t buf codes n
-        end
-      in
-      Sink.make ~name:sink_name
-        ~on_event:(fun ev ->
-          buf.(!fill) <- ev;
-          incr fill;
-          if !fill = cap then flush_batch ())
-        ~finish:(fun () ->
-          flush_batch ();
-          finish t)
+  Sink.make ~name:sink_name ~on_event:(fun ev -> route t ev) ~finish:(fun () -> finish t)

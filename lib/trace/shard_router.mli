@@ -9,25 +9,19 @@
     stream order, so shard [s] observes exactly the subsequence of the
     trace touching its lines, in trace order.
 
-    {b Transport.} By default the hand-off is {e frame-batched}
-    ({!Frame_ring}): the router encodes each routed event into the
-    destination shard's flat staging buffer — no per-event allocation —
-    and publishes a whole frame of [frame_size] events with one atomic
-    store; the worker decodes and dispatches a frame at a time, bumping
-    its progress counter once per frame. [frame_size = 0] selects the
-    legacy per-event {!Spsc} hand-off (one boxed message and one
-    sequentially consistent store per event), kept as the measured
-    baseline: BENCH_pr5 showed it capping 4-shard throughput at 0.63×
-    the single-shard run on a 4-core host. Cross-shard barriers flush
-    every shard's partial frame before waiting on worker progress, so a
-    stall observes every event routed before it; [finish] flushes the
-    final partial frames before delivering the stop marker. Routing
-    itself is vectorized over the staged batch: one classification pass
-    turns a run of events into int target codes (shard id, broadcast,
-    drop, pinned-broadcast) and a second pass dispatches the run
-    without the per-event routing branch, stopping only at
-    state-mutating events (registrations, pinning multi-line stores)
-    that must go through the scalar path.
+    {b Transport.} The router appends each routed event to the
+    destination shard's open frame and publishes the frame over that
+    shard's {!Spsc} queue once it holds 256 events. A frame is an
+    immutable record of [Event.t] values with their stream seqs, replica
+    silence flags, a stop flag and its publish stamp; nothing is
+    encoded. The worker runs a frame at a time and bumps its progress
+    counter once per frame. Cross-shard barriers publish every shard's
+    partial frame before waiting on worker progress, so a stall observes
+    every event routed before it; [finish] sends each shard's tail in a
+    last frame marked stop. With [~domains:false] the same per-frame
+    step runs on the caller's domain at each publish, so frame
+    boundaries match the domain run while scheduling stays
+    deterministic.
 
     Routing paths for an address event (store / CLF):
     - {b fast}: a single unpinned line (or several lines, all one
@@ -58,15 +52,25 @@
 
     {b Equality contract.} The merged report's findings, causal chains
     and failure status are byte-identical (per
-    {!Bug.render_canonical}) to the [shards = 1] run — for {e every}
-    transport and frame size, which the QCheck parity suites enforce —
-    provided workers are created with [~walk_dedup:false] (the merge
-    performs the pending-walk dedup globally), bookkeeping stays below
-    the spill-tree merge threshold and the array capacity
-    (reorganization coarsens provenance), and per-kind finding counts
-    stay below [max_bugs_per_kind]. [stats] are merged over the union
-    of keys across shards (summed per key; [avg_*] taken from the
-    first shard carrying the key) rather than compared.
+    {!Bug.render_canonical}) to the [shards = 1] run — inline and on
+    domains, which the QCheck parity suites enforce — provided workers
+    are created with [~walk_dedup:false] (the merge performs the
+    pending-walk dedup globally), bookkeeping stays below the
+    spill-tree merge threshold and the array capacity (reorganization
+    coarsens provenance), and the per-kind cap never cuts between two
+    findings of one seq (the merge caps in canonical order, the plain
+    run in discovery order; both are sorted by seq, so only a cut
+    inside an equal-seq run can keep different findings). The merge
+    checks what it can see of the last two: when a shard report's
+    ["reorganizations"] stat is positive, or the merged cap cuts inside
+    an equal-seq run, the merged report's [failure] names the condition
+    and the shard (or kind and seq), so callers treat the run as a
+    detector failure instead of trusting findings that may differ. A
+    run where only the unsharded detector would have reorganized (each
+    shard's smaller partition stays below the threshold) is not
+    detected. [stats] are merged over the union of
+    keys across shards (summed per key; [avg_*] taken from the first
+    shard carrying the key) rather than compared.
 
     The detector side of the contract is a {!worker} record
     ({!Pmdebugger.Detector.worker} builds one); this module has no
@@ -108,9 +112,6 @@ val max_prior_seqs : int
     location is held by at least one shard, and replicas only
     contribute duplicate seqs, which the union drops. *)
 
-val default_frame_size : int
-(** Events per published frame when [frame_size] is not given (256). *)
-
 val merge_store_obs : store_obs list -> store_obs
 
 val merge_clf_obs : clf_obs list -> clf_obs
@@ -118,70 +119,46 @@ val merge_clf_obs : clf_obs list -> clf_obs
 val sink :
   ?name:string ->
   shards:int ->
-  ?queue_capacity:int
-    (** per-shard in-flight events, default 1024. With the framed
-        transport this sizes the ring at
-        [queue_capacity / frame_size] frame slots (min 2). *) ->
-  ?frame_size:int
-    (** events per published frame, default {!default_frame_size};
-        [0] selects the per-event transport. *) ->
   ?domains:bool
     (** default true: one OCaml Domain per shard. [false] runs every
-        worker inline on the caller's domain — the framed transport
-        still encodes, publishes and decodes through the ring (frames
-        are consumed synchronously at each publish), so frame
-        boundaries match the domain run while scheduling stays
-        deterministic. *) ->
+        worker inline on the caller's domain, each frame as it is
+        published. *) ->
   ?metrics:Obs.Metrics.t
     (** router-side registry: receives [shard_events_total{shard}]
-        (bumped per event, or per published frame by its event count),
-        [shard_barrier_stalls_total] and
-        [shard_queue_depth_peak{shard}] — sampled on each shard's own
-        push cadence (first push, then every 64th; per published frame
-        under the framed transport, in {e frames}), plus a final
-        sample before the stop is delivered. Each worker domain also
+        (bumped per published frame by its event count),
+        [shard_barrier_stalls_total], [shard_barrier_stall_seconds]
+        (per cross-shard barrier drain) and
+        [shard_queue_depth_peak{shard}] (queued frames, sampled at each
+        publish, the stop frame included; 0 inline). Each worker also
         gets its own private registry (enabled iff this one is)
-        recording [shard_worker_events_total{shard}] and a latency
-        histogram — [shard_worker_event_seconds{shard}] per event, or
-        [shard_worker_frame_seconds{shard}] per decoded frame under
-        the framed transport; those are {!Obs.Metrics.absorb}ed into
-        this registry when the sink finishes and the workers have
-        joined, so the final snapshot is whole-run truth across
-        domains.
-
-        Under the framed transport the registries also attribute each
-        frame's life to stages, all timed against {!Obs.Clock} (the
-        clock {!Frame_ring} stamps frames with at publish):
-        [shard_encode_seconds{shard}] (router side: per-event push time
-        accumulated since the shard's previous publish, including any
-        full-ring wait), [shard_frame_residency_seconds{shard}] (publish
-        stamp → consume start: time in queue),
-        [shard_frame_decode_seconds{shard}] and
-        [shard_frame_dispatch_seconds{shard}] (frame total split into
-        byte decoding vs. summed detector calls), and
-        [shard_barrier_stall_seconds] (router side, per cross-shard
-        barrier drain). All allocation-free on the hot path; with
-        metrics disabled the entire attribution path is one branch per
-        frame. *) ->
+        recording [shard_worker_events_total{shard}],
+        [shard_worker_frame_seconds{shard}] (running one frame's events)
+        and [shard_frame_residency_seconds{shard}] (publish stamp to the
+        start of that run: time in the queue, against {!Obs.Clock});
+        those are {!Obs.Metrics.absorb}ed into this registry when the
+        sink finishes and the workers have joined, so the final
+        snapshot is whole-run truth across domains. With metrics
+        disabled the attribution path is one branch per frame. *) ->
   ?flightrec:Obs.Flightrec.t
     (** router-side flight recorder: records a ["frame"/"publish"]
-        instant per published frame ([a] = shard, [b] = frame index)
-        and a ["barrier"/"stall"] instant per cross-shard barrier
-        (metrics must be on for barriers). Default
-        {!Obs.Flightrec.disabled}. *) ->
+        instant per published frame ([a] = shard, [b] = the shard's
+        frame index, stamped with the frame's publish time) and a
+        ["barrier"/"stall"] instant per cross-shard barrier (metrics
+        must be on for barriers). Default {!Obs.Flightrec.disabled}. *) ->
   ?worker_flightrecs:Obs.Flightrec.t array
     (** one ring per shard, mutated only on that worker's domain:
-        records a ["frame"/"pop"] instant per consumed frame
-        ([a] = shard, [b] = frame index). Because {!Frame_ring} is
-        FIFO, (shard, index) names one frame end to end — the causal
-        trace ({!Obs.Tracecat}) pairs publish/pop records into flow
-        arrows. Length must equal [shards]. The caller retains the
-        array for dumping after [finish]. *) ->
+        records a ["frame"/"pop"] instant per frame run ([a] = shard,
+        [b] = frame index). Because {!Spsc} is FIFO, (shard, index)
+        names one frame end to end — the causal trace
+        ({!Obs.Tracecat}) pairs publish/pop records into flow arrows.
+        Length must equal [shards]. The caller retains the array for
+        dumping after [finish]. *) ->
   ?max_bugs_per_kind:int (** cap re-applied to the merged report, default 1000 *) ->
   (int -> worker) ->
   Sink.t
 (** [sink ~shards make_worker] spawns the pipeline; [make_worker i] is
     called once per shard on the caller's domain. The sink's [finish]
     delivers an end-of-trace to every worker (idempotent when the trace
-    already carried [Program_end]), flushes partial frames, stops and
-    joins the domains, and returns the merged canonical report. *)
+    already carried [Program_end]), publishes each shard's last frame
+    marked stop, joins the domains, and returns the merged canonical
+    report. *)

@@ -57,7 +57,7 @@ let top_snapshot ?(events = 1000) ?(evictions = 0) () =
   for shard = 0 to 1 do
     let labels = [ ("shard", string_of_int shard) ] in
     Obs.Metrics.observe m ~labels "shard_frame_residency_seconds" 0.004;
-    Obs.Metrics.observe m ~labels "shard_frame_decode_seconds" 0.0005
+    Obs.Metrics.observe m ~labels "shard_worker_frame_seconds" 0.0005
   done;
   Obs.Metrics.inc m ~labels:[ ("domain", "0") ] ~by:750 "serve_worker_events_total";
   Obs.Metrics.inc m ~labels:[ ("domain", "1") ] ~by:250 "serve_worker_events_total";
@@ -82,6 +82,8 @@ let test_top_render () =
   (* Two 4ms observations land in the (2.5ms, 5ms] bucket; p50
      interpolates to its midpoint. *)
   Alcotest.(check bool) "folded residency quantiles" true (contains first "residency p50 3.8ms");
+  Alcotest.(check bool) "per-frame worker latency" true (contains first "frame p50 ");
+  Alcotest.(check bool) "no decode stage" false (contains first "decode");
   Alcotest.(check bool) "worker balance" true (contains first "w0 75% (750)");
   Alcotest.(check bool) "session row" true (contains first "alice");
   (* Second frame: 500 more events over 2s -> +250/s; an eviction

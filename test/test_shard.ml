@@ -15,9 +15,9 @@ let canon (r : Bug.report) =
 let replay_plain ?mode ?backend ?(model = D.Strict) trace =
   Recorder.replay trace (D.sink (D.create ~model ?mode ?backend ()))
 
-let replay_sharded ?mode ?(model = D.Strict) ?(domains = false) ?frame_size ~shards trace =
+let replay_sharded ?mode ?(model = D.Strict) ?(domains = false) ~shards trace =
   Recorder.replay trace
-    (Shard_router.sink ~shards ~domains ?frame_size (fun _ -> D.worker (D.create ~model ?mode ~walk_dedup:false ())))
+    (Shard_router.sink ~shards ~domains (fun _ -> D.worker (D.create ~model ?mode ~walk_dedup:false ())))
 
 (* ---------------------------------------------------------------- *)
 (* SPSC queue                                                        *)
@@ -112,244 +112,144 @@ let test_spsc_close_race_exact_delivery () =
   done
 
 (* ---------------------------------------------------------------- *)
-(* Frame_ring: the batched transport                                 *)
+(* Frames: the shard transport, observed through the sink            *)
 (* ---------------------------------------------------------------- *)
 
-(* One event of every constructor (plus each annotation), so the
-   encoder/decoder pair is exercised over the whole Event.t surface. *)
-let every_event =
-  [
-    Event.Store { addr = 40; size = 16; tid = 1 };
-    Event.Clf { addr = 0; size = 64; kind = Event.Clwb; tid = 2 };
-    Event.Clf { addr = 64; size = 64; kind = Event.Clflush; tid = 0 };
-    Event.Clf { addr = 128; size = 64; kind = Event.Clflushopt; tid = 0 };
-    Event.Fence { tid = 3 };
-    Event.Register_pmem { base = 0; size = 4096 };
-    Event.Epoch_begin { tid = 0 };
-    Event.Epoch_end { tid = 0 };
-    Event.Strand_begin { tid = 0; strand = 2 };
-    Event.Strand_end { tid = 0; strand = 2 };
-    Event.Join_strand { tid = 0 };
-    Event.Tx_log { obj_addr = 96; size = 24; tid = 1 };
-    Event.Register_var { name = "head_ptr"; addr = 8; size = 8 };
-    Event.Register_var { name = ""; addr = 16; size = 8 };
-    Event.Call { func = "persist_obj"; tid = 1 };
-    Event.Annotation (Event.Assert_durable { addr = 0; size = 8 });
-    Event.Annotation (Event.Assert_ordered { first_addr = 0; first_size = 8; then_addr = 8; then_size = 16 });
-    Event.Annotation (Event.Assert_fresh { addr = 24; size = 8 });
-    Event.Program_end;
-  ]
+(* A worker that records every (seq, silent) it runs, for the frame
+   tests. Each shard's log is touched only by the domain running that
+   shard's frames, and read after [finish] has joined it. *)
+let recording_workers shards =
+  let logs = Array.init shards (fun _ -> ref []) in
+  let make i =
+    {
+      Shard_router.w_event = (fun ~seq ~silent _ -> logs.(i) := (seq, silent) :: !(logs.(i)));
+      w_scan_store = (fun ~seq:_ ~tid:_ ~lo:_ ~hi:_ -> { Shard_router.so_overlapped = false; so_prior_seqs = [] });
+      w_fire_store = (fun ~seq:_ ~addr:_ ~size:_ _ -> ());
+      w_scan_clf = (fun ~seq:_ ~tid:_ ~lo:_ ~hi:_ -> { Shard_router.co_matched = 0; co_newly = 0; co_redundant = [] });
+      w_fire_clf = (fun ~seq:_ ~addr:_ ~size:_ _ -> ());
+      w_finish = (fun () -> Bug.empty_report "recording");
+    }
+  in
+  (logs, make)
 
-let test_frame_roundtrip () =
-  let ring = Frame_ring.create ~slots:4 ~frame_events:64 () in
-  List.iteri (fun i ev -> ignore (Frame_ring.push ring ~seq:(i + 1) ~silent:(i land 1 = 0) ev)) every_event;
-  Alcotest.(check int) "all staged below the threshold" (List.length every_event) (Frame_ring.staged ring);
-  let n = Frame_ring.flush ring in
-  Alcotest.(check int) "flush publishes the partial frame" (List.length every_event) n;
-  let got = ref [] in
-  (match Frame_ring.try_consume ring ~f:(fun ~seq ~silent ev -> got := (seq, silent, ev) :: !got) with
-  | `Frame n' -> Alcotest.(check int) "consumed count" n n'
-  | `Stop _ | `Empty -> Alcotest.fail "expected a plain frame");
-  let expected = List.mapi (fun i ev -> (i + 1, i land 1 = 0, ev)) every_event in
-  Alcotest.(check bool) "every constructor roundtrips with seq and silent bit" true (List.rev !got = expected)
+let frame_records ring name =
+  List.filter
+    (fun e -> e.Obs.Flightrec.e_cat = "frame" && e.Obs.Flightrec.e_name = name)
+    (Obs.Flightrec.window ring)
 
+(* Tx_log appends all route to shard 0, so the frame boundaries are
+   exact: a frame goes out at every 256th event, and the stop frame
+   carries the partial tail plus the end-of-trace broadcast. *)
 let test_frame_boundary_and_stop_partial () =
-  let ring = Frame_ring.create ~slots:4 ~frame_events:4 () in
-  let published = ref [] in
-  for i = 1 to 10 do
-    let n = Frame_ring.push ring ~seq:i ~silent:false (Event.Fence { tid = i }) in
-    if n > 0 then published := n :: !published
+  let logs, make = recording_workers 2 in
+  let pops = Array.init 2 (fun _ -> Obs.Flightrec.create ~capacity:64 ()) in
+  let sink = Shard_router.sink ~shards:2 ~domains:false ~worker_flightrecs:pops make in
+  let tx = Event.Tx_log { obj_addr = 0; size = 8; tid = 0 } in
+  for _ = 1 to 512 do
+    sink.Sink.on_event tx
   done;
-  Alcotest.(check (list int)) "publishes exactly at the frame boundary" [ 4; 4 ] (List.rev !published);
-  Alcotest.(check int) "two events staged" 2 (Frame_ring.staged ring);
-  Frame_ring.push_stop ring;
-  Alcotest.(check int) "stop published the partial frame" 0 (Frame_ring.staged ring);
-  let seqs = ref [] in
-  let finished = ref false in
-  while not !finished do
-    match Frame_ring.try_consume ring ~f:(fun ~seq ~silent:_ _ -> seqs := seq :: !seqs) with
-    | `Frame _ -> ()
-    | `Stop n ->
-        Alcotest.(check int) "stop frame carried the partial tail" 2 n;
-        finished := true
-    | `Empty -> Alcotest.fail "ring empty before the stop frame"
+  Alcotest.(check int) "two full frames published and run" 512 (List.length !(logs.(0)));
+  sink.Sink.on_event tx;
+  Alcotest.(check int) "the 513th event is staged, not run" 512 (List.length !(logs.(0)));
+  for _ = 1 to 86 do
+    sink.Sink.on_event tx
   done;
-  Alcotest.(check (list int)) "every event exactly once, in order" (List.init 10 (fun i -> i + 1))
-    (List.rev !seqs)
+  ignore (sink.Sink.finish ());
+  Alcotest.(check (list int)) "every event exactly once, in order, then the end of trace"
+    (List.init 599 (fun i -> i + 1) @ [ 599 ])
+    (List.rev_map fst !(logs.(0)));
+  Alcotest.(check int) "shard 0: two full frames and a stop frame" 3 (List.length (frame_records pops.(0) "pop"));
+  Alcotest.(check (list int)) "shard 1: only the end of trace" [ 599 ] (List.map fst !(logs.(1)));
+  Alcotest.(check int) "shard 1: one stop frame" 1 (List.length (frame_records pops.(1) "pop"))
 
-let test_frame_oversized_record_grows_slot () =
-  (* A record bigger than the whole slot: the staging buffer must grow
-     rather than truncate or loop. *)
-  let ring = Frame_ring.create ~frame_bytes:32 ~slots:2 ~frame_events:8 () in
-  let long = String.make 600 'x' in
-  ignore (Frame_ring.push ring ~seq:1 ~silent:false (Event.Store { addr = 0; size = 8; tid = 0 }));
-  ignore (Frame_ring.push ring ~seq:2 ~silent:false (Event.Register_var { name = long; addr = 0; size = 8 }));
-  ignore (Frame_ring.flush ring);
-  let got = ref [] in
-  let rec drain () =
-    match Frame_ring.try_consume ring ~f:(fun ~seq:_ ~silent:_ ev -> got := ev :: !got) with
-    | `Frame _ | `Stop _ -> drain ()
-    | `Empty -> ()
-  in
-  drain ();
-  match List.rev !got with
-  | [ Event.Store _; Event.Register_var { name; _ } ] ->
-      Alcotest.(check string) "long name intact" long name
-  | evs -> Alcotest.failf "expected store + register_var, got %d event(s)" (List.length evs)
-
-(* A push that fills the frame by *bytes* (string-carrying records
-   bigger than the per-event estimate) used to discard the published
-   count, returning 0: in Shard_router's inline framed mode nothing
-   consumed those frames — after [slots] of them the full-ring wait
-   deadlocked the router — and in domain mode shard_events_total
-   undercounted. Every published frame must be accounted in some
-   push/flush return value. *)
-let test_frame_byte_full_publish_counted () =
-  (* 69-byte Call records against 140-byte slots: every frame fills by
-     bytes after two events, far below the 256-event threshold. *)
-  let ring = Frame_ring.create ~frame_bytes:140 ~slots:8 ~frame_events:256 () in
-  let long = String.make 48 'f' in
-  let n = 10 in
-  let published = ref 0 in
-  for i = 1 to n do
-    published := !published + Frame_ring.push ring ~seq:i ~silent:false (Event.Call { func = long; tid = 0 })
-  done;
-  Alcotest.(check bool) "byte-full frames were published" true (Frame_ring.length ring > 0);
-  published := !published + Frame_ring.flush ring;
-  Alcotest.(check int) "every event accounted in a push/flush return" n !published;
-  let seqs = ref [] in
-  let rec drain () =
-    match Frame_ring.try_consume ring ~f:(fun ~seq ~silent:_ _ -> seqs := seq :: !seqs) with
-    | `Frame _ | `Stop _ -> drain ()
-    | `Empty -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "every event exactly once, in order" (List.init n (fun i -> i + 1))
-    (List.rev !seqs)
-
-let test_frame_wraparound () =
-  let ring = Frame_ring.create ~slots:2 ~frame_events:3 () in
-  for round = 0 to 40 do
-    for i = 0 to 2 do
-      ignore (Frame_ring.push ring ~seq:((round * 3) + i) ~silent:false (Event.Fence { tid = i }))
-    done;
-    let got = ref [] in
-    (match Frame_ring.try_consume ring ~f:(fun ~seq ~silent:_ _ -> got := seq :: !got) with
-    | `Frame 3 -> ()
-    | _ -> Alcotest.fail "expected a full frame each round");
-    Alcotest.(check (list int)) "frame contents in order"
-      [ round * 3; (round * 3) + 1; (round * 3) + 2 ]
-      (List.rev !got)
-  done
-
+(* Exact, ordered delivery across a real domain boundary: stores
+   alternate between shard 0's and shard 1's lines, so each shard
+   sees every other seq, through many full frames and a partial stop
+   frame. *)
 let test_frame_cross_domain () =
   let n = 50_000 in
-  let ring = Frame_ring.create ~slots:4 ~frame_events:7 () in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          ignore (Frame_ring.push ring ~seq:i ~silent:false (Event.Fence { tid = i land 7 }))
-        done;
-        Frame_ring.push_stop ring)
-  in
-  let next = ref 1 in
-  let ok = ref true in
-  let total = ref 0 in
-  let finished = ref false in
-  while not !finished do
-    match
-      Frame_ring.consume ring ~f:(fun ~seq ~silent:_ _ ->
-          if seq <> !next then ok := false;
-          incr next;
-          incr total)
-    with
-    | `Frame _ -> ()
-    | `Stop _ -> finished := true
+  let logs, make = recording_workers 2 in
+  let sink = Shard_router.sink ~shards:2 make in
+  for i = 1 to n do
+    sink.Sink.on_event (Event.Store { addr = (i land 1) * 64; size = 8; tid = 0 })
   done;
-  Domain.join producer;
-  Alcotest.(check bool) "every event, in order" true !ok;
-  Alcotest.(check int) "exactly n events" n !total
+  ignore (sink.Sink.finish ());
+  (* Each log ends with the end-of-trace broadcast. *)
+  let stores shard = List.rev (List.tl !(logs.(shard))) in
+  Alcotest.(check bool) "shard 1 ran the odd seqs, in order" true
+    (List.map fst (stores 1) = List.init (n / 2) (fun i -> (2 * i) + 1));
+  Alcotest.(check bool) "shard 0 ran the even seqs, in order" true
+    (List.map fst (stores 0) = List.init (n / 2) (fun i -> (2 * i) + 2));
+  Alcotest.(check bool) "no replica silenced" true (List.for_all (fun (_, silent) -> not silent) (stores 0 @ stores 1))
 
 (* ---------------------------------------------------------------- *)
 (* Stage latency: the publish-stamp law and the disabled-path cost    *)
 (* ---------------------------------------------------------------- *)
 
-(* QCheck law pinned in frame_ring.mli: the publish stamps of
-   successive frames of one ring are non-decreasing at the consumer —
-   across slot wraparound, random flush points and a stop carrying a
-   partial frame. Residency attribution (now - last_frame_ts) relies
-   on it. Ops: 0 = flush, k > 0 = push k events. slots = 2 forces
-   wraparound constantly; draining at each publish keeps the inline
-   producer from blocking on a full ring. *)
+(* The law residency attribution (pop time - publish stamp) relies on,
+   read from the flight recorders: per shard, the frames' publish
+   stamps are non-decreasing in frame order, every published frame is
+   run once under the same (shard, index), and no frame is run before
+   its publish. Ops: 0 = a store spanning both shards (a barrier that
+   publishes partial frames), k > 0 = k * 90 single-line stores, so
+   frames fill, flush early and end in a partial stop frame. *)
+let stamp_law ~pubs ~pops shards =
+  let pub_ts = Hashtbl.create 64 in
+  List.for_all
+    (fun shard ->
+      let mine = List.filter (fun e -> e.Obs.Flightrec.e_a = shard) (frame_records pubs "publish") in
+      let popped = frame_records pops.(shard) "pop" in
+      List.iter (fun e -> Hashtbl.replace pub_ts (shard, e.Obs.Flightrec.e_b) e.Obs.Flightrec.e_ts) mine;
+      let rec nondecreasing = function
+        | a :: (b :: _ as rest) -> a.Obs.Flightrec.e_ts <= b.Obs.Flightrec.e_ts && nondecreasing rest
+        | _ -> true
+      in
+      nondecreasing mine
+      && List.map (fun e -> e.Obs.Flightrec.e_b) mine = List.map (fun e -> e.Obs.Flightrec.e_b) popped
+      && List.for_all
+           (fun e -> e.Obs.Flightrec.e_ts >= Hashtbl.find pub_ts (shard, e.Obs.Flightrec.e_b))
+           popped)
+    (List.init shards Fun.id)
+
 let prop_pub_ts_nondecreasing =
   QCheck.Test.make ~name:"frame ring: publish stamps non-decreasing (wraparound, flush, partial stop)"
     ~count:100
-    QCheck.(list_of_size Gen.(1 -- 60) (int_bound 4))
+    QCheck.(list_of_size Gen.(1 -- 30) (int_bound 4))
     (fun ops ->
-      let ring = Frame_ring.create ~slots:2 ~frame_events:3 () in
-      let last = ref 0.0 in
-      let ok = ref true in
-      let note () =
-        let ts = Frame_ring.last_frame_ts ring in
-        if ts < !last then ok := false;
-        last := ts
-      in
-      let drain () =
-        let continue = ref true in
-        while !continue do
-          match Frame_ring.try_consume ring ~f:(fun ~seq:_ ~silent:_ _ -> ()) with
-          | `Frame _ -> note ()
-          | `Stop _ ->
-              note ();
-              continue := false
-          | `Empty -> continue := false
-        done
-      in
-      List.iteri
-        (fun i op ->
-          if op = 0 then (if Frame_ring.flush ring > 0 then drain ())
+      let _, make = recording_workers 2 in
+      let pubs = Obs.Flightrec.create ~capacity:1024 () in
+      let pops = Array.init 2 (fun _ -> Obs.Flightrec.create ~capacity:1024 ()) in
+      let sink = Shard_router.sink ~shards:2 ~domains:false ~flightrec:pubs ~worker_flightrecs:pops make in
+      List.iter
+        (fun op ->
+          if op = 0 then sink.Sink.on_event (Event.Store { addr = 56; size = 16; tid = 0 })
           else
-            for _ = 1 to op do
-              if Frame_ring.push ring ~seq:i ~silent:false (Event.Fence { tid = i }) > 0 then drain ()
+            for i = 1 to op * 90 do
+              sink.Sink.on_event (Event.Store { addr = (i land 1) * 64; size = 8; tid = 0 })
             done)
         ops;
-      Frame_ring.push_stop ring;
-      drain ();
-      !ok)
+      ignore (sink.Sink.finish ());
+      stamp_law ~pubs ~pops 2)
 
-(* The same law with the producer on a real domain: wall-clock stamps
-   taken on one domain, read on another, still non-decreasing in
-   consume order (the ring's FIFO + the publishing store's ordering). *)
+(* The same law with the workers on real domains: queue wraparound,
+   backpressure and pops on other domains keep frame indices paired
+   and stamps ordered. *)
 let test_frame_pub_ts_cross_domain () =
-  let n = 20_000 in
-  let ring = Frame_ring.create ~slots:4 ~frame_events:7 () in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          ignore (Frame_ring.push ring ~seq:i ~silent:false (Event.Fence { tid = i land 7 }));
-          if i mod 613 = 0 then ignore (Frame_ring.flush ring)
-        done;
-        Frame_ring.push_stop ring)
-  in
-  let last = ref 0.0 in
-  let ok = ref true in
-  let frames = ref 0 in
-  let finished = ref false in
-  while not !finished do
-    (match Frame_ring.consume ring ~f:(fun ~seq:_ ~silent:_ _ -> ()) with
-    | `Frame _ -> incr frames
-    | `Stop _ -> finished := true);
-    let ts = Frame_ring.last_frame_ts ring in
-    if ts < !last then ok := false;
-    last := ts
+  let _, make = recording_workers 2 in
+  let pubs = Obs.Flightrec.create ~capacity:1024 () in
+  let pops = Array.init 2 (fun _ -> Obs.Flightrec.create ~capacity:1024 ()) in
+  let sink = Shard_router.sink ~shards:2 ~flightrec:pubs ~worker_flightrecs:pops make in
+  for i = 1 to 60_000 do
+    sink.Sink.on_event (Event.Store { addr = (i land 1) * 64; size = 8; tid = 0 });
+    if i mod 613 = 0 then sink.Sink.on_event (Event.Store { addr = 56; size = 16; tid = 0 })
   done;
-  Domain.join producer;
-  Alcotest.(check bool) "stamps non-decreasing across domains" true !ok;
-  Alcotest.(check bool) "saw many frames" true (!frames > 100)
+  ignore (sink.Sink.finish ());
+  Alcotest.(check bool) "stamps non-decreasing, frames paired" true (stamp_law ~pubs ~pops 2);
+  Alcotest.(check bool) "saw many frames" true (List.length (frame_records pops.(0) "pop") > 100)
 
 (* Overhead guard for the stage-attribution path: with metrics
-   disabled, routing through the framed transport pays one branch per
-   frame and zero timing calls — an absolute bound on 200k events
+   disabled, the frame path pays one branch per frame and zero timing
+   calls — an absolute bound on 200k events
    through a no-op worker catches an accidentally always-on path
    (10-100x), not CI noise. *)
 let noop_worker _ =
@@ -364,7 +264,7 @@ let noop_worker _ =
 
 let test_stage_latency_disabled_overhead () =
   let n = 200_000 in
-  let sink = Shard_router.sink ~shards:2 ~domains:false ~frame_size:64 noop_worker in
+  let sink = Shard_router.sink ~shards:2 ~domains:false noop_worker in
   let t0 = Unix.gettimeofday () in
   for i = 1 to n do
     sink.Sink.on_event (Event.Store { addr = (i land 1023) * 8; size = 8; tid = 0 })
@@ -506,27 +406,22 @@ let test_merge_stats_union () =
    cadence plus a final pre-stop sample, so even a tiny run records a
    peak for every shard that saw traffic. *)
 let test_depth_gauge_on_small_runs () =
+  let reg = Obs.Metrics.create () in
+  let evs = ref [ Event.Register_pmem { base = 0; size = 512 } ] in
+  for i = 1 to 10 do
+    evs := Event.Store { addr = (i mod 2 * 64) + 8; size = 8; tid = 0 } :: !evs
+  done;
+  evs := Event.Program_end :: !evs;
+  let trace = Array.of_list (List.rev !evs) in
+  ignore
+    (Recorder.replay trace
+       (Shard_router.sink ~shards:2 ~metrics:reg (fun _ -> D.worker (D.create ~walk_dedup:false ()))));
+  let snap = Obs.Metrics.snapshot reg in
   List.iter
-    (fun frame_size ->
-      let reg = Obs.Metrics.create () in
-      let evs = ref [ Event.Register_pmem { base = 0; size = 512 } ] in
-      for i = 1 to 10 do
-        evs := Event.Store { addr = (i mod 2 * 64) + 8; size = 8; tid = 0 } :: !evs
-      done;
-      evs := Event.Program_end :: !evs;
-      let trace = Array.of_list (List.rev !evs) in
-      ignore
-        (Recorder.replay trace
-           (Shard_router.sink ~shards:2 ~frame_size ~metrics:reg (fun _ ->
-                D.worker (D.create ~walk_dedup:false ()))));
-      let snap = Obs.Metrics.snapshot reg in
-      List.iter
-        (fun shard ->
-          if Obs.Metrics.find snap ~labels:[ ("shard", shard) ] "shard_queue_depth_peak" = None then
-            Alcotest.failf "no depth peak for shard %s under frame_size %d (<64 events routed)" shard
-              frame_size)
-        [ "0"; "1" ])
-    [ 0; Shard_router.default_frame_size ]
+    (fun shard ->
+      if Obs.Metrics.find snap ~labels:[ ("shard", shard) ] "shard_queue_depth_peak" = None then
+        Alcotest.failf "no depth peak for shard %s (<64 events routed)" shard)
+    [ "0"; "1" ]
 
 (* ---------------------------------------------------------------- *)
 (* QCheck parity: random traces, sharded vs single                   *)
@@ -573,23 +468,23 @@ let trace_of (vars, ops) =
           end
           else emit (Event.Join_strand { tid = 0 })
       | 9 -> emit (Event.Tx_log { obj_addr = a land lnot 7; size = 8; tid = 0 })
-      | _ ->
-          (* Alternate short and long names so framed transports hit the
-             byte-full publish path (a frame that runs out of slot bytes
-             before the event-count threshold) — a long-record stream
-             used to wedge the router. *)
-          let func = if s land 1 = 0 then "persist_obj" else String.make 60 'p' in
-          emit (Event.Call { func; tid = 0 })
+      | _ -> emit (Event.Call { func = "persist_obj"; tid = 0 })
     )
     ops;
   emit Event.Program_end;
   Array.of_list (List.rev !evs)
 
-let gen_trace =
+let gen_ops size =
   QCheck.(
     pair
       (list_of_size Gen.(0 -- 2) (pair (int_range 0 (lines - 1)) bool))
-      (list_of_size Gen.(0 -- 60) (pair (int_range 0 10) (pair (int_range 0 (region - 1)) (int_range 1 4)))))
+      (list_of_size size (pair (int_range 0 10) (pair (int_range 0 (region - 1)) (int_range 1 4)))))
+
+let gen_trace = gen_ops QCheck.Gen.(0 -- 60)
+
+(* Long enough that every shard, even one of 8, runs past two full
+   frames (512 events): about a third of the ops are broadcasts. *)
+let gen_long_trace = gen_ops QCheck.Gen.(1600 -- 2400)
 
 (* Crash-image findings (cross-failure) are vacuously equal here: the
    rule needs a live PM state, which neither the plain nor the sharded
@@ -622,32 +517,20 @@ let prop_parity_domains =
       let expected = canon (replay_plain trace) in
       canon (Recorder.replay trace (Shard_router.sink ~shards:2 (fun _ -> D.worker (D.create ~walk_dedup:false ())))) = expected)
 
-(* Frame-transport parity: the batched hand-off must stay byte-identical
-   to the per-event transport and the single-shard run for every frame
-   size — including fs 1 (a frame per event) and fs 4096 (the whole
-   trace staged until a barrier or finish flushes it). fs 0 is the
-   per-event transport itself, pinning the two transports to the same
-   contract. *)
-let prop_parity_frame_sizes =
-  QCheck.Test.make ~name:"framed transport parity (frame sizes 0/1/7/64/4096 x 2/4/8 shards)" ~count:15
-    gen_trace (fun input ->
-      let trace = trace_of input in
-      let expected = canon (replay_plain trace) in
-      List.for_all
-        (fun frame_size ->
-          List.for_all
-            (fun shards -> canon (replay_sharded ~frame_size ~shards trace) = expected)
-            [ 2; 4; 8 ])
-        [ 0; 1; 7; 64; 4096 ])
+(* Parity on traces longer than two frames per shard, so full-frame
+   publishes, barrier flushes of partial frames and the stop frame all
+   occur within one run — inline, and on real domains. *)
+let long_parity ~domains shards input =
+  let trace = trace_of input in
+  canon (replay_sharded ~domains ~shards trace) = canon (replay_plain trace)
 
-let prop_parity_frames_domains =
-  QCheck.Test.make ~name:"framed transport parity (real domains, frame sizes 7 and 4096)" ~count:4 gen_trace
-    (fun input ->
-      let trace = trace_of input in
-      let expected = canon (replay_plain trace) in
-      List.for_all
-        (fun frame_size -> canon (replay_sharded ~domains:true ~frame_size ~shards:2 trace) = expected)
-        [ 7; 4096 ])
+let prop_parity_long_inline =
+  QCheck.Test.make ~name:"framed transport parity (frames past two per shard x 2/4/8 shards, inline)" ~count:10
+    gen_long_trace (fun input -> List.for_all (fun shards -> long_parity ~domains:false shards input) [ 2; 4; 8 ])
+
+let prop_parity_long_domains =
+  QCheck.Test.make ~name:"framed transport parity (real domains, frames past two per shard)" ~count:4
+    gen_long_trace (fun input -> long_parity ~domains:true 2 input)
 
 (* Deterministic frame-boundary edge case: a cross-shard store arrives
    while both shards hold partially staged frames. The barrier must
@@ -671,41 +554,83 @@ let test_barrier_mid_frame () =
   List.iter
     (fun domains ->
       Alcotest.(check string) "report survives a mid-frame barrier" expected
-        (canon (replay_sharded ~domains ~frame_size:4096 ~shards:2 trace)))
+        (canon (replay_sharded ~domains ~shards:2 trace)))
     [ false; true ]
 
-(* Router-level regression for the byte-full publish bug: long Call
-   names make every frame fill by bytes (81-byte records, frame_size 16
-   → 704-byte slots → byte-full at 8 events) while the event-count
-   threshold is never reached. The router used to learn nothing about
-   these frames (push returned 0): inline mode hung forever once the
-   ring's [slots] (4 here) filled, and shard_events_total missed their
-   event counts. *)
-let test_framed_byte_full_inline () =
-  let reg = Obs.Metrics.create () in
-  let long = String.make 60 'f' in
+(* ---------------------------------------------------------------- *)
+(* Equality-contract breaches fail loudly                            *)
+(* ---------------------------------------------------------------- *)
+
+let run_workload_sharded name ~n ~shards =
+  let spec = Workloads.Registry.find_exn name in
+  let model = spec.Workloads.Workload.model in
+  let engine = Engine.create () in
+  Engine.attach engine
+    (Shard_router.sink ~shards ~domains:false (fun _ -> D.worker (D.create ~model ~walk_dedup:false ())));
+  spec.Workloads.Workload.run (Workloads.Workload.params ~n ()) engine;
+  match Engine.finish_all engine with
+  | [ r ] -> r
+  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+(* memcached n=10000 reorganizes the spill tree on a shard, and its
+   2-shard findings differ from the plain run's: the merged report
+   must carry a failure naming the shard, not pass as equal. The
+   CI-sized 4-shard run stays inside the contract. *)
+let test_breach_reorganization () =
+  let r = run_workload_sharded "memcached" ~n:10_000 ~shards:2 in
+  (match r.Bug.failure with
+  | Some msg ->
+      Alcotest.(check bool) (Printf.sprintf "failure names the condition and the shard: %s" msg) true
+        (contains msg "reorganized" && contains msg "shard ")
+  | None -> Alcotest.fail "a reorganizing 2-shard run passed as equal to the plain run");
+  let r = run_workload_sharded "memcached" ~n:2000 ~shards:4 in
+  Alcotest.(check (option string)) "0 reorganizations: no failure" None r.Bug.failure
+
+(* The merged cap keeps the canonically first findings of a kind, the
+   plain run the first discovered; both orders are sorted by seq, so
+   they agree unless the cap cuts between findings of one seq. Six
+   stores left unflushed at the end of the trace: their six findings
+   all carry the end-of-trace seq, and a cap of 2 cuts inside them. *)
+let test_breach_cap () =
   let evs = ref [ Event.Register_pmem { base = 0; size = region } ] in
-  for i = 1 to 200 do
-    evs := Event.Call { func = long; tid = i land 3 } :: !evs
+  for i = 0 to 2 do
+    evs := Event.Store { addr = 64 + (8 * i); size = 8; tid = 0 } :: Event.Store { addr = 8 * i; size = 8; tid = 0 } :: !evs
   done;
-  evs := Event.Store { addr = 8; size = 8; tid = 0 } :: !evs;
-  evs := Event.Program_end :: !evs;
-  let trace = Array.of_list (List.rev !evs) in
-  let expected = canon (replay_plain trace) in
-  let got =
+  let trace = Array.of_list (List.rev (Event.Program_end :: !evs)) in
+  let r =
     Recorder.replay trace
-      (Shard_router.sink ~shards:2 ~domains:false ~frame_size:16 ~queue_capacity:64 ~metrics:reg
-         (fun _ -> D.worker (D.create ~walk_dedup:false ())))
+      (Shard_router.sink ~shards:2 ~domains:false ~max_bugs_per_kind:2 (fun _ ->
+           D.worker (D.create ~walk_dedup:false ())))
   in
-  Alcotest.(check string) "report identical to the single run" expected (canon got);
-  (* Shard 0 sees every event: 202 broadcasts (Register_pmem, 200
-     Calls, Program_end), the line-0 store, and the finish-time
-     Program_end broadcast — 204 total; shard 1 sees the 203
-     broadcasts. Exactness requires byte-full frames to be counted. *)
-  let snap = Obs.Metrics.snapshot reg in
-  let total shard = Obs.Metrics.counter_value snap ~labels:[ ("shard", shard) ] "shard_events_total" in
-  Alcotest.(check int) "shard 0 total exact" 204 (total "0");
-  Alcotest.(check int) "shard 1 total exact" 203 (total "1")
+  Alcotest.(check int) "capped" 2 (List.length r.Bug.bugs);
+  match r.Bug.failure with
+  | Some msg ->
+      Alcotest.(check bool) (Printf.sprintf "failure names the cap: %s" msg) true
+        (contains msg "cap (2) cut the no-durability-guarantee findings of seq 8")
+  | None -> Alcotest.fail "a cap cutting equal-seq findings passed as equal to the plain run"
+
+(* A cap that cuts between findings of different seqs keeps exactly
+   the plain run's findings under the same cap, and is no breach. *)
+let prop_cap_parity =
+  QCheck.Test.make ~name:"merged per-kind cap keeps the plain run's findings" ~count:40
+    QCheck.(pair (int_range 1 4) gen_trace)
+    (fun (cap, input) ->
+      let trace = trace_of input in
+      let plain = Recorder.replay trace (D.sink (D.create ~max_bugs_per_kind:cap ())) in
+      List.for_all
+        (fun shards ->
+          let r =
+            Recorder.replay trace
+              (Shard_router.sink ~shards ~domains:false ~max_bugs_per_kind:cap (fun _ ->
+                   D.worker (D.create ~walk_dedup:false ())))
+          in
+          canon { r with Bug.failure = None } = canon plain)
+        [ 2; 4 ])
 
 let prop_flat_backend_equivalent =
   QCheck.Test.make ~name:"flat backend produces the hybrid backend's findings" ~count:40 gen_trace (fun input ->
@@ -784,15 +709,8 @@ let suite =
     Alcotest.test_case "spsc: ring wraparound" `Quick test_spsc_wraparound;
     Alcotest.test_case "spsc: cross-domain ordering" `Quick test_spsc_cross_domain;
     Alcotest.test_case "spsc: close race loses nothing" `Quick test_spsc_close_race_exact_delivery;
-    Alcotest.test_case "frame ring: all constructors roundtrip" `Quick test_frame_roundtrip;
     Alcotest.test_case "frame ring: boundary publish and stop with partial frame" `Quick
       test_frame_boundary_and_stop_partial;
-    Alcotest.test_case "frame ring: oversized record grows the slot" `Quick
-      test_frame_oversized_record_grows_slot;
-    Alcotest.test_case "frame ring: byte-full publishes are counted" `Quick
-      test_frame_byte_full_publish_counted;
-    Alcotest.test_case "frame ring: wraparound" `Quick test_frame_wraparound;
-    Alcotest.test_case "framed routing: byte-full frames inline" `Quick test_framed_byte_full_inline;
     Alcotest.test_case "frame ring: cross-domain ordering" `Quick test_frame_cross_domain;
     QCheck_alcotest.to_alcotest prop_pub_ts_nondecreasing;
     Alcotest.test_case "frame ring: publish stamps across domains" `Quick test_frame_pub_ts_cross_domain;
@@ -807,8 +725,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parity_modes;
     QCheck_alcotest.to_alcotest prop_parity_relaxed_models;
     QCheck_alcotest.to_alcotest prop_parity_domains;
-    QCheck_alcotest.to_alcotest prop_parity_frame_sizes;
-    QCheck_alcotest.to_alcotest prop_parity_frames_domains;
+    QCheck_alcotest.to_alcotest prop_parity_long_inline;
+    QCheck_alcotest.to_alcotest prop_parity_long_domains;
+    Alcotest.test_case "contract breach: reorganization fails loudly" `Quick test_breach_reorganization;
+    Alcotest.test_case "contract breach: cap cuts equal-seq findings" `Quick test_breach_cap;
+    QCheck_alcotest.to_alcotest prop_cap_parity;
     QCheck_alcotest.to_alcotest prop_flat_backend_equivalent;
     Alcotest.test_case "flat store: lifecycle" `Quick test_flat_lifecycle;
     Alcotest.test_case "flat store: partial CLF splits" `Quick test_flat_partial_clf_splits;
