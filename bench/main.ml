@@ -817,10 +817,12 @@ let streaming () =
   let gen_s = Unix.gettimeofday () -. t0 in
   let mk () = mk_pmdebugger Pmdebugger.Detector.Strict () in
   let metrics = Obs.Metrics.create () in
-  (* The detector allocates a fixed footprint up front (slot array +
-     shadow for the registered region) — measure it once so the deltas
-     below isolate storage attributable to trace LENGTH, which is what
-     streaming must keep constant. *)
+  (* The detector's own footprint does not grow with trace length: slot
+     storage grows only to the largest fence interval (4 stores here,
+     within the initial slots) and the shadow covers the registered
+     region — measure it once so the deltas below isolate storage
+     attributable to trace LENGTH, which is what streaming must keep
+     constant. *)
   let detector_words =
     let before = live_words () in
     let sink = mk () in

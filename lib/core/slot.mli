@@ -31,7 +31,8 @@ type payload = {
 }
 
 val fresh : unit -> t
-(** An invalid slot, for array pre-allocation. *)
+(** An invalid slot, for array growth: a space appends fresh slots
+    when its live slots fill the array, then reuses them in place. *)
 
 val fill : t -> addr:int -> size:int -> epoch:bool -> seq:int -> tid:int -> strand:int -> unit
 (** Overwrite a slot in place for a new store (marks it valid,

@@ -8,7 +8,7 @@ type t = {
   capacity : int;
   merge_threshold : int;
   metrics : Obs.Metrics.t;
-  slots : Slot.t array;
+  mutable slots : Slot.t array;  (* grown on demand, up to [capacity] *)
   mutable live : int;  (* number of appended slots in the current fence interval *)
   mutable first_meta : Clf_meta.t;
   mutable cur_meta : Clf_meta.t;
@@ -30,6 +30,12 @@ type t = {
   mutable tree_size_sum : int;
 }
 
+(* Slots allocated up front. The array doubles from here when a fence
+   interval fills it, and its slots are reused in place after every
+   fence, so once it has grown to the largest interval no store
+   allocates. *)
+let initial_slots = 64
+
 let create ?(array_capacity = 100_000) ?(merge_threshold = 500) ?(mode = Hybrid) ?(interval_metadata = true)
     ?(metrics = Obs.Metrics.disabled) () =
   let capacity = match mode with Tree_only -> 0 | Hybrid | Array_only -> array_capacity in
@@ -40,6 +46,8 @@ let create ?(array_capacity = 100_000) ?(merge_threshold = 500) ?(mode = Hybrid)
     Obs.Metrics.inc metrics ~by:0 "space_tree_spills_total";
     Obs.Metrics.inc metrics ~by:0 "space_bounds_skips_total"
   end;
+  let slots = Array.init (min capacity initial_slots) (fun _ -> Slot.fresh ()) in
+  Obs.Metrics.max_set metrics "space_array_slots_peak" (float_of_int (Array.length slots));
   let meta = Clf_meta.make ~start_idx:0 in
   {
     mode;
@@ -47,7 +55,7 @@ let create ?(array_capacity = 100_000) ?(merge_threshold = 500) ?(mode = Hybrid)
     capacity;
     merge_threshold;
     metrics;
-    slots = Array.init capacity (fun _ -> Slot.fresh ());
+    slots;
     live = 0;
     first_meta = meta;
     cur_meta = meta;
@@ -59,6 +67,14 @@ let create ?(array_capacity = 100_000) ?(merge_threshold = 500) ?(mode = Hybrid)
     fence_samples = 0;
     tree_size_sum = 0;
   }
+
+(* Double the slot array, capped at [capacity]; only called when every
+   slot is live and [live < capacity]. *)
+let grow t =
+  let n = Array.length t.slots in
+  let extra = min t.capacity (2 * n) - n in
+  t.slots <- Array.append t.slots (Array.init extra (fun _ -> Slot.fresh ()));
+  Obs.Metrics.max_set t.metrics "space_array_slots_peak" (float_of_int (Array.length t.slots))
 
 let bounds_add t ~lo ~hi =
   if lo < t.bound_lo then t.bound_lo <- lo;
@@ -229,6 +245,7 @@ let process_store t ?(check_overlap = true) ~addr ~size ~epoch ~seq ~tid ~strand
   end
   else begin
     let idx = t.live in
+    if idx = Array.length t.slots then grow t;
     Slot.fill t.slots.(idx) ~addr ~size ~epoch ~seq ~tid ~strand;
     t.live <- idx + 1;
     bounds_add t ~lo:addr ~hi:(addr + size);
@@ -545,6 +562,7 @@ let stats t =
     ("tree_flushed_nodes", float_of_int (List.length t.tree_flushed_nodes));
     ("tree_max_size", float_of_int (Rangetree.stats t.tree).Rangetree.max_size);
     ("array_live", float_of_int t.live);
+    ("array_slots", float_of_int (Array.length t.slots));
     ("avg_tree_nodes_per_fence", avg_tree_nodes_per_fence t);
     ("reorganizations", float_of_int (reorganizations t));
     ("rotations", float_of_int (Rangetree.stats t.tree).Rangetree.rotations);

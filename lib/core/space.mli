@@ -7,6 +7,14 @@
     emits no bugs itself. A strict/epoch-model detector owns one space;
     a strand-model detector owns one per strand section (§5.1).
 
+    The location array is allocated on demand: it starts at 64 slots
+    (fewer if [array_capacity] is smaller) and doubles whenever every
+    slot is live, up to [array_capacity]. Slots are reused in place
+    after each fence, so memory follows the largest fence interval
+    rather than the capacity, and once the array has grown to it no
+    store allocates. The §4.1 overflow rule is unaffected: a store
+    spills to the tree exactly when [array_capacity] slots are live.
+
     Ablation knobs (see DESIGN.md): [mode] selects the hybrid design or
     the degenerate array-only / tree-only variants, and
     [interval_metadata] disables the collective per-interval state so
@@ -17,7 +25,10 @@ type mode = Hybrid | Array_only | Tree_only
 type t
 
 val create :
-  ?array_capacity:int (** default 100_000 (§4.1) *) ->
+  ?array_capacity:int
+    (** maximum live slots per fence interval before stores spill to the
+        tree; default 100_000 (§4.1). Slots are allocated as intervals
+        need them, not up front. *) ->
   ?merge_threshold:int (** default 500 (§4.4) *) ->
   ?mode:mode ->
   ?interval_metadata:bool ->
@@ -31,7 +42,10 @@ val create :
     [space_interval_merges_total] (nodes merged away by reorganizing),
     [space_bounds_skips_total] (stores/CLFs/queries answered from the
     global bounding box without walking intervals or probing the tree)
-    and the [space_array_live_peak] / [space_tree_size_peak] gauges. *)
+    and the [space_array_live_peak] / [space_tree_size_peak] gauges.
+    [space_array_slots_peak] is the largest slot array allocated (the
+    initial slots at creation, then each growth step); like the live
+    peak it is deterministic for a given trace. *)
 
 (** {1 Processing} *)
 
@@ -132,6 +146,9 @@ val avg_tree_nodes_per_fence : t -> float
 val reorganizations : t -> int
 
 val stats : t -> (string * float) list
+(** Tree and array statistics by name, among them [array_live] (slots
+    appended in the current fence interval) and [array_slots] (slots
+    allocated so far: at most [array_capacity]). *)
 
 (** {1 Backend packaging}
 

@@ -299,6 +299,142 @@ let test_superseded_tree_registrations_purged () =
     true
     (stat sp "tree_flushed_nodes" <= 1.0)
 
+(* ------------------------------------------------------------------ *)
+(* On-demand slot storage.                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-op differential across the growth steps of the slot array:
+   fence intervals of 1–300 stores (CLFs mixed in) drive the array
+   through every doubling and the spill point, for capacities on both
+   sides of the initial 64 slots, a non-power-of-two cap and the
+   default (plus array-only and metadata-off spaces). Every observation
+   must equal the tree-only space's and the flat backend's. Aligned
+   16-byte stores make every supersede and CLF a full cover, and 256
+   distinct addresses keep the tree below the merge threshold, so
+   prior-seq lists stay exact. [fence_seq] is left out of the final
+   comparison: spilled stores never get a fence stamp, so it depends on
+   the capacity by design. *)
+let prop_growth_boundary_parity =
+  let interval = QCheck.(list_of_size Gen.(int_range 1 300) (pair (int_range 0 255) (int_range 0 1023))) in
+  QCheck.Test.make ~name:"slot-array growth keeps hybrid = tree-only = flat" ~count:100
+    QCheck.(list_of_size Gen.(int_range 1 4) interval)
+    (fun intervals ->
+      let module F = Flat_store.Store in
+      let capacities = [ Some 1; Some 63; Some 64; Some 65; Some 100; Some 1000; None ] in
+      let hybrids =
+        mk ~mode:Space.Array_only ~array_capacity:65 ()
+        :: mk ~interval_metadata:false ~array_capacity:65 ()
+        :: List.map (fun array_capacity -> mk ?array_capacity ()) capacities
+      in
+      let tree = mk ~mode:Space.Tree_only () in
+      let flat = Flat_store.create () in
+      let seq = ref 0 in
+      let next () =
+        incr seq;
+        !seq
+      in
+      let agree reference others = List.for_all (fun o -> o = reference) others in
+      let canon_clf (r : Space.clf_result) =
+        (r.Space.matched, r.Space.newly_flushed, List.sort compare r.Space.redundant, List.sort compare r.Space.redundant_prov)
+      in
+      let store_all addr =
+        let seq = next () in
+        let st sp = Space.process_store sp ~addr ~size:16 ~epoch:false ~seq ~tid:0 ~strand:(-1) () in
+        let reference = st tree in
+        agree reference (F.process_store flat ~addr ~size:16 ~epoch:false ~seq ~tid:0 ~strand:(-1) () :: List.map st hybrids)
+      in
+      let clf_all lo =
+        let seq = next () in
+        let reference = canon_clf (Space.process_clf ~seq tree ~lo ~hi:(lo + 64)) in
+        agree reference
+          (canon_clf (F.process_clf ~seq flat ~lo ~hi:(lo + 64))
+          :: List.map (fun sp -> canon_clf (Space.process_clf ~seq sp ~lo ~hi:(lo + 64))) hybrids)
+      in
+      let run_interval ops =
+        List.for_all
+          (fun (slot, clf) ->
+            let stored = store_all (slot * 16) in
+            (* A quarter of the stores are followed by a CLF of some line. *)
+            stored && (clf >= 256 || clf_all (Pmem.Addr.line_base (clf * 16))))
+          ops
+      in
+      let rec go = function
+        | [] -> true
+        | [ last ] -> run_interval last
+        | ops :: rest ->
+            run_interval ops
+            && begin
+                 let seq = next () in
+                 Space.process_fence ~seq tree;
+                 F.process_fence ~seq flat;
+                 List.iter (Space.process_fence ~seq) hybrids;
+                 go rest
+               end
+      in
+      let observe iter =
+        let acc = ref [] in
+        iter (fun ~addr ~size ~flushed ~epoch ~seq ~clf_seq ~fence_seq:_ ->
+            acc := (addr, size, flushed, epoch, seq, clf_seq) :: !acc);
+        List.sort compare !acc
+      in
+      go intervals
+      &&
+      let reference = observe (Space.iter_pending tree) in
+      agree reference (observe (F.iter_pending flat) :: List.map (fun sp -> observe (Space.iter_pending sp)) hybrids))
+
+(* A cap that is not a power of two: the array doubles 64 -> 100 (not
+   128), holds exactly 100 live slots, and store 101 spills. *)
+let test_growth_caps_at_capacity () =
+  let sp = mk ~array_capacity:100 () in
+  Alcotest.(check (float 0.0)) "starts at 64 slots" 64.0 (stat sp "array_slots");
+  for i = 0 to 63 do
+    ignore (store sp ~addr:(i * 64) ~size:8)
+  done;
+  Alcotest.(check (float 0.0)) "64 stores fit without growth" 64.0 (stat sp "array_slots");
+  ignore (store sp ~addr:(64 * 64) ~size:8);
+  Alcotest.(check (float 0.0)) "store 65 grows to the cap" 100.0 (stat sp "array_slots");
+  for i = 65 to 99 do
+    ignore (store sp ~addr:(i * 64) ~size:8)
+  done;
+  Alcotest.(check int) "100 live slots" 100 (Space.array_live sp);
+  Alcotest.(check int) "nothing spilled yet" 0 (Space.tree_size sp);
+  ignore (store sp ~addr:(100 * 64) ~size:8);
+  Alcotest.(check int) "store 101 spills to the tree" 1 (Space.tree_size sp);
+  Alcotest.(check int) "array stays full" 100 (Space.array_live sp);
+  Alcotest.(check (float 0.0)) "no growth past the cap" 100.0 (stat sp "array_slots");
+  Space.process_fence sp;
+  Alcotest.(check (float 0.0)) "slots are kept across fences" 100.0 (stat sp "array_slots")
+
+(* Bytes allocated so far: exact minor words plus direct major
+   allocations ([Gc.allocated_bytes] lags the minor heap on OCaml 5). *)
+let allocated_bytes () =
+  let s = Gc.quick_stat () in
+  (Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words) *. float_of_int (Sys.word_size / 8)
+
+(* A strand-model detector opens one space per strand section, and a
+   full 100,000-slot array is ~9 MB, so each space must allocate only
+   what its stores need. Allocation is counted in bytes, not timed, so
+   the bound is deterministic. *)
+let test_strand_spaces_allocate_little () =
+  let open Pmtrace in
+  let events =
+    List.concat_map
+      (fun strand ->
+        [
+          Event.Strand_begin { tid = 0; strand };
+          Event.Store { addr = strand * 64; size = 8; tid = 0 };
+          Event.Strand_end { tid = 0; strand };
+        ])
+      (List.init 16 Fun.id)
+  in
+  let before = allocated_bytes () in
+  let d = Detector.create ~model:Detector.Strand () in
+  List.iter (Detector.sink d).Sink.on_event events;
+  let allocated = allocated_bytes () -. before in
+  Alcotest.(check (float 0.0)) "one space per strand section plus the default" 17.0
+    (List.assoc "spaces" (Detector.report d).Bug.stats);
+  Alcotest.(check bool) (Printf.sprintf "allocated %.0f bytes < 256 KiB" allocated) true (allocated < 256.0 *. 1024.0)
+
 let suite =
   [
     Alcotest.test_case "store/flush/fence lifecycle" `Quick test_store_then_flush_then_fence;
@@ -320,4 +456,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_matches_byte_model;
     QCheck_alcotest.to_alcotest prop_modes_equivalent;
     QCheck_alcotest.to_alcotest prop_modes_observations_equivalent;
+    Alcotest.test_case "slot array grows to a non-power-of-two cap" `Quick test_growth_caps_at_capacity;
+    Alcotest.test_case "strand spaces allocate little" `Quick test_strand_spaces_allocate_little;
+    QCheck_alcotest.to_alcotest prop_growth_boundary_parity;
   ]
