@@ -306,11 +306,25 @@ let replay_daemon_cmd ~socket ~file ~max_print ~lenient =
       exit (Serve.Status.exit_code frame.Serve.Wire.status)
 
 let replay_cmd file detector config max_print lenient daemon shards backend metrics_file trace_out =
+  (* The daemon detects with its own configuration: a flag that only a
+     local replay honours is an error, not silently dropped. *)
+  let local_only =
+    [
+      (trace_out <> None, "--trace-out", " (the daemon dumps its own via serve --trace-out)");
+      (metrics_file <> None, "--metrics", " (read the daemon's telemetry with stats --daemon)");
+      (config <> None, "-c/--config", " (pass it to serve -c)");
+      (shards <> 0, "--shards", " (pass it to serve --shards)");
+      (backend <> "hybrid", "--backend", " (the daemon uses the hybrid backend)");
+      (detector <> "pmdebugger", "-d", " (pass it to serve -d)");
+    ]
+  in
   match daemon with
-  | Some _ when trace_out <> None ->
-      Printf.eprintf "error: --trace-out needs a local replay (the daemon dumps its own via serve --trace-out)\n";
-      exit 1
-  | Some socket -> replay_daemon_cmd ~socket ~file ~max_print ~lenient
+  | Some socket -> (
+      match List.find_opt (fun (set, _, _) -> set) local_only with
+      | Some (_, flag, hint) ->
+          Printf.eprintf "error: %s needs a local replay%s\n" flag hint;
+          exit 1
+      | None -> replay_daemon_cmd ~socket ~file ~max_print ~lenient)
   | None ->
   with_metrics ~spans_on:(trace_out <> None) metrics_file (fun metrics spans ->
       let config = load_config config in
@@ -743,40 +757,6 @@ let check_report_file path =
           | Error msg ->
               Printf.eprintf "%s: invalid pmdb-metrics/v1 report: %s\n" path msg;
               exit 1)
-      | Some (Obs.Json.Str "pmdb-bench/v1") -> (
-          let fail msg =
-            Printf.eprintf "%s: invalid pmdb-bench/v1 report: %s\n" path msg;
-            exit 1
-          in
-          match Obs.Json.member "rows" json with
-          | Some (Obs.Json.List rows) ->
-              if rows = [] then fail "empty rows";
-              List.iteri
-                (fun i row ->
-                  let str k = match Obs.Json.member k row with Some (Obs.Json.Str _) -> () | _ -> fail (Printf.sprintf "row %d: missing string %S" i k) in
-                  let num k =
-                    match Obs.Json.member k row with
-                    | Some (Obs.Json.Float _) | Some (Obs.Json.Int _) -> ()
-                    | _ -> fail (Printf.sprintf "row %d: missing number %S" i k)
-                  in
-                  str "bench";
-                  num "n";
-                  num "native_s";
-                  num "dispatch_p50_s";
-                  num "dispatch_p95_s";
-                  num "dispatch_p99_s";
-                  match Obs.Json.member "slowdowns" row with
-                  | Some (Obs.Json.Obj (_ :: _)) -> ()
-                  | _ -> fail (Printf.sprintf "row %d: missing object \"slowdowns\"" i))
-                rows;
-              (match Obs.Json.member "telemetry" json with
-              | Some telemetry -> (
-                  match Obs.Metrics.validate_json telemetry with
-                  | Ok _ -> ()
-                  | Error msg -> fail ("telemetry: " ^ msg))
-              | None -> fail "missing \"telemetry\"");
-              Printf.printf "%s: valid pmdb-bench/v1 report (%d rows)\n" path (List.length rows)
-          | _ -> fail "missing \"rows\" list")
       | Some (Obs.Json.Str "pmdb-invariants/v1") -> (
           match Infer.Invariant.of_json json with
           | Ok r ->
@@ -798,25 +778,14 @@ let check_report_file path =
           Printf.eprintf "%s: missing \"schema\" field\n" path;
           exit 1)
 
-(* --diff: a metrics file is either a pmdb-metrics/v1 snapshot or a
-   pmdb-bench/v1 report (whose "telemetry" member is a snapshot). *)
+(* --diff reads two pmdb-metrics/v1 snapshots. *)
 let load_snapshot path =
   match Obs.Json.of_file path with
   | Error msg ->
       Printf.eprintf "%s: invalid JSON: %s\n" path msg;
       exit 1
   | Ok json -> (
-      let doc =
-        match Obs.Json.member "schema" json with
-        | Some (Obs.Json.Str "pmdb-bench/v1") -> (
-            match Obs.Json.member "telemetry" json with
-            | Some t -> t
-            | None ->
-                Printf.eprintf "%s: pmdb-bench/v1 report without \"telemetry\"\n" path;
-                exit 1)
-        | _ -> json
-      in
-      match Obs.Metrics.snapshot_of_json doc with
+      match Obs.Metrics.snapshot_of_json json with
       | Ok snap -> snap
       | Error msg ->
           Printf.eprintf "%s: %s\n" path msg;
@@ -1277,7 +1246,10 @@ let characterize_term = Term.(const characterize_cmd $ workload_arg $ n_arg $ ch
 let bugs_term = Term.(const bugs_cmd $ metrics_arg)
 
 let check_arg =
-  let doc = "Validate a JSON report written by --metrics, characterize --json or the bench (exit 1 if invalid)." in
+  let doc =
+    "Validate a JSON report written by --metrics, --trace-out, timeline, characterize --json or crash-explore \
+     --invariants-out (exit 1 if invalid)."
+  in
   Arg.(value & opt (some file) None & info [ "check" ] ~docv:"FILE" ~doc)
 
 let stats_json_arg =
@@ -1285,7 +1257,7 @@ let stats_json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let diff_flag_arg =
-  let doc = "Diff two metrics files (pmdb-metrics/v1, or pmdb-bench/v1 via its telemetry section) given as positional arguments." in
+  let doc = "Diff two pmdb-metrics/v1 files given as positional arguments." in
   Arg.(value & flag & info [ "diff" ] ~doc)
 
 let diff_files_arg =

@@ -177,25 +177,78 @@ let test_guided_unbounded_matches_exhaustive () =
       Alcotest.(check (list int)) (id ^ ": guided covers the exhaustive set") full g)
     (Lazy.force xfail_cases)
 
+(* Every bounded run stays within its image budget and reports only
+   failures the exhaustive scan of the same plan reports, at the
+   default per-boundary image count and at 4. *)
 let test_budget_caps_images () =
   List.iter
     (fun (id, steps, recovery) ->
       List.iter
-        (fun budget ->
+        (fun max_images ->
+          let full = failure_indexes (CE.run ~recovery (CE.make_plan ~max_images steps) CE.exhaustive) in
           List.iter
-            (fun strat ->
-              let o = CE.run ~recovery (CE.make_plan ~budget steps) strat in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: <= %d images (got %d)" id budget o.CE.result.CE.images_checked)
-                true
-                (o.CE.result.CE.images_checked <= budget);
-              Alcotest.(check int)
-                (id ^ ": skipped accounts for schedule cuts")
-                (o.CE.scheduled - o.CE.explored + CE.strategy_dropped (strat (CE.make_plan ~budget steps)))
-                o.CE.skipped)
-            [ CE.guided; CE.sampled ])
-        [ 1; 3; 8 ])
+            (fun budget ->
+              List.iter
+                (fun strat ->
+                  let plan = CE.make_plan ~max_images ~budget steps in
+                  let o = CE.run ~recovery plan strat in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: <= %d images (got %d)" id budget o.CE.result.CE.images_checked)
+                    true
+                    (o.CE.result.CE.images_checked <= budget);
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: budget %d failures within exhaustive's" id budget)
+                    true
+                    (List.for_all (fun i -> List.mem i full) (failure_indexes o));
+                  Alcotest.(check int)
+                    (id ^ ": skipped accounts for schedule cuts")
+                    (o.CE.scheduled - o.CE.explored + CE.strategy_dropped (strat plan))
+                    o.CE.skipped)
+                [ CE.guided; CE.sampled ])
+            [ 1; 3; 8 ])
+        [ 64; 4 ])
     (Lazy.force xfail_cases)
+
+(* Risk ranking on a long trace: 16 backup/counter commit rounds on two
+   lines, where correct rounds persist the backup before the counter
+   that must never exceed it and rounds 6 and 11 run the counter ahead
+   (the xfail_counter_before_backup shape, buried in an otherwise
+   correct trace). With a quarter of exhaustive's images, guided must
+   still find at least 90% of exhaustive's failures; a trace-order
+   schedule spends that budget on the first rounds. *)
+let test_guided_quarter_budget_finds_planted () =
+  let rounds = 16 and planted = [ 6; 11 ] in
+  let backup_addr = 0 and counter_addr = 64 in
+  let steps =
+    FI.Replay.capture (fun e ->
+        Engine.register_pmem e ~base:0 ~size:4096;
+        for r = 1 to rounds do
+          let commit ~addr =
+            Engine.store_i64 e ~addr (Int64.of_int r);
+            Engine.persist e ~addr ~size:8
+          in
+          if List.mem r planted then (
+            commit ~addr:counter_addr;
+            commit ~addr:backup_addr)
+          else (
+            commit ~addr:backup_addr;
+            commit ~addr:counter_addr)
+        done)
+  in
+  let recovery img =
+    Int64.compare (Pmem.Image.get_i64 img counter_addr) (Pmem.Image.get_i64 img backup_addr) <= 0
+  in
+  let max_images = 4 in
+  let ex = CE.run ~recovery (CE.make_plan ~max_images steps) CE.exhaustive in
+  let full = failure_indexes ex in
+  Alcotest.(check bool) "exhaustive finds the planted rounds" true (full <> []);
+  let budget = max 1 (ex.CE.result.CE.images_checked / 4) in
+  let found = failure_indexes (CE.run ~recovery (CE.make_plan ~max_images ~budget steps) CE.guided) in
+  Alcotest.(check bool)
+    (Printf.sprintf "guided at %d images finds %d/%d failures (need >= 90%%)" budget (List.length found)
+       (List.length full))
+    true
+    (10 * List.length found >= 9 * List.length full)
 
 let test_strategy_metrics () =
   let _, steps, recovery = List.hd (Lazy.force xfail_cases) in
@@ -390,6 +443,7 @@ let suite =
     Alcotest.test_case "exhaustive strategy reproduces explore" `Quick test_exhaustive_strategy_is_explore;
     Alcotest.test_case "guided unbounded matches exhaustive" `Quick test_guided_unbounded_matches_exhaustive;
     Alcotest.test_case "image budget is a hard cap" `Quick test_budget_caps_images;
+    Alcotest.test_case "guided at a 25% budget finds planted rounds" `Quick test_guided_quarter_budget_finds_planted;
     Alcotest.test_case "strategy metrics counters" `Quick test_strategy_metrics;
     Alcotest.test_case "guided bisect converges to minimal prefix" `Quick test_guided_bisect_converges;
     QCheck_alcotest.to_alcotest prop_strategies_sound;

@@ -479,6 +479,91 @@ let test_gate_eight_clients_two_misbehaving () =
   Domain.join handle;
   Alcotest.(check bool) "socket unlinked on shutdown" false (Sys.file_exists socket)
 
+(* ---------------------------------------------------------------- *)
+(* Soak: identical client waves leave no session state behind.       *)
+(* ---------------------------------------------------------------- *)
+
+(* Bursts of four stores to one line, a clwb and a fence, cycling over
+   4096 lines. Every other burst skips its writeback, so each session's
+   report carries hundreds of findings: a daemon that retains closed
+   sessions retains those reports too. *)
+let soak_body ~bursts =
+  let b = Buffer.create (bursts * 96) in
+  let line ev =
+    Buffer.add_string b (Trace_io.event_to_line ev);
+    Buffer.add_char b '\n'
+  in
+  let lines = 4096 in
+  line (Event.Register_pmem { base = 0; size = lines * 64 });
+  for i = 0 to bursts - 1 do
+    let addr = i mod lines * 64 in
+    for s = 0 to 3 do
+      line (Event.Store { addr = addr + (s * 16); size = 16; tid = 0 })
+    done;
+    if i mod 2 <> 0 then line (Event.Clf { addr; size = 64; kind = Event.Clwb; tid = 0 });
+    line (Event.Fence { tid = 0 })
+  done;
+  line Event.Program_end;
+  Buffer.contents b
+
+(* One warm-up wave, then three identical 4-client waves through an
+   in-process daemon. Every report must match the offline replay, no
+   session connection may outlive its wave, and the live heap after the
+   last wave may exceed the post-warm-up heap by at most [slack_words]
+   (64k words, 512 KB on 64-bit) for telemetry and allocator jitter. A
+   daemon that kept each closed connection (session state plus report)
+   grows by about 18k words per session, over 200k across the twelve. *)
+let test_soak_waves_leave_no_session_state () =
+  let slack_words = 65_536 in
+  let socket = temp_socket () in
+  let metrics = Obs.Metrics.create () in
+  let handle = start_daemon ~idle_timeout:30.0 ~metrics socket in
+  let body = soak_body ~bursts:1_000 in
+  let expected = canon (offline_report body) in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let wave w =
+    let clients =
+      List.init 4 (fun i ->
+          Domain.spawn (fun () -> Serve.Client.replay_string ~socket ~name:(Printf.sprintf "soak-%d" i) body))
+    in
+    List.iteri
+      (fun i d ->
+        match Domain.join d with
+        | Error e -> Alcotest.fail (Printf.sprintf "wave %d client %d: %s" w i e)
+        | Ok frame -> (
+            Alcotest.(check bool) (Printf.sprintf "wave %d client %d status ok" w i) true
+              (frame.Serve.Wire.status = Serve.Status.Ok);
+            match frame.Serve.Wire.report with
+            | None -> Alcotest.fail (Printf.sprintf "wave %d client %d got no report" w i)
+            | Some r -> Alcotest.(check string) (Printf.sprintf "wave %d client %d = offline" w i) expected (canon r)))
+      clients;
+    match Serve.Client.stats ~socket with
+    | Error e -> Alcotest.fail ("stats: " ^ e)
+    | Ok snap ->
+        (* The gauge counts the connections open at the daemon's previous
+           loop turn, and this stats request is one of them: 1 means no
+           session connection outlived its wave. *)
+        let active =
+          match Obs.Metrics.find snap "serve_sessions_active" with Some (Obs.Metrics.V_gauge g) -> g | _ -> nan
+        in
+        Alcotest.(check (float 0.0)) (Printf.sprintf "wave %d: only the stats request is open" w) 1.0 active
+  in
+  wave 0;
+  let before = live_words () in
+  for w = 1 to 3 do
+    wave w
+  done;
+  let after = live_words () in
+  (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
+  Domain.join handle;
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap %d -> %d words after three waves (slack %d)" before after slack_words)
+    true
+    (after - before <= slack_words)
+
 let temp_dir () =
   let d = Filename.temp_file "pmdb-flightrec" "" in
   Sys.remove d;
@@ -774,6 +859,7 @@ let suite =
     Alcotest.test_case "pool inline detector failure" `Quick test_pool_inline_detector_failure;
     Alcotest.test_case "gate: 8 clients, 2 misbehaving" `Quick test_gate_eight_clients_two_misbehaving;
     Alcotest.test_case "gate: detector quarantine is isolated" `Quick test_gate_detector_quarantine_isolated;
+    Alcotest.test_case "soak: waves leave no session state" `Quick test_soak_waves_leave_no_session_state;
     Alcotest.test_case "stats_stream follow" `Quick test_stats_stream_follow;
     Alcotest.test_case "heatmap verb and shutdown trace" `Quick test_heatmap_verb_and_shutdown_trace;
     Alcotest.test_case "protocol fuzz" `Quick test_fuzz_protocol;

@@ -496,13 +496,13 @@ let parity_prop ?mode ?(model = D.Strict) ~shards input =
   canon (replay_sharded ?mode ~model ~shards trace) = expected
 
 let prop_parity_modes =
-  QCheck.Test.make ~name:"sharded report equals single run (3 modes x 2/4/8 shards, strict)" ~count:30 gen_trace
+  QCheck.Test.make ~name:"sharded report equals single run (3 modes x 1/2/4/8 shards, strict)" ~count:30 gen_trace
     (fun input ->
       List.for_all
         (fun mode ->
           List.for_all
             (fun shards -> parity_prop ~mode ~shards input)
-            [ 2; 4; 8 ])
+            [ 1; 2; 4; 8 ])
         [ Pmdebugger.Space.Hybrid; Pmdebugger.Space.Array_only; Pmdebugger.Space.Tree_only ])
 
 let prop_parity_relaxed_models =

@@ -269,6 +269,76 @@ let test_replay_stream_matches_replay () =
   Alcotest.(check (pair int (list (pair string int))))
     "streamed file replay = in-memory replay" (summary direct) (summary streamed)
 
+(* Constant-memory replay: a ~120k-event file streamed through
+   [iter_file] into a detector must hold far less at mid-replay than a
+   [load_lenient] materialisation of the same file. The trace is bursts
+   of four stores to one line plus a clwb and a fence, cycling over 4096
+   lines, so detector state stays O(region) and the only O(trace)
+   storage candidate is the trace itself. Every 509th burst skips its
+   writeback, so both replays have findings to compare. *)
+let test_streamed_replay_constant_memory () =
+  let lines = 4096 and bursts = 20_000 in
+  let path = Filename.temp_file "pmdebugger" ".pmt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let events =
+    Trace_io.save_stream path (fun emit ->
+        emit (Event.Register_pmem { base = 0; size = lines * 64 });
+        for i = 0 to bursts - 1 do
+          let addr = i mod lines * 64 in
+          for s = 0 to 3 do
+            emit (Event.Store { addr = addr + (s * 16); size = 16; tid = 0 })
+          done;
+          if i mod 509 <> 0 then emit (Event.Clf { addr; size = 64; kind = Event.Clwb; tid = 0 });
+          emit (Event.Fence { tid = 0 })
+        done;
+        emit Event.Program_end)
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let mk () = Pmdebugger.Detector.sink (Pmdebugger.Detector.create ~model:Pmdebugger.Detector.Strict ()) in
+  (* The detector's footprint is the same on both paths: measure it on
+     its own so the streamed delta isolates storage that grows with the
+     trace. *)
+  let detector_words =
+    let before = live_words () in
+    let sink = mk () in
+    sink.Sink.on_event (Event.Register_pmem { base = 0; size = lines * 64 });
+    sink.Sink.on_event (Event.Store { addr = 0; size = 16; tid = 0 });
+    let words = live_words () - before in
+    ignore (sink.Sink.finish ());
+    words
+  in
+  let base = live_words () in
+  let mid = ref base and seen = ref 0 in
+  let streamed =
+    Recorder.replay_stream
+      (fun emit ->
+        match
+          Trace_io.iter_file path ~f:(fun ev ->
+              incr seen;
+              if !seen = events / 2 then mid := live_words ();
+              emit ev)
+        with
+        | Ok _ -> ()
+        | Error m -> Alcotest.fail m)
+      (mk ())
+  in
+  let streamed_words = max 0 (!mid - base - detector_words) in
+  let base = live_words () in
+  let l = match Trace_io.load_lenient path with Ok l -> l | Error m -> Alcotest.fail m in
+  let materialized_words = live_words () - base in
+  let materialized = Recorder.replay l.Trace_io.trace (mk ()) in
+  Alcotest.(check int) "same events" materialized.Bug.events_processed streamed.Bug.events_processed;
+  Alcotest.(check bool) "findings to compare" true (materialized.Bug.bugs <> []);
+  Alcotest.(check bool) "same findings" true (materialized.Bug.bugs = streamed.Bug.bugs);
+  Alcotest.(check bool)
+    (Printf.sprintf "streamed holds %d live words at mid-replay, < 1/4 of materialized %d" streamed_words
+       materialized_words)
+    true
+    (streamed_words * 4 < materialized_words)
+
 let test_iter_file_missing_file () =
   match Trace_io.iter_file "/nonexistent/pmdb-no-such-trace.pmt" ~f:ignore with
   | Error _ -> ()
@@ -293,5 +363,6 @@ let suite =
     Alcotest.test_case "save writes to_string bytes exactly" `Quick test_save_is_byte_identical_to_to_string;
     Alcotest.test_case "streamed file replay = in-memory replay" `Quick test_replay_stream_matches_replay;
     Alcotest.test_case "iter_file on missing file errors" `Quick test_iter_file_missing_file;
+    Alcotest.test_case "streamed replay holds constant memory" `Quick test_streamed_replay_constant_memory;
     QCheck_alcotest.to_alcotest prop_event_roundtrip;
   ]
