@@ -6,72 +6,134 @@
      pmdb stats -w hashmap_tx -n 1000           run + print the metric table
      pmdb characterize -w hashmap_tx -n 1000    Fig. 2 metrics for one trace
      pmdb bugs                                  run the 78-case dataset
-     pmdb list                                  available workloads *)
+     pmdb list                                  available workloads
+
+   The commands share one pipeline: [source] resolves a bugbench case, a
+   trace file or a workload run, [detect] drives events through an engine
+   carrying the chosen detector, [print_report] prints the result and
+   [with_metrics] writes the telemetry. Errors in the user's input go
+   through [die]. *)
 
 open Cmdliner
 open Pmtrace
 module W = Workloads.Workload
 
 let detector_names = [ "pmdebugger"; "pmemcheck"; "pmtest"; "xfdetector"; "nulgrind" ]
-let backend_names = [ "hybrid"; "flat" ]
+let default_workload = "b_tree"
+let default_ops = 1000
+let default_heatmap_cap = 1024
 
-(* The bookkeeping backend is a factory, so each shard gets its own
-   instance. Per-shard detectors run on worker domains where the
-   (non-thread-safe) metrics registry must stay disabled — the router
-   owns the shared registry. *)
-let backend_for ~metrics = function
-  | "hybrid" -> None
-  | "flat" -> Some (Pmdebugger.Flat_store.backend ~metrics ())
-  | other ->
-      failwith (Printf.sprintf "unknown backend %S (expected one of: %s)" other (String.concat ", " backend_names))
+(* Session errors share one exit-code convention between offline runs
+   and the daemon (see Serve.Status): 0 ok, 2 trace/protocol error,
+   3 detector quarantined, 4 evicted, 5 idle timeout, 6 daemon
+   shutdown. Errors in the user's input exit 1. *)
+let die ?(code = 1) fmt = Printf.ksprintf (fun msg -> Printf.eprintf "error: %s\n" msg; exit code) fmt
 
-(* [heatmap] feeds the plain pmdebugger path only: shard detectors run
-   on worker domains where a shared single-domain table would race. *)
-let sink_for ?(metrics = Obs.Metrics.disabled) ?(heatmap = Obs.Heatmap.disabled) ?flightrec
-    ?worker_flightrecs ?(shards = 0) ?(backend = "hybrid") name model config =
+(* A file that fails validation: "FILE: why" on stderr, exit 1. *)
+let invalid path fmt = Printf.ksprintf (fun why -> Printf.eprintf "%s: %s\n" path why; exit 1) fmt
+
+let warn_skipped file lineno msg = Printf.eprintf "warning: %s:%d: skipped: %s\n" file lineno msg
+let warn_truncated file = Printf.eprintf "warning: %s: truncated trace, synthesized program_end\n" file
+
+let detector_error = Serve.Status.exit_code Serve.Status.Detector_error
+let exit_for_report report = if report.Bug.failure <> None then exit detector_error
+
+(* A command that talks to a daemon detects with the daemon's own
+   configuration: a flag that only a local run honours is an error, not
+   silently dropped. Checked before the client connects. *)
+let reject_local_only ~what flags =
+  match List.find_opt (fun (set, _, _) -> set) flags with
+  | Some (_, flag, hint) -> die "%s needs a local %s%s" flag what hint
+  | None -> ()
+
+(* Resolve -d (and --shards) to a sink factory. Resolution runs up front
+   on the main domain, so a bad name exits before any work starts; the
+   daemon calls the factory once per session on its worker domains.
+   [heatmap] feeds the plain pmdebugger path only: shard detectors run on
+   worker domains where a shared single-domain table would race, and
+   their (non-thread-safe) metrics registries stay disabled — the router
+   owns the shared one. *)
+let sink_for ?(metrics = Obs.Metrics.disabled) ?flightrec ?worker_flightrecs ?(shards = 0) name =
   match name with
   | "pmdebugger" when shards >= 1 ->
-      Shard_router.sink ~shards ~metrics ?flightrec ?worker_flightrecs (fun _shard ->
-          let backend = backend_for ~metrics:Obs.Metrics.disabled backend in
-          Pmdebugger.Detector.worker (Pmdebugger.Detector.create ~model ~config ?backend ~walk_dedup:false ()))
+      fun ~heatmap:_ model config ->
+        Shard_router.sink ~shards ~metrics ?flightrec ?worker_flightrecs (fun _shard ->
+            Pmdebugger.Detector.worker (Pmdebugger.Detector.create ~model ~config ~walk_dedup:false ()))
   | "pmdebugger" ->
-      let backend = backend_for ~metrics backend in
-      Pmdebugger.Detector.sink (Pmdebugger.Detector.create ~model ~config ?backend ~metrics ~heatmap ())
-  | _ when shards >= 1 -> failwith (Printf.sprintf "--shards requires -d pmdebugger (got %S)" name)
-  | _ when backend <> "hybrid" -> failwith (Printf.sprintf "--backend requires -d pmdebugger (got %S)" name)
-  | "pmemcheck" -> Baselines.Pmemcheck.sink (Baselines.Pmemcheck.create ())
-  | "pmtest" -> Baselines.Pmtest.sink (Baselines.Pmtest.create ())
-  | "xfdetector" -> Baselines.Xfdetector.sink (Baselines.Xfdetector.create ~config ())
-  | "nulgrind" -> Baselines.Nulgrind.sink ()
-  | other -> failwith (Printf.sprintf "unknown detector %S (expected one of: %s)" other (String.concat ", " detector_names))
+      fun ~heatmap model config ->
+        Pmdebugger.Detector.sink (Pmdebugger.Detector.create ~model ~config ~metrics ~heatmap ())
+  | _ when shards >= 1 -> die "--shards requires -d pmdebugger (got %S)" name
+  | "pmemcheck" -> fun ~heatmap:_ _ _ -> Baselines.Pmemcheck.sink (Baselines.Pmemcheck.create ())
+  | "pmtest" -> fun ~heatmap:_ _ _ -> Baselines.Pmtest.sink (Baselines.Pmtest.create ())
+  | "xfdetector" -> fun ~heatmap:_ _ config -> Baselines.Xfdetector.sink (Baselines.Xfdetector.create ~config ())
+  | "nulgrind" -> fun ~heatmap:_ _ _ -> Baselines.Nulgrind.sink ()
+  | other -> die "unknown detector %S (expected one of: %s)" other (String.concat ", " detector_names)
+
+(* The one detection path: [feed] drives events into an engine carrying
+   the -d detector. finish_all rather than finishing the sink by hand: a
+   detector that raised is quarantined (its report carries the failure)
+   instead of killing the run. Returns the report and the engine's
+   quarantine list.
+
+   [trace_out]: flight-recorder rings for the router and each shard
+   worker; after the run they merge with the CLI's coarse spans into one
+   causal Perfetto document (Obs.Tracecat). With --shards 0 there is no
+   pipeline to record — the dump still carries the phase spans on a
+   "phases" track. *)
+let detect ?(metrics = Obs.Metrics.disabled) ?(spans = Obs.Span.disabled) ?(heatmap = Obs.Heatmap.disabled)
+    ?trace_out ?(shards = 0) ?(detector = "pmdebugger") model config feed =
+  let ring () = Obs.Flightrec.create ~capacity:8192 () in
+  let rings = Option.map (fun _ -> (ring (), Array.init (max shards 0) (fun _ -> ring ()))) trace_out in
+  let engine = Engine.create ~metrics () in
+  Engine.attach engine
+    (sink_for ~metrics ?flightrec:(Option.map fst rings) ?worker_flightrecs:(Option.map snd rings) ~shards detector
+       ~heatmap model config);
+  feed engine;
+  let reports = Obs.Span.record spans "finish" (fun () -> Engine.finish_all engine) in
+  (match (trace_out, rings) with
+  | Some path, Some (router, workers) ->
+      let shard i r = (Printf.sprintf "shard-%d" i, r) in
+      let rings = ("router", router) :: Array.to_list (Array.mapi shard workers) in
+      Obs.Json.to_file path (Obs.Tracecat.merge ~spans:(Obs.Span.finished spans) rings);
+      Printf.printf "causal trace written to %s (open in ui.perfetto.dev)\n" path
+  | _ -> ());
+  match reports with [ report ] -> (report, Engine.quarantined engine) | _ -> assert false
+
+(* Offline detection over a captured trace (inject, explain, infer,
+   heatmap): with no partial report worth printing, a quarantined
+   detector is a detector error. *)
+let detect_trace ?metrics ?heatmap ?detector model config trace =
+  let report, _ = detect ?metrics ?heatmap ?detector model config (fun e -> Array.iter (Engine.emit e) trace) in
+  Option.iter (die ~code:detector_error "%s quarantined: %s" report.Bug.detector) report.Bug.failure;
+  report
+
+let add_field key value = function
+  | Obs.Json.Obj fields -> Obs.Json.Obj (fields @ [ (key, value) ])
+  | other -> other
 
 (* --metrics FILE: every command records into [reg] (enabled only when
-   the flag is given) and the snapshot plus the run's spans land in FILE
-   as stable JSON — or on stdout when FILE is "-". [spans_on] forces
-   span recording without a metrics file (--trace-out needs the phases
-   even when no snapshot is written). *)
-let with_metrics ?(spans_on = false) file f =
+   the flag is given, or [metrics_on]) and the snapshot plus the run's
+   spans land in FILE as stable JSON — or on stdout when FILE is "-".
+   [spans_on] forces span recording without a metrics file (--trace-out
+   and timeline need the phases even when no snapshot is written). *)
+let with_metrics ?(metrics_on = false) ?(spans_on = false) file f =
   Obs.Clock.set Unix.gettimeofday;
-  let reg = match file with None -> Obs.Metrics.disabled | Some _ -> Obs.Metrics.create () in
-  let spans = if file <> None || spans_on then Obs.Span.create () else Obs.Span.disabled in
+  let metrics_on = metrics_on || file <> None in
+  let reg = if metrics_on then Obs.Metrics.create () else Obs.Metrics.disabled in
+  let spans = if metrics_on || spans_on then Obs.Span.create () else Obs.Span.disabled in
   let result = f reg spans in
-  (match file with
-  | None -> ()
-  | Some path ->
-      let json =
-        match Obs.Metrics.to_json reg with
-        | Obs.Json.Obj fields -> Obs.Json.Obj (fields @ [ ("spans", Obs.Span.to_json spans) ])
-        | other -> other
-      in
+  Option.iter
+    (fun path ->
+      let json = add_field "spans" (Obs.Span.to_json spans) (Obs.Metrics.to_json reg) in
       if path = "-" then print_endline (Obs.Json.to_string ~indent:true json)
       else begin
         Obs.Json.to_file path json;
         Printf.printf "metrics written to %s\n" path
-      end);
+      end)
+    file;
   result
 
-let print_quarantined engine =
-  match Engine.quarantined engine with
+let print_quarantined = function
   | [] -> ()
   | qs ->
       Printf.printf "%d sink(s) quarantined:\n" (List.length qs);
@@ -79,11 +141,11 @@ let print_quarantined engine =
 
 let workload_arg =
   let doc = "Workload to run (see `pmdb list`)." in
-  Arg.(value & opt string "b_tree" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
+  Arg.(value & opt string default_workload & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
 
 let n_arg =
   let doc = "Number of operations." in
-  Arg.(value & opt int 1000 & info [ "n"; "ops" ] ~docv:"N" ~doc)
+  Arg.(value & opt int default_ops & info [ "n"; "ops" ] ~docv:"N" ~doc)
 
 let detector_arg =
   let doc = "Detector: pmdebugger, pmemcheck, pmtest, xfdetector or nulgrind." in
@@ -101,125 +163,115 @@ let max_bugs_arg =
   let doc = "Print at most this many findings." in
   Arg.(value & opt int 25 & info [ "max-print" ] ~docv:"K" ~doc)
 
-let load_config = function
-  | None -> Pmdebugger.Order_config.empty
-  | Some path -> (
-      match Pmdebugger.Order_config.load path with
-      | Ok cfg -> cfg
-      | Error msg -> failwith ("config: " ^ msg))
-
-let print_findings ~max_print report =
-  let shown = ref 0 in
-  List.iter
-    (fun b ->
-      if !shown < max_print then begin
-        incr shown;
-        Format.printf "  %a@." Bug.pp b
-      end)
-    report.Bug.bugs;
+(* The one report printer: a header line, the quarantine note, the first
+   [max_print] findings and the kind summary, then (for live runs) the
+   detector's own stats and the engine's quarantine list. *)
+let print_report ?(stats = false) ?(quarantined = []) ~max_print header report =
+  print_endline header;
+  Option.iter (Printf.printf "  QUARANTINED: %s\n") report.Bug.failure;
+  List.iteri (fun i b -> if i < max_print then Format.printf "  %a@." Bug.pp b) report.Bug.bugs;
   let total = List.length report.Bug.bugs in
   if total > max_print then Printf.printf "  ... and %d more\n" (total - max_print);
   Printf.printf "%d finding(s); kinds: %s\n" total
-    (String.concat ", " (List.map Bug.kind_name (Bug.kinds_found report)))
+    (String.concat ", " (List.map Bug.kind_name (Bug.kinds_found report)));
+  if stats then List.iter (fun (k, v) -> Printf.printf "  stat %-28s %.2f\n" k v) report.Bug.stats;
+  print_quarantined quarantined
 
-let run_workload_reports ?(shards = 0) ?(backend = "hybrid")
-    ?flightrec ?worker_flightrecs ~metrics ~spans workload n detector config annotate =
-  let spec = Workloads.Registry.find_exn workload in
-  let config = load_config config in
-  let engine = Engine.create ~metrics () in
-  Engine.attach engine
-    (sink_for ~metrics ?flightrec ?worker_flightrecs ~shards ~backend detector spec.W.model config);
-  let t0 = Unix.gettimeofday () in
-  Obs.Span.record spans ~attrs:[ ("workload", workload) ] "run" (fun () ->
-      spec.W.run (W.params ~annotate ~n ()) engine);
-  let dt = Unix.gettimeofday () -. t0 in
-  (* finish_all rather than finishing the sink by hand: a detector that
-     raised mid-run is quarantined and reported, not propagated. *)
-  let reports = Obs.Span.record spans "finish" (fun () -> Engine.finish_all engine) in
-  (engine, reports, dt)
+let replayed file report =
+  Printf.sprintf "%s replayed %d event(s) from %s" report.Bug.detector report.Bug.events_processed file
 
-(* --trace-out FILE: flight-recorder rings for the router and each
-   shard worker; after the run they merge with the CLI's coarse spans
-   into one causal Perfetto document (Obs.Tracecat). With --shards 0
-   there is no pipeline to record — the dump still carries the phase
-   spans on a "phases" track. *)
-let trace_rings ~trace_out ~shards =
-  match trace_out with
-  | None -> (None, None)
-  | Some _ ->
-      ( Some (Obs.Flightrec.create ~capacity:8192 ()),
-        Some (Array.init (max shards 0) (fun _ -> Obs.Flightrec.create ~capacity:8192 ())) )
+let workload_spec name =
+  match Workloads.Registry.find name with Some spec -> spec | None -> die "unknown workload %S (see `pmdb list`)" name
 
-let dump_causal_trace ~trace_out ~spans ~flightrec ~worker_flightrecs =
-  match trace_out with
-  | None -> ()
-  | Some path ->
-      let rings =
-        (match flightrec with Some r -> [ ("router", r) ] | None -> [])
-        @
-        match worker_flightrecs with
-        | Some rs -> Array.to_list (Array.mapi (fun i r -> (Printf.sprintf "shard-%d" i, r)) rs)
-        | None -> []
-      in
-      Obs.Json.to_file path (Obs.Tracecat.merge ~spans:(Obs.Span.finished spans) rings);
-      Printf.printf "causal trace written to %s (open in ui.perfetto.dev)\n" path
+let load_config = function
+  | None -> Pmdebugger.Order_config.empty
+  | Some path -> (
+      match Pmdebugger.Order_config.load path with Ok cfg -> cfg | Error msg -> die "config: %s" msg)
 
-(* Session errors share one exit-code convention between offline runs
-   and the daemon (see Serve.Status): 0 ok, 2 trace/protocol error,
-   3 detector quarantined, 4 evicted, 5 idle timeout, 6 daemon
-   shutdown. *)
-let exit_for_report report =
-  match report.Bug.failure with
-  | Some _ -> exit (Serve.Status.exit_code Serve.Status.Detector_error)
-  | None -> ()
+(* The one trace source: a bugbench case (its own model, persist-order
+   config — -c overrides — and recovery predicate), a trace file (strict
+   model: a replay has no live PM state) or a workload run captured with
+   its store payloads. Every source ends in program_end: a truncated file
+   gets one synthesized and a captured run one appended (every registered
+   workload emits its own, so event counts match a plain recording). *)
+type source = {
+  what : string;
+  model : Pmdebugger.Detector.model;
+  config : Pmdebugger.Order_config.t;
+  steps : Faultinject.Replay.step array;
+  recovery : (Pmem.Image.t -> bool) option;
+}
 
-let run_cmd workload n detector config annotate max_print shards backend metrics_file trace_out =
+let source ?(annotate = false) ?case ?trace ~workload ~n config =
+  match (case, trace) with
+  | Some _, Some _ -> die "--case and --trace are mutually exclusive"
+  | Some id, None -> (
+      let all = Bugbench.Cases.buggy @ Bugbench.Cases.clean in
+      match List.find_opt (fun (c : Bugbench.Cases.t) -> c.Bugbench.Cases.id = id) all with
+      | None -> die "unknown bugbench case %S (see `pmdb bugs`)" id
+      | Some c ->
+          let config = if config = None then c.Bugbench.Cases.config else load_config config in
+          let steps = Faultinject.Replay.capture c.Bugbench.Cases.run in
+          { what = id; model = c.Bugbench.Cases.model; config; steps; recovery = c.Bugbench.Cases.recovery })
+  | None, Some path -> (
+      match Faultinject.Replay.materialize_file path with
+      | Error msg -> die "%s" msg
+      | Ok (steps, stats) ->
+          List.iter (fun (lineno, msg) -> warn_skipped path lineno msg) stats.Trace_io.skipped_lines;
+          { what = path; model = Pmdebugger.Detector.Strict; config = load_config config; steps; recovery = None })
+  | None, None ->
+      let spec = workload_spec workload in
+      let config = load_config config in
+      let steps = Faultinject.Replay.capture (fun e -> spec.W.run (W.params ~annotate ~n ()) e) in
+      { what = workload; model = spec.W.model; config; steps; recovery = None }
+
+let events src = Faultinject.Replay.events_of_steps src.steps
+
+(* A live run: the workload drives the detecting engine directly. [dt]
+   times the workload alone, not the finish. *)
+let run_workload ?trace_out ?shards ~metrics ~spans ~detector ~annotate workload n config =
+  let spec = workload_spec workload in
+  let dt = ref 0.0 in
+  let report, quarantined =
+    detect ~metrics ~spans ?trace_out ?shards ~detector spec.W.model (load_config config)
+      (fun engine ->
+        let t0 = Unix.gettimeofday () in
+        Obs.Span.record spans ~attrs:[ ("workload", workload) ] "run" (fun () ->
+            spec.W.run (W.params ~annotate ~n ()) engine);
+        dt := Unix.gettimeofday () -. t0)
+  in
+  (report, quarantined, !dt)
+
+let run_cmd workload n detector config annotate max_print shards metrics_file trace_out =
   with_metrics ~spans_on:(trace_out <> None) metrics_file (fun metrics spans ->
-      let flightrec, worker_flightrecs = trace_rings ~trace_out ~shards in
-      let engine, reports, dt =
-        run_workload_reports ?flightrec ?worker_flightrecs ~shards ~backend ~metrics ~spans
-          workload n detector config annotate
+      let report, quarantined, dt =
+        run_workload ?trace_out ~shards ~metrics ~spans ~detector ~annotate workload n config
       in
-      dump_causal_trace ~trace_out ~spans ~flightrec ~worker_flightrecs;
-      List.iter
-        (fun report ->
-          Printf.printf "%s on %s (n=%d): %d event(s) in %.3fs\n" report.Bug.detector workload n
-            report.Bug.events_processed dt;
-          (match report.Bug.failure with
-          | Some msg -> Printf.printf "  QUARANTINED: %s\n" msg
-          | None -> ());
-          print_findings ~max_print report;
-          List.iter (fun (k, v) -> Printf.printf "  stat %-28s %.2f\n" k v) report.Bug.stats)
-        reports;
-      print_quarantined engine;
-      reports)
-  |> List.iter exit_for_report
+      print_report ~stats:true ~quarantined ~max_print
+        (Printf.sprintf "%s on %s (n=%d): %d event(s) in %.3fs" report.Bug.detector workload n
+           report.Bug.events_processed dt)
+        report;
+      report)
+  |> exit_for_report
 
 let characterize_cmd workload n json =
-  let spec = Workloads.Registry.find_exn workload in
-  let trace = Recorder.record (fun e -> spec.W.run (W.params ~n ()) e) in
+  let trace = events (source ~workload ~n None) in
   if json then begin
     (* The JSON report also carries the trace's raw dispatch-latency
        profile (a noop-sink replay): p50/p95/p99 of per-event dispatch,
        the same quantiles the bench reports per tool. *)
     let p = Harness.Timing.dispatch_profile trace (Sink.noop "charz") in
-    let doc =
-      match Charz.characterization_json trace with
-      | Obs.Json.Obj fields ->
-          Obs.Json.Obj
-            (fields
-            @ [
-                ( "dispatch",
-                  Obs.Json.Obj
-                    [
-                      ("p50_s", Obs.Json.Float p.Harness.Timing.p50_s);
-                      ("p95_s", Obs.Json.Float p.Harness.Timing.p95_s);
-                      ("p99_s", Obs.Json.Float p.Harness.Timing.p99_s);
-                      ("samples", Obs.Json.Int p.Harness.Timing.samples);
-                    ] );
-              ])
-      | other -> other
+    let dispatch =
+      Obs.Json.(
+        Obj
+          [
+            ("p50_s", Float p.Harness.Timing.p50_s);
+            ("p95_s", Float p.Harness.Timing.p95_s);
+            ("p99_s", Float p.Harness.Timing.p99_s);
+            ("samples", Int p.Harness.Timing.samples);
+          ])
     in
+    let doc = add_field "dispatch" dispatch (Charz.characterization_json trace) in
     print_endline (Obs.Json.to_string doc)
   end
   else begin
@@ -255,7 +307,7 @@ let bugs_cmd metrics_file =
         results)
 
 let record_cmd workload n annotate out =
-  let spec = Workloads.Registry.find_exn workload in
+  let spec = workload_spec workload in
   (* Events go to disk as they are emitted: recording never holds the
      trace in memory, so -n can be as large as the disk allows. *)
   let count =
@@ -268,13 +320,8 @@ let record_cmd workload n annotate out =
   Printf.printf "recorded %d event(s) from %s (n=%d) to %s\n" count workload n out
 
 let session_name_for file =
-  let base = Filename.remove_extension (Filename.basename file) in
-  let sane =
-    String.map
-      (fun c ->
-        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-' -> c | _ -> '_')
-      base
-  in
+  let sane_char = function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-') as c -> c | _ -> '_' in
+  let sane = String.map sane_char (Filename.remove_extension (Filename.basename file)) in
   if Serve.Wire.name_ok sane then sane else "session"
 
 (* Replay through a running daemon. stdout is byte-identical to the
@@ -282,150 +329,78 @@ let session_name_for file =
    two — and the frame's status picks the exit code. *)
 let replay_daemon_cmd ~socket ~file ~max_print ~lenient =
   match Serve.Client.replay_file ~socket ~name:(session_name_for file) ~lenient file with
-  | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
+  | Error msg -> die "%s" msg
   | Ok frame ->
-      (match frame.Serve.Wire.report with
-      | Some report ->
-          Printf.printf "%s replayed %d event(s) from %s\n" report.Bug.detector report.Bug.events_processed file;
-          (match report.Bug.failure with
-          | Some msg -> Printf.printf "  QUARANTINED: %s\n" msg
-          | None -> ());
-          print_findings ~max_print report
-      | None -> ());
+      Option.iter (fun report -> print_report ~max_print (replayed file report) report) frame.Serve.Wire.report;
       if frame.Serve.Wire.skipped > 0 then
         Printf.eprintf "warning: %s: %d malformed line(s) skipped by the daemon\n" file frame.Serve.Wire.skipped;
-      if frame.Serve.Wire.synthesized_end then
-        Printf.eprintf "warning: %s: truncated trace, synthesized program_end\n" file;
-      (match (frame.Serve.Wire.status, frame.Serve.Wire.error) with
-      | Serve.Status.Ok, _ -> ()
-      | status, error ->
-          Printf.eprintf "error: session %s: %s\n" (Serve.Status.name status)
-            (Option.value error ~default:"(no detail)"));
-      exit (Serve.Status.exit_code frame.Serve.Wire.status)
+      if frame.Serve.Wire.synthesized_end then warn_truncated file;
+      let code = Serve.Status.exit_code frame.Serve.Wire.status in
+      if frame.Serve.Wire.status <> Serve.Status.Ok then
+        die ~code "session %s: %s" (Serve.Status.name frame.Serve.Wire.status)
+          (Option.value frame.Serve.Wire.error ~default:"(no detail)");
+      exit code
 
-let replay_cmd file detector config max_print lenient daemon shards backend metrics_file trace_out =
-  (* The daemon detects with its own configuration: a flag that only a
-     local replay honours is an error, not silently dropped. *)
-  let local_only =
-    [
-      (trace_out <> None, "--trace-out", " (the daemon dumps its own via serve --trace-out)");
-      (metrics_file <> None, "--metrics", " (read the daemon's telemetry with stats --daemon)");
-      (config <> None, "-c/--config", " (pass it to serve -c)");
-      (shards <> 0, "--shards", " (pass it to serve --shards)");
-      (backend <> "hybrid", "--backend", " (the daemon uses the hybrid backend)");
-      (detector <> "pmdebugger", "-d", " (pass it to serve -d)");
-    ]
-  in
+let replay_cmd file detector config max_print lenient daemon shards metrics_file trace_out =
   match daemon with
-  | Some socket -> (
-      match List.find_opt (fun (set, _, _) -> set) local_only with
-      | Some (_, flag, hint) ->
-          Printf.eprintf "error: %s needs a local replay%s\n" flag hint;
-          exit 1
-      | None -> replay_daemon_cmd ~socket ~file ~max_print ~lenient)
+  | Some socket ->
+      reject_local_only ~what:"replay"
+        [
+          (trace_out <> None, "--trace-out", " (the daemon dumps its own via serve --trace-out)");
+          (metrics_file <> None, "--metrics", " (read the daemon's telemetry with stats --daemon)");
+          (config <> None, "-c/--config", " (pass it to serve -c)");
+          (shards <> 0, "--shards", " (pass it to serve --shards)");
+          (detector <> "pmdebugger", "-d", " (pass it to serve -d)");
+        ];
+      replay_daemon_cmd ~socket ~file ~max_print ~lenient
   | None ->
-  with_metrics ~spans_on:(trace_out <> None) metrics_file (fun metrics spans ->
-      let config = load_config config in
-      let flightrec, worker_flightrecs = trace_rings ~trace_out ~shards in
-      (* Replays have no live PM state: the model only gates rule
-         selection, so strict covers all shared rules. Dispatching through
-         an engine (instead of calling the sink directly) keeps the
-         quarantine and telemetry behaviour of `pmdb run`. The trace
-         streams straight from disk into the engine — constant memory
-         regardless of trace size. *)
-      let engine = Engine.create ~metrics () in
-      Engine.attach engine
-        (sink_for ~metrics ?flightrec ?worker_flightrecs ~shards ~backend detector
-           Pmdebugger.Detector.Strict config);
-      Obs.Span.record spans ~attrs:[ ("file", file) ] "replay" (fun () ->
-          if lenient then (
-            match
-              Trace_io.iter_file ~metrics
-                ~on_skip:(fun lineno msg -> Printf.eprintf "warning: %s:%d: skipped: %s\n" file lineno msg)
-                file ~f:(Engine.emit engine)
-            with
-            | Error msg ->
-                Printf.eprintf "error: %s\n" msg;
-                exit (Serve.Status.exit_code Serve.Status.Trace_error)
-            | Ok stats ->
-                if stats.Trace_io.synthesized then
-                  Printf.eprintf "warning: %s: truncated trace, synthesized program_end\n" file)
-          else
-            match Trace_io.iter_file_strict file ~f:(Engine.emit engine) with
-            | Error msg ->
-                Printf.eprintf "error: %s\n" msg;
-                exit (Serve.Status.exit_code Serve.Status.Trace_error)
-            | Ok () -> ());
-      let reports = Obs.Span.record spans "finish" (fun () -> Engine.finish_all engine) in
-      dump_causal_trace ~trace_out ~spans ~flightrec ~worker_flightrecs;
-      List.iter
-        (fun report ->
-          Printf.printf "%s replayed %d event(s) from %s\n" report.Bug.detector report.Bug.events_processed file;
-          (match report.Bug.failure with
-          | Some msg -> Printf.printf "  QUARANTINED: %s\n" msg
-          | None -> ());
-          print_findings ~max_print report)
-        reports;
-      print_quarantined engine;
-      reports)
-  |> List.iter exit_for_report
+      with_metrics ~spans_on:(trace_out <> None) metrics_file (fun metrics spans ->
+          (* Replays have no live PM state: the model only gates rule
+             selection, so strict covers all shared rules. The trace
+             streams straight from disk into the engine — constant memory
+             regardless of trace size. *)
+          let report, quarantined =
+            detect ~metrics ~spans ?trace_out ~shards ~detector Pmdebugger.Detector.Strict
+              (load_config config) (fun engine ->
+                Obs.Span.record spans ~attrs:[ ("file", file) ] "replay" (fun () ->
+                    let streamed =
+                      if not lenient then Trace_io.iter_file_strict file ~f:(Engine.emit engine)
+                      else
+                        Trace_io.iter_file ~metrics ~on_skip:(warn_skipped file) file ~f:(Engine.emit engine)
+                        |> Result.map (fun stats -> if stats.Trace_io.synthesized then warn_truncated file)
+                    in
+                    Result.iter_error (die ~code:(Serve.Status.exit_code Serve.Status.Trace_error) "%s") streamed))
+          in
+          print_report ~quarantined ~max_print (replayed file report) report;
+          report)
+      |> exit_for_report
 
 (* ---------------------------------------------------------------- *)
 (* crash-explore: replay a program prefix-by-prefix and test every   *)
 (* derivable crash image against a recovery predicate.               *)
 (* ---------------------------------------------------------------- *)
 
-let find_bugbench_case id =
-  let all = Bugbench.Cases.buggy @ Bugbench.Cases.clean in
-  match List.find_opt (fun (c : Bugbench.Cases.t) -> c.Bugbench.Cases.id = id) all with
-  | None -> failwith (Printf.sprintf "unknown bugbench case %S (see `pmdb bugs`)" id)
-  | Some c -> c
-
-let crash_explore_cmd case trace_file workload n expect fences_only max_images bisect strategy budget
-    invariants_out seed metrics_file =
+let crash_explore_cmd case trace workload n expect fences_only max_images bisect strategy budget invariants_out
+    seed metrics_file =
   with_metrics metrics_file @@ fun metrics spans ->
-  let recovery_of_expect () =
-    let expect =
-      match expect with
-      | Some e -> e
-      | None -> failwith "need --case ID, or --trace FILE / -w WORKLOAD with --expect PREDICATE"
-    in
-    let p = match Faultinject.Predicate.parse expect with Ok p -> p | Error msg -> failwith ("--expect: " ^ msg) in
-    Faultinject.Predicate.recovery p
-  in
-  let steps, recovery =
-    match (case, trace_file) with
-    | Some _, Some _ -> failwith "--case and --trace are mutually exclusive"
-    | Some id, None ->
-        let c = find_bugbench_case id in
-        let recovery =
-          match c.Bugbench.Cases.recovery with
-          | Some r -> r
-          | None -> failwith (Printf.sprintf "case %S has no recovery predicate; pass --expect" id)
-        in
-        (Faultinject.Replay.capture c.Bugbench.Cases.run, recovery)
-    | None, Some path -> (
-        (* The one place a trace file is pulled into memory: bisection
-           needs random access over the steps for prefix replay. *)
-        match Faultinject.Replay.materialize_file path with
-        | Error msg -> failwith msg
-        | Ok (steps, stats) ->
-            List.iter
-              (fun (lineno, msg) -> Printf.eprintf "warning: %s:%d: skipped: %s\n" path lineno msg)
-              stats.Trace_io.skipped_lines;
-            (steps, recovery_of_expect ()))
-    | None, None ->
-        let spec = Workloads.Registry.find_exn workload in
-        (Faultinject.Replay.capture (fun e -> spec.W.run (W.params ~n ()) e), recovery_of_expect ())
-  in
   let module CE = Faultinject.Crash_explore in
-  let what = match (case, trace_file) with Some id, _ -> id | None, Some path -> path | None, None -> workload in
+  if case = None && expect = None then
+    die "need --case ID, or --trace FILE / -w WORKLOAD with --expect PREDICATE";
+  let parse_expect e =
+    match Faultinject.Predicate.parse e with Ok p -> Faultinject.Predicate.recovery p | Error msg -> die "--expect: %s" msg
+  in
+  let expected = Option.map parse_expect expect in
   let strategy_name = strategy in
   let strategy =
-    match CE.strategy_of_string strategy with Ok s -> s | Error msg -> failwith ("--strategy: " ^ msg)
+    match CE.strategy_of_string strategy with Ok s -> s | Error msg -> die "--strategy: %s" msg
   in
+  let src = source ?case ?trace ~workload ~n None in
+  let recovery =
+    match (src.recovery, expected) with
+    | Some r, _ | None, Some r -> r
+    | None, None -> die "case %S has no recovery predicate; pass --expect" src.what
+  in
+  let what = src.what and steps = src.steps in
   let budget = if budget <= 0 then None else Some budget in
   let boundaries = if fences_only then CE.Fences_only else CE.Every_op in
   let write_invariants plan used =
@@ -483,7 +458,7 @@ let crash_explore_cmd case trace_file workload n expect fences_only max_images b
 (* ---------------------------------------------------------------- *)
 
 let parse_target s =
-  let fail () = failwith (Printf.sprintf "bad --target %S (expected nth:K, every:K, last, all or random:P)" s) in
+  let fail () = die "bad --target %S (expected nth:K, every:K, last, all or random:P)" s in
   match String.split_on_char ':' s with
   | [ "last" ] -> Faultinject.Injector.Last
   | [ "all" ] -> Faultinject.Injector.All
@@ -526,90 +501,48 @@ let inject_cmd matrix workload n fault target seed detector config max_print met
       match I.fault_of_string fault with
       | Some f -> f
       | None ->
-          failwith
-            (Printf.sprintf "unknown --fault %S (expected one of: %s)" fault
-               (String.concat ", " (List.map I.fault_name I.all_faults)))
+          die "unknown --fault %S (expected one of: %s)" fault
+            (String.concat ", " (List.map I.fault_name I.all_faults))
     in
     let plan = { I.fault; target = parse_target target; seed } in
-    let spec = Workloads.Registry.find_exn workload in
-    let steps = Faultinject.Replay.capture (fun e -> spec.W.run (W.params ~n ()) e) in
-    let mutated, injections = I.apply plan steps in
+    let src = source ~workload ~n config in
+    let mutated, injections = I.apply plan src.steps in
     Obs.Metrics.inc metrics ~by:(List.length injections)
       ~labels:[ ("fault", I.fault_name fault) ]
       "inject_injections_total";
-    Printf.printf "%s (n=%d): %d step(s), %d injection(s) of %s\n" workload n (Array.length steps)
+    Printf.printf "%s (n=%d): %d step(s), %d injection(s) of %s\n" workload n (Array.length src.steps)
       (List.length injections) (I.fault_name fault);
     List.iter (fun inj -> Format.printf "  %a@." I.pp_injection inj) injections;
-    let config = load_config config in
-    let sink = sink_for ~metrics detector spec.W.model config in
     let report =
       Obs.Span.record spans "inject-replay" (fun () ->
-          Recorder.replay (Faultinject.Replay.events_of_steps mutated) sink)
+          detect_trace ~metrics ~detector src.model src.config (Faultinject.Replay.events_of_steps mutated))
     in
-    Printf.printf "%s on mutated trace:\n" report.Bug.detector;
-    print_findings ~max_print report
-
-(* ---------------------------------------------------------------- *)
-(* explain / timeline: resolve a trace from a case, a file or a      *)
-(* workload, then pretty-print causal chains or export a Perfetto    *)
-(* timeline of it.                                                   *)
-(* ---------------------------------------------------------------- *)
-
-let events_of_source ?(annotate = false) ~case ~trace_file ~workload ~n () =
-  match (case, trace_file) with
-  | Some _, Some _ -> failwith "--case and --trace are mutually exclusive"
-  | Some id, None ->
-      let c = find_bugbench_case id in
-      ( id,
-        c.Bugbench.Cases.model,
-        Faultinject.Replay.events_of_steps (Faultinject.Replay.capture c.Bugbench.Cases.run) )
-  | None, Some path -> (
-      match Faultinject.Replay.materialize_file path with
-      | Error msg -> failwith msg
-      | Ok (steps, stats) ->
-          List.iter
-            (fun (lineno, msg) -> Printf.eprintf "warning: %s:%d: skipped: %s\n" path lineno msg)
-            stats.Trace_io.skipped_lines;
-          (path, Pmdebugger.Detector.Strict, Faultinject.Replay.events_of_steps steps))
-  | None, None ->
-      let spec = Workloads.Registry.find_exn workload in
-      (workload, spec.W.model, Recorder.record (fun e -> spec.W.run (W.params ~annotate ~n ()) e))
+    print_report ~max_print (Printf.sprintf "%s on mutated trace:" report.Bug.detector) report
 
 (* ---------------------------------------------------------------- *)
 (* infer: run the invariant-inference pass over a trace and print    *)
 (* (or check) the pmdb-invariants/v1 report.                         *)
 (* ---------------------------------------------------------------- *)
 
-let infer_cmd case trace_file workload n config check json_file max_print =
+let infer_cmd case trace workload n config check json_file max_print =
   match check with
   | Some path -> (
       match Obs.Json.of_file path with
-      | Error msg ->
-          Printf.eprintf "%s: invalid JSON: %s\n" path msg;
-          exit 1
+      | Error msg -> invalid path "invalid JSON: %s" msg
       | Ok json -> (
           match Infer.Invariant.of_json json with
           | Ok r ->
-              Printf.printf "%s: valid %s report (%d invariants over %d events)\n" path
-                Infer.Invariant.schema
-                (List.length r.Infer.Invariant.invariants)
-                r.Infer.Invariant.events
-          | Error msg ->
-              Printf.eprintf "%s: invalid %s report: %s\n" path Infer.Invariant.schema msg;
-              exit 1))
+              Printf.printf "%s: valid %s report (%d invariants over %d events)\n" path Infer.Invariant.schema
+                (List.length r.Infer.Invariant.invariants) r.Infer.Invariant.events
+          | Error msg -> invalid path "invalid %s report: %s" Infer.Invariant.schema msg))
   | None ->
-      let what, model, trace = events_of_source ~case ~trace_file ~workload ~n () in
-      let config =
-        match (case, config) with
-        | Some id, None -> (find_bugbench_case id).Bugbench.Cases.config
-        | _ -> load_config config
-      in
+      let src = source ?case ?trace ~workload ~n config in
+      let trace = events src in
       (* The detector pass supplies Bug.t provenance chains — inference
          folds them in as evidence on top of the trace scan. *)
-      let det = Pmdebugger.Detector.create ~model ~config () in
-      let report = Recorder.replay trace (Pmdebugger.Detector.sink det) in
+      let report = detect_trace src.model src.config trace in
       let inv = Infer.Analyze.infer ~report trace in
-      Printf.printf "%s: %d event(s) (%d stores, %d fences), %d candidate invariant(s)\n" what
+      Printf.printf "%s: %d event(s) (%d stores, %d fences), %d candidate invariant(s)\n" src.what
         inv.Infer.Invariant.events inv.Infer.Invariant.stores inv.Infer.Invariant.fences
         (List.length inv.Infer.Invariant.invariants);
       List.iteri
@@ -624,24 +557,20 @@ let infer_cmd case trace_file workload n config check json_file max_print =
           Obs.Json.to_file path (Infer.Invariant.to_json inv);
           Printf.printf "report -> %s\n" path
 
-let explain_cmd case trace_file workload n config max_print =
-  let what, model, trace = events_of_source ~case ~trace_file ~workload ~n () in
-  (* A bugbench case carries its own persist-order config (the
-     order-guarantee cases need it to fire); -c overrides. *)
-  let config =
-    match (case, config) with
-    | Some id, None -> (find_bugbench_case id).Bugbench.Cases.config
-    | _ -> load_config config
-  in
-  let det = Pmdebugger.Detector.create ~model ~config () in
-  let report = Recorder.replay trace (Pmdebugger.Detector.sink det) in
-  Printf.printf "%s: %d event(s), %d finding(s)\n" what (Array.length trace)
+(* ---------------------------------------------------------------- *)
+(* explain / timeline: pretty-print causal chains or export a        *)
+(* Perfetto timeline of a resolved source.                           *)
+(* ---------------------------------------------------------------- *)
+
+let explain_cmd case trace workload n config max_print =
+  let src = source ?case ?trace ~workload ~n config in
+  let trace = events src in
+  let report = detect_trace src.model src.config trace in
+  Printf.printf "%s: %d event(s), %d finding(s)\n" src.what (Array.length trace)
     (List.length report.Bug.bugs);
-  let shown = ref 0 in
-  List.iter
-    (fun b ->
-      if !shown < max_print then begin
-        incr shown;
+  List.iteri
+    (fun i b ->
+      if i < max_print then begin
         Format.printf "@.%a@." Bug.pp b;
         match b.Bug.chain with
         | [] -> Format.printf "  (no causal history)@."
@@ -661,25 +590,25 @@ let explain_cmd case trace_file workload n config max_print =
   let total = List.length report.Bug.bugs in
   if total > max_print then Printf.printf "... and %d more finding(s)\n" (total - max_print)
 
-let timeline_cmd case trace_file workload n annotate out max_tracks =
+let timeline_cmd case trace workload n annotate out max_tracks =
   (* Coarse phases (source the trace, build the timeline) overlay the
      per-line tracks as a third process. The line tracks run in virtual
      time (1 event = 1µs) while the spans are wall-clock from 0 — the
      phases read as proportions, not as aligned timestamps. *)
-  Obs.Clock.set Unix.gettimeofday;
-  let spans = Obs.Span.create () in
-  let what, _model, trace =
+  with_metrics ~spans_on:true None @@ fun _ spans ->
+  let src =
     Obs.Span.record spans
       ~attrs:[ ("workload", workload) ]
-      (match (case, trace_file) with Some _, _ -> "case" | None, Some _ -> "load" | None, None -> "record")
-      (fun () -> events_of_source ~annotate ~case ~trace_file ~workload ~n ())
+      (match (case, trace) with Some _, _ -> "case" | None, Some _ -> "load" | None, None -> "record")
+      (fun () -> source ~annotate ?case ?trace ~workload ~n None)
   in
+  let trace = events src in
   let b = Obs.Span.record spans "build" (fun () -> Harness.Timeline.of_trace ~max_tracks trace) in
   Obs.Perfetto.process_name ~pid:3 b "phases";
   Obs.Span.render ~pid:3 b (Obs.Span.finished spans);
   Obs.Json.to_file out (Obs.Perfetto.to_json b);
   Printf.printf "timeline: %d trace event(s) from %s -> %d timeline event(s) in %s\n"
-    (Array.length trace) what (Obs.Perfetto.length b) out;
+    (Array.length trace) src.what (Obs.Perfetto.length b) out;
   Printf.printf "open in ui.perfetto.dev (or chrome://tracing)\n"
 
 (* ---------------------------------------------------------------- *)
@@ -698,9 +627,7 @@ let print_snapshot ~title ~prometheus snap =
 
 let daemon_stats_cmd ~prometheus socket =
   match Serve.Client.stats ~socket with
-  | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
+  | Error msg -> die "%s" msg
   | Ok snap -> print_snapshot ~title:(Printf.sprintf "daemon telemetry: %s" socket) ~prometheus snap
 
 (* --follow: subscribe to the daemon's stats_stream and print each
@@ -720,9 +647,7 @@ let daemon_follow_cmd ~socket ~frames ~prometheus =
       ()
   with
   | Ok n -> Printf.printf "stream closed after %d frame(s)\n" n
-  | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
+  | Error msg -> die "%s" msg
 
 let check_prometheus_file path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -732,64 +657,44 @@ let check_prometheus_file path =
   | text -> (
       match Obs.Prometheus.validate text with
       | Ok n -> Printf.printf "%s: valid Prometheus text exposition (%d samples)\n" path n
-      | Error msg ->
-          Printf.eprintf "%s: invalid Prometheus exposition: %s\n" path msg;
-          exit 1)
+      | Error msg -> invalid path "invalid Prometheus exposition: %s" msg)
 
 let check_report_file path =
   match Obs.Json.of_file path with
-  | Error msg ->
-      Printf.eprintf "%s: invalid JSON: %s\n" path msg;
-      exit 1
+  | Error msg -> invalid path "invalid JSON: %s" msg
   | Ok json when Obs.Json.member "traceEvents" json <> None -> (
       (* A Perfetto/Chrome trace-event document (pmdb timeline,
          --trace-out, the daemon's causal dumps) — structural check. *)
       match Obs.Perfetto.validate_json json with
       | Ok n -> Printf.printf "%s: valid trace-event document (%d events)\n" path n
-      | Error msg ->
-          Printf.eprintf "%s: invalid trace-event document: %s\n" path msg;
-          exit 1)
+      | Error msg -> invalid path "invalid trace-event document: %s" msg)
   | Ok json -> (
       match Obs.Json.member "schema" json with
       | Some (Obs.Json.Str "pmdb-metrics/v1") -> (
           match Obs.Metrics.validate_json json with
           | Ok n -> Printf.printf "%s: valid pmdb-metrics/v1 report (%d series)\n" path n
-          | Error msg ->
-              Printf.eprintf "%s: invalid pmdb-metrics/v1 report: %s\n" path msg;
-              exit 1)
+          | Error msg -> invalid path "invalid pmdb-metrics/v1 report: %s" msg)
       | Some (Obs.Json.Str "pmdb-invariants/v1") -> (
           match Infer.Invariant.of_json json with
           | Ok r ->
               Printf.printf "%s: valid pmdb-invariants/v1 report (%d invariants)\n" path
                 (List.length r.Infer.Invariant.invariants)
-          | Error msg ->
-              Printf.eprintf "%s: invalid pmdb-invariants/v1 report: %s\n" path msg;
-              exit 1)
+          | Error msg -> invalid path "invalid pmdb-invariants/v1 report: %s" msg)
       | Some (Obs.Json.Str "pmdb-charz/v1") -> (
           match Obs.Json.member "events" json with
           | Some (Obs.Json.Int n) -> Printf.printf "%s: valid pmdb-charz/v1 report (%d events)\n" path n
-          | _ ->
-              Printf.eprintf "%s: invalid pmdb-charz/v1 report: missing integer \"events\"\n" path;
-              exit 1)
-      | Some (Obs.Json.Str other) ->
-          Printf.eprintf "%s: unknown schema %S\n" path other;
-          exit 1
-      | _ ->
-          Printf.eprintf "%s: missing \"schema\" field\n" path;
-          exit 1)
+          | _ -> invalid path "invalid pmdb-charz/v1 report: missing integer \"events\"")
+      | Some (Obs.Json.Str other) -> invalid path "unknown schema %S" other
+      | _ -> invalid path "missing \"schema\" field")
 
 (* --diff reads two pmdb-metrics/v1 snapshots. *)
 let load_snapshot path =
   match Obs.Json.of_file path with
-  | Error msg ->
-      Printf.eprintf "%s: invalid JSON: %s\n" path msg;
-      exit 1
+  | Error msg -> invalid path "invalid JSON: %s" msg
   | Ok json -> (
       match Obs.Metrics.snapshot_of_json json with
       | Ok snap -> snap
-      | Error msg ->
-          Printf.eprintf "%s: %s\n" path msg;
-          exit 1)
+      | Error msg -> invalid path "%s" msg)
 
 let diff_cmd files check_regressions threshold gauge_threshold =
   match files with
@@ -815,69 +720,55 @@ let diff_cmd files check_regressions threshold gauge_threshold =
             List.iter (fun c -> Format.printf "  %a@." Obs.Diff.pp_change c) regs;
             exit 1
       end
-  | _ -> failwith "--diff takes exactly two metrics files: pmdb stats --diff A.json B.json"
+  | _ -> die "--diff takes exactly two metrics files: pmdb stats --diff A.json B.json"
 
 let stats_cmd workload n detector config check check_prometheus diff files check_regressions threshold
     gauge_threshold json_file daemon follow frames prometheus =
-  match daemon with
-  | Some socket ->
+  match (daemon, check_prometheus, check) with
+  | Some socket, _, _ ->
+      reject_local_only ~what:"run"
+        [
+          (workload <> default_workload, "-w", "");
+          (n <> default_ops, "-n", "");
+          (detector <> "pmdebugger", "-d", " (pass it to serve -d)");
+          (config <> None, "-c/--config", " (pass it to serve -c)");
+          (json_file <> None, "--json", "");
+        ];
       if follow || frames > 0 then daemon_follow_cmd ~socket ~frames ~prometheus
       else daemon_stats_cmd ~prometheus socket
-  | None when follow || frames > 0 -> failwith "--follow/--frames requires --daemon SOCK"
-  | None ->
-  if diff then diff_cmd files check_regressions threshold gauge_threshold
-  else
-  match check_prometheus with
-  | Some path -> check_prometheus_file path
-  | None ->
-  match check with
-  | Some path -> check_report_file path
-  | None ->
-      Obs.Clock.set Unix.gettimeofday;
-      let metrics = Obs.Metrics.create () in
-      let spans = Obs.Span.create () in
-      let engine, reports, _dt = run_workload_reports ~metrics ~spans workload n detector config false in
-      List.iter
-        (fun report ->
+  | None, _, _ when follow || frames > 0 -> die "--follow/--frames requires --daemon SOCK"
+  | None, _, _ when diff -> diff_cmd files check_regressions threshold gauge_threshold
+  | None, Some path, _ -> check_prometheus_file path
+  | None, None, Some path -> check_report_file path
+  | None, None, None ->
+      with_metrics ~metrics_on:true json_file (fun metrics spans ->
+          let report, quarantined, _dt =
+            run_workload ~metrics ~spans ~detector ~annotate:false workload n config
+          in
           Printf.printf "%s on %s (n=%d): %d event(s), %d finding(s)\n" report.Bug.detector workload n
             report.Bug.events_processed
-            (List.length report.Bug.bugs))
-        reports;
-      print_quarantined engine;
-      let snap = Obs.Metrics.snapshot metrics in
-      print_snapshot ~title:(Printf.sprintf "telemetry: %s -w %s -n %d" detector workload n) ~prometheus snap;
-      match json_file with
-      | None -> ()
-      | Some path ->
-          let json =
-            match Obs.Metrics.snapshot_to_json snap with
-            | Obs.Json.Obj fields -> Obs.Json.Obj (fields @ [ ("spans", Obs.Span.to_json spans) ])
-            | other -> other
-          in
-          Obs.Json.to_file path json;
-          Printf.printf "metrics written to %s\n" path
+            (List.length report.Bug.bugs);
+          print_quarantined quarantined;
+          print_snapshot ~title:(Printf.sprintf "telemetry: %s -w %s -n %d" detector workload n) ~prometheus
+            (Obs.Metrics.snapshot metrics))
 
 let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sessions detector config shards
     metrics_file flightrec_dir heatmap_cap trace_out stop probe =
   if stop then (
     match Serve.Client.stop ~socket with
     | Ok () -> Printf.printf "daemon at %s stopped\n" socket
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1)
+    | Error msg -> die "%s" msg)
   else
     match probe with
-    | Some kind ->
+    | Some kind -> (
         let kind =
           match kind with
           | "garbage" -> Serve.Client.Garbage
           | "hang" -> Serve.Client.Hang
-          | other -> failwith (Printf.sprintf "unknown --probe %S (expected garbage or hang)" other)
+          | other -> die "unknown --probe %S (expected garbage or hang)" other
         in
-        (match Serve.Client.probe ~socket ~name:(Printf.sprintf "probe-%d" (Unix.getpid ())) kind with
-        | Error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 1
+        match Serve.Client.probe ~socket ~name:(Printf.sprintf "probe-%d" (Unix.getpid ())) kind with
+        | Error msg -> die "%s" msg
         | Ok frame ->
             Printf.printf "probe answered: status %s%s\n"
               (Serve.Status.name frame.Serve.Wire.status)
@@ -910,23 +801,18 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
            [workers * shards] cores. The sharded path keeps per-session
            registries disabled like the plain one — the daemon's merged
            telemetry comes from the dispatch/worker registries. *)
-        let make_sink ~heatmap =
-          sink_for ~metrics:Obs.Metrics.disabled ~heatmap ~shards detector
-            Pmdebugger.Detector.Strict config
-        in
+        let sink = sink_for ~shards detector in
+        let make_sink ~heatmap = sink ~heatmap Pmdebugger.Detector.Strict config in
         let daemon = Serve.Daemon.create ~metrics ~make_sink cfg in
         Serve.Daemon.install_signal_handlers daemon;
         Printf.printf "pmdb serve: listening on %s (workers=%d, budget=%d bytes, idle-timeout=%.1fs)\n%!" socket
           workers session_budget idle_timeout;
-        (match metrics_file with
-        | Some path -> Printf.printf "pmdb serve: Prometheus exposition -> %s (every %.1fs)\n%!" path cfg.Serve.Daemon.stream_interval
-        | None -> ());
-        (match flightrec_dir with
-        | Some dir -> Printf.printf "pmdb serve: flight-recorder dumps -> %s\n%!" dir
-        | None -> ());
-        (match trace_out with
-        | Some dir -> Printf.printf "pmdb serve: causal Perfetto traces -> %s (SIGQUIT or shutdown)\n%!" dir
-        | None -> ());
+        Option.iter
+          (fun path ->
+            Printf.printf "pmdb serve: Prometheus exposition -> %s (every %.1fs)\n%!" path cfg.Serve.Daemon.stream_interval)
+          metrics_file;
+        Option.iter (Printf.printf "pmdb serve: flight-recorder dumps -> %s\n%!") flightrec_dir;
+        Option.iter (Printf.printf "pmdb serve: causal Perfetto traces -> %s (SIGQUIT or shutdown)\n%!") trace_out;
         if heatmap_cap > 0 then
           Printf.printf "pmdb serve: hot-line heatmap on (cap %d lines/worker; query with `pmdb heatmap --daemon %s`)\n%!"
             heatmap_cap socket;
@@ -965,27 +851,28 @@ let print_heatmap ~what ~top ~json (snap : Obs.Heatmap.snapshot) =
            ])
          snap.Obs.Heatmap.s_rows)
 
-let heatmap_cmd case trace_file workload n config cap top json daemon =
+let heatmap_cmd case trace workload n config cap top json daemon =
   match daemon with
   | Some socket -> (
+      reject_local_only ~what:"run"
+        [
+          (case <> None, "--case", "");
+          (trace <> None, "--trace", "");
+          (workload <> default_workload, "-w", "");
+          (n <> default_ops, "-n", "");
+          (config <> None, "-c/--config", " (pass it to serve -c)");
+          (cap <> default_heatmap_cap, "--cap", " (pass --heatmap-cap to serve)");
+        ];
       (* The daemon's merged per-worker tables, over the wire. *)
       match Serve.Client.heatmap ~socket with
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
+      | Error msg -> die "%s" msg
       | Ok snap -> print_heatmap ~what:socket ~top ~json snap)
   | None ->
       (* Annotations on: Register_var events give the hot lines names. *)
-      let what, model, trace = events_of_source ~annotate:true ~case ~trace_file ~workload ~n () in
-      let config =
-        match (case, config) with
-        | Some id, None -> (find_bugbench_case id).Bugbench.Cases.config
-        | _ -> load_config config
-      in
+      let src = source ~annotate:true ?case ?trace ~workload ~n config in
       let heatmap = Obs.Heatmap.create ~cap () in
-      let det = Pmdebugger.Detector.create ~model ~config ~heatmap () in
-      ignore (Recorder.replay trace (Pmdebugger.Detector.sink det));
-      print_heatmap ~what ~top ~json (Obs.Heatmap.snapshot heatmap)
+      ignore (detect_trace ~heatmap src.model src.config (events src));
+      print_heatmap ~what:src.what ~top ~json (Obs.Heatmap.snapshot heatmap)
 
 let top_cmd socket once =
   (* --once asks the daemon for exactly one stats frame (CI smoke and
@@ -1008,13 +895,9 @@ let top_cmd socket once =
         true)
       ()
   with
-  | Ok 0 ->
-      Printf.eprintf "error: daemon closed the stream without a stats frame\n";
-      exit 1
+  | Ok 0 -> die "daemon closed the stream without a stats frame"
   | Ok n -> if not interactive then Printf.printf "stream closed after %d frame(s)\n" n
-  | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
+  | Error msg -> die "%s" msg
 
 let list_cmd () =
   List.iter
@@ -1041,13 +924,6 @@ let shards_arg =
   in
   Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
 
-let backend_arg =
-  let doc =
-    "Bookkeeping backend for pmdebugger: 'hybrid' (the paper's array+tree structure) or 'flat' (linear-scan \
-     baseline used for honest backend comparisons)."
-  in
-  Arg.(value & opt string "hybrid" & info [ "backend" ] ~docv:"STORE" ~doc)
-
 let trace_out_arg =
   let doc =
     "Write a causal Perfetto trace of the run to $(docv): the router's and every shard worker's flight-recorder \
@@ -1059,7 +935,7 @@ let trace_out_arg =
 let run_term =
   Term.(
     const run_cmd $ workload_arg $ n_arg $ detector_arg $ config_arg $ annotate_arg $ max_bugs_arg $ shards_arg
-    $ backend_arg $ metrics_arg $ trace_out_arg)
+    $ metrics_arg $ trace_out_arg)
 
 let out_arg =
   let doc = "Output trace file." in
@@ -1082,7 +958,7 @@ let daemon_arg =
 let replay_term =
   Term.(
     const replay_cmd $ trace_file_arg $ detector_arg $ config_arg $ max_bugs_arg $ lenient_arg $ daemon_arg
-    $ shards_arg $ backend_arg $ metrics_arg $ trace_out_arg)
+    $ shards_arg $ metrics_arg $ trace_out_arg)
 
 let socket_arg =
   let doc = "Unix-domain socket path the daemon listens on." in
@@ -1342,7 +1218,7 @@ let timeline_term =
 
 let heatmap_local_cap_arg =
   let doc = "Hottest-line table capacity for a local (non --daemon) run." in
-  Arg.(value & opt int 1024 & info [ "cap" ] ~docv:"LINES" ~doc)
+  Arg.(value & opt int default_heatmap_cap & info [ "cap" ] ~docv:"LINES" ~doc)
 
 let heatmap_top_arg =
   let doc = "Print only the $(docv) hottest lines." in
