@@ -77,25 +77,25 @@ let live_bytes t = Buffer.length t.partial + t.pending_bytes
    wire length plus boxing overhead. What matters is that the charge is
    proportional to the bytes the client actually sent, so a budget in
    bytes bounds both the raw partial-line buffer and the parsed queue. *)
-let event_cost line = String.length line + 16
+let event_cost len = len + 16
 
 let fail t msg =
   t.status <- Status.Trace_error;
   t.error <- Some msg;
   Error msg
 
-(* Parse one complete line. Strict sessions fail the whole session at
-   the first malformed line with the same ["line N: ..."] message the
-   strict file replay produces; lenient sessions skip and count it,
-   mirroring [pmdb replay --lenient]. *)
-let accept_line t line =
+(* Parse one complete line, [b.[off, off + len)]. Strict sessions fail
+   the whole session at the first malformed line with the same
+   ["line N: ..."] message the strict file replay produces; lenient
+   sessions skip and count it, mirroring [pmdb replay --lenient]. *)
+let accept_line t b ~off ~len =
   t.lines <- t.lines + 1;
-  match Trace_io.event_of_line line with
+  match Trace_io.event_of_bytes b ~off ~len with
   | Ok None -> Ok ()
   | Ok (Some ev) ->
-      if ev = Event.Program_end then t.saw_end <- true;
+      (match ev with Event.Program_end -> t.saw_end <- true | _ -> ());
       t.parsed <- t.parsed + 1;
-      let cost = event_cost line in
+      let cost = event_cost len in
       Queue.push (ev, cost) t.pending;
       t.pending_bytes <- t.pending_bytes + cost;
       Ok ()
@@ -106,31 +106,41 @@ let accept_line t line =
       end
       else fail t (Printf.sprintf "line %d: %s" t.lines msg)
 
+let accept_partial t =
+  let line = Buffer.to_bytes t.partial in
+  Buffer.clear t.partial;
+  accept_line t line ~off:0 ~len:(Bytes.length line)
+
+(* The first '\n' in [buf.[i, stop)], or [stop]. Bounded by [stop]: the
+   bytes past the chunk in a reused read buffer are stale. *)
+let rec newline buf i stop = if i >= stop || Bytes.unsafe_get buf i = '\n' then i else newline buf (i + 1) stop
+
+(* A line wholly inside the chunk is scanned where it lies; only a line
+   split across chunks is copied, into [partial]. *)
 let feed t ~now buf ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then invalid_arg "Session.feed";
   t.last_activity <- now;
   t.bytes_read <- t.bytes_read + len;
-  let result = ref (Ok ()) in
-  let i = ref off in
   let stop = off + len in
-  while !result = Ok () && !i < stop do
-    let c = Bytes.get buf !i in
-    incr i;
-    if c = '\n' then begin
-      let line = Buffer.contents t.partial in
-      Buffer.clear t.partial;
-      result := accept_line t line
+  let rec go start =
+    let nl = newline buf start stop in
+    if nl = stop then begin
+      Buffer.add_subbytes t.partial buf start (stop - start);
+      Ok ()
     end
-    else Buffer.add_char t.partial c
-  done;
-  !result
+    else
+      let result =
+        if Buffer.length t.partial = 0 then accept_line t buf ~off:start ~len:(nl - start)
+        else begin
+          Buffer.add_subbytes t.partial buf start (nl - start);
+          accept_partial t
+        end
+      in
+      match result with Ok () -> go (nl + 1) | Error _ -> result
+  in
+  go off
 
-let flush_partial t =
-  if Buffer.length t.partial = 0 then Ok ()
-  else begin
-    let line = Buffer.contents t.partial in
-    Buffer.clear t.partial;
-    accept_line t line
-  end
+let flush_partial t = if Buffer.length t.partial = 0 then Ok () else accept_partial t
 
 let peek_pending t = match Queue.peek_opt t.pending with None -> None | Some (ev, _) -> Some ev
 

@@ -39,8 +39,10 @@ val terminate : t -> Status.t -> string option -> unit
     session already quarantined keeps its original status). *)
 
 val feed : t -> now:float -> Bytes.t -> off:int -> len:int -> (unit, string) result
-(** Split the chunk into newline-framed lines and parse each with
-    {!Trace_io.event_of_line}. Chunk boundaries are invisible: feeding
+(** Split the chunk into newline-framed lines and scan each in place
+    with {!Trace_io.event_of_bytes}; only a line split across chunks is
+    copied (into the partial-line buffer). Chunk boundaries are
+    invisible: feeding
     byte-by-byte parses identically to feeding everything at once.
     Strict sessions return [Error "line N: ..."] at the first malformed
     line (and set the status to [Trace_error]); lenient sessions skip

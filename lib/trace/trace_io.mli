@@ -23,12 +23,31 @@
       assert_fresh <addr> <size>
       program_end
       # comments and blank lines are ignored
-    v} *)
+    v}
+
+    The grammar: a line is stripped of leading and trailing
+    [String.trim] whitespace; blank lines and lines starting with [#]
+    are skipped; tokens are separated by one or more spaces (a tab
+    inside a line belongs to its token); numeric fields are what
+    [int_of_string_opt] accepts (signs, [0x]/[0o]/[0b]/[0u] prefixes,
+    [_] separators; decimal overflow is an error); a name is the
+    remaining tokens joined by single spaces. A malformed line's error
+    is [Printf.sprintf "cannot parse event %S"] of the trimmed line. A
+    last line with no
+    trailing newline is still a line. *)
+
+val add_event : Buffer.t -> Event.t -> unit
+(** Append the event's line, without a newline. Writes keywords and
+    decimal digits straight into the buffer. *)
 
 val event_to_line : Event.t -> string
 
 val event_of_line : string -> (Event.t option, string) result
 (** [Ok None] for blank/comment lines. *)
+
+val event_of_bytes : Bytes.t -> off:int -> len:int -> (Event.t option, string) result
+(** {!event_of_line} of the line [Bytes.sub b off len], scanned in
+    place. Raises [Invalid_argument] on an invalid range. *)
 
 val to_string : Recorder.trace -> string
 
@@ -57,8 +76,8 @@ val save : string -> Recorder.trace -> unit
     byte-identical cross-platform. *)
 
 val load : string -> (Recorder.trace, string) result
-(** Strict parse of a trace file into an array. Reads one line at a
-    time (never the whole file into a string); I/O failures are
+(** Strict parse of a trace file into an array. Reads the file in
+    blocks (never the whole file into a string); I/O failures are
     reported as [Error] and never leak the input channel. *)
 
 val load_lenient : ?metrics:Obs.Metrics.t -> ?synthesize_end:bool -> string -> (lenient, string) result
@@ -67,10 +86,12 @@ val load_lenient : ?metrics:Obs.Metrics.t -> ?synthesize_end:bool -> string -> (
 
 (** {1 Streaming}
 
-    The [*_file] functions below parse line-by-line and hand each event
-    to a callback without ever materializing the trace: memory use is
-    bounded by the longest line, not the trace length, so multi-GB
-    traces replay in constant memory. They share the line parser — and,
+    The [*_file] functions below read the file in blocks into one
+    reusable buffer, scan each line in place and hand each event to a
+    callback without ever materializing the trace: the buffer grows only
+    for a line longer than it, so memory use is bounded by the longest
+    line, not the trace length, and multi-GB traces replay in constant
+    memory. They share the scanner — and,
     for the lenient variants, the skip-and-report plus
     synthesize-[program_end] semantics and per-line error positions —
     with {!of_string} / {!of_string_lenient}. Materialize (via {!load}
@@ -122,5 +143,7 @@ val save_stream : string -> ((Event.t -> unit) -> unit) -> int
 (** [save_stream path produce] opens [path] (binary mode), hands
     [produce] an emit function that appends one line per event, and
     closes the file on every exit path. Returns the number of events
-    written. The streaming dual of {!save}: nothing is buffered, so an
-    arbitrarily long run can be recorded in constant memory. *)
+    written. The streaming dual of {!save}: lines go to the file a
+    64 KiB block at a time, so an arbitrarily long run can be recorded
+    in constant memory. Events emitted before [produce] raises are
+    still written. *)

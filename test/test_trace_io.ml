@@ -344,6 +344,361 @@ let test_iter_file_missing_file () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error for missing file"
 
+(* ------------------------------------------------------------------ *)
+(* The scanner and printer against the reference implementations in    *)
+(* Trace_io_oracle.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let same_parse line =
+  let expected = Trace_io_oracle.event_of_line line in
+  Trace_io.event_of_line line = expected
+  &&
+  (* The same line scanned in place inside a larger buffer. *)
+  let b = Bytes.of_string ("ab\n" ^ line ^ "\ncd") in
+  Trace_io.event_of_bytes b ~off:3 ~len:(String.length line) = expected
+
+let test_scanner_edge_cases () =
+  List.iter
+    (fun line -> Alcotest.(check bool) (Printf.sprintf "%S" line) true (same_parse line))
+    [
+      "";
+      "   ";
+      "\t\r";
+      "# store 0 1 2";
+      "  # indented comment";
+      "store 0 128 8";
+      "  store   0 128  8 \r";
+      "\tstore 0 128 8\t";
+      "store\t0 128 8";
+      "store 0 12\t8 8";
+      "store 0 128 8 9";
+      "store 0 128";
+      "store 0 0x80 8";
+      "store 0 0o17 0b101";
+      "store 0 0u42 8";
+      "store +1 -128 1_000";
+      "store 0 _1 8";
+      "store 0 1_ 8";
+      "store 0 - 8";
+      "store 0 + 8";
+      "store 0 0x 8";
+      "store 0 999999999999999999 8";
+      "store 0 0000000000000000007 8";
+      "store 0 4611686018427387903 8";
+      "store 0 4611686018427387904 8";
+      "store 0 -4611686018427387904 8";
+      "store 0 -4611686018427387905 8";
+      "store 0 12345678901234567890 8";
+      "clf clwb 0 64 64";
+      "clf clflushopt 1 64 64";
+      "clf clflush 1 64 64";
+      "clf clflushopt1 1 64 64";
+      "clf CLWB 1 64 64";
+      "clf clwb 1 64";
+      "fence 3";
+      "fence";
+      "fence 3 4";
+      "register_var 0 8 head ptr";
+      "register_var 0 8   head    ptr  ";
+      "register_var 0 8 a\tb";
+      "register_var 0 8";
+      "call 1 main";
+      "call 1  do   slabs free";
+      "call 1";
+      "call x main";
+      "program_end";
+      "program_end x";
+      "program_endx";
+      "Program_end";
+      "assert_ordered 1 2 3 4";
+      "assert_ordered 1 2 3";
+      "assert_fresh 1 2";
+      "assert_durable 1 2";
+      "tx_log 0 64 8";
+      "strand_begin 0 1";
+      "strand_end 0 1";
+      "join_strand 0";
+      "epoch_begin 0";
+      "epoch_end 0";
+      "register_pmem 0 4096";
+      "bogus_event 1 2";
+      "store 0 1 2\000";
+      "\"quoted\" \\ line";
+    ]
+
+let int_text_gen =
+  QCheck.Gen.(
+    let* n = oneof [ int_range 0 100_000; int_range (-1000) 1000; int; oneofl [ max_int; min_int; 0 ] ] in
+    let a = abs n in
+    let binary =
+      let rec go n acc = if n = 0 then acc else go (n lsr 1) (string_of_int (n land 1) ^ acc) in
+      "0b" ^ go a (if a = 0 then "0" else "")
+    in
+    let* underscored =
+      let d = string_of_int a in
+      let+ at = int_range 0 (String.length d) in
+      String.sub d 0 at ^ "_" ^ String.sub d at (String.length d - at)
+    in
+    oneofl
+      [
+        string_of_int n;
+        string_of_int n;
+        "+" ^ string_of_int a;
+        "-" ^ string_of_int a;
+        Printf.sprintf "0x%x" n;
+        Printf.sprintf "0X%X" a;
+        Printf.sprintf "0o%o" a;
+        binary;
+        "0u" ^ string_of_int a;
+        underscored;
+        Printf.sprintf "%019d" a;
+        Printf.sprintf "%020d" a;
+        "4611686018427387903";
+        "4611686018427387904";
+        "-4611686018427387904";
+        "9999999999999999999";
+        "12345678901234567890";
+        "999999999999999999";
+      ])
+
+type field = I | K | N
+
+let keyword_fields =
+  [
+    ("store", [ I; I; I ]);
+    ("clf", [ K; I; I; I ]);
+    ("fence", [ I ]);
+    ("register_pmem", [ I; I ]);
+    ("epoch_begin", [ I ]);
+    ("epoch_end", [ I ]);
+    ("strand_begin", [ I; I ]);
+    ("strand_end", [ I; I ]);
+    ("join_strand", [ I ]);
+    ("tx_log", [ I; I; I ]);
+    ("register_var", [ I; I; N ]);
+    ("call", [ I; N ]);
+    ("assert_durable", [ I; I ]);
+    ("assert_ordered", [ I; I; I; I ]);
+    ("assert_fresh", [ I; I ]);
+    ("program_end", []);
+  ]
+
+(* A line in the trace grammar with surface variation: runs of spaces,
+   leading/trailing tabs and spaces, a trailing \r, every integer
+   notation, names with internal tabs, and occasionally a wrong arity,
+   a blank or a comment. *)
+let valid_line_gen =
+  QCheck.Gen.(
+    let* kw, fields = oneofl keyword_fields in
+    let field = function
+      | I -> int_text_gen
+      | K -> oneofl [ "clwb"; "clflush"; "clflushopt"; "clflushopt"; "clwb"; "clwbx"; "CLWB" ]
+      | N ->
+          let* k = int_range 1 3 in
+          let+ parts = list_repeat k (oneofl [ "main"; "head"; "ptr"; "a\tb"; "x_1"; "#c"; "store"; "0x1" ]) in
+          String.concat " " parts
+    in
+    let* tokens = flatten_l (return kw :: List.map field fields) in
+    let* arity = int_range 0 9 in
+    let tokens =
+      match arity with
+      | 0 -> tokens @ [ "7" ]
+      | 1 -> List.filteri (fun i _ -> i < List.length tokens - 1) tokens
+      | _ -> tokens
+    in
+    let* seps = list_repeat (List.length tokens) (oneofl [ " "; " "; " "; "  "; "   " ]) in
+    let body = String.concat "" (List.mapi (fun i tok -> if i = 0 then tok else List.nth seps i ^ tok) tokens) in
+    let* prefix = oneofl [ ""; ""; ""; " "; "  "; "\t"; " \t "; "\012" ] in
+    let* suffix = oneofl [ ""; ""; ""; " "; "\t"; "\r"; " \r"; "\t\r"; "   " ] in
+    let* shape = int_range 0 19 in
+    return
+      (match shape with
+      | 0 -> prefix ^ suffix
+      | 1 -> prefix ^ "# " ^ body
+      | _ -> prefix ^ body ^ suffix))
+
+(* A valid line with one to three bytes replaced, deleted or inserted. *)
+let mutated_line_gen =
+  QCheck.Gen.(
+    let* line = valid_line_gen in
+    let* k = int_range 1 3 in
+    let interesting = [ ' '; '\t'; '#'; '-'; '+'; '_'; 'x'; 'o'; 'b'; 'u'; '0'; '9'; '\r'; '\n'; 'a'; '\000'; '\255' ] in
+    let mutate line =
+      let n = String.length line in
+      let* op = int_range 0 2 in
+      let* at = int_range 0 (max 0 (n - 1)) in
+      let* c = oneof [ oneofl interesting; char ] in
+      return
+        (if n = 0 then String.make 1 c
+         else
+           match op with
+           | 0 -> String.mapi (fun i x -> if i = at then c else x) line
+           | 1 -> String.sub line 0 at ^ String.sub line (at + 1) (n - at - 1)
+           | _ -> String.sub line 0 at ^ String.make 1 c ^ String.sub line at (n - at))
+    in
+    let rec apply k line = if k = 0 then return line else mutate line >>= apply (k - 1) in
+    apply k line)
+
+let prop_scanner_matches_oracle =
+  QCheck.Test.make ~name:"scanner = reference parser on valid and mutated lines" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") QCheck.Gen.(oneof [ valid_line_gen; mutated_line_gen ]))
+    same_parse
+
+(* Whole texts through the string and the file folds: the same events,
+   the same skipped (line, error) pairs as a line-by-line reference. *)
+let prop_folds_match_oracle =
+  let text_gen =
+    QCheck.Gen.(
+      let* lines = list_size (int_range 0 30) (oneof [ valid_line_gen; mutated_line_gen ]) in
+      let+ final_newline = bool in
+      String.concat "\n" lines ^ if final_newline && lines <> [] then "\n" else "")
+  in
+  QCheck.Test.make ~name:"string and file folds = reference line loop" ~count:300
+    (QCheck.make ~print:(Printf.sprintf "%S") text_gen) (fun text ->
+      let events, skipped = Trace_io_oracle.lenient_of_string text in
+      let l = Trace_io.of_string_lenient ~synthesize_end:false text in
+      let from_file =
+        with_trace_file text (fun path ->
+            let acc = ref [] in
+            match Trace_io.iter_file ~synthesize_end:false path ~f:(fun ev -> acc := ev :: !acc) with
+            | Ok stats -> (List.rev !acc, stats.Trace_io.skipped_lines)
+            | Error m -> failwith m)
+      in
+      Array.to_list l.Trace_io.trace = events && l.Trace_io.skipped = skipped && from_file = (events, skipped))
+
+let wide_event_gen =
+  QCheck.Gen.(
+    let wide = oneof [ int_range 0 100_000; int; oneofl [ max_int; min_int; -1; 0 ] ] in
+    let* tag = int_range 0 16 in
+    let* a = wide and* b = wide and* c = wide and* d = wide in
+    let* kind = oneofl [ Event.Clwb; Event.Clflush; Event.Clflushopt ] in
+    let+ name = oneofl [ "main"; "head ptr"; "x" ] in
+    match tag with
+    | 0 -> Event.Store { addr = a; size = b; tid = c }
+    | 1 -> Event.Clf { addr = a; size = b; kind; tid = c }
+    | 2 -> Event.Fence { tid = a }
+    | 3 -> Event.Register_pmem { base = a; size = b }
+    | 4 -> Event.Epoch_begin { tid = a }
+    | 5 -> Event.Epoch_end { tid = a }
+    | 6 -> Event.Strand_begin { tid = a; strand = b }
+    | 7 -> Event.Strand_end { tid = a; strand = b }
+    | 8 -> Event.Join_strand { tid = a }
+    | 9 -> Event.Tx_log { obj_addr = a; size = b; tid = c }
+    | 10 -> Event.Register_var { name; addr = a; size = b }
+    | 11 -> Event.Call { func = name; tid = a }
+    | 12 -> Event.Annotation (Event.Assert_durable { addr = a; size = b })
+    | 13 -> Event.Annotation (Event.Assert_ordered { first_addr = a; first_size = b; then_addr = c; then_size = d })
+    | 14 -> Event.Annotation (Event.Assert_fresh { addr = a; size = b })
+    | _ -> Event.Program_end)
+
+let prop_printer_matches_oracle =
+  QCheck.Test.make ~name:"printer = reference Printf printer, and parses back" ~count:2000
+    (QCheck.make wide_event_gen) (fun ev ->
+      let line = Trace_io.event_to_line ev in
+      line = Trace_io_oracle.event_to_line ev && Trace_io.event_of_line line = Ok (Some ev))
+
+(* ------------------------------------------------------------------ *)
+(* The file scanner's buffer: long lines, missing final newline, lines  *)
+(* split across reads.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_line_longer_than_buffer () =
+  (* A 200 KB name: longer than the scanner's read buffer, so the buffer
+     has to grow; the lines after it keep their numbers. *)
+  let name = String.init 200_000 (fun i -> if i mod 997 = 996 then ' ' else Char.chr (97 + (i mod 26))) in
+  let var_line = "register_var 64 8 " ^ name in
+  let text = "store 0 128 8\n" ^ var_line ^ "\n\nnot an event\nfence 0\n" in
+  let expected_var =
+    match Trace_io_oracle.event_of_line var_line with Ok (Some ev) -> ev | _ -> Alcotest.fail "oracle rejected"
+  in
+  with_trace_file text @@ fun path ->
+  (match Trace_io.load_lenient ~synthesize_end:false path with
+  | Error m -> Alcotest.fail m
+  | Ok l ->
+      Alcotest.(check int) "three events" 3 (Array.length l.Trace_io.trace);
+      Alcotest.(check bool) "long name intact" true (l.Trace_io.trace.(1) = expected_var);
+      Alcotest.(check (list (pair int string)))
+        "later line keeps its number"
+        [ (4, "cannot parse event \"not an event\"") ]
+        l.Trace_io.skipped);
+  match Trace_io.iter_file_strict path ~f:ignore with
+  | Error m -> Alcotest.(check string) "strict error position" "line 4: cannot parse event \"not an event\"" m
+  | Ok () -> Alcotest.fail "expected error"
+
+let test_last_line_without_newline () =
+  with_trace_file "store 0 128 8\nfence 0" @@ fun path ->
+  (match Trace_io.load path with
+  | Ok trace ->
+      Alcotest.(check bool) "both events" true
+        (trace = [| Event.Store { addr = 128; size = 8; tid = 0 }; Event.Fence { tid = 0 } |])
+  | Error m -> Alcotest.fail m);
+  with_trace_file "store 0 128 8\nfence 0\nbogus" @@ fun path ->
+  match Trace_io.iter_file_strict path ~f:ignore with
+  | Error m -> Alcotest.(check string) "unterminated last line parsed" "line 3: cannot parse event \"bogus\"" m
+  | Ok () -> Alcotest.fail "expected error"
+
+let test_lines_split_across_reads () =
+  (* Fixed-length lines (18 bytes, or 19 with CRLF) over ~300 KB put
+     every 64 KiB read boundary mid-line; a malformed line and a comment
+     sit past the first boundary. The file fold must see exactly what
+     the in-memory fold sees. *)
+  List.iter
+    (fun eol ->
+      let buf = Buffer.create (400 * 1024) in
+      for i = 0 to 16_000 do
+        if i = 5000 then Buffer.add_string buf ("store 0 oops!!! 8" ^ eol)
+        else if i = 5001 then Buffer.add_string buf ("# comment comment" ^ eol)
+        else Buffer.add_string buf (Printf.sprintf "store 0 %d 8%s" (1_000_000 + i) eol)
+      done;
+      let text = Buffer.contents buf in
+      let line_len = 18 + String.length eol - 1 in
+      Alcotest.(check bool) "boundary is mid-line" true (65536 mod line_len <> 0);
+      let l = Trace_io.of_string_lenient text in
+      with_trace_file text @@ fun path ->
+      match Trace_io.load_lenient path with
+      | Error m -> Alcotest.fail m
+      | Ok f ->
+          Alcotest.(check int) "16,001 lines - 2 + synthesized end" 16_000 (Array.length f.Trace_io.trace);
+          Alcotest.(check bool) "same events" true (f.Trace_io.trace = l.Trace_io.trace);
+          Alcotest.(check (list int)) "same skipped lines" [ 5001 ] (List.map fst f.Trace_io.skipped);
+          Alcotest.(check bool) "same diagnostics" true (f.Trace_io.skipped = l.Trace_io.skipped))
+    [ "\n"; "\r\n" ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gates. Minor-heap words are deterministic for a given     *)
+(* trace and compiler, unlike time.                                    *)
+(* ------------------------------------------------------------------ *)
+
+let test_allocation_per_event () =
+  let record spec n = Recorder.record (fun e -> spec.Workloads.Workload.run (Workloads.Workload.params ~n ()) e) in
+  let trace = Array.append (record Workloads.Btree.spec 300) (record Workloads.Hashmap_tx.spec 300) in
+  let n = Array.length trace in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let path = Filename.temp_file "pmdebugger" ".pmt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let save = minor_words (fun () -> ignore (Trace_io.save_stream path (fun emit -> Array.iter emit trace))) in
+  let events = ref 0 in
+  let parse =
+    minor_words (fun () ->
+        match Trace_io.iter_file path ~f:ignore with
+        | Ok stats -> events := stats.Trace_io.events
+        | Error m -> Alcotest.fail m)
+  in
+  Alcotest.(check int) "every event read back" n !events;
+  let per_event w = w /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "iter_file allocates %.2f words/event over %d events (<= 6)" (per_event parse) n)
+    true
+    (per_event parse <= 6.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "save_stream allocates %.2f words/event (<= 2)" (per_event save))
+    true
+    (per_event save <= 2.0)
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -365,4 +720,12 @@ let suite =
     Alcotest.test_case "iter_file on missing file errors" `Quick test_iter_file_missing_file;
     Alcotest.test_case "streamed replay holds constant memory" `Quick test_streamed_replay_constant_memory;
     QCheck_alcotest.to_alcotest prop_event_roundtrip;
+    Alcotest.test_case "scanner edge cases = reference parser" `Quick test_scanner_edge_cases;
+    QCheck_alcotest.to_alcotest prop_scanner_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_folds_match_oracle;
+    QCheck_alcotest.to_alcotest prop_printer_matches_oracle;
+    Alcotest.test_case "line longer than the read buffer" `Quick test_line_longer_than_buffer;
+    Alcotest.test_case "last line without newline" `Quick test_last_line_without_newline;
+    Alcotest.test_case "lines split across reads" `Quick test_lines_split_across_reads;
+    Alcotest.test_case "allocation per event (parse, save)" `Quick test_allocation_per_event;
   ]
