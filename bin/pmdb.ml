@@ -680,6 +680,10 @@ let check_report_file path =
               Printf.printf "%s: valid pmdb-invariants/v1 report (%d invariants)\n" path
                 (List.length r.Infer.Invariant.invariants)
           | Error msg -> invalid path "invalid pmdb-invariants/v1 report: %s" msg)
+      | Some (Obs.Json.Str "pmdb-flightrec/v1") -> (
+          match Obs.Flightrec.validate_json json with
+          | Ok n -> Printf.printf "%s: valid pmdb-flightrec/v1 dump (%d entries)\n" path n
+          | Error msg -> invalid path "invalid pmdb-flightrec/v1 dump: %s" msg)
       | Some (Obs.Json.Str "pmdb-charz/v1") -> (
           match Obs.Json.member "events" json with
           | Some (Obs.Json.Int n) -> Printf.printf "%s: valid pmdb-charz/v1 report (%d events)\n" path n

@@ -81,9 +81,9 @@ type t = {
   model : model;
   rules : rule_set;
   config : Order_config.t;
-  make_space : Store_intf.backend;
-  dspace : Store_intf.instance;
-  strand_spaces : (int, Store_intf.instance) Hashtbl.t;
+  make_space : unit -> Space.t;
+  dspace : Space.t;
+  strand_spaces : (int, Space.t) Hashtbl.t;
   cur_strand : (int, int) Hashtbl.t; (* tid -> active strand section *)
   epoch_depth : (int, int) Hashtbl.t;
   epoch_fences : (int, int list ref) Hashtbl.t; (* tid -> fence seqs, newest first *)
@@ -113,15 +113,11 @@ type t = {
   mutable silent : bool;
 }
 
-let create ?(model = Strict) ?rules ?(config = Order_config.empty) ?backend ?array_capacity ?merge_threshold ?mode
+let create ?(model = Strict) ?rules ?(config = Order_config.empty) ?array_capacity ?merge_threshold ?mode
     ?interval_metadata ?pm ?recovery ?(crash_check_every_fence = false) ?(max_bugs_per_kind = 1000)
     ?(walk_dedup = true) ?(metrics = Obs.Metrics.disabled) ?(heatmap = Obs.Heatmap.disabled) () =
   let rules = match rules with Some r -> r | None -> default_rules model in
-  let make_space =
-    match backend with
-    | Some b -> b
-    | None -> Space.backend ?array_capacity ?merge_threshold ?mode ?interval_metadata ~metrics ()
-  in
+  let make_space () = Space.create ?array_capacity ?merge_threshold ?mode ?interval_metadata ~metrics () in
   (* Declare one zero counter per rule so a run's metrics file always
      carries the complete per-rule vector, fired or not. *)
   if Obs.Metrics.is_on metrics then
@@ -175,7 +171,7 @@ let all_spaces t =
    The walks build their findings first and admit them in
    {!Bug.compare_canonical} order rather than bookkeeping-structure
    order: which finding wins the per-(kind, addr) dedup must not depend
-   on the backend's internal layout (array vs tree vs flat) — and the
+   on the space's internal layout (array vs tree) — and the
    shard router's merge, which re-applies the same dedup over all
    shards' findings in the same canonical order, then reaches the same
    decisions. *)
@@ -183,7 +179,7 @@ let pending_walk_candidates ?(epoch_only = false) spaces =
   let acc = ref [] in
   List.iter
     (fun space ->
-      Store_intf.iter_pending space (fun ~addr ~size ~flushed ~epoch ~seq ~clf_seq ~fence_seq ->
+      Space.iter_pending space (fun ~addr ~size ~flushed ~epoch ~seq ~clf_seq ~fence_seq ->
           if epoch || not epoch_only then acc := (addr, size, flushed, seq, clf_seq, fence_seq) :: !acc))
     spaces;
   List.rev !acc
@@ -262,7 +258,7 @@ let update_var_persistence t =
             st
       in
       if st.stored && st.persisted = None then
-        if not (List.exists (fun s -> Store_intf.has_pending_overlap s ~lo:r.Addr.lo ~hi:r.Addr.hi) spaces) then
+        if not (List.exists (fun s -> Space.has_pending_overlap s ~lo:r.Addr.lo ~hi:r.Addr.hi) spaces) then
           st.persisted <- Some (t.seq, t.cur_class))
     t.vars
 
@@ -340,7 +336,7 @@ let store_scan t ~tid ~lo ~hi =
   let strand = match Hashtbl.find_opt t.cur_strand tid with Some s -> s | None -> -1 in
   let check_overlap = t.rules.multiple_overwrites && t.model = Strict in
   let r =
-    Store_intf.process_store space ~check_overlap ~addr:lo ~size:(hi - lo) ~epoch:(in_epoch t tid) ~seq:t.seq ~tid
+    Space.process_store space ~check_overlap ~addr:lo ~size:(hi - lo) ~epoch:(in_epoch t tid) ~seq:t.seq ~tid
       ~strand ()
   in
   note_var_store t ~lo ~hi;
@@ -353,7 +349,7 @@ let store_scan t ~tid ~lo ~hi =
     for line = Addr.line_of lo to Addr.line_of (hi - 1) do
       Obs.Heatmap.on_store t.heatmap ~seq:t.seq ~line
     done;
-  { Shard_router.so_overlapped = r.Store_intf.overlapped; so_prior_seqs = r.Store_intf.prior_seqs }
+  { Shard_router.so_overlapped = r.Space.overlapped; so_prior_seqs = r.Space.prior_seqs }
 
 let store_fire t ~addr ~size (obs : Shard_router.store_obs) =
   let check_overlap = t.rules.multiple_overwrites && t.model = Strict in
@@ -394,22 +390,22 @@ let check_strand_order_at_clf t ~lo ~hi =
    the merged observation and the event's full range). *)
 let clf_scan t ~tid ~lo ~hi =
   let primary = space_for t tid in
-  let result = Store_intf.process_clf primary ~seq:t.seq ~lo ~hi in
+  let result = Space.process_clf primary ~seq:t.seq ~lo ~hi in
   (* A CLWB acts on the physical line: under the strand extension it
      must also update any other strand's space tracking the line. *)
   let result =
     if Hashtbl.length t.strand_spaces = 0 then result
     else
       List.fold_left
-        (fun (acc : Store_intf.clf_result) space ->
-          if space == primary || not (Store_intf.has_pending_overlap space ~lo ~hi) then acc
+        (fun (acc : Space.clf_result) space ->
+          if space == primary || not (Space.has_pending_overlap space ~lo ~hi) then acc
           else begin
-            let r = Store_intf.process_clf space ~seq:t.seq ~lo ~hi in
+            let r = Space.process_clf space ~seq:t.seq ~lo ~hi in
             {
-              Store_intf.matched = acc.Store_intf.matched + r.Store_intf.matched;
-              newly_flushed = acc.Store_intf.newly_flushed + r.Store_intf.newly_flushed;
-              redundant = acc.Store_intf.redundant @ r.Store_intf.redundant;
-              redundant_prov = acc.Store_intf.redundant_prov @ r.Store_intf.redundant_prov;
+              Space.matched = acc.Space.matched + r.Space.matched;
+              newly_flushed = acc.Space.newly_flushed + r.Space.newly_flushed;
+              redundant = acc.Space.redundant @ r.Space.redundant;
+              redundant_prov = acc.Space.redundant_prov @ r.Space.redundant_prov;
             }
           end)
         result (all_spaces t)
@@ -419,12 +415,12 @@ let clf_scan t ~tid ~lo ~hi =
       Obs.Heatmap.on_clf t.heatmap ~seq:t.seq ~line
     done;
   {
-    Shard_router.co_matched = result.Store_intf.matched;
-    co_newly = result.Store_intf.newly_flushed;
+    Shard_router.co_matched = result.Space.matched;
+    co_newly = result.Space.newly_flushed;
     co_redundant =
       List.map2
         (fun (a, s) (store_seq, prior_clf) -> (a, s, store_seq, prior_clf))
-        result.Store_intf.redundant result.Store_intf.redundant_prov;
+        result.Space.redundant result.Space.redundant_prov;
   }
 
 let clf_fire t ~addr ~size (obs : Shard_router.clf_obs) =
@@ -465,8 +461,8 @@ let on_clf t ~addr ~size ~tid =
 
 let on_fence t ~tid =
   let space = space_for t tid in
-  Store_intf.note_fence_sample space;
-  Store_intf.process_fence ~seq:t.seq space;
+  Space.note_fence_sample space;
+  Space.process_fence ~seq:t.seq space;
   if in_epoch t tid then begin
     let fences =
       match Hashtbl.find_opt t.epoch_fences tid with
@@ -516,7 +512,7 @@ let on_epoch_end t ~tid =
     end;
     if t.rules.lack_durability_in_epoch && not t.silent then begin
       let space = space_for t tid in
-      if Store_intf.exists_epoch_pending space then
+      if Space.exists_epoch_pending space then
         (* Report each still-pending epoch location, in canonical order
            — see [pending_walk_candidates]. *)
         List.map
@@ -644,21 +640,21 @@ let bugs_in_order t = List.rev t.bug_list
 
 let stats t =
   let spaces = all_spaces t in
-  let tree_nodes = List.fold_left (fun acc s -> acc + Store_intf.tree_size s) 0 spaces in
-  let reorgs = List.fold_left (fun acc s -> acc + Store_intf.reorganizations s) 0 spaces in
+  let tree_nodes = List.fold_left (fun acc s -> acc + Space.tree_size s) 0 spaces in
+  let reorgs = List.fold_left (fun acc s -> acc + Space.reorganizations s) 0 spaces in
   [
     ("tree_size", float_of_int tree_nodes);
     ("reorganizations", float_of_int reorgs);
-    ("avg_tree_nodes_per_fence", Store_intf.avg_tree_nodes_per_fence t.dspace);
+    ("avg_tree_nodes_per_fence", Space.avg_tree_nodes_per_fence t.dspace);
     ("spaces", float_of_int (List.length spaces));
   ]
 
 let report t =
   { Bug.detector = "pmdebugger"; bugs = bugs_in_order t; events_processed = t.events; stats = stats t; failure = None }
 
-let avg_tree_nodes_per_fence t = Store_intf.avg_tree_nodes_per_fence t.dspace
+let avg_tree_nodes_per_fence t = Space.avg_tree_nodes_per_fence t.dspace
 
-let reorganizations t = List.fold_left (fun acc s -> acc + Store_intf.reorganizations s) 0 (all_spaces t)
+let reorganizations t = List.fold_left (fun acc s -> acc + Space.reorganizations s) 0 (all_spaces t)
 
 let sink t =
   Sink.make ~name:"pmdebugger"
@@ -666,8 +662,6 @@ let sink t =
     ~finish:(fun () ->
       on_program_end t;
       report t)
-
-let backend_name t = Store_intf.name t.dspace
 
 (* One detector as one shard worker: the full event path for routed
    events, and the scan/fire halves for the router's stall path. The

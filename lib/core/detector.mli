@@ -33,13 +33,12 @@ val create :
   ?model:model (** default [Strict] *) ->
   ?rules:rule_set (** default [default_rules model] *) ->
   ?config:Order_config.t ->
-  ?backend:Store_intf.backend
-    (** bookkeeping backend factory; overrides the four knobs below.
-        Default: {!Space.backend} (the paper's hybrid structure). *) ->
   ?array_capacity:int ->
   ?merge_threshold:int ->
   ?mode:Space.mode ->
-  ?interval_metadata:bool ->
+  ?interval_metadata:bool
+    (** these four knobs configure every {!Space.create} the detector
+        makes (one space, or one per strand section) *) ->
   ?pm:Pmem.State.t (** live PM state, required for cross-failure checks *) ->
   ?recovery:(Pmem.Image.t -> bool) ->
   ?crash_check_every_fence:bool (** default false: check at program end only *) ->
@@ -75,14 +74,11 @@ val sink : t -> Pmtrace.Sink.t
 val report : t -> Pmtrace.Bug.report
 (** Current report (also returned by the sink's [finish]). *)
 
-val backend_name : t -> string
-(** Name of the bookkeeping backend in use ("hybrid", "flat", …). *)
-
 val worker : t -> Pmtrace.Shard_router.worker
 (** This detector as one shard of the sharded pipeline: pass
     [fun _ -> Detector.worker (Detector.create ~walk_dedup:false ...)]
     to {!Pmtrace.Shard_router.sink}. Each shard needs its own detector
-    (with its own backend) created with [~walk_dedup:false] — the merge
+    (with its own spaces) created with [~walk_dedup:false] — the merge
     performs the pending-walk dedup globally; per-shard detectors must
     use disabled [metrics] — hand the registry to the router instead. *)
 

@@ -128,9 +128,9 @@ let purge_registration t ~lo ~hi (p : Slot.payload) =
 
 (* Cap on prior-store seqs collected per store: causal chains need the
    earliest few overwritten stores, not an unbounded history under hot
-   addresses. The shared constant keeps every backend — and the
-   cross-shard merge — on the same cap. *)
-let max_prior_seqs = Store_intf.max_prior_seqs
+   addresses. The cross-shard merge re-caps the union of per-shard
+   lists, so both must use one constant. *)
+let max_prior_seqs = Pmtrace.Shard_router.max_prior_seqs
 
 let unflush_overlaps t ~need_overlap ~lo ~hi =
   if bounds_miss t ~lo ~hi then begin
@@ -151,8 +151,8 @@ let unflush_overlaps t ~need_overlap ~lo ~hi =
        later CLF match counts), and skipping it for all-unflushed
        intervals — the former Pattern 3 fast path — made that outcome
        depend on the flush state of unrelated slots sharing the
-       interval: a cross-line effect that diverged from the tree and
-       flat backends and broke shard parity. [need_overlap] now gates
+       interval: a cross-line effect that diverged from the tree mode and
+       the flat oracle and broke shard parity. [need_overlap] now gates
        only the prior-seq observation. *)
     if not (Clf_meta.is_empty m) then
       match Clf_meta.addr_range m with
@@ -229,7 +229,7 @@ let unflush_overlaps t ~need_overlap ~lo ~hi =
   end
   end
 
-type store_result = Store_intf.store_result = { overlapped : bool; prior_seqs : int list }
+type store_result = { overlapped : bool; prior_seqs : int list }
 
 let take n l =
   let rec go n = function x :: rest when n > 0 -> x :: go (n - 1) rest | _ -> [] in
@@ -285,7 +285,7 @@ let find_overlap t ~lo ~hi =
   !found
   end
 
-type clf_result = Store_intf.clf_result = {
+type clf_result = {
   matched : int;
   newly_flushed : int;
   redundant : (int * int) list;
@@ -488,11 +488,16 @@ let fold_pending t ~init ~f =
         if s.Slot.valid then begin
           (* Individually flushed slots carry their own CLF seq; a slot
              flushed only via the collective interval state inherits the
-             interval's. *)
-          let clf_seq = if s.Slot.clf_seq >= 0 then s.Slot.clf_seq else m.Clf_meta.clf_seq in
+             interval's. An unflushed slot reports none, even when its
+             interval was flushed collectively before a partial
+             overwrite dirtied it again. *)
+          let flushed = slot_flushed t m s in
+          let clf_seq =
+            if not flushed then -1 else if s.Slot.clf_seq >= 0 then s.Slot.clf_seq else m.Clf_meta.clf_seq
+          in
           acc :=
-            f !acc ~addr:s.Slot.addr ~size:s.Slot.size ~flushed:(slot_flushed t m s) ~epoch:s.Slot.epoch
-              ~seq:s.Slot.seq ~clf_seq ~fence_seq:(-1)
+            f !acc ~addr:s.Slot.addr ~size:s.Slot.size ~flushed ~epoch:s.Slot.epoch ~seq:s.Slot.seq ~clf_seq
+              ~fence_seq:(-1)
         end
       done
   in
@@ -567,30 +572,3 @@ let stats t =
     ("reorganizations", float_of_int (reorganizations t));
     ("rotations", float_of_int (Rangetree.stats t.tree).Rangetree.rotations);
   ]
-
-(* The hybrid space as a pluggable bookkeeping backend. *)
-module Store = struct
-  type nonrec t = t
-
-  let name = "hybrid"
-  let process_store = process_store
-  let find_overlap = find_overlap
-  let process_clf = process_clf
-  let process_fence = process_fence
-  let has_pending_overlap = has_pending_overlap
-  let exists_epoch_pending = exists_epoch_pending
-  let iter_pending = iter_pending
-  let pending_count = pending_count
-  let clear = clear
-  let tree_size = tree_size
-  let array_live = array_live
-  let note_fence_sample = note_fence_sample
-  let avg_tree_nodes_per_fence = avg_tree_nodes_per_fence
-  let reorganizations = reorganizations
-  let stats = stats
-end
-
-let backend ?array_capacity ?merge_threshold ?mode ?interval_metadata ?metrics () : Store_intf.backend =
- fun () ->
-  Store_intf.Instance
-    ((module Store), create ?array_capacity ?merge_threshold ?mode ?interval_metadata ?metrics ())

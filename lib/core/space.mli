@@ -49,12 +49,13 @@ val create :
 
 (** {1 Processing} *)
 
-type store_result = Store_intf.store_result = {
+type store_result = {
   overlapped : bool;  (** some tracked location overlapped the store *)
   prior_seqs : int list;
       (** store seqs of the overlapped locations — sorted ascending,
-          deduplicated, capped at 8 (canonical regardless of bookkeeping
-          mode); the causal history of a multiple-overwrites finding.
+          deduplicated, capped at {!Pmtrace.Shard_router.max_prior_seqs}
+          (canonical regardless of bookkeeping mode); the causal
+          history of a multiple-overwrites finding.
           Best-effort under [~check_overlap:false] (intervals skipped by
           the Pattern-3 fast path are not walked) and after tree merges
           (a merged node keeps only its newest store's seq). *)
@@ -82,7 +83,7 @@ val find_overlap : t -> lo:int -> hi:int -> int option
 (** Sequence number of some tracked, still-unpersisted location
     overlapping the range, if any. *)
 
-type clf_result = Store_intf.clf_result = {
+type clf_result = {
   matched : int;  (** tracked locations the flush covered (fully or partly) *)
   newly_flushed : int;  (** covered locations that were not already flushed *)
   redundant : (int * int) list;  (** (addr, size) of already-flushed hits *)
@@ -149,22 +150,3 @@ val stats : t -> (string * float) list
 (** Tree and array statistics by name, among them [array_live] (slots
     appended in the current fence interval) and [array_slots] (slots
     allocated so far: at most [array_capacity]). *)
-
-(** {1 Backend packaging}
-
-    The hybrid space as a {!Store_intf.LOCATION_STORE}: the reference
-    bookkeeping backend the detector uses unless an alternative (e.g.
-    {!Flat_store}) is plugged in. *)
-
-module Store : Store_intf.LOCATION_STORE with type t = t
-
-val backend :
-  ?array_capacity:int ->
-  ?merge_threshold:int ->
-  ?mode:mode ->
-  ?interval_metadata:bool ->
-  ?metrics:Obs.Metrics.t ->
-  unit ->
-  Store_intf.backend
-(** A factory closing over the given knobs; each call of the resulting
-    backend creates a fresh space. *)

@@ -74,96 +74,57 @@ let plan_invariants plan =
 (* Strategies                                                          *)
 (* ------------------------------------------------------------------ *)
 
-module type STRATEGY = sig
-  type t
+type strategy = Exhaustive | Guided | Sampled
 
-  val name : string
-  val create : plan -> t
-  val schedule : t -> int array
-  val dropped : t -> int
-  val invariants : t -> Infer.Invariant.report option
-end
+let exhaustive = Exhaustive
+let guided = Guided
+let sampled = Sampled
 
-type instance = Instance : (module STRATEGY with type t = 'a) * 'a -> instance
-type strategy = plan -> instance
+let strategy_name = function Exhaustive -> "exhaustive" | Guided -> "guided" | Sampled -> "sampled"
 
-let strategy_name (Instance ((module S), _)) = S.name
-let strategy_schedule (Instance ((module S), t)) = S.schedule t
-let strategy_dropped (Instance ((module S), t)) = S.dropped t
-let strategy_invariants (Instance ((module S), t)) = S.invariants t
-
-module Exhaustive = struct
-  type t = int array
-
-  let name = "exhaustive"
-  let create plan = Array.init (Array.length plan.boundary_indexes) Fun.id
-  let schedule t = t
-  let dropped _ = 0
-  let invariants _ = None
-end
-
-module Guided = struct
-  type t = { order : int array; report : Infer.Invariant.report }
-
-  let name = "guided"
-
-  let create plan =
-    let report = plan_invariants plan in
-    let risks = Infer.Risk.scores report (plan_events plan) in
-    let n = Array.length plan.boundary_indexes in
-    let order = Array.init n Fun.id in
-    let risk_of pos =
-      let ev = plan.boundary_events.(pos) in
-      if ev >= 0 && ev < Array.length risks then risks.(ev) else 0.0
-    in
-    (* Highest risk first; trace order breaks ties, so an unbounded
-       guided run visits every boundary exhaustive does. *)
-    let cmp a b =
-      let c = compare (risk_of b) (risk_of a) in
-      if c <> 0 then c else compare a b
-    in
-    Array.sort cmp order;
-    { order; report }
-
-  let schedule t = t.order
-  let dropped _ = 0
-  let invariants t = Some t.report
-end
-
-module Sampled = struct
-  type t = { order : int array; dropped : int }
-
-  let name = "sampled"
-
-  let create plan =
-    let n = Array.length plan.boundary_indexes in
-    let k =
-      match plan.budget with
-      | None -> n
-      | Some b -> min n (max 1 (b / max 1 plan.max_images))
-    in
-    if k >= n then { order = Array.init n Fun.id; dropped = 0 }
-    else begin
-      (* Classic reservoir over boundary positions, seeded — a uniform
-         k-subset kept in trace order. *)
-      let rng = Random.State.make [| plan.seed; n; k |] in
-      let res = Array.init k Fun.id in
-      for i = k to n - 1 do
-        let j = Random.State.int rng (i + 1) in
-        if j < k then res.(j) <- i
-      done;
-      Array.sort compare res;
-      { order = res; dropped = n - k }
-    end
-
-  let schedule t = t.order
-  let dropped t = t.dropped
-  let invariants _ = None
-end
-
-let exhaustive plan = Instance ((module Exhaustive), Exhaustive.create plan)
-let guided plan = Instance ((module Guided), Guided.create plan)
-let sampled plan = Instance ((module Sampled), Sampled.create plan)
+(* The strategy's exploration order as positions into
+   [plan.boundary_indexes] (a subsequence, possibly a permutation, of
+   [0 .. n-1]), the boundaries it drops up front, and the invariant
+   report it ranked with. *)
+let schedule plan strategy =
+  let n = Array.length plan.boundary_indexes in
+  match strategy with
+  | Exhaustive -> (Array.init n Fun.id, 0, None)
+  | Guided ->
+      let report = plan_invariants plan in
+      let risks = Infer.Risk.scores report (plan_events plan) in
+      let order = Array.init n Fun.id in
+      let risk_of pos =
+        let ev = plan.boundary_events.(pos) in
+        if ev >= 0 && ev < Array.length risks then risks.(ev) else 0.0
+      in
+      (* Highest risk first; trace order breaks ties, so an unbounded
+         guided run visits every boundary exhaustive does. *)
+      let cmp a b =
+        let c = compare (risk_of b) (risk_of a) in
+        if c <> 0 then c else compare a b
+      in
+      Array.sort cmp order;
+      (order, 0, Some report)
+  | Sampled ->
+      let k =
+        match plan.budget with
+        | None -> n
+        | Some b -> min n (max 1 (b / max 1 plan.max_images))
+      in
+      if k >= n then (Array.init n Fun.id, 0, None)
+      else begin
+        (* Classic reservoir over boundary positions, seeded — a uniform
+           k-subset kept in trace order. *)
+        let rng = Random.State.make [| plan.seed; n; k |] in
+        let res = Array.init k Fun.id in
+        for i = k to n - 1 do
+          let j = Random.State.int rng (i + 1) in
+          if j < k then res.(j) <- i
+        done;
+        Array.sort compare res;
+        (res, n - k, None)
+      end
 
 let strategy_of_string = function
   | "exhaustive" -> Ok exhaustive
@@ -192,9 +153,8 @@ let is_monotone order =
   !ok
 
 let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery plan strategy =
-  let inst = strategy plan in
-  let order = strategy_schedule inst in
-  let name = strategy_name inst in
+  let order, dropped, invariants_used = schedule plan strategy in
+  let name = strategy_name strategy in
   let boundaries_checked = ref 0 and images_checked = ref 0 and failures = ref [] in
   let explored = ref 0 and stop = ref false in
   let budget_left () = match plan.budget with None -> max_int | Some b -> b - !images_checked in
@@ -253,7 +213,7 @@ let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery pla
     done
   end;
   let failures = List.sort (fun a b -> compare a.index b.index) !failures in
-  let skipped = strategy_dropped inst + (Array.length order - !explored) in
+  let skipped = dropped + (Array.length order - !explored) in
   Obs.Metrics.inc metrics ~by:!boundaries_checked "crash_explore_prefixes_replayed_total";
   Obs.Metrics.inc metrics ~by:!images_checked "crash_explore_images_tested_total";
   Obs.Metrics.inc metrics ~by:!images_checked ~labels:[ ("strategy", name) ] "explore_images_total";
@@ -270,7 +230,7 @@ let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery pla
     scheduled = Array.length order;
     explored = !explored;
     skipped;
-    invariants_used = strategy_invariants inst;
+    invariants_used;
   }
 
 (* ------------------------------------------------------------------ *)

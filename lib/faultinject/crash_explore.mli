@@ -1,4 +1,4 @@
-(** Crash-point exploration behind a pluggable strategy layer.
+(** Crash-point exploration under a choice of three strategies.
 
     The cross-failure rule as shipped only samples crash images at
     fences ({!Pmdebugger.Crash_check} via [crash_check_every_fence]).
@@ -10,10 +10,8 @@
     recovery predicate against each, and reports the exact event index
     of every boundary where some image fails recovery.
 
-    Which boundaries are visited, and in what order, is delegated to a
-    {!STRATEGY} (first-class module, mirroring
-    [Store_intf.LOCATION_STORE]): {!exhaustive} visits every boundary in
-    trace order (the pre-strategy behavior, byte-identical reports),
+    Which boundaries are visited, and in what order, is set by the
+    {!strategy}: {!exhaustive} visits every boundary in trace order,
     {!guided} ranks boundaries by inferred-invariant risk
     ({!Infer.Risk}) and visits highest-risk first, {!sampled} draws a
     seeded reservoir over the boundaries. An image budget on the
@@ -68,30 +66,11 @@ val plan_invariants : plan -> Infer.Invariant.report
 
 (** {1 Strategies} *)
 
-module type STRATEGY = sig
-  type t
-
-  val name : string
-  val create : plan -> t
-
-  val schedule : t -> int array
-  (** Positions into [plan.boundary_indexes] in exploration order — a
-      subsequence (possibly a permutation) of [0 .. n-1]. *)
-
-  val dropped : t -> int
-  (** Boundaries excluded from the schedule up front (reservoir cuts). *)
-
-  val invariants : t -> Infer.Invariant.report option
-  (** The invariant report the strategy ranked with, if any. *)
-end
-
-type instance = Instance : (module STRATEGY with type t = 'a) * 'a -> instance
-
-type strategy = plan -> instance
-(** A strategy factory: builds a packed instance for a plan. *)
+type strategy
+(** Which boundaries a run visits, and in what order. *)
 
 val exhaustive : strategy
-(** Every boundary, trace order — the pre-strategy explorer. *)
+(** Every boundary, trace order. *)
 
 val guided : strategy
 (** Boundaries ordered by descending invariant risk (inferring
@@ -106,10 +85,8 @@ val sampled : strategy
 val strategy_of_string : string -> (strategy, string) Stdlib.result
 (** ["exhaustive" | "guided" | "sampled"]. *)
 
-val strategy_name : instance -> string
-val strategy_schedule : instance -> int array
-val strategy_dropped : instance -> int
-val strategy_invariants : instance -> Infer.Invariant.report option
+val strategy_name : strategy -> string
+(** The inverse of {!strategy_of_string}. *)
 
 (** {1 Driver} *)
 

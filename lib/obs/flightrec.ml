@@ -188,64 +188,3 @@ let validate_json json =
         match check_ring r with Ok n -> go (total + n) rest | Error _ as err -> err)
   in
   go 0 rings
-
-(* ---------------------------------------------------------------- *)
-(* Perfetto rendering                                                *)
-(* ---------------------------------------------------------------- *)
-
-(* Timestamps are normalized to non-negative integer microseconds
-   relative to the earliest entry across all rings, so wall-clock and
-   virtual-time rings both render. cat="session" entries are grouped by
-   session id (the [a] argument) and drawn as lifecycle slices:
-   consecutive transitions pair into complete slices named after the
-   phase being left; the final entry is an instant when terminal
-   ([b] = 1, named after the exit status) and an open begin_slice when
-   the session was still in flight at dump time. Everything else
-   renders as instants carrying a/b as args. *)
-let render_entries p ~tid ~us entries =
-  let sessions = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      if e.e_cat = "session" then
-        Hashtbl.replace sessions e.e_a (e :: (Option.value ~default:[] (Hashtbl.find_opt sessions e.e_a)))
-      else
-        Perfetto.instant ~cat:e.e_cat ~tid p ~name:e.e_name ~ts:(us e.e_ts)
-          ~args:[ ("a", Json.Int e.e_a); ("b", Json.Int e.e_b) ])
-    entries;
-  (* Deterministic session order: by id. *)
-  Hashtbl.fold (fun id es acc -> (id, List.rev es) :: acc) sessions []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (id, es) ->
-         let args = [ ("session", Json.Int id) ] in
-         let rec slices = function
-           | [] -> ()
-           | [ final ] ->
-               if final.e_b = 1 then
-                 Perfetto.instant ~cat:"session" ~tid p ~name:final.e_name ~ts:(us final.e_ts) ~args
-               else
-                 Perfetto.begin_slice ~cat:"session" ~tid p ~name:final.e_name ~ts:(us final.e_ts)
-                   ~args
-           | a :: (b :: _ as rest) ->
-               Perfetto.complete ~cat:"session" ~tid p ~name:a.e_name ~ts:(us a.e_ts)
-                 ~dur:(us b.e_ts - us a.e_ts) ~args;
-               slices rest
-         in
-         slices es)
-
-let dump_to_perfetto ?last rings =
-  let windows = List.map (fun (label, t) -> (label, window ?last t)) rings in
-  let tmin =
-    List.fold_left
-      (fun acc (_, es) -> List.fold_left (fun acc e -> Float.min acc e.e_ts) acc es)
-      infinity windows
-  in
-  let tmin = if tmin = infinity then 0.0 else tmin in
-  let us ts = max 0 (int_of_float ((ts -. tmin) *. 1e6)) in
-  let p = Perfetto.create () in
-  Perfetto.process_name p "pmdb flight recorder";
-  List.iteri
-    (fun tid (label, entries) ->
-      Perfetto.thread_name ~tid p label;
-      render_entries p ~tid ~us entries)
-    windows;
-  Perfetto.to_json p

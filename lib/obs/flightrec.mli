@@ -1,8 +1,8 @@
 (** Always-on flight recorder: a fixed-capacity ring buffer of recent
     structured events — the daemon's black box. When a session is
     quarantined, evicted, or the daemon gets [SIGQUIT], the last-N
-    window is dumped (JSON and Perfetto) so the evidence of what the
-    tool was doing survives the failure.
+    window is dumped (JSON here, Perfetto through {!Tracecat.merge}) so
+    the evidence of what the tool was doing survives the failure.
 
     Design constraints, in order:
 
@@ -81,20 +81,3 @@ val dump_to_json : ?last:int -> ?meta:(string * Json.t) list -> (string * t) lis
 val validate_json : Json.t -> (int, string) result
 (** Structural check of a {!dump_to_json} document; returns the total
     entry count across rings. *)
-
-val dump_to_perfetto : ?last:int -> (string * t) list -> Json.t
-(** Render the same window as a Chrome trace-event document: one
-    thread track per ring, timestamps normalized to non-negative
-    microseconds relative to the earliest entry. [cat="session"]
-    entries are grouped by session id ([a]) into lifecycle slices —
-    consecutive transitions become complete slices, a terminal final
-    entry ([b] = 1) an instant, a non-terminal final entry an open
-    {!Perfetto.begin_slice}. Other categories render as instants
-    carrying [a]/[b] as args. *)
-
-val render_entries : Perfetto.t -> tid:int -> us:(float -> int) -> entry list -> unit
-(** The per-ring rendering core of {!dump_to_perfetto} (session
-    lifecycle slices, everything else as instants), exposed so
-    {!Tracecat} can fold many rings into one document with a shared
-    time base — [us] converts an entry timestamp to trace
-    microseconds. *)

@@ -1,19 +1,56 @@
 (* Daemon-wide causal trace: fold per-domain flight-recorder rings and
    coarse Span phases into ONE Perfetto document on a shared time base.
 
-   The separate per-ring dumps (Flightrec.dump_to_perfetto) already
-   show each domain's recent history, but causality between domains —
-   which router publish a worker's burst of work answers to — is
-   invisible when each ring normalizes its own clock. Here every ring
-   shares one tmin, one track per ring, and matched frame
-   publish/pop records (cat="frame", a = shard, b = frame index; the
-   shard's queue is FIFO, so (shard, index) names one frame end to
-   end) render as paired slices joined by a Chrome flow arrow from
-   the publishing track to the consuming track. *)
+   Causality between domains — which router publish a worker's burst
+   of work answers to — is invisible when each ring normalizes its own
+   clock. Here every ring shares one tmin, one track per ring, and
+   matched frame publish/pop records (cat="frame", a = shard, b =
+   frame index; the shard's queue is FIFO, so (shard, index) names one
+   frame end to end) render as paired slices joined by a Chrome flow
+   arrow from the publishing track to the consuming track. *)
 
 let frame_pub e = e.Flightrec.e_cat = "frame" && e.Flightrec.e_name = "publish"
 
 let frame_pop e = e.Flightrec.e_cat = "frame" && e.Flightrec.e_name = "pop"
+
+(* One ring's entries on track [tid]; [us] maps an entry timestamp to
+   trace microseconds on the shared time base. cat="session" entries
+   are grouped by session id (the [a] argument) and drawn as lifecycle
+   slices: consecutive transitions pair into complete slices named
+   after the phase being left; the final entry is an instant when
+   terminal ([b] = 1, named after the exit status) and an open
+   begin_slice when the session was still in flight at dump time.
+   Everything else renders as instants carrying a/b as args. *)
+let render_entries p ~tid ~us entries =
+  let open Flightrec in
+  let sessions = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      if e.e_cat = "session" then
+        Hashtbl.replace sessions e.e_a (e :: Option.value ~default:[] (Hashtbl.find_opt sessions e.e_a))
+      else
+        Perfetto.instant ~cat:e.e_cat ~tid p ~name:e.e_name ~ts:(us e.e_ts)
+          ~args:[ ("a", Json.Int e.e_a); ("b", Json.Int e.e_b) ])
+    entries;
+  (* Deterministic session order: by id. *)
+  Hashtbl.fold (fun id es acc -> (id, List.rev es) :: acc) sessions []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (id, es) ->
+         let args = [ ("session", Json.Int id) ] in
+         let rec slices = function
+           | [] -> ()
+           | [ final ] ->
+               if final.e_b = 1 then
+                 Perfetto.instant ~cat:"session" ~tid p ~name:final.e_name ~ts:(us final.e_ts) ~args
+               else
+                 Perfetto.begin_slice ~cat:"session" ~tid p ~name:final.e_name ~ts:(us final.e_ts)
+                   ~args
+           | a :: (b :: _ as rest) ->
+               Perfetto.complete ~cat:"session" ~tid p ~name:a.e_name ~ts:(us a.e_ts)
+                 ~dur:(us b.e_ts - us a.e_ts) ~args;
+               slices rest
+         in
+         slices es)
 
 let merge ?last ?(spans = []) ?(metadata = []) rings =
   let windows = List.map (fun (label, r) -> (label, Flightrec.window ?last r)) rings in
@@ -62,7 +99,7 @@ let merge ?last ?(spans = []) ?(metadata = []) rings =
   List.iteri
     (fun tid (label, entries) ->
       Perfetto.thread_name ~tid p label;
-      Flightrec.render_entries p ~tid ~us
+      render_entries p ~tid ~us
         (List.filter (fun e -> not ((frame_pub e || frame_pop e) && is_matched e)) entries))
     windows;
   (* Matched frames: a 1us slice at each end (flows bind to enclosing

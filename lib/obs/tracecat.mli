@@ -2,9 +2,9 @@
     {!Flightrec} ring plus the coarse {!Span} phases folded into {e
     one} Chrome trace-event document on a shared time base.
 
-    Per-ring dumps ({!Flightrec.dump_to_perfetto}) each normalize their
-    own clock, so causality {e between} domains is invisible. Here all
-    rings share one origin (the earliest entry or span across
+    It is the one Perfetto renderer for flight-recorder rings: the
+    daemon's black-box dumps and its causal traces both come from
+    {!merge}. All rings share one origin (the earliest entry or span across
     everything), each ring gets one thread track in list order, and
     frame hand-offs render as flow arrows:
 
@@ -19,9 +19,12 @@
       of its bounded ring, or the frame was still in flight) stay plain
       instants — arrows are only drawn when both ends survive.
 
-    Everything else renders exactly as the per-ring dump does
-    ({!Flightrec.render_entries}): session lifecycle slices, instants
-    with [a]/[b] args. [spans] (e.g. {!Span.finished} of the CLI's
+    Everything else renders per ring: [cat="session"] entries are
+    grouped by session id ([a]) into lifecycle slices — consecutive
+    transitions become complete slices, a terminal final entry ([b] =
+    1) an instant, a non-terminal final entry an open
+    {!Perfetto.begin_slice}; other categories render as instants
+    carrying [a]/[b] as args. [spans] (e.g. {!Span.finished} of the CLI's
     run/finish/replay phases) draw on a final ["phases"] track as
     complete slices, so fine-grained domain activity reads against the
     overall timeline. *)

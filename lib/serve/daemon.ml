@@ -81,14 +81,27 @@ let now () = Unix.gettimeofday ()
 
 let session_label s = [ ("session", Session.name s) ]
 
+(* Write to a temp file and rename into place, so a reader never sees a
+   half-written file. Best-effort: a failing write must never take the
+   daemon down. *)
+let write_atomic path text =
+  try
+    let tmp = path ^ ".tmp" in
+    let oc = open_out tmp in
+    output_string oc text;
+    close_out oc;
+    Sys.rename tmp path
+  with Sys_error _ -> ()
+
+let write_json_atomic path json = write_atomic path (Obs.Json.to_string ~indent:true json ^ "\n")
+
 (* {2 Flight recorder} *)
 
 let record t ~cat ~name ~a ~b =
   if Obs.Flightrec.is_on t.flightrec then Obs.Flightrec.record t.flightrec ~ts:(now ()) ~cat ~name ~a ~b
 
 (* The black-box dump: the dispatch ring plus every worker ring,
-   written as JSON and as a Perfetto trace. Best-effort by design — a
-   failing dump must never take the daemon down. *)
+   written as JSON and as a Perfetto trace. Best-effort by design. *)
 let dump_flightrec t ~reason ~session =
   match t.cfg.flightrec_dir with
   | None -> ()
@@ -104,18 +117,8 @@ let dump_flightrec t ~reason ~session =
         ]
       in
       let base = Filename.concat dir (Printf.sprintf "flightrec-%s-%s-%d" session reason n) in
-      let write path json =
-        try
-          let tmp = path ^ ".tmp" in
-          let oc = open_out tmp in
-          output_string oc (Obs.Json.to_string ~indent:true json);
-          output_char oc '\n';
-          close_out oc;
-          Sys.rename tmp path
-        with Sys_error _ -> ()
-      in
-      write (base ^ ".json") (Obs.Flightrec.dump_to_json ~meta rings);
-      write (base ^ ".perfetto.json") (Obs.Flightrec.dump_to_perfetto rings)
+      write_json_atomic (base ^ ".json") (Obs.Flightrec.dump_to_json ~meta rings);
+      write_json_atomic (base ^ ".perfetto.json") (Obs.Tracecat.merge ~metadata:meta rings)
   | Some _ -> ()
 
 (* The daemon-wide causal trace: every ring merged into one Perfetto
@@ -130,14 +133,7 @@ let dump_trace t ~reason =
       let rings = ("dispatch", t.flightrec) :: Pool.flightrec_rings t.pool in
       let metadata = [ ("reason", Obs.Json.Str reason); ("time", Obs.Json.Float (now ())) ] in
       let path = Filename.concat dir (Printf.sprintf "trace-%s-%d.perfetto.json" reason n) in
-      (try
-         let tmp = path ^ ".tmp" in
-         let oc = open_out tmp in
-         output_string oc (Obs.Json.to_string ~indent:true (Obs.Tracecat.merge ~metadata rings));
-         output_char oc '\n';
-         close_out oc;
-         Sys.rename tmp path
-       with Sys_error _ -> ())
+      write_json_atomic path (Obs.Tracecat.merge ~metadata rings)
   | Some _ -> ()
 
 (* {2 Socket plumbing} *)
@@ -581,19 +577,12 @@ let tick_conn t conn =
 
 (* {2 Prometheus metrics file} *)
 
-(* Atomic periodic exposition: render to a temp file, rename into
-   place, so a scraper never reads a half-written document. *)
+(* Atomic periodic exposition: a scraper never reads a half-written
+   document. *)
 let write_metrics_file t =
   match t.cfg.metrics_file with
   | None -> ()
-  | Some path -> (
-      try
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        output_string oc (Obs.Prometheus.render (merged_snapshot t));
-        close_out oc;
-        Sys.rename tmp path
-      with Sys_error _ -> ())
+  | Some path -> write_atomic path (Obs.Prometheus.render (merged_snapshot t))
 
 (* {2 Accept} *)
 

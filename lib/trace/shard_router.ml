@@ -18,7 +18,7 @@ open Pmem
    step on the router's domain at each publish. *)
 
 let max_prior_seqs = 8
-(* Must match the per-backend cap (Store_intf.max_prior_seqs references
+(* Must match the bookkeeping cap (Space.max_prior_seqs references
    this constant): the cross-shard merge keeps the 8 smallest seqs of
    the union, which equals the single-shard cap because each shard's
    list is itself the 8 smallest of its partition. *)

@@ -201,8 +201,8 @@ let test_budget_caps_images () =
                     true
                     (List.for_all (fun i -> List.mem i full) (failure_indexes o));
                   Alcotest.(check int)
-                    (id ^ ": skipped accounts for schedule cuts")
-                    (o.CE.scheduled - o.CE.explored + CE.strategy_dropped (strat plan))
+                    (id ^ ": skipped accounts for every unexplored boundary")
+                    (Array.length plan.CE.boundary_indexes - o.CE.explored)
                     o.CE.skipped)
                 [ CE.guided; CE.sampled ])
             [ 1; 3; 8 ])

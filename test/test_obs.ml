@@ -418,7 +418,7 @@ let test_flightrec_perfetto () =
       (0.3, "session", "ok", 1, 1);
       (0.4, "session", "open", 2, 0);
     ];
-  let doc = F.dump_to_perfetto [ ("dispatch", r) ] in
+  let doc = Obs.Tracecat.merge [ ("dispatch", r) ] in
   match Obs.Perfetto.validate_json doc with
   | Ok n -> Alcotest.(check bool) (Printf.sprintf "%d trace events" n) true (n > 0)
   | Error msg -> Alcotest.fail msg

@@ -1,19 +1,20 @@
 (* The sharded detection pipeline: SPSC queue, router parity against
    the single-detector run (the equality contract), cross-shard
-   prior-seq merging, finish_all ordering and the flat baseline
-   backend. *)
+   prior-seq merging, finish_all ordering, and the bookkeeping space
+   against the flat reference oracle. *)
 
 open Pmtrace
 module D = Pmdebugger.Detector
-module SI = Pmdebugger.Store_intf
+module Space = Pmdebugger.Space
+module F = Flat_oracle
 
 (* The plain detector reports findings in discovery order, the sharded
    merge in canonical order; sort both before comparing renders. *)
 let canon (r : Bug.report) =
   Bug.render_canonical { r with Bug.bugs = List.sort Bug.compare_canonical r.Bug.bugs }
 
-let replay_plain ?mode ?backend ?(model = D.Strict) trace =
-  Recorder.replay trace (D.sink (D.create ~model ?mode ?backend ()))
+let replay_plain ?mode ?(model = D.Strict) trace =
+  Recorder.replay trace (D.sink (D.create ~model ?mode ()))
 
 let replay_sharded ?mode ?(model = D.Strict) ?(domains = false) ~shards trace =
   Recorder.replay trace
@@ -320,8 +321,7 @@ let test_merge_store_obs_cap () =
   Alcotest.(check (list int))
     "cap keeps the smallest max_prior_seqs of the union" [ 1; 2; 3; 4; 5; 6; 7; 8 ]
     m.Shard_router.so_prior_seqs;
-  Alcotest.(check int) "the cap is 8" 8 Shard_router.max_prior_seqs;
-  Alcotest.(check int) "backends share the constant" Shard_router.max_prior_seqs SI.max_prior_seqs
+  Alcotest.(check int) "the cap is 8" 8 Shard_router.max_prior_seqs
 
 (* A store spanning two shards' cache lines with more prior stores than
    the cap: the merged chain must be the 8 smallest seqs of the union,
@@ -632,29 +632,77 @@ let prop_cap_parity =
           canon { r with Bug.failure = None } = canon plain)
         [ 2; 4 ])
 
-let prop_flat_backend_equivalent =
-  QCheck.Test.make ~name:"flat backend produces the hybrid backend's findings" ~count:40 gen_trace (fun input ->
+(* The space and the flat oracle in lockstep over a detector-shaped
+   trace: after every store, CLF and fence, each observation a rule can
+   read must agree — the op's own result, overlap queries on its range,
+   the epoch query and the whole pending set with its provenance. The
+   rules are a function of these observations, so agreement here means
+   the findings agree too. Redundant hits are compared as a sorted set
+   of (hit, provenance) pairs: their order is walk order. *)
+let prop_flat_oracle_lockstep =
+  QCheck.Test.make ~name:"space observations equal the flat oracle's, op by op" ~count:200 gen_trace (fun input ->
+      let sp = Space.create () and fl = F.create () in
+      let epoch = ref false in
+      let pending iter =
+        let acc = ref [] in
+        iter (fun ~addr ~size ~flushed ~epoch ~seq ~clf_seq ~fence_seq ->
+            acc := (addr, size, flushed, epoch, seq, clf_seq, fence_seq) :: !acc);
+        List.sort compare !acc
+      in
+      let canon_clf (r : Space.clf_result) =
+        (r.Space.matched, r.Space.newly_flushed, List.sort compare (List.combine r.Space.redundant r.Space.redundant_prov))
+      in
+      let range_agrees ~lo ~hi =
+        Space.has_pending_overlap sp ~lo ~hi = F.has_pending_overlap fl ~lo ~hi
+        && Option.is_some (Space.find_overlap sp ~lo ~hi) = Option.is_some (F.find_overlap fl ~lo ~hi)
+      in
+      let step seq ev =
+        let op_agrees =
+          match ev with
+          | Event.Store { addr; size; tid } ->
+              Space.process_store sp ~addr ~size ~epoch:!epoch ~seq ~tid ~strand:(-1) ()
+              = F.process_store fl ~addr ~size ~epoch:!epoch ~seq ~tid ~strand:(-1) ()
+              && range_agrees ~lo:addr ~hi:(addr + size)
+          | Event.Clf { addr; size; _ } ->
+              canon_clf (Space.process_clf ~seq sp ~lo:addr ~hi:(addr + size))
+              = canon_clf (F.process_clf ~seq fl ~lo:addr ~hi:(addr + size))
+              && range_agrees ~lo:addr ~hi:(addr + size)
+          | Event.Fence _ ->
+              Space.process_fence ~seq sp;
+              F.process_fence ~seq fl;
+              true
+          | Event.Epoch_begin _ ->
+              epoch := true;
+              true
+          | Event.Epoch_end _ ->
+              epoch := false;
+              true
+          | _ -> true
+        in
+        op_agrees
+        && Space.exists_epoch_pending sp = F.exists_epoch_pending fl
+        && pending (Space.iter_pending sp) = pending (F.iter_pending fl)
+      in
       let trace = trace_of input in
-      canon (replay_plain ~backend:(Pmdebugger.Flat_store.backend ()) trace) = canon (replay_plain trace))
+      let rec go i = i = Array.length trace || (step (i + 1) trace.(i) && go (i + 1)) in
+      go 0)
 
 (* ---------------------------------------------------------------- *)
-(* Flat baseline backend semantics                                   *)
+(* Flat oracle semantics                                             *)
 (* ---------------------------------------------------------------- *)
-
-module F = Pmdebugger.Flat_store.Store
 
 let test_flat_lifecycle () =
-  let f = Pmdebugger.Flat_store.create () in
+  let f = F.create () in
   ignore (F.process_store f ~addr:100 ~size:8 ~epoch:false ~seq:1 ~tid:0 ~strand:(-1) ());
   Alcotest.(check int) "tracked" 1 (F.pending_count f);
   let r = F.process_clf f ~lo:64 ~hi:128 in
-  Alcotest.(check int) "matched" 1 r.SI.matched;
-  Alcotest.(check int) "newly flushed" 1 r.SI.newly_flushed;
+  Alcotest.(check int) "matched" 1 r.Space.matched;
+  Alcotest.(check int) "newly flushed" 1 r.Space.newly_flushed;
   F.process_fence f;
   Alcotest.(check int) "fence drains flushed" 0 (F.pending_count f)
 
 let test_flat_partial_clf_splits () =
-  let f = Pmdebugger.Flat_store.create () in
+  let f = F.create () in
   (* One store straddling the flush boundary: the covered half persists,
      the remainder stays tracked unflushed. *)
   ignore (F.process_store f ~addr:60 ~size:8 ~epoch:false ~seq:1 ~tid:0 ~strand:(-1) ());
@@ -666,14 +714,21 @@ let test_flat_partial_clf_splits () =
   Alcotest.(check (list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.bool)))
     "unflushed remainder survives" [ (64, 4, false) ] !remaining
 
+(* Ten prior stores under one overwrite: both the oracle and the space
+   keep the earliest max_prior_seqs of them. *)
 let test_flat_overwrite_priors () =
-  let f = Pmdebugger.Flat_store.create () in
-  for i = 0 to 9 do
-    ignore (F.process_store f ~addr:(8 * i) ~size:8 ~epoch:false ~seq:(i + 1) ~tid:0 ~strand:(-1) ())
-  done;
-  let r = F.process_store f ~check_overlap:true ~addr:0 ~size:80 ~epoch:false ~seq:11 ~tid:0 ~strand:(-1) () in
-  Alcotest.(check bool) "overlap seen" true r.SI.overlapped;
-  Alcotest.(check (list int)) "priors sorted, capped at 8" [ 1; 2; 3; 4; 5; 6; 7; 8 ] r.SI.prior_seqs
+  let check name store =
+    for i = 0 to 9 do
+      ignore (store ~addr:(8 * i) ~size:8 ~seq:(i + 1))
+    done;
+    let (r : Space.store_result) = store ~addr:0 ~size:80 ~seq:11 in
+    Alcotest.(check bool) (name ^ ": overlap seen") true r.Space.overlapped;
+    Alcotest.(check (list int)) (name ^ ": priors sorted, capped at 8") [ 1; 2; 3; 4; 5; 6; 7; 8 ] r.Space.prior_seqs
+  in
+  let f = F.create () in
+  check "flat" (fun ~addr ~size ~seq -> F.process_store f ~addr ~size ~epoch:false ~seq ~tid:0 ~strand:(-1) ());
+  let sp = Space.create () in
+  check "space" (fun ~addr ~size ~seq -> Space.process_store sp ~addr ~size ~epoch:false ~seq ~tid:0 ~strand:(-1) ())
 
 (* ---------------------------------------------------------------- *)
 (* Diff: opt-in gauge gating                                         *)
@@ -730,7 +785,7 @@ let suite =
     Alcotest.test_case "contract breach: reorganization fails loudly" `Quick test_breach_reorganization;
     Alcotest.test_case "contract breach: cap cuts equal-seq findings" `Quick test_breach_cap;
     QCheck_alcotest.to_alcotest prop_cap_parity;
-    QCheck_alcotest.to_alcotest prop_flat_backend_equivalent;
+    QCheck_alcotest.to_alcotest prop_flat_oracle_lockstep;
     Alcotest.test_case "flat store: lifecycle" `Quick test_flat_lifecycle;
     Alcotest.test_case "flat store: partial CLF splits" `Quick test_flat_partial_clf_splits;
     Alcotest.test_case "flat store: overwrite priors" `Quick test_flat_overwrite_priors;

@@ -299,6 +299,22 @@ let test_superseded_tree_registrations_purged () =
     true
     (stat sp "tree_flushed_nodes" <= 1.0)
 
+(* A partial overwrite dirties a collectively flushed slot again; the
+   pending walk must then report it unflushed with no CLF seq, not the
+   interval's stale collective one. *)
+let test_unflushed_slot_reports_no_clf_seq () =
+  let sp = mk () in
+  ignore (store sp ~seq:1 ~addr:0 ~size:16);
+  ignore (Space.process_clf ~seq:2 sp ~lo:0 ~hi:64);
+  ignore (store sp ~seq:3 ~addr:0 ~size:8);
+  let acc = ref [] in
+  Space.iter_pending sp (fun ~addr ~size ~flushed ~epoch:_ ~seq ~clf_seq ~fence_seq:_ ->
+      acc := (addr, size, flushed, seq, clf_seq) :: !acc);
+  Alcotest.(check (list (pair (triple int int bool) (pair int int))))
+    "both entries unflushed, clf_seq -1"
+    [ ((0, 8, false), (3, -1)); ((0, 16, false), (1, -1)) ]
+    (List.sort compare (List.map (fun (a, s, f, q, c) -> ((a, s, f), (q, c))) !acc))
+
 (* ------------------------------------------------------------------ *)
 (* On-demand slot storage.                                             *)
 (* ------------------------------------------------------------------ *)
@@ -308,7 +324,7 @@ let test_superseded_tree_registrations_purged () =
    through every doubling and the spill point, for capacities on both
    sides of the initial 64 slots, a non-power-of-two cap and the
    default (plus array-only and metadata-off spaces). Every observation
-   must equal the tree-only space's and the flat backend's. Aligned
+   must equal the tree-only space's and the flat oracle's. Aligned
    16-byte stores make every supersede and CLF a full cover, and 256
    distinct addresses keep the tree below the merge threshold, so
    prior-seq lists stay exact. [fence_seq] is left out of the final
@@ -319,7 +335,7 @@ let prop_growth_boundary_parity =
   QCheck.Test.make ~name:"slot-array growth keeps hybrid = tree-only = flat" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 4) interval)
     (fun intervals ->
-      let module F = Flat_store.Store in
+      let module F = Flat_oracle in
       let capacities = [ Some 1; Some 63; Some 64; Some 65; Some 100; Some 1000; None ] in
       let hybrids =
         mk ~mode:Space.Array_only ~array_capacity:65 ()
@@ -327,7 +343,7 @@ let prop_growth_boundary_parity =
         :: List.map (fun array_capacity -> mk ?array_capacity ()) capacities
       in
       let tree = mk ~mode:Space.Tree_only () in
-      let flat = Flat_store.create () in
+      let flat = Flat_oracle.create () in
       let seq = ref 0 in
       let next () =
         incr seq;
@@ -453,6 +469,7 @@ let suite =
     Alcotest.test_case "clear resets reorg threshold baseline" `Quick test_clear_resets_reorg_threshold;
     Alcotest.test_case "collective CLF skips invalidated slots" `Quick test_collective_clf_counts_valid_slots_only;
     Alcotest.test_case "superseded tree registrations purged" `Quick test_superseded_tree_registrations_purged;
+    Alcotest.test_case "unflushed slot reports no CLF seq" `Quick test_unflushed_slot_reports_no_clf_seq;
     QCheck_alcotest.to_alcotest prop_matches_byte_model;
     QCheck_alcotest.to_alcotest prop_modes_equivalent;
     QCheck_alcotest.to_alcotest prop_modes_observations_equivalent;
