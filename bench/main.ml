@@ -508,7 +508,6 @@ let ablation () =
   let variants =
     [
       ("hybrid (paper)", fun model -> Pmdebugger.Detector.create ~model ());
-      ("array-only", fun model -> Pmdebugger.Detector.create ~model ~mode:Pmdebugger.Space.Array_only ());
       ("tree-only", fun model -> Pmdebugger.Detector.create ~model ~mode:Pmdebugger.Space.Tree_only ());
       ("no interval metadata", fun model -> Pmdebugger.Detector.create ~model ~interval_metadata:false ());
       ("merge threshold 50", fun model -> Pmdebugger.Detector.create ~model ~merge_threshold:50 ());

@@ -46,23 +46,15 @@ let reject_local_only ~what flags =
   | Some (_, flag, hint) -> die "%s needs a local %s%s" flag what hint
   | None -> ()
 
-(* Resolve -d (and --shards) to a sink factory. Resolution runs up front
-   on the main domain, so a bad name exits before any work starts; the
-   daemon calls the factory once per session on its worker domains.
-   [heatmap] feeds the plain pmdebugger path only: shard detectors run on
-   worker domains where a shared single-domain table would race, and
-   their (non-thread-safe) metrics registries stay disabled — the router
-   owns the shared one. *)
-let sink_for ?(metrics = Obs.Metrics.disabled) ?flightrec ?worker_flightrecs ?(shards = 0) name =
+(* Resolve -d to a sink factory. Resolution runs up front on the main
+   domain, so a bad name exits before any work starts; the daemon calls
+   the factory once per session on its worker domains. [heatmap] feeds
+   the pmdebugger path only. *)
+let sink_for ?(metrics = Obs.Metrics.disabled) name =
   match name with
-  | "pmdebugger" when shards >= 1 ->
-      fun ~heatmap:_ model config ->
-        Shard_router.sink ~shards ~metrics ?flightrec ?worker_flightrecs (fun _shard ->
-            Pmdebugger.Detector.worker (Pmdebugger.Detector.create ~model ~config ~walk_dedup:false ()))
   | "pmdebugger" ->
       fun ~heatmap model config ->
         Pmdebugger.Detector.sink (Pmdebugger.Detector.create ~model ~config ~metrics ~heatmap ())
-  | _ when shards >= 1 -> die "--shards requires -d pmdebugger (got %S)" name
   | "pmemcheck" -> fun ~heatmap:_ _ _ -> Baselines.Pmemcheck.sink (Baselines.Pmemcheck.create ())
   | "pmtest" -> fun ~heatmap:_ _ _ -> Baselines.Pmtest.sink (Baselines.Pmtest.create ())
   | "xfdetector" -> fun ~heatmap:_ _ config -> Baselines.Xfdetector.sink (Baselines.Xfdetector.create ~config ())
@@ -75,28 +67,19 @@ let sink_for ?(metrics = Obs.Metrics.disabled) ?flightrec ?worker_flightrecs ?(s
    instead of killing the run. Returns the report and the engine's
    quarantine list.
 
-   [trace_out]: flight-recorder rings for the router and each shard
-   worker; after the run they merge with the CLI's coarse spans into one
-   causal Perfetto document (Obs.Tracecat). With --shards 0 there is no
-   pipeline to record — the dump still carries the phase spans on a
-   "phases" track. *)
+   [trace_out]: after the run the CLI's phase spans are written there as
+   a Perfetto document (Obs.Tracecat), on a "phases" track. *)
 let detect ?(metrics = Obs.Metrics.disabled) ?(spans = Obs.Span.disabled) ?(heatmap = Obs.Heatmap.disabled)
-    ?trace_out ?(shards = 0) ?(detector = "pmdebugger") model config feed =
-  let ring () = Obs.Flightrec.create ~capacity:8192 () in
-  let rings = Option.map (fun _ -> (ring (), Array.init (max shards 0) (fun _ -> ring ()))) trace_out in
+    ?trace_out ?(detector = "pmdebugger") model config feed =
   let engine = Engine.create ~metrics () in
-  Engine.attach engine
-    (sink_for ~metrics ?flightrec:(Option.map fst rings) ?worker_flightrecs:(Option.map snd rings) ~shards detector
-       ~heatmap model config);
+  Engine.attach engine (sink_for ~metrics detector ~heatmap model config);
   feed engine;
   let reports = Obs.Span.record spans "finish" (fun () -> Engine.finish_all engine) in
-  (match (trace_out, rings) with
-  | Some path, Some (router, workers) ->
-      let shard i r = (Printf.sprintf "shard-%d" i, r) in
-      let rings = ("router", router) :: Array.to_list (Array.mapi shard workers) in
-      Obs.Json.to_file path (Obs.Tracecat.merge ~spans:(Obs.Span.finished spans) rings);
-      Printf.printf "causal trace written to %s (open in ui.perfetto.dev)\n" path
-  | _ -> ());
+  Option.iter
+    (fun path ->
+      Obs.Json.to_file path (Obs.Tracecat.merge ~spans:(Obs.Span.finished spans) []);
+      Printf.printf "phase trace written to %s (open in ui.perfetto.dev)\n" path)
+    trace_out;
   match reports with [ report ] -> (report, Engine.quarantined engine) | _ -> assert false
 
 (* Offline detection over a captured trace (inject, explain, infer,
@@ -229,11 +212,11 @@ let events src = Faultinject.Replay.events_of_steps src.steps
 
 (* A live run: the workload drives the detecting engine directly. [dt]
    times the workload alone, not the finish. *)
-let run_workload ?trace_out ?shards ~metrics ~spans ~detector ~annotate workload n config =
+let run_workload ?trace_out ~metrics ~spans ~detector ~annotate workload n config =
   let spec = workload_spec workload in
   let dt = ref 0.0 in
   let report, quarantined =
-    detect ~metrics ~spans ?trace_out ?shards ~detector spec.W.model (load_config config)
+    detect ~metrics ~spans ?trace_out ~detector spec.W.model (load_config config)
       (fun engine ->
         let t0 = Unix.gettimeofday () in
         Obs.Span.record spans ~attrs:[ ("workload", workload) ] "run" (fun () ->
@@ -242,10 +225,10 @@ let run_workload ?trace_out ?shards ~metrics ~spans ~detector ~annotate workload
   in
   (report, quarantined, !dt)
 
-let run_cmd workload n detector config annotate max_print shards metrics_file trace_out =
+let run_cmd workload n detector config annotate max_print metrics_file trace_out =
   with_metrics ~spans_on:(trace_out <> None) metrics_file (fun metrics spans ->
       let report, quarantined, dt =
-        run_workload ?trace_out ~shards ~metrics ~spans ~detector ~annotate workload n config
+        run_workload ?trace_out ~metrics ~spans ~detector ~annotate workload n config
       in
       print_report ~stats:true ~quarantined ~max_print
         (Printf.sprintf "%s on %s (n=%d): %d event(s) in %.3fs" report.Bug.detector workload n
@@ -341,7 +324,7 @@ let replay_daemon_cmd ~socket ~file ~max_print ~lenient =
           (Option.value frame.Serve.Wire.error ~default:"(no detail)");
       exit code
 
-let replay_cmd file detector config max_print lenient daemon shards metrics_file trace_out =
+let replay_cmd file detector config max_print lenient daemon metrics_file trace_out =
   match daemon with
   | Some socket ->
       reject_local_only ~what:"replay"
@@ -349,7 +332,6 @@ let replay_cmd file detector config max_print lenient daemon shards metrics_file
           (trace_out <> None, "--trace-out", " (the daemon dumps its own via serve --trace-out)");
           (metrics_file <> None, "--metrics", " (read the daemon's telemetry with stats --daemon)");
           (config <> None, "-c/--config", " (pass it to serve -c)");
-          (shards <> 0, "--shards", " (pass it to serve --shards)");
           (detector <> "pmdebugger", "-d", " (pass it to serve -d)");
         ];
       replay_daemon_cmd ~socket ~file ~max_print ~lenient
@@ -360,7 +342,7 @@ let replay_cmd file detector config max_print lenient daemon shards metrics_file
              streams straight from disk into the engine — constant memory
              regardless of trace size. *)
           let report, quarantined =
-            detect ~metrics ~spans ?trace_out ~shards ~detector Pmdebugger.Detector.Strict
+            detect ~metrics ~spans ?trace_out ~detector Pmdebugger.Detector.Strict
               (load_config config) (fun engine ->
                 Obs.Span.record spans ~attrs:[ ("file", file) ] "replay" (fun () ->
                     let streamed =
@@ -756,7 +738,7 @@ let stats_cmd workload n detector config check check_prometheus diff files check
           print_snapshot ~title:(Printf.sprintf "telemetry: %s -w %s -n %d" detector workload n) ~prometheus
             (Obs.Metrics.snapshot metrics))
 
-let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sessions detector config shards
+let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sessions detector config
     metrics_file flightrec_dir heatmap_cap trace_out stop probe =
   if stop then (
     match Serve.Client.stop ~socket with
@@ -800,12 +782,9 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
             trace_out;
           }
         in
-        (* Each session's sink may itself shard across domains: worker
-           domains then act as routers feeding shard domains, so budget
-           [workers * shards] cores. The sharded path keeps per-session
-           registries disabled like the plain one — the daemon's merged
+        (* Per-session registries stay disabled: the daemon's merged
            telemetry comes from the dispatch/worker registries. *)
-        let sink = sink_for ~shards detector in
+        let sink = sink_for detector in
         let make_sink ~heatmap = sink ~heatmap Pmdebugger.Detector.Strict config in
         let daemon = Serve.Daemon.create ~metrics ~make_sink cfg in
         Serve.Daemon.install_signal_handlers daemon;
@@ -919,27 +898,17 @@ let metrics_arg =
   let doc = "Write a pmdb-metrics/v1 JSON telemetry snapshot (metric series + spans) to $(docv)." in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
-let shards_arg =
-  let doc =
-    "Shard pmdebugger's detection across $(docv) parallel domain workers (events partitioned by cache line; the \
-     merged report is identical to a single-shard run; a run that leaves that contract, e.g. a shard reorganizing \
-     its spill tree, is reported as a detector failure, exit 3). 0 = the plain in-process detector. Requires -d \
-     pmdebugger."
-  in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
-
 let trace_out_arg =
   let doc =
-    "Write a causal Perfetto trace of the run to $(docv): the router's and every shard worker's flight-recorder \
-     rings merged onto one time base (frame publish->pop as flow arrows) plus the run's coarse phase spans. Open \
-     in ui.perfetto.dev; validate with `pmdb stats --check`."
+    "Write a Perfetto trace of the run's coarse phase spans to $(docv). Open in ui.perfetto.dev; validate with \
+     `pmdb stats --check`."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
 let run_term =
   Term.(
-    const run_cmd $ workload_arg $ n_arg $ detector_arg $ config_arg $ annotate_arg $ max_bugs_arg $ shards_arg
-    $ metrics_arg $ trace_out_arg)
+    const run_cmd $ workload_arg $ n_arg $ detector_arg $ config_arg $ annotate_arg $ max_bugs_arg $ metrics_arg
+    $ trace_out_arg)
 
 let out_arg =
   let doc = "Output trace file." in
@@ -962,7 +931,7 @@ let daemon_arg =
 let replay_term =
   Term.(
     const replay_cmd $ trace_file_arg $ detector_arg $ config_arg $ max_bugs_arg $ lenient_arg $ daemon_arg
-    $ shards_arg $ metrics_arg $ trace_out_arg)
+    $ metrics_arg $ trace_out_arg)
 
 let socket_arg =
   let doc = "Unix-domain socket path the daemon listens on." in
@@ -1012,8 +981,8 @@ let heatmap_cap_arg =
 let serve_trace_out_arg =
   let doc =
     "Directory for daemon-wide causal Perfetto traces: on SIGQUIT and at shutdown the dispatch domain's and every \
-     worker's flight-recorder rings are merged onto one time base (frame publish->pop flow arrows included) and \
-     written there. Requires flight recording, which is always on in the daemon."
+     worker's flight-recorder rings are merged onto one time base and written there. Requires flight recording, \
+     which is always on in the daemon."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"DIR" ~doc)
 
@@ -1031,7 +1000,7 @@ let probe_arg =
 let serve_term =
   Term.(
     const serve_cmd $ socket_arg $ workers_arg $ queue_capacity_arg $ idle_timeout_arg $ session_budget_arg
-    $ max_sessions_arg $ detector_arg $ config_arg $ shards_arg $ metrics_file_arg
+    $ max_sessions_arg $ detector_arg $ config_arg $ metrics_file_arg
     $ flightrec_dir_arg $ heatmap_cap_arg $ serve_trace_out_arg $ serve_stop_arg $ probe_arg)
 
 let case_arg =
@@ -1156,7 +1125,7 @@ let gauge_threshold_arg =
   let doc =
     "Also gate gauges in --check-regressions: fail when a gauge grew by more than this relative threshold \
      (gauges never gate without this flag — most are timing-dependent; use it for deterministic capacity \
-     peaks like the shard queue depths)."
+     peaks)."
   in
   Arg.(value & opt (some float) None & info [ "gauge-threshold" ] ~docv:"REL" ~doc)
 

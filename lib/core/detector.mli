@@ -79,8 +79,8 @@ val worker : t -> Pmtrace.Shard_router.worker
     [fun _ -> Detector.worker (Detector.create ~walk_dedup:false ...)]
     to {!Pmtrace.Shard_router.sink}. Each shard needs its own detector
     (with its own spaces) created with [~walk_dedup:false] — the merge
-    performs the pending-walk dedup globally; per-shard detectors must
-    use disabled [metrics] — hand the registry to the router instead. *)
+    performs the pending-walk dedup globally — and with disabled
+    [metrics]: a registry is not safe to share across shard domains. *)
 
 val avg_tree_nodes_per_fence : t -> float
 (** Fig. 11 metric, averaged over all spaces weighted by samples. *)

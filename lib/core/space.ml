@@ -1,6 +1,6 @@
 open Pmem
 
-type mode = Hybrid | Array_only | Tree_only
+type mode = Hybrid | Tree_only
 
 type t = {
   mode : mode;
@@ -38,7 +38,7 @@ let initial_slots = 64
 
 let create ?(array_capacity = 100_000) ?(merge_threshold = 500) ?(mode = Hybrid) ?(interval_metadata = true)
     ?(metrics = Obs.Metrics.disabled) () =
-  let capacity = match mode with Tree_only -> 0 | Hybrid | Array_only -> array_capacity in
+  let capacity = match mode with Tree_only -> 0 | Hybrid -> array_capacity in
   (* Pre-declare the hit/spill pair so every snapshot shows both sides
      of the hybrid, zeros included. *)
   if Obs.Metrics.is_on metrics then begin

@@ -16,11 +16,11 @@
     spills to the tree exactly when [array_capacity] slots are live.
 
     Ablation knobs (see DESIGN.md): [mode] selects the hybrid design or
-    the degenerate array-only / tree-only variants, and
+    the degenerate tree-only variant, and
     [interval_metadata] disables the collective per-interval state so
     that every CLF and fence must visit slots individually. *)
 
-type mode = Hybrid | Array_only | Tree_only
+type mode = Hybrid | Tree_only
 
 type t
 

@@ -13,8 +13,6 @@ let event_of_step = function
 let events_of_steps steps =
   Array.of_list (List.filter_map event_of_step (Array.to_list steps))
 
-let steps_of_trace trace = Array.map (fun ev -> Ev ev) trace
-
 (* Crash-point exploration is the one trace consumer that genuinely
    needs random access (bisection replays a known-good prefix a second
    time), so a trace file is materialized here — explicitly — instead of

@@ -33,8 +33,6 @@ val event_of_step : step -> Event.t option
 val events_of_steps : step array -> Event.t array
 (** Project to the detector-visible event stream (evictions dropped). *)
 
-val steps_of_trace : Event.t array -> step array
-
 val materialize_file :
   ?synthesize_end:bool -> string -> (step array * Trace_io.stream_stats, string) result
 (** Load a trace file into a step array (lenient parse; skipped lines

@@ -8,8 +8,8 @@
    ([prev = None] on the first frame renders absolute values only).
    Histogram quantiles come straight from the snapshot's bucket counts
    via {!Obs.Metrics.quantile}. Series the daemon does not record
-   (e.g. shard residency when sessions run unsharded detectors) render
-   as "-" rather than being invented. *)
+   (e.g. session latency before the first session closes) render as
+   "-" rather than being invented. *)
 
 let counter = Obs.Metrics.counter_value
 
@@ -22,25 +22,6 @@ let series snap name =
   List.filter_map
     (fun (s : Obs.Metrics.sample) -> if s.Obs.Metrics.name = name then Some (s.Obs.Metrics.labels, s.Obs.Metrics.value) else None)
     snap
-
-(* Bucket-wise sum of every labelled histogram of [name] — e.g. the
-   per-shard residency histograms folded into one distribution. *)
-let hist_total snap name =
-  List.fold_left
-    (fun acc (_, v) ->
-      match (v, acc) with
-      | Obs.Metrics.V_hist h, None -> Some { h with Obs.Metrics.h_counts = Array.copy h.Obs.Metrics.h_counts }
-      | Obs.Metrics.V_hist h, Some t when h.Obs.Metrics.h_bounds = t.Obs.Metrics.h_bounds ->
-          Array.iteri (fun i c -> t.Obs.Metrics.h_counts.(i) <- t.Obs.Metrics.h_counts.(i) + c) h.Obs.Metrics.h_counts;
-          Some
-            {
-              t with
-              Obs.Metrics.h_sum = t.Obs.Metrics.h_sum +. h.Obs.Metrics.h_sum;
-              h_count = t.Obs.Metrics.h_count + h.Obs.Metrics.h_count;
-              h_max = Float.max t.Obs.Metrics.h_max h.Obs.Metrics.h_max;
-            }
-      | _ -> acc)
-    None (series snap name)
 
 let fmt_seconds s =
   if s <= 0.0 then "-"
@@ -89,10 +70,9 @@ let render ~prev ~cur ~dt =
     + counter cur ~labels:[ ("reason", "detector") ] "serve_quarantines_total")
     (rung ~prev ~cur)
     (counter cur "serve_backpressure_stalls_total");
-  line "  latency: e2e %s  residency %s  frame %s"
-    (fmt_quantiles (hist_total cur "serve_session_e2e_seconds"))
-    (fmt_quantiles (hist_total cur "shard_frame_residency_seconds"))
-    (fmt_quantiles (hist_total cur "shard_worker_frame_seconds"));
+  line "  latency: e2e %s"
+    (fmt_quantiles
+       (match Obs.Metrics.find cur "serve_session_e2e_seconds" with Some (Obs.Metrics.V_hist h) -> Some h | _ -> None));
   (* Worker balance: share of all worker-dispatched events per domain. *)
   (match series cur "serve_worker_events_total" with
   | [] -> ()
@@ -107,16 +87,6 @@ let render ~prev ~cur ~dt =
         Printf.sprintf "w%s %.0f%% (%d)" d share n
       in
       line "  workers: %s" (String.concat "  " (List.map cell workers)));
-  (* Per-shard queue depth peaks, when sessions run sharded sinks. *)
-  (match series cur "shard_queue_depth_peak" with
-  | [] -> ()
-  | shards ->
-      let cell (labels, v) =
-        let s = match List.assoc_opt "shard" labels with Some s -> s | None -> "?" in
-        let d = match v with Obs.Metrics.V_gauge g -> g | _ -> 0.0 in
-        Printf.sprintf "s%s %.0f" s d
-      in
-      line "  shard queue peaks: %s" (String.concat "  " (List.map cell shards)));
   (* One row per live session (gauges are zeroed when a session
      closes, so only in-flight sessions appear). *)
   let sessions =

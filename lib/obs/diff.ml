@@ -71,7 +71,7 @@ let is_empty d = d = []
    deterministic workload they are reproducible run-to-run, while
    gauges and latency histograms vary with machine load and would make
    the gate flaky. Some gauges, however, are deterministic capacity
-   peaks (space_array_live_peak, shard_queue_depth_peak) rather than
+   peaks (space_array_live_peak, space_tree_size_peak) rather than
    timings; [gauge_threshold] opts those into the gate with their own,
    typically looser, threshold. *)
 let regressions ?(threshold = 0.0) ?gauge_threshold d =

@@ -33,8 +33,8 @@ val regressions : ?threshold:float -> ?gauge_threshold:float -> t -> change list
     threshold] — plus counters added with a positive value.
 
     Gauges never gate by default (most are timing-dependent), but
-    deterministic capacity peaks such as [space_array_live_peak] or the
-    shard queue-depth peaks can be opted in: with
+    deterministic capacity peaks such as [space_array_live_peak] or
+    [space_tree_size_peak] can be opted in: with
     [gauge_threshold] set, gauge series that grew by more than that
     relative threshold — [(after - before) / max 1.0 before >
     gauge_threshold] — and gauges added with a positive value also

@@ -212,44 +212,6 @@ let merge snaps =
   |> List.sort (fun a b ->
          match compare a.name b.name with 0 -> compare a.labels b.labels | c -> c)
 
-(* Fold a snapshot into a live registry with the same combine rules as
-   merge. The histogram case cannot go through observe (that would lose
-   the bucket structure), so it splices counts in directly. *)
-let absorb t snap =
-  if not t.on then ()
-  else
-    List.iter
-      (fun s ->
-        match s.value with
-        | V_counter n -> inc t ~labels:s.labels ~by:n s.name
-        | V_gauge g -> max_set t ~labels:s.labels s.name g
-        | V_hist v -> (
-            let key = (s.name, norm_labels s.labels) in
-            match Hashtbl.find_opt t.series key with
-            | Some (Hist h) ->
-                if h.bounds <> v.h_bounds then
-                  invalid_arg
-                    (Printf.sprintf "Obs.Metrics.absorb: series %S: histogram bucket bounds differ"
-                       s.name)
-                else begin
-                  Array.iteri (fun i c -> h.counts.(i) <- h.counts.(i) + c) v.h_counts;
-                  h.sum <- h.sum +. v.h_sum;
-                  h.count <- h.count + v.h_count;
-                  if v.h_max > h.max_v then h.max_v <- v.h_max
-                end
-            | Some _ -> kind_mismatch s.name
-            | None ->
-                Hashtbl.replace t.series key
-                  (Hist
-                     {
-                       bounds = Array.copy v.h_bounds;
-                       counts = Array.copy v.h_counts;
-                       sum = v.h_sum;
-                       count = v.h_count;
-                       max_v = v.h_max;
-                     })))
-      snap
-
 let find snap ?(labels = []) name =
   let labels = norm_labels labels in
   List.find_map (fun s -> if s.name = name && s.labels = labels then Some s.value else None) snap

@@ -105,7 +105,7 @@ val snapshot : t -> snapshot
 
 val merge : snapshot list -> snapshot
 (** Deterministic multi-registry merge — how per-domain registries
-    (worker pools, shard routers) fold into one whole-process truth:
+    (the daemon's worker pool) fold into one whole-process truth:
     counters sum, gauges keep the max (all gauges here are peaks),
     histograms add bucket-wise. Commutative and associative, so the
     result is independent of snapshot order, and sorted like
@@ -113,14 +113,6 @@ val merge : snapshot list -> snapshot
     [Invalid_argument] if one (name, labels) key appears with two
     different kinds or with histograms whose bucket bounds differ —
     that is a naming-contract bug between registries, not data. *)
-
-val absorb : t -> snapshot -> unit
-(** Fold a snapshot into a live registry with the same combine rules as
-    {!merge} (counters add, gauges keep the max, histograms add
-    bucket-wise) — how {!Shard_router} folds per-worker registries into
-    the router's registry after the workers join. No-op on a disabled
-    registry; raises [Invalid_argument] on a kind or bucket-bounds
-    clash, like {!merge}. *)
 
 val find : snapshot -> ?labels:labels -> string -> value_view option
 

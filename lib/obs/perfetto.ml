@@ -46,21 +46,6 @@ let instant ?cat ?pid ?tid ?(args = []) t ~name ~ts =
        (base ~name ?cat ~ph:"i"
           (("ts", Json.Int ts) :: ("s", Json.Str "t") :: (ids ?pid ?tid () @ args_field args))))
 
-(* Flow events pair across tracks by [id]; Chrome binds each end to the
-   enclosing slice on its (pid, tid), so emitters put a slice under
-   every flow endpoint. ["bp": "e"] on the finish makes the arrow land
-   at the enclosing slice rather than the next one. *)
-let flow_start ?cat ?pid ?tid t ~name ~id ~ts =
-  push t
-    (Json.Obj
-       (base ~name ?cat ~ph:"s" (("ts", Json.Int ts) :: ("id", Json.Int id) :: ids ?pid ?tid ())))
-
-let flow_finish ?cat ?pid ?tid t ~name ~id ~ts =
-  push t
-    (Json.Obj
-       (base ~name ?cat ~ph:"f"
-          (("ts", Json.Int ts) :: ("id", Json.Int id) :: ("bp", Json.Str "e") :: ids ?pid ?tid ())))
-
 let counter ?pid ?tid t ~name ~ts ~series =
   push t
     (Json.Obj

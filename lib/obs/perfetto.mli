@@ -54,16 +54,6 @@ val counter : ?pid:int -> ?tid:int -> t -> name:string -> ts:int -> series:(stri
 (** A counter sample (phase ["C"]); each series becomes one stacked
     band in the counter track. *)
 
-val flow_start : ?cat:string -> ?pid:int -> ?tid:int -> t -> name:string -> id:int -> ts:int -> unit
-(** Open a flow arrow (phase ["s"]). Flows pair across tracks by [id];
-    each endpoint binds to the enclosing slice on its (pid, tid), so
-    put a slice under it — how the causal trace draws frame
-    publish→pop arrows from the router to a worker track. *)
-
-val flow_finish : ?cat:string -> ?pid:int -> ?tid:int -> t -> name:string -> id:int -> ts:int -> unit
-(** Close a flow arrow (phase ["f"], binding point ["e"]: the arrow
-    lands at the enclosing slice). *)
-
 val process_name : ?pid:int -> t -> string -> unit
 (** Metadata event naming a process (top-level track group). *)
 

@@ -1,17 +1,7 @@
 (* Daemon-wide causal trace: fold per-domain flight-recorder rings and
    coarse Span phases into ONE Perfetto document on a shared time base.
-
-   Causality between domains — which router publish a worker's burst
-   of work answers to — is invisible when each ring normalizes its own
-   clock. Here every ring shares one tmin, one track per ring, and
-   matched frame publish/pop records (cat="frame", a = shard, b =
-   frame index; the shard's queue is FIFO, so (shard, index) names one
-   frame end to end) render as paired slices joined by a Chrome flow
-   arrow from the publishing track to the consuming track. *)
-
-let frame_pub e = e.Flightrec.e_cat = "frame" && e.Flightrec.e_name = "publish"
-
-let frame_pop e = e.Flightrec.e_cat = "frame" && e.Flightrec.e_name = "pop"
+   Ordering between domains is invisible when each ring normalizes its
+   own clock; here every ring shares one tmin, one track per ring. *)
 
 (* One ring's entries on track [tid]; [us] maps an entry timestamp to
    trace microseconds on the shared time base. cat="session" entries
@@ -69,54 +59,11 @@ let merge ?last ?(spans = []) ?(metadata = []) rings =
   let us ts = max 0 (int_of_float ((ts -. tmin) *. 1e6)) in
   let p = Perfetto.create () in
   Perfetto.process_name p "pmdb causal trace";
-  (* Index frame ends by (shard, frame). Duplicate keys keep the latest
-     record — rings are bounded, so after wrap-around an index can
-     reappear; pairing latest-with-latest keeps arrows within the
-     retained window. *)
-  let pubs = Hashtbl.create 64 and pops = Hashtbl.create 64 in
-  List.iteri
-    (fun tid (_, entries) ->
-      List.iter
-        (fun e ->
-          let key = (e.Flightrec.e_a, e.Flightrec.e_b) in
-          if frame_pub e then Hashtbl.replace pubs key (tid, e)
-          else if frame_pop e then Hashtbl.replace pops key (tid, e))
-        entries)
-    windows;
-  let matched =
-    Hashtbl.fold
-      (fun key pub acc ->
-        match Hashtbl.find_opt pops key with Some pop -> (key, pub, pop) :: acc | None -> acc)
-      pubs []
-    |> List.sort (fun (k1, _, _) (k2, _, _) -> compare k1 k2)
-  in
-  let is_matched =
-    let m = Hashtbl.create 64 in
-    List.iter (fun (key, _, _) -> Hashtbl.replace m key ()) matched;
-    fun e -> Hashtbl.mem m (e.Flightrec.e_a, e.Flightrec.e_b)
-  in
-  (* Each ring's own view first (unmatched frame records stay instants). *)
   List.iteri
     (fun tid (label, entries) ->
       Perfetto.thread_name ~tid p label;
-      render_entries p ~tid ~us
-        (List.filter (fun e -> not ((frame_pub e || frame_pop e) && is_matched e)) entries))
+      render_entries p ~tid ~us entries)
     windows;
-  (* Matched frames: a 1us slice at each end (flows bind to enclosing
-     slices) and the arrow between them. *)
-  List.iteri
-    (fun i ((shard, frame), (pub_tid, pub), (pop_tid, pop)) ->
-      let id = i + 1 in
-      let args = [ ("shard", Json.Int shard); ("frame", Json.Int frame) ] in
-      let pub_us = us pub.Flightrec.e_ts in
-      (* The pop is causally after the publish; clamp clock skew so the
-         arrow never points backwards in the rendered trace. *)
-      let pop_us = max pub_us (us pop.Flightrec.e_ts) in
-      Perfetto.complete ~cat:"frame" ~tid:pub_tid p ~name:"publish" ~ts:pub_us ~dur:1 ~args;
-      Perfetto.flow_start ~cat:"frame" ~tid:pub_tid p ~name:"frame" ~id ~ts:pub_us;
-      Perfetto.complete ~cat:"frame" ~tid:pop_tid p ~name:"pop" ~ts:pop_us ~dur:1 ~args;
-      Perfetto.flow_finish ~cat:"frame" ~tid:pop_tid p ~name:"frame" ~id ~ts:pop_us)
-    matched;
   (* Coarse phases (run/finish/replay spans) on their own track, so the
      fine-grained domain activity reads against the overall timeline. *)
   (match spans with

@@ -5,21 +5,9 @@
     It is the one Perfetto renderer for flight-recorder rings: the
     daemon's black-box dumps and its causal traces both come from
     {!merge}. All rings share one origin (the earliest entry or span across
-    everything), each ring gets one thread track in list order, and
-    frame hand-offs render as flow arrows:
+    everything) and each ring gets one thread track in list order.
 
-    - a router records [cat="frame", name="publish", a=shard, b=index]
-      at each frame publish, the consuming worker records
-      [cat="frame", name="pop"] with the same [(a, b)];
-    - the shard's queue is FIFO, so [(shard, index)] names one frame
-      end to end;
-      each matched pair becomes a 1µs slice on both tracks joined by a
-      Chrome flow arrow ([ph="s"]/[ph="f"]) from the publishing track
-      to the consuming track. Unmatched records (the other end fell out
-      of its bounded ring, or the frame was still in flight) stay plain
-      instants — arrows are only drawn when both ends survive.
-
-    Everything else renders per ring: [cat="session"] entries are
+    Each ring renders on its own track: [cat="session"] entries are
     grouped by session id ([a]) into lifecycle slices — consecutive
     transitions become complete slices, a terminal final entry ([b] =
     1) an instant, a non-terminal final entry an open

@@ -84,13 +84,9 @@ let fence t =
       set_line t line Clean)
     pending
 
-let lines_in t state =
-  Hashtbl.fold (fun line s acc -> if s = state then line :: acc else acc) t.lines []
+let pending_lines t =
+  Hashtbl.fold (fun line s acc -> if s = Writeback_pending then line :: acc else acc) t.lines []
   |> List.sort compare
-
-let dirty_lines t = lines_in t Dirty
-
-let pending_lines t = lines_in t Writeback_pending
 
 let is_durable_range t ~lo ~hi =
   List.for_all (fun line -> line_state t line = Clean) (Addr.lines_of_range ~lo ~hi)

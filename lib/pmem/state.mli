@@ -66,9 +66,6 @@ val fence : t -> unit
 (** Drain: every [Writeback_pending] line becomes durable and [Clean].
     [Dirty] lines are unaffected (their CLF has not been issued). *)
 
-val dirty_lines : t -> int list
-(** Lines currently [Dirty], ascending. *)
-
 val pending_lines : t -> int list
 (** Lines currently [Writeback_pending], ascending. *)
 

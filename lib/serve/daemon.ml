@@ -39,11 +39,12 @@ let default_config ~socket =
    until disconnect), [last_frame] when the previous one went out. *)
 type stream_state = { mutable remaining : int; mutable last_frame : float }
 
-(* A connection's lifecycle. [Hello] reads the first line; a session
-   then walks Streaming -> Finishing -> Awaiting (see Session.phase for
-   the session-side view); stats/stop connections are answered and
-   closed inside the hello handler; stats_stream connections persist
-   and are fed from the tick loop. *)
+(* A connection's lifecycle, and the one session state machine.
+   [Hello] reads the first line; a session then walks Streaming ->
+   Finishing -> Awaiting, and is replied to and closed from Awaiting;
+   stats/stop connections are answered and closed inside the hello
+   handler; stats_stream connections persist and are fed from the tick
+   loop. *)
 type conn_kind =
   | Hello of Buffer.t
   | Streaming of Session.t * Pool.slot
@@ -122,8 +123,8 @@ let dump_flightrec t ~reason ~session =
   | Some _ -> ()
 
 (* The daemon-wide causal trace: every ring merged into one Perfetto
-   document (one track per domain, flow arrows pairing frame
-   publish/pop). Same best-effort discipline as dump_flightrec. *)
+   document, one track per domain. Same best-effort discipline as
+   dump_flightrec. *)
 let dump_trace t ~reason =
   match t.cfg.trace_out with
   | None -> ()
@@ -164,14 +165,14 @@ let bind_listener path =
   Unix.set_nonblock fd;
   fd
 
-let create ?(metrics = Obs.Metrics.disabled) ?(domains = true) ~make_sink cfg =
+let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
   let listener = bind_listener cfg.socket_path in
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_r;
   Unix.set_nonblock stop_w;
   let flightrec_on = cfg.flightrec_capacity > 0 in
   let pool =
-    Pool.create ~domains
+    Pool.create
       ~worker_metrics:(Obs.Metrics.is_on metrics)
       ?flightrec_capacity:(if flightrec_on then Some cfg.flightrec_capacity else None)
       ?heatmap_cap:(if cfg.heatmap_cap > 0 then Some cfg.heatmap_cap else None)
@@ -288,7 +289,6 @@ let reply_session t conn session frame =
 let begin_finish t conn session slot ~drop =
   if drop then Session.drop_pending session;
   Session.ensure_end session;
-  Session.set_phase session Session.Draining;
   record t ~cat:"session" ~name:"drain" ~a:(Session.id session) ~b:0;
   conn.kind <- Finishing (session, slot)
 
@@ -556,9 +556,7 @@ let tick_conn t conn =
   | Finishing (session, slot) ->
       if flush_pending t conn session slot && Session.pending_events session = 0 then (
         match Pool.finish_session t.pool ~id:(Session.id session) with
-        | () ->
-            Session.set_phase session Session.Awaiting;
-            conn.kind <- Awaiting (session, slot)
+        | () -> conn.kind <- Awaiting (session, slot)
         | exception Spsc.Closed ->
             Session.terminate session Status.Detector_error (Some "worker domain died");
             reply_session t conn session (session_result_frame session None))
@@ -572,7 +570,6 @@ let tick_conn t conn =
              match report.Bug.failure with
              | Some msg -> quarantine_detector t conn session slot msg ~drop:false
              | None -> ());
-          Session.set_phase session Session.Replied;
           reply_session t conn session (session_result_frame session (Some report)))
 
 (* {2 Prometheus metrics file} *)

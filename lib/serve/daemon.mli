@@ -74,8 +74,7 @@ type config = {
   trace_out : string option;
       (** where daemon-wide causal Perfetto traces land
           ({!Obs.Tracecat}: every flight-recorder ring merged, one
-          track per domain, flow arrows pairing frame publish/pop),
-          dumped on SIGQUIT and at shutdown; [None] never dumps
+          track per domain), dumped on SIGQUIT and at shutdown; [None] never dumps
           (default [None]) *)
 }
 
@@ -85,7 +84,6 @@ type t
 
 val create :
   ?metrics:Obs.Metrics.t ->
-  ?domains:bool (** default true; [false] runs workers inline, for tests *) ->
   make_sink:(heatmap:Obs.Heatmap.t -> Pmtrace.Sink.t) ->
   config ->
   t

@@ -40,17 +40,14 @@ let publish st =
 type t = {
   workers : int;
   queues : msg Spsc.t array;
-  mutable domains : unit Domain.t array; (* empty in inline mode *)
-  use_domains : bool;
-  make_sink : heatmap:Obs.Heatmap.t -> Sink.t;
+  mutable domains : unit Domain.t array; (* empty once stopped *)
   states : worker_state array;
-  inline_sessions : (int, Engine.t * slot) Hashtbl.t array; (* one per worker, inline mode only *)
 }
 
-(* One message step. Runs on the worker domain (or inline on the
-   caller's): every detector exception funnels through the engine's
-   quarantine — the session's report then carries the failure, exactly
-   as an offline replay through an engine would. *)
+(* One message step, on the worker domain: every detector exception
+   funnels through the engine's quarantine — the session's report then
+   carries the failure, exactly as an offline replay through an engine
+   would. *)
 let handle make_sink st sessions msg =
   match msg with
   | Open (id, slot) ->
@@ -117,7 +114,7 @@ let worker_loop make_sink st q =
   in
   go ()
 
-let create ?(domains = true) ?(worker_metrics = false) ?flightrec_capacity ?heatmap_cap ~workers
+let create ?(worker_metrics = false) ?flightrec_capacity ?heatmap_cap ~workers
     ~queue_capacity make_sink =
   if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
   let queues = Array.init workers (fun _ -> Spsc.create ~capacity:queue_capacity) in
@@ -151,38 +148,16 @@ let create ?(domains = true) ?(worker_metrics = false) ?flightrec_capacity ?heat
           unpublished = 0;
         })
   in
-  let t =
-    {
-      workers;
-      queues;
-      domains = [||];
-      use_domains = domains;
-      make_sink;
-      states;
-      inline_sessions = Array.init workers (fun _ -> Hashtbl.create 16);
-    }
-  in
-  if domains then
-    t.domains <-
-      Array.init workers (fun i -> Domain.spawn (fun () -> worker_loop make_sink states.(i) queues.(i)));
-  t
+  let domains = Array.init workers (fun i -> Domain.spawn (fun () -> worker_loop make_sink states.(i) queues.(i))) in
+  { workers; queues; domains; states }
 
 let workers t = t.workers
 
 let worker_of t id = id mod t.workers
 
-let send t id msg =
-  let w = worker_of t id in
-  if t.use_domains then Spsc.push t.queues.(w) msg
-  else handle t.make_sink t.states.(w) t.inline_sessions.(w) msg
+let send t id msg = Spsc.push t.queues.(worker_of t id) msg
 
-let try_send t id msg =
-  let w = worker_of t id in
-  if t.use_domains then Spsc.try_push t.queues.(w) msg
-  else begin
-    handle t.make_sink t.states.(w) t.inline_sessions.(w) msg;
-    true
-  end
+let try_send t id msg = Spsc.try_push t.queues.(worker_of t id) msg
 
 let open_session t ~id =
   let slot = { failed = Atomic.make None; result = Atomic.make None } in
@@ -195,21 +170,17 @@ let try_submit t ~id ev = try_send t id (Ev (id, ev))
 
 let finish_session t ~id = send t id (Finish id)
 
-let queue_length t ~id = if t.use_domains then Spsc.length t.queues.(worker_of t id) else 0
+let queue_length t ~id = Spsc.length t.queues.(worker_of t id)
 
-let metrics_snapshots t =
-  if t.use_domains then Array.to_list (Array.map (fun st -> Atomic.get st.snap) t.states)
-  else Array.to_list (Array.map (fun st -> Obs.Metrics.snapshot st.reg) t.states)
+let metrics_snapshots t = Array.to_list (Array.map (fun st -> Atomic.get st.snap) t.states)
 
-let heatmap_snapshots t =
-  if t.use_domains then Array.to_list (Array.map (fun st -> Atomic.get st.hm_snap) t.states)
-  else Array.to_list (Array.map (fun st -> Obs.Heatmap.snapshot st.heatmap) t.states)
+let heatmap_snapshots t = Array.to_list (Array.map (fun st -> Atomic.get st.hm_snap) t.states)
 
 let flightrec_rings t =
   Array.to_list (Array.mapi (fun i st -> (Printf.sprintf "worker-%d" i, st.ring)) t.states)
 
 let stop t =
-  if t.use_domains then begin
+  if Array.length t.domains > 0 then begin
     Array.iter (fun q -> try Spsc.push q Stop with Spsc.Closed -> ()) t.queues;
     Array.iter Domain.join t.domains;
     t.domains <- [||];

@@ -14,11 +14,7 @@
     session still yields a partial report with the failure recorded.
     Sibling sessions on the same worker are untouched. A worker domain
     that somehow dies closes its queue, so submissions raise
-    {!Pmtrace.Spsc.Closed} rather than wedging the daemon.
-
-    [~domains:false] runs every worker inline on the caller's domain —
-    identical logic, deterministic scheduling — for unit and fuzz
-    tests. *)
+    {!Pmtrace.Spsc.Closed} rather than wedging the daemon. *)
 
 open Pmtrace
 
@@ -38,7 +34,6 @@ val result : slot -> Bug.report option
     quarantine. *)
 
 val create :
-  ?domains:bool (** default true *) ->
   ?worker_metrics:bool
     (** default false: give each worker its own enabled
         {!Obs.Metrics} registry recording
@@ -92,17 +87,16 @@ val finish_session : t -> id:int -> unit
     and publish the report into the slot. Blocking push. *)
 
 val queue_length : t -> id:int -> int
-(** Occupancy of the worker queue serving [id] (0 inline). *)
+(** Occupancy of the worker queue serving [id]. *)
 
 val metrics_snapshots : t -> Obs.Metrics.snapshot list
-(** One snapshot per worker: the last atomically-published snapshot in
-    domain mode (at most 512 events stale; exact after {!stop}), the
-    live registry inline. Fold with {!Obs.Metrics.merge}. Empty
+(** One snapshot per worker: the last atomically-published snapshot (at
+    most 512 events stale; exact after {!stop}). Fold with {!Obs.Metrics.merge}. Empty
     snapshots unless [worker_metrics] was set. *)
 
 val heatmap_snapshots : t -> Obs.Heatmap.snapshot list
 (** One snapshot per worker, published on the same cadence as
-    {!metrics_snapshots} (live inline). Fold with {!Obs.Heatmap.merge}.
+    {!metrics_snapshots}. Fold with {!Obs.Heatmap.merge}.
     Empty snapshots unless [heatmap_cap] was given. *)
 
 val flightrec_rings : t -> (string * Obs.Flightrec.t) list

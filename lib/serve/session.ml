@@ -1,7 +1,5 @@
 open Pmtrace
 
-type phase = Streaming | Draining | Awaiting | Replied
-
 type t = {
   id : int;
   name : string;
@@ -18,7 +16,6 @@ type t = {
   mutable saw_end : bool;
   mutable synthesized_end : bool;
   mutable last_activity : float;
-  mutable phase : phase;
   mutable status : Status.t;
   mutable error : string option;
 }
@@ -40,7 +37,6 @@ let create ~id ~name ~lenient ~now =
     saw_end = false;
     synthesized_end = false;
     last_activity = now;
-    phase = Streaming;
     status = Status.Ok;
     error = None;
   }
@@ -50,8 +46,6 @@ let id t = t.id
 let name t = t.name
 
 let lenient t = t.lenient
-
-let phase t = t.phase
 
 let status t = t.status
 
@@ -163,8 +157,6 @@ let ensure_end t =
     t.synthesized_end <- true;
     Queue.push (Event.Program_end, 0) t.pending
   end
-
-let set_phase t phase = t.phase <- phase
 
 let terminate t status msg =
   if t.status = Status.Ok then begin

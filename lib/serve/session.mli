@@ -2,24 +2,16 @@
     core (line framing, strict/lenient parsing, budget accounting,
     status transitions) is directly unit- and fuzz-testable.
 
-    A session moves through phases:
-
-    {v
-      Streaming --(EOF / error / evict / timeout / shutdown)--> Draining
-      Draining  --(pending flushed to worker, Finish sent)----> Awaiting
-      Awaiting  --(worker report arrived, frame written)------> Replied
-    v}
-
-    The daemon owns the transitions; this module owns the data: the
-    partial-line buffer, the bounded pending queue of parsed events and
+    The daemon owns the lifecycle (its connection state machine walks
+    a session from streaming through finishing to awaiting the
+    worker's report); this module owns the data: the partial-line
+    buffer, the bounded pending queue of parsed events and
     the byte accounting that the backpressure ladder and the memory
     budget read ({!live_bytes} = partial bytes + queued-event cost, so
     a budget in bytes bounds a client sending one enormous line just as
     well as one outrunning its worker). *)
 
 open Pmtrace
-
-type phase = Streaming | Draining | Awaiting | Replied
 
 type t
 
@@ -28,8 +20,6 @@ val create : id:int -> name:string -> lenient:bool -> now:float -> t
 val id : t -> int
 val name : t -> string
 val lenient : t -> bool
-val phase : t -> phase
-val set_phase : t -> phase -> unit
 
 val status : t -> Status.t
 val error : t -> string option

@@ -13,8 +13,8 @@ type t = {
   mutable active : slot array; (* dispatch cache, attach order, healthy only *)
   mutable active_dirty : bool;
   mutable instrument : bool;
-  mutable metrics : Obs.Metrics.t;
-  mutable flightrec : Obs.Flightrec.t;
+  metrics : Obs.Metrics.t;
+  flightrec : Obs.Flightrec.t;
   mutable tid : int;
   mutable seq : int;
   mutable n_stores : int;
@@ -78,11 +78,7 @@ let set_instrumentation t b = t.instrument <- b
 
 let metrics t = t.metrics
 
-let set_metrics t m = t.metrics <- m
-
 let flightrec t = t.flightrec
-
-let set_flightrec t r = t.flightrec <- r
 
 let seq t = t.seq
 

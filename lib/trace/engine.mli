@@ -67,15 +67,7 @@ val set_instrumentation : t -> bool -> unit
 
 val metrics : t -> Obs.Metrics.t
 
-val set_metrics : t -> Obs.Metrics.t -> unit
-(** Swap the telemetry registry (e.g. to enable metrics after
-    {!create}). *)
-
 val flightrec : t -> Obs.Flightrec.t
-
-val set_flightrec : t -> Obs.Flightrec.t -> unit
-(** Swap the flight-recorder ring — how the serve pool points a
-    worker's per-domain ring at each session's engine. *)
 
 val seq : t -> int
 (** Number of events emitted so far (sequence counter). *)

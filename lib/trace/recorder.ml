@@ -41,19 +41,6 @@ let replay_stream produce sink =
   produce sink.Sink.on_event;
   sink.Sink.finish ()
 
-let replay_timed ?(repeats = 1) trace mk =
-  let best = ref infinity in
-  let report = ref (Bug.empty_report "replay") in
-  for _ = 1 to max 1 repeats do
-    let sink = mk () in
-    let t0 = Unix.gettimeofday () in
-    let r = replay trace sink in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    report := r
-  done;
-  (!report, !best)
-
 let filter trace pred = Array.of_list (List.filter pred (Array.to_list trace))
 
 let interleave_round_robin traces =

@@ -25,11 +25,6 @@ val replay_stream : ((Event.t -> unit) -> unit) -> Sink.t -> Bug.report
     {!replay} for event sources that never materialize a trace array
     (e.g. {!Trace_io.iter_file}). *)
 
-val replay_timed : ?repeats:int -> trace -> (unit -> Sink.t) -> Bug.report * float
-(** [replay_timed trace mk] replays into fresh sinks [repeats] times
-    (default 1) and returns the last report with the minimum wall-clock
-    seconds for one replay. *)
-
 val filter : trace -> (Event.t -> bool) -> trace
 
 val interleave_round_robin : trace list -> trace

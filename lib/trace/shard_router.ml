@@ -67,55 +67,35 @@ let merge_clf_obs obs =
 
 (* One published batch of a shard's events, in stream order. Never
    mutated after the publish: its arrays are fresh copies, so the
-   consumer owns them outright. [f_stop] marks a shard's last frame;
-   [f_ts] is [Obs.Clock.now] at the publish. *)
+   consumer owns them outright. [f_stop] marks a shard's last frame. *)
 type frame = {
   f_events : Event.t array;
   f_seqs : int array;
   f_silent : bool array;
   f_count : int;
   f_stop : bool;
-  f_ts : float;
 }
 
-(* A shard's worker and its accounting. The mutable fields and the
-   registry belong to the domain that runs the shard's frames (its own
-   domain, or the router's inline); the router reads [c_processed], and
-   calls [c_worker] directly only while the shard is drained. *)
+(* A shard's worker and its accounting. [c_failure] belongs to the
+   domain that runs the shard's frames (its own domain, or the router's
+   inline); the router reads [c_processed], and calls [c_worker]
+   directly only while the shard is drained. *)
 type consumer = {
-  c_shard : int;
   c_worker : worker;
   c_processed : int Atomic.t; (* events run, bumped once per frame *)
-  c_metrics : Obs.Metrics.t; (* private registry, folded into the router's at finish *)
-  c_labels : (string * string) list;
-  c_flightrec : Obs.Flightrec.t;
-  mutable c_popped : int; (* frames run so far *)
   mutable c_failure : string option; (* first detector exception *)
 }
 
 (* The one per-frame step, for the domain loop and inline mode alike.
    A detector exception is recorded and the remaining events skipped,
    so the stream keeps draining. The [processed] bump comes last: a
-   router that reads it may touch the worker's state directly. With
-   metrics off the timing is one branch per frame. *)
+   router that reads it may touch the worker's state directly. *)
 let run_frame c f =
-  let metrics_on = Obs.Metrics.is_on c.c_metrics in
-  let t0 = if metrics_on then Obs.Clock.now () else 0.0 in
   for k = 0 to f.f_count - 1 do
     if c.c_failure = None then
       try c.c_worker.w_event ~seq:f.f_seqs.(k) ~silent:f.f_silent.(k) f.f_events.(k)
       with exn -> c.c_failure <- Some (Printexc.to_string exn)
   done;
-  if metrics_on && f.f_count > 0 then begin
-    Obs.Metrics.inc c.c_metrics ~labels:c.c_labels ~by:f.f_count "shard_worker_events_total";
-    Obs.Metrics.observe c.c_metrics ~labels:c.c_labels "shard_worker_frame_seconds" (Obs.Clock.now () -. t0);
-    Obs.Metrics.observe c.c_metrics ~labels:c.c_labels "shard_frame_residency_seconds"
-      (Float.max 0.0 (t0 -. f.f_ts))
-  end;
-  if Obs.Flightrec.is_on c.c_flightrec then
-    Obs.Flightrec.record c.c_flightrec ~ts:(Obs.Clock.now ()) ~cat:"frame" ~name:"pop" ~a:c.c_shard
-      ~b:c.c_popped;
-  c.c_popped <- c.c_popped + 1;
   ignore (Atomic.fetch_and_add c.c_processed f.f_count)
 
 let finish_worker c =
@@ -155,26 +135,19 @@ type t = {
   staging : staging array;
   queues : frame Spsc.t array; (* empty in inline mode *)
   pushed : int array; (* per shard: events published *)
-  published : int array; (* per shard: frames published *)
   domains : Bug.report Domain.t array; (* empty in inline mode *)
   mutable registered : Addr.range list;
   mutable track_all : bool;
   pinned : (int, unit) Hashtbl.t; (* line index -> (), lines of registered vars *)
   mutable events : int;
-  metrics : Obs.Metrics.t;
-  flightrec : Obs.Flightrec.t; (* router-side ring: frame publishes, barrier stalls *)
   max_bugs_per_kind : int;
   mutable result : Bug.report option;
 }
 
-let shard_label i = [ ("shard", string_of_int i) ]
-
 let use_domains t = Array.length t.queues > 0
 
 (* Close shard [i]'s open frame and hand it over: pushed to the worker
-   domain, or run right here in inline mode. The depth gauge samples
-   on each publish, so every shard that saw traffic (or a stop) has a
-   peak. *)
+   domain, or run right here in inline mode. *)
 let publish t i ~stop =
   let s = t.staging.(i) in
   let n = s.s_fill in
@@ -185,21 +158,11 @@ let publish t i ~stop =
       f_silent = Array.sub s.s_silent 0 n;
       f_count = n;
       f_stop = stop;
-      f_ts = Obs.Clock.now ();
     }
   in
   s.s_fill <- 0;
   t.pushed.(i) <- t.pushed.(i) + n;
-  if Obs.Flightrec.is_on t.flightrec then
-    Obs.Flightrec.record t.flightrec ~ts:f.f_ts ~cat:"frame" ~name:"publish" ~a:i ~b:t.published.(i);
-  t.published.(i) <- t.published.(i) + 1;
-  if use_domains t then Spsc.push t.queues.(i) f else run_frame t.consumers.(i) f;
-  if Obs.Metrics.is_on t.metrics then begin
-    let labels = t.consumers.(i).c_labels in
-    Obs.Metrics.inc t.metrics ~labels ~by:n "shard_events_total";
-    Obs.Metrics.max_set t.metrics ~labels "shard_queue_depth_peak"
-      (if use_domains t then float_of_int (Spsc.length t.queues.(i)) else 0.0)
-  end
+  if use_domains t then Spsc.push t.queues.(i) f else run_frame t.consumers.(i) f
 
 let send t i ~seq ~silent ev =
   let s = t.staging.(i) in
@@ -259,17 +222,7 @@ let in_registered t ~lo ~hi =
    redundant-flush pick is a canonical minimum), so multiplicity never
    shows. *)
 let stalled_address_event t ~seq ~tid ~lo ~hi ev =
-  Obs.Metrics.inc t.metrics "shard_barrier_stalls_total";
-  if Obs.Metrics.is_on t.metrics then begin
-    let t0 = Obs.Clock.now () in
-    drain t;
-    let dt = Obs.Clock.now () -. t0 in
-    Obs.Metrics.observe t.metrics "shard_barrier_stall_seconds" dt;
-    if Obs.Flightrec.is_on t.flightrec then
-      Obs.Flightrec.record t.flightrec ~ts:t0 ~cat:"barrier" ~name:"stall" ~a:seq
-        ~b:(int_of_float (dt *. 1e9))
-  end
-  else drain t;
+  drain t;
   let fire_shard = owner t (Addr.line_of lo) in
   match ev with
   | `Store ->
@@ -488,46 +441,15 @@ let finish t =
         if use_domains t then Array.to_list (Array.map Domain.join t.domains)
         else Array.to_list (Array.map finish_worker t.consumers)
       in
-      (* The workers have joined (or ran inline): reading their
-         registries is race-free, and absorbing them gives the router's
-         registry whole-run truth including worker-domain series. *)
-      Array.iter (fun c -> Obs.Metrics.absorb t.metrics (Obs.Metrics.snapshot c.c_metrics)) t.consumers;
       let r = merge_reports t reports in
       t.result <- Some r;
       r
 
-let sink ?name:(sink_name = "pmdebugger-sharded") ~shards ?(domains = true) ?(metrics = Obs.Metrics.disabled)
-    ?(flightrec = Obs.Flightrec.disabled) ?worker_flightrecs ?(max_bugs_per_kind = 1000) make_worker =
+let sink ~shards ?(domains = true) ?(max_bugs_per_kind = 1000) make_worker =
   if shards < 1 then invalid_arg "Shard_router.sink: shards must be >= 1";
-  let worker_flightrecs =
-    match worker_flightrecs with
-    | None -> Array.init shards (fun _ -> Obs.Flightrec.disabled)
-    | Some a ->
-        if Array.length a <> shards then
-          invalid_arg "Shard_router.sink: worker_flightrecs must have one ring per shard";
-        a
-  in
   let consumers =
-    Array.init shards (fun i ->
-        {
-          c_shard = i;
-          c_worker = make_worker i;
-          c_processed = Atomic.make 0;
-          c_metrics = Obs.Metrics.create ~enabled:(Obs.Metrics.is_on metrics) ();
-          c_labels = shard_label i;
-          c_flightrec = worker_flightrecs.(i);
-          c_popped = 0;
-          c_failure = None;
-        })
+    Array.init shards (fun i -> { c_worker = make_worker i; c_processed = Atomic.make 0; c_failure = None })
   in
-  if Obs.Metrics.is_on metrics then begin
-    Array.iter
-      (fun c ->
-        Obs.Metrics.inc metrics ~labels:c.c_labels ~by:0 "shard_events_total";
-        Obs.Metrics.inc c.c_metrics ~labels:c.c_labels ~by:0 "shard_worker_events_total")
-      consumers;
-    Obs.Metrics.inc metrics ~by:0 "shard_barrier_stalls_total"
-  end;
   let queues = if domains then Array.init shards (fun _ -> Spsc.create ~capacity:queue_frames) else [||] in
   let t =
     {
@@ -543,16 +465,13 @@ let sink ?name:(sink_name = "pmdebugger-sharded") ~shards ?(domains = true) ?(me
             });
       queues;
       pushed = Array.make shards 0;
-      published = Array.make shards 0;
       domains = Array.mapi (fun i q -> Domain.spawn (fun () -> worker_loop consumers.(i) q)) queues;
       registered = [];
       track_all = true;
       pinned = Hashtbl.create 16;
       events = 0;
-      metrics;
-      flightrec;
       max_bugs_per_kind;
       result = None;
     }
   in
-  Sink.make ~name:sink_name ~on_event:(fun ev -> route t ev) ~finish:(fun () -> finish t)
+  Sink.make ~name:"pmdebugger-sharded" ~on_event:(fun ev -> route t ev) ~finish:(fun () -> finish t)

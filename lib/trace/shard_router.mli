@@ -1,4 +1,6 @@
-(** Sharded, domain-parallel detection.
+(** Sharded, domain-parallel detection: a library-only baseline. No
+    [pmdb] command runs it; perfbench measures it against the plain
+    detector, and it goes once that measurement is retired.
 
     A {!sink} fans the event stream out across [shards] workers, each
     owning its own bookkeeping and rule state, fed through bounded SPSC
@@ -13,15 +15,14 @@
     destination shard's open frame and publishes the frame over that
     shard's {!Spsc} queue once it holds 256 events. A frame is an
     immutable record of [Event.t] values with their stream seqs, replica
-    silence flags, a stop flag and its publish stamp; nothing is
-    encoded. The worker runs a frame at a time and bumps its progress
-    counter once per frame. Cross-shard barriers publish every shard's
-    partial frame before waiting on worker progress, so a stall observes
-    every event routed before it; [finish] sends each shard's tail in a
-    last frame marked stop. With [~domains:false] the same per-frame
-    step runs on the caller's domain at each publish, so frame
-    boundaries match the domain run while scheduling stays
-    deterministic.
+    silence flags and a stop flag; nothing is encoded. The worker runs
+    a frame at a time and bumps its progress counter once per frame.
+    Cross-shard barriers publish every shard's partial frame before
+    waiting on worker progress, so a stall observes every event routed
+    before it; [finish] sends each shard's tail in a last frame marked
+    stop. With [~domains:false] the same per-frame step runs on the
+    caller's domain at each publish, so frame boundaries match the
+    domain run while scheduling stays deterministic.
 
     Routing paths for an address event (store / CLF):
     - {b fast}: a single unpinned line (or several lines, all one
@@ -35,8 +36,7 @@
       every queue, pins the lines (stores only: the spanning location
       it creates is replicated on every shard from here on), scans the
       event's {e full} range synchronously on every shard, merges the
-      observations and fires the rule exactly once
-      ([shard_barrier_stalls_total] counts these).
+      observations and fires the rule exactly once.
 
     No location is ever clipped at a shard boundary — a location's
     extent is observable (a partial overwrite unflushes the whole slot;
@@ -117,42 +117,11 @@ val merge_store_obs : store_obs list -> store_obs
 val merge_clf_obs : clf_obs list -> clf_obs
 
 val sink :
-  ?name:string ->
   shards:int ->
   ?domains:bool
     (** default true: one OCaml Domain per shard. [false] runs every
         worker inline on the caller's domain, each frame as it is
         published. *) ->
-  ?metrics:Obs.Metrics.t
-    (** router-side registry: receives [shard_events_total{shard}]
-        (bumped per published frame by its event count),
-        [shard_barrier_stalls_total], [shard_barrier_stall_seconds]
-        (per cross-shard barrier drain) and
-        [shard_queue_depth_peak{shard}] (queued frames, sampled at each
-        publish, the stop frame included; 0 inline). Each worker also
-        gets its own private registry (enabled iff this one is)
-        recording [shard_worker_events_total{shard}],
-        [shard_worker_frame_seconds{shard}] (running one frame's events)
-        and [shard_frame_residency_seconds{shard}] (publish stamp to the
-        start of that run: time in the queue, against {!Obs.Clock});
-        those are {!Obs.Metrics.absorb}ed into this registry when the
-        sink finishes and the workers have joined, so the final
-        snapshot is whole-run truth across domains. With metrics
-        disabled the attribution path is one branch per frame. *) ->
-  ?flightrec:Obs.Flightrec.t
-    (** router-side flight recorder: records a ["frame"/"publish"]
-        instant per published frame ([a] = shard, [b] = the shard's
-        frame index, stamped with the frame's publish time) and a
-        ["barrier"/"stall"] instant per cross-shard barrier (metrics
-        must be on for barriers). Default {!Obs.Flightrec.disabled}. *) ->
-  ?worker_flightrecs:Obs.Flightrec.t array
-    (** one ring per shard, mutated only on that worker's domain:
-        records a ["frame"/"pop"] instant per frame run ([a] = shard,
-        [b] = frame index). Because {!Spsc} is FIFO, (shard, index)
-        names one frame end to end — the causal trace
-        ({!Obs.Tracecat}) pairs publish/pop records into flow arrows.
-        Length must equal [shards]. The caller retains the array for
-        dumping after [finish]. *) ->
   ?max_bugs_per_kind:int (** cap re-applied to the merged report, default 1000 *) ->
   (int -> worker) ->
   Sink.t

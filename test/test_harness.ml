@@ -46,19 +46,16 @@ let test_formatters () =
   Alcotest.(check string) "fmt_pct" "84.5%" (Harness.Table.fmt_pct 0.845)
 
 (* The `pmdb top` renderer against synthetic daemon snapshots: rates
-   from counter deltas, folded per-shard latency quantiles, the
-   backpressure rung, and per-session rows — all without a daemon. *)
+   from counter deltas, session latency quantiles, the backpressure
+   rung, and per-session rows — all without a daemon. *)
 let top_snapshot ?(events = 1000) ?(evictions = 0) () =
   let m = Obs.Metrics.create () in
   Obs.Metrics.inc m ~by:events "serve_events_total";
   Obs.Metrics.inc m ~by:3 "serve_sessions_opened_total";
   Obs.Metrics.inc m ~by:evictions "serve_evictions_total";
   Obs.Metrics.set m "serve_sessions_active" 2.0;
-  for shard = 0 to 1 do
-    let labels = [ ("shard", string_of_int shard) ] in
-    Obs.Metrics.observe m ~labels "shard_frame_residency_seconds" 0.004;
-    Obs.Metrics.observe m ~labels "shard_worker_frame_seconds" 0.0005
-  done;
+  Obs.Metrics.observe m "serve_session_e2e_seconds" 0.004;
+  Obs.Metrics.observe m "serve_session_e2e_seconds" 0.004;
   Obs.Metrics.inc m ~labels:[ ("domain", "0") ] ~by:750 "serve_worker_events_total";
   Obs.Metrics.inc m ~labels:[ ("domain", "1") ] ~by:250 "serve_worker_events_total";
   Obs.Metrics.set m ~labels:[ ("session", "alice") ] "serve_queue_depth" 17.0;
@@ -81,8 +78,7 @@ let test_top_render () =
   Alcotest.(check bool) "idle rung" true (contains first "backpressure: idle");
   (* Two 4ms observations land in the (2.5ms, 5ms] bucket; p50
      interpolates to its midpoint. *)
-  Alcotest.(check bool) "folded residency quantiles" true (contains first "residency p50 3.8ms");
-  Alcotest.(check bool) "per-frame worker latency" true (contains first "frame p50 ");
+  Alcotest.(check bool) "session latency quantiles" true (contains first "e2e p50 3.8ms");
   Alcotest.(check bool) "no decode stage" false (contains first "decode");
   Alcotest.(check bool) "worker balance" true (contains first "w0 75% (750)");
   Alcotest.(check bool) "session row" true (contains first "alice");

@@ -246,7 +246,7 @@ let test_nulgrind_overhead_guard () =
     (t2 < 0.002 || t2 < 3.0 *. (t +. 0.001))
 
 (* ------------------------------------------------------------------ *)
-(* Merge / absorb: the domain-safe aggregation laws                    *)
+(* Merge: the domain-safe aggregation laws                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Registries are built from op lists with kind-disjoint name pools
@@ -290,15 +290,6 @@ let prop_merge_associative =
       let left = M.merge [ M.merge [ a; b ]; c ] and right = M.merge [ a; M.merge [ b; c ] ] in
       render_snap left = render_snap right && render_snap left = render_snap (M.merge [ a; b; c ]))
 
-let prop_absorb_agrees_with_merge =
-  QCheck.Test.make ~name:"absorb-fold equals merge" ~count:200 (QCheck.pair mops_arb mops_arb)
-    (fun (xs, ys) ->
-      let a = apply_mops xs and b = apply_mops ys in
-      let t = M.create () in
-      M.absorb t a;
-      M.absorb t b;
-      render_snap (M.snapshot t) = render_snap (M.merge [ a; b ]))
-
 let test_merge_basics () =
   let a = M.create () and b = M.create () in
   M.inc a ~by:2 "x_total";
@@ -334,19 +325,7 @@ let test_merge_kind_clash () =
   M.observe d ~bounds:[| 2.0 |] "h" 0.5;
   (match M.merge [ M.snapshot c; M.snapshot d ] with
   | _ -> Alcotest.fail "bounds clash must raise"
-  | exception Invalid_argument _ -> ());
-  (* absorb enforces the same compatibility rules. *)
-  let t = M.create () in
-  M.inc t "x";
-  match M.absorb t (M.snapshot b) with
-  | () -> Alcotest.fail "absorb kind clash must raise"
-  | exception Invalid_argument _ -> ()
-
-let test_absorb_disabled_noop () =
-  let a = M.create () in
-  M.inc a "x_total";
-  M.absorb M.disabled (M.snapshot a);
-  Alcotest.(check int) "disabled registry stays empty" 0 (List.length (M.snapshot M.disabled))
+  | exception Invalid_argument _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
@@ -506,58 +485,39 @@ let test_heatmap_disabled_noop () =
 (* Tracecat: the merged causal trace                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_tracecat_flow_arrows () =
-  let router = F.create ~capacity:64 () in
-  let worker = F.create ~capacity:64 () in
-  (* Frame (0,0) survives on both rings -> one flow arrow; frame (0,1)
-     has a publish with no pop -> stays an instant, no arrow. *)
-  F.record router ~ts:1.0 ~cat:"frame" ~name:"publish" ~a:0 ~b:0;
-  F.record worker ~ts:1.5 ~cat:"frame" ~name:"pop" ~a:0 ~b:0;
-  F.record router ~ts:2.0 ~cat:"frame" ~name:"publish" ~a:0 ~b:1;
-  let spans = [ { Obs.Span.sp_name = "replay"; sp_attrs = [ ("k", "v") ]; sp_start_s = 0.5; sp_dur_s = 3.0 } ] in
-  let doc = Obs.Tracecat.merge ~spans ~metadata:[ ("reason", Obs.Json.Str "test") ] [ ("router", router); ("shard-0", worker) ] in
+(* Two rings and a phase span share one origin (the earliest stamp
+   across all of them): each ring's entries land on its own track at
+   their offset from that origin, and the span on a final "phases"
+   track. *)
+let test_tracecat_shared_timebase () =
+  let dispatch = F.create ~capacity:8 () in
+  let worker = F.create ~capacity:8 () in
+  F.record dispatch ~ts:2.0 ~cat:"dispatch" ~name:"store" ~a:1 ~b:0;
+  F.record worker ~ts:1.0 ~cat:"dispatch" ~name:"fence" ~a:2 ~b:0;
+  let spans = [ { Obs.Span.sp_name = "replay"; sp_attrs = [ ("k", "v") ]; sp_start_s = 1.5; sp_dur_s = 3.0 } ] in
+  let doc =
+    Obs.Tracecat.merge ~spans ~metadata:[ ("reason", Obs.Json.Str "test") ] [ ("dispatch", dispatch); ("worker-0", worker) ]
+  in
   (match Obs.Perfetto.validate_json doc with
   | Ok n -> Alcotest.(check bool) (Printf.sprintf "%d events validate" n) true (n > 0)
   | Error e -> Alcotest.fail e);
   let evs = match Obs.Json.member "traceEvents" doc with Some (Obs.Json.List l) -> l | _ -> [] in
-  let with_ph p = List.filter (fun e -> Obs.Json.member "ph" e = Some (Obs.Json.Str p)) evs in
-  Alcotest.(check int) "one flow start" 1 (List.length (with_ph "s"));
-  Alcotest.(check int) "one flow finish" 1 (List.length (with_ph "f"));
-  let pub_pop =
-    List.filter
-      (fun e ->
-        Obs.Json.member "ph" e = Some (Obs.Json.Str "X")
-        && Obs.Json.member "cat" e = Some (Obs.Json.Str "frame"))
-      evs
-  in
-  Alcotest.(check int) "matched pair renders two slices" 2 (List.length pub_pop);
-  let instants = with_ph "i" in
-  Alcotest.(check int) "unmatched publish stays an instant" 1 (List.length instants);
-  let span_slices =
-    List.filter (fun e -> Obs.Json.member "cat" e = Some (Obs.Json.Str "span")) evs
-  in
-  Alcotest.(check int) "phase track carries the span" 1 (List.length span_slices)
-
-let test_tracecat_pop_clamped_to_publish () =
-  (* Skewed clocks: the pop stamp precedes the publish stamp; the arrow
-     must still point forward in the rendered trace. *)
-  let router = F.create ~capacity:8 () in
-  let worker = F.create ~capacity:8 () in
-  F.record router ~ts:5.0 ~cat:"frame" ~name:"publish" ~a:1 ~b:0;
-  F.record worker ~ts:4.9 ~cat:"frame" ~name:"pop" ~a:1 ~b:0;
-  let doc = Obs.Tracecat.merge [ ("router", router); ("shard-1", worker) ] in
-  let evs = match Obs.Json.member "traceEvents" doc with Some (Obs.Json.List l) -> l | _ -> [] in
-  let ts_of name =
+  let int_field k e = match Obs.Json.member k e with Some (Obs.Json.Int v) -> v | _ -> -1 in
+  let placed ph name =
     List.filter_map
       (fun e ->
-        match (Obs.Json.member "name" e, Obs.Json.member "ph" e, Obs.Json.member "ts" e) with
-        | Some (Obs.Json.Str n), Some (Obs.Json.Str "X"), Some (Obs.Json.Int ts) when n = name -> Some ts
-        | _ -> None)
+        if Obs.Json.member "ph" e = Some (Obs.Json.Str ph) && Obs.Json.member "name" e = Some (Obs.Json.Str name)
+        then Some (int_field "tid" e, int_field "ts" e)
+        else None)
       evs
   in
-  match (ts_of "publish", ts_of "pop") with
-  | [ pub ], [ pop ] -> Alcotest.(check bool) "pop not before publish" true (pop >= pub)
-  | _ -> Alcotest.fail "expected one publish and one pop slice"
+  Alcotest.(check (list (pair int int))) "store on track 0, 1 s after the origin" [ (0, 1_000_000) ] (placed "i" "store");
+  Alcotest.(check (list (pair int int))) "fence on track 1, at the origin" [ (1, 0) ] (placed "i" "fence");
+  Alcotest.(check (list (pair int int))) "span on the phases track, 0.5 s in" [ (2, 500_000) ] (placed "X" "replay");
+  Alcotest.(check bool) "metadata carried" true
+    (match Obs.Json.member "metadata" doc with
+    | Some m -> Obs.Json.member "reason" m = Some (Obs.Json.Str "test")
+    | None -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition                                               *)
@@ -787,10 +747,8 @@ let suite =
     Alcotest.test_case "nulgrind-overhead-guard" `Quick test_nulgrind_overhead_guard;
     QCheck_alcotest.to_alcotest prop_merge_commutative;
     QCheck_alcotest.to_alcotest prop_merge_associative;
-    QCheck_alcotest.to_alcotest prop_absorb_agrees_with_merge;
     Alcotest.test_case "merge-basics" `Quick test_merge_basics;
     Alcotest.test_case "merge-kind-clash" `Quick test_merge_kind_clash;
-    Alcotest.test_case "absorb-disabled-noop" `Quick test_absorb_disabled_noop;
     Alcotest.test_case "flightrec-wraparound" `Quick test_flightrec_wraparound;
     Alcotest.test_case "flightrec-disabled" `Quick test_flightrec_disabled;
     Alcotest.test_case "flightrec-dump-json" `Quick test_flightrec_dump_json;
@@ -800,8 +758,7 @@ let suite =
     Alcotest.test_case "heatmap-cap-dropped" `Quick test_heatmap_cap_and_dropped;
     Alcotest.test_case "heatmap-merge-json" `Quick test_heatmap_merge_and_json_roundtrip;
     Alcotest.test_case "heatmap-disabled" `Quick test_heatmap_disabled_noop;
-    Alcotest.test_case "tracecat-flow-arrows" `Quick test_tracecat_flow_arrows;
-    Alcotest.test_case "tracecat-skew-clamped" `Quick test_tracecat_pop_clamped_to_publish;
+    Alcotest.test_case "tracecat-shared-timebase" `Quick test_tracecat_shared_timebase;
     Alcotest.test_case "prometheus-render" `Quick test_prometheus_render;
     Alcotest.test_case "prometheus-escaping" `Quick test_prometheus_escaping;
     Alcotest.test_case "prometheus-validate-rejects" `Quick test_prometheus_validate_rejects;

@@ -310,7 +310,7 @@ let test_session_terminate_first_wins () =
   Alcotest.(check bool) "error preserved" true (Serve.Session.error s = Some "line 1: bad")
 
 (* ---------------------------------------------------------------- *)
-(* Pool, inline mode                                                  *)
+(* Pool, driven directly by the test (no daemon, real worker domains) *)
 (* ---------------------------------------------------------------- *)
 
 let bug_trace_events =
@@ -324,31 +324,40 @@ let bug_trace_events =
     Event.Program_end;
   ]
 
-let test_pool_inline_roundtrip () =
+(* Poll a slot the worker domain fills, for at most 5 s. *)
+let await what get =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec go () =
+    match get () with
+    | Some v -> v
+    | None when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.001;
+        go ()
+    | None -> Alcotest.failf "no %s within 5 s" what
+  in
+  go ()
+
+let test_pool_roundtrip () =
   let pool =
-    Serve.Pool.create ~domains:false ~workers:2 ~queue_capacity:64 (fun ~heatmap:_ ->
-        D.sink (D.create ~model:D.Strict ()))
+    Serve.Pool.create ~workers:2 ~queue_capacity:64 (fun ~heatmap:_ -> D.sink (D.create ~model:D.Strict ()))
   in
   let slot = Serve.Pool.open_session pool ~id:3 in
   List.iter (fun ev -> Serve.Pool.submit pool ~id:3 ev) bug_trace_events;
   Serve.Pool.finish_session pool ~id:3;
-  (match Serve.Pool.result slot with
-  | None -> Alcotest.fail "inline pool produced no report"
-  | Some report ->
-      Alcotest.(check bool) "found the planted bugs" true (List.length report.Bug.bugs >= 2);
-      Alcotest.(check bool) "no failure" true (report.Bug.failure = None));
+  let report = await "report" (fun () -> Serve.Pool.result slot) in
+  Alcotest.(check bool) "found the planted bugs" true (List.length report.Bug.bugs >= 2);
+  Alcotest.(check bool) "no failure" true (report.Bug.failure = None);
   Serve.Pool.stop pool
 
-let test_pool_inline_detector_failure () =
+let test_pool_detector_failure () =
   let boom = Sink.make ~name:"boom" ~on_event:(fun _ -> failwith "detector exploded") ~finish:(fun () -> Bug.empty_report "boom") in
-  let pool = Serve.Pool.create ~domains:false ~workers:1 ~queue_capacity:64 (fun ~heatmap:_ -> boom) in
+  let pool = Serve.Pool.create ~workers:1 ~queue_capacity:64 (fun ~heatmap:_ -> boom) in
   let slot = Serve.Pool.open_session pool ~id:0 in
   Serve.Pool.submit pool ~id:0 (Event.Store { addr = 0; size = 8; tid = 0 });
-  Alcotest.(check bool) "failure surfaces in the slot" true (Serve.Pool.failed slot <> None);
+  ignore (await "failure in the slot" (fun () -> Serve.Pool.failed slot));
   Serve.Pool.finish_session pool ~id:0;
-  (match Serve.Pool.result slot with
-  | Some report -> Alcotest.(check bool) "report carries the failure" true (report.Bug.failure <> None)
-  | None -> Alcotest.fail "no report after finish");
+  let report = await "report after finish" (fun () -> Serve.Pool.result slot) in
+  Alcotest.(check bool) "report carries the failure" true (report.Bug.failure <> None);
   Serve.Pool.stop pool
 
 (* ---------------------------------------------------------------- *)
@@ -855,8 +864,8 @@ let suite =
     Alcotest.test_case "session ensure_end" `Quick test_session_ensure_end;
     Alcotest.test_case "session live_bytes accounting" `Quick test_session_live_bytes_accounting;
     Alcotest.test_case "session first terminal status wins" `Quick test_session_terminate_first_wins;
-    Alcotest.test_case "pool inline roundtrip" `Quick test_pool_inline_roundtrip;
-    Alcotest.test_case "pool inline detector failure" `Quick test_pool_inline_detector_failure;
+    Alcotest.test_case "pool inline roundtrip" `Quick test_pool_roundtrip;
+    Alcotest.test_case "pool inline detector failure" `Quick test_pool_detector_failure;
     Alcotest.test_case "gate: 8 clients, 2 misbehaving" `Quick test_gate_eight_clients_two_misbehaving;
     Alcotest.test_case "gate: detector quarantine is isolated" `Quick test_gate_detector_quarantine_isolated;
     Alcotest.test_case "soak: waves leave no session state" `Quick test_soak_waves_leave_no_session_state;

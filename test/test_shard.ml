@@ -133,18 +133,12 @@ let recording_workers shards =
   in
   (logs, make)
 
-let frame_records ring name =
-  List.filter
-    (fun e -> e.Obs.Flightrec.e_cat = "frame" && e.Obs.Flightrec.e_name = name)
-    (Obs.Flightrec.window ring)
-
 (* Tx_log appends all route to shard 0, so the frame boundaries are
    exact: a frame goes out at every 256th event, and the stop frame
    carries the partial tail plus the end-of-trace broadcast. *)
 let test_frame_boundary_and_stop_partial () =
   let logs, make = recording_workers 2 in
-  let pops = Array.init 2 (fun _ -> Obs.Flightrec.create ~capacity:64 ()) in
-  let sink = Shard_router.sink ~shards:2 ~domains:false ~worker_flightrecs:pops make in
+  let sink = Shard_router.sink ~shards:2 ~domains:false make in
   let tx = Event.Tx_log { obj_addr = 0; size = 8; tid = 0 } in
   for _ = 1 to 512 do
     sink.Sink.on_event tx
@@ -159,9 +153,7 @@ let test_frame_boundary_and_stop_partial () =
   Alcotest.(check (list int)) "every event exactly once, in order, then the end of trace"
     (List.init 599 (fun i -> i + 1) @ [ 599 ])
     (List.rev_map fst !(logs.(0)));
-  Alcotest.(check int) "shard 0: two full frames and a stop frame" 3 (List.length (frame_records pops.(0) "pop"));
-  Alcotest.(check (list int)) "shard 1: only the end of trace" [ 599 ] (List.map fst !(logs.(1)));
-  Alcotest.(check int) "shard 1: one stop frame" 1 (List.length (frame_records pops.(1) "pop"))
+  Alcotest.(check (list int)) "shard 1: only the end of trace" [ 599 ] (List.map fst !(logs.(1)))
 
 (* Exact, ordered delivery across a real domain boundary: stores
    alternate between shard 0's and shard 1's lines, so each shard
@@ -182,97 +174,6 @@ let test_frame_cross_domain () =
   Alcotest.(check bool) "shard 0 ran the even seqs, in order" true
     (List.map fst (stores 0) = List.init (n / 2) (fun i -> (2 * i) + 2));
   Alcotest.(check bool) "no replica silenced" true (List.for_all (fun (_, silent) -> not silent) (stores 0 @ stores 1))
-
-(* ---------------------------------------------------------------- *)
-(* Stage latency: the publish-stamp law and the disabled-path cost    *)
-(* ---------------------------------------------------------------- *)
-
-(* The law residency attribution (pop time - publish stamp) relies on,
-   read from the flight recorders: per shard, the frames' publish
-   stamps are non-decreasing in frame order, every published frame is
-   run once under the same (shard, index), and no frame is run before
-   its publish. Ops: 0 = a store spanning both shards (a barrier that
-   publishes partial frames), k > 0 = k * 90 single-line stores, so
-   frames fill, flush early and end in a partial stop frame. *)
-let stamp_law ~pubs ~pops shards =
-  let pub_ts = Hashtbl.create 64 in
-  List.for_all
-    (fun shard ->
-      let mine = List.filter (fun e -> e.Obs.Flightrec.e_a = shard) (frame_records pubs "publish") in
-      let popped = frame_records pops.(shard) "pop" in
-      List.iter (fun e -> Hashtbl.replace pub_ts (shard, e.Obs.Flightrec.e_b) e.Obs.Flightrec.e_ts) mine;
-      let rec nondecreasing = function
-        | a :: (b :: _ as rest) -> a.Obs.Flightrec.e_ts <= b.Obs.Flightrec.e_ts && nondecreasing rest
-        | _ -> true
-      in
-      nondecreasing mine
-      && List.map (fun e -> e.Obs.Flightrec.e_b) mine = List.map (fun e -> e.Obs.Flightrec.e_b) popped
-      && List.for_all
-           (fun e -> e.Obs.Flightrec.e_ts >= Hashtbl.find pub_ts (shard, e.Obs.Flightrec.e_b))
-           popped)
-    (List.init shards Fun.id)
-
-let prop_pub_ts_nondecreasing =
-  QCheck.Test.make ~name:"frame ring: publish stamps non-decreasing (wraparound, flush, partial stop)"
-    ~count:100
-    QCheck.(list_of_size Gen.(1 -- 30) (int_bound 4))
-    (fun ops ->
-      let _, make = recording_workers 2 in
-      let pubs = Obs.Flightrec.create ~capacity:1024 () in
-      let pops = Array.init 2 (fun _ -> Obs.Flightrec.create ~capacity:1024 ()) in
-      let sink = Shard_router.sink ~shards:2 ~domains:false ~flightrec:pubs ~worker_flightrecs:pops make in
-      List.iter
-        (fun op ->
-          if op = 0 then sink.Sink.on_event (Event.Store { addr = 56; size = 16; tid = 0 })
-          else
-            for i = 1 to op * 90 do
-              sink.Sink.on_event (Event.Store { addr = (i land 1) * 64; size = 8; tid = 0 })
-            done)
-        ops;
-      ignore (sink.Sink.finish ());
-      stamp_law ~pubs ~pops 2)
-
-(* The same law with the workers on real domains: queue wraparound,
-   backpressure and pops on other domains keep frame indices paired
-   and stamps ordered. *)
-let test_frame_pub_ts_cross_domain () =
-  let _, make = recording_workers 2 in
-  let pubs = Obs.Flightrec.create ~capacity:1024 () in
-  let pops = Array.init 2 (fun _ -> Obs.Flightrec.create ~capacity:1024 ()) in
-  let sink = Shard_router.sink ~shards:2 ~flightrec:pubs ~worker_flightrecs:pops make in
-  for i = 1 to 60_000 do
-    sink.Sink.on_event (Event.Store { addr = (i land 1) * 64; size = 8; tid = 0 });
-    if i mod 613 = 0 then sink.Sink.on_event (Event.Store { addr = 56; size = 16; tid = 0 })
-  done;
-  ignore (sink.Sink.finish ());
-  Alcotest.(check bool) "stamps non-decreasing, frames paired" true (stamp_law ~pubs ~pops 2);
-  Alcotest.(check bool) "saw many frames" true (List.length (frame_records pops.(0) "pop") > 100)
-
-(* Overhead guard for the stage-attribution path: with metrics
-   disabled, the frame path pays one branch per frame and zero timing
-   calls — an absolute bound on 200k events
-   through a no-op worker catches an accidentally always-on path
-   (10-100x), not CI noise. *)
-let noop_worker _ =
-  {
-    Shard_router.w_event = (fun ~seq:_ ~silent:_ _ -> ());
-    w_scan_store = (fun ~seq:_ ~tid:_ ~lo:_ ~hi:_ -> { Shard_router.so_overlapped = false; so_prior_seqs = [] });
-    w_fire_store = (fun ~seq:_ ~addr:_ ~size:_ _ -> ());
-    w_scan_clf = (fun ~seq:_ ~tid:_ ~lo:_ ~hi:_ -> { Shard_router.co_matched = 0; co_newly = 0; co_redundant = [] });
-    w_fire_clf = (fun ~seq:_ ~addr:_ ~size:_ _ -> ());
-    w_finish = (fun () -> Bug.empty_report "noop");
-  }
-
-let test_stage_latency_disabled_overhead () =
-  let n = 200_000 in
-  let sink = Shard_router.sink ~shards:2 ~domains:false noop_worker in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to n do
-    sink.Sink.on_event (Event.Store { addr = (i land 1023) * 8; size = 8; tid = 0 })
-  done;
-  ignore (sink.Sink.finish ());
-  let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) (Printf.sprintf "200k framed events with metrics off in %.3fs < 2s" dt) true (dt < 2.0)
 
 (* ---------------------------------------------------------------- *)
 (* Engine.finish_all ordering (regression for the documented          *)
@@ -397,33 +298,6 @@ let test_merge_stats_union () =
     (List.map fst report.Bug.stats)
 
 (* ---------------------------------------------------------------- *)
-(* Queue-depth gauge sampling (regression)                           *)
-(* ---------------------------------------------------------------- *)
-
-(* Sampling used to gate on the router's global event tick (every 64th
-   event, nothing before event 64): a short run with real domains ended
-   with no depth series at all. Now each shard samples on its own push
-   cadence plus a final pre-stop sample, so even a tiny run records a
-   peak for every shard that saw traffic. *)
-let test_depth_gauge_on_small_runs () =
-  let reg = Obs.Metrics.create () in
-  let evs = ref [ Event.Register_pmem { base = 0; size = 512 } ] in
-  for i = 1 to 10 do
-    evs := Event.Store { addr = (i mod 2 * 64) + 8; size = 8; tid = 0 } :: !evs
-  done;
-  evs := Event.Program_end :: !evs;
-  let trace = Array.of_list (List.rev !evs) in
-  ignore
-    (Recorder.replay trace
-       (Shard_router.sink ~shards:2 ~metrics:reg (fun _ -> D.worker (D.create ~walk_dedup:false ()))));
-  let snap = Obs.Metrics.snapshot reg in
-  List.iter
-    (fun shard ->
-      if Obs.Metrics.find snap ~labels:[ ("shard", shard) ] "shard_queue_depth_peak" = None then
-        Alcotest.failf "no depth peak for shard %s (<64 events routed)" shard)
-    [ "0"; "1" ]
-
-(* ---------------------------------------------------------------- *)
 (* QCheck parity: random traces, sharded vs single                   *)
 (* ---------------------------------------------------------------- *)
 
@@ -496,14 +370,14 @@ let parity_prop ?mode ?(model = D.Strict) ~shards input =
   canon (replay_sharded ?mode ~model ~shards trace) = expected
 
 let prop_parity_modes =
-  QCheck.Test.make ~name:"sharded report equals single run (3 modes x 1/2/4/8 shards, strict)" ~count:30 gen_trace
+  QCheck.Test.make ~name:"sharded report equals single run (2 modes x 1/2/4/8 shards, strict)" ~count:30 gen_trace
     (fun input ->
       List.for_all
         (fun mode ->
           List.for_all
             (fun shards -> parity_prop ~mode ~shards input)
             [ 1; 2; 4; 8 ])
-        [ Pmdebugger.Space.Hybrid; Pmdebugger.Space.Array_only; Pmdebugger.Space.Tree_only ])
+        [ Pmdebugger.Space.Hybrid; Pmdebugger.Space.Tree_only ])
 
 let prop_parity_relaxed_models =
   QCheck.Test.make ~name:"sharded report equals single run (epoch and strand models)" ~count:25 gen_trace
@@ -740,8 +614,8 @@ let snap setup =
   Obs.Metrics.snapshot m
 
 let test_diff_gauge_gating () =
-  let before = snap (fun m -> Obs.Metrics.set m "shard_queue_depth_peak" 10.0) in
-  let after = snap (fun m -> Obs.Metrics.set m "shard_queue_depth_peak" 30.0) in
+  let before = snap (fun m -> Obs.Metrics.set m "space_array_live_peak" 10.0) in
+  let after = snap (fun m -> Obs.Metrics.set m "space_array_live_peak" 30.0) in
   let d = Obs.Diff.compute ~before ~after in
   Alcotest.(check int) "gauges never gate by default" 0 (List.length (Obs.Diff.regressions d));
   Alcotest.(check int) "grown gauge gates when opted in" 1
@@ -767,15 +641,11 @@ let suite =
     Alcotest.test_case "frame ring: boundary publish and stop with partial frame" `Quick
       test_frame_boundary_and_stop_partial;
     Alcotest.test_case "frame ring: cross-domain ordering" `Quick test_frame_cross_domain;
-    QCheck_alcotest.to_alcotest prop_pub_ts_nondecreasing;
-    Alcotest.test_case "frame ring: publish stamps across domains" `Quick test_frame_pub_ts_cross_domain;
-    Alcotest.test_case "stage latency: disabled path overhead" `Quick test_stage_latency_disabled_overhead;
     Alcotest.test_case "finish_all: reports in attach order" `Quick test_finish_all_attach_order;
     Alcotest.test_case "finish_all: order survives quarantine" `Quick test_finish_all_order_survives_quarantine;
     Alcotest.test_case "merge_store_obs: cap of union" `Quick test_merge_store_obs_cap;
     Alcotest.test_case "prior seqs across a shard boundary" `Quick test_prior_seqs_span_two_shards;
     Alcotest.test_case "merge_stats: union of keys" `Quick test_merge_stats_union;
-    Alcotest.test_case "depth gauge sampled on small runs" `Quick test_depth_gauge_on_small_runs;
     Alcotest.test_case "barrier with partial frames staged" `Quick test_barrier_mid_frame;
     QCheck_alcotest.to_alcotest prop_parity_modes;
     QCheck_alcotest.to_alcotest prop_parity_relaxed_models;

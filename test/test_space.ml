@@ -160,7 +160,6 @@ let test_modes_agree_on_pending () =
     pending sp
   in
   let hybrid = run Space.Hybrid in
-  Alcotest.(check (list (triple int int bool))) "array-only agrees" hybrid (run Space.Array_only);
   Alcotest.(check (list (triple int int bool))) "tree-only agrees" hybrid (run Space.Tree_only)
 
 let test_no_interval_metadata_agrees () =
@@ -176,7 +175,7 @@ let test_no_interval_metadata_agrees () =
   in
   Alcotest.(check (list (triple int int bool))) "metadata off agrees" (run true) (run false)
 
-(* Differential property: the three bookkeeping modes and the
+(* Differential property: the two bookkeeping modes and the
    metadata-off variant produce identical pending sets on random op
    sequences — the ablation knobs change cost, never verdicts. *)
 let prop_modes_equivalent =
@@ -198,8 +197,7 @@ let prop_modes_equivalent =
         pending sp
       in
       let reference = run_mode Space.Hybrid true in
-      run_mode Space.Array_only true = reference
-      && run_mode Space.Tree_only true = reference
+      run_mode Space.Tree_only true = reference
       && run_mode Space.Hybrid false = reference)
 
 (* Per-op differential: not just the final pending sets — every
@@ -214,7 +212,7 @@ let prop_modes_observations_equivalent =
   QCheck.Test.make ~name:"per-op observations agree across modes" ~count:300
     QCheck.(small_list (pair (int_range 0 2) (int_range 0 30)))
     (fun ops ->
-      let sps = List.map (fun mode -> mk ~mode ()) [ Space.Hybrid; Space.Array_only; Space.Tree_only ] in
+      let sps = List.map (fun mode -> mk ~mode ()) [ Space.Hybrid; Space.Tree_only ] in
       let agree obs = List.for_all (fun o -> o = List.hd obs) obs in
       List.for_all
         (fun (op, slot) ->
@@ -323,7 +321,7 @@ let test_unflushed_slot_reports_no_clf_seq () =
    fence intervals of 1–300 stores (CLFs mixed in) drive the array
    through every doubling and the spill point, for capacities on both
    sides of the initial 64 slots, a non-power-of-two cap and the
-   default (plus array-only and metadata-off spaces). Every observation
+   default (plus a metadata-off space). Every observation
    must equal the tree-only space's and the flat oracle's. Aligned
    16-byte stores make every supersede and CLF a full cover, and 256
    distinct addresses keep the tree below the merge threshold, so
@@ -338,8 +336,7 @@ let prop_growth_boundary_parity =
       let module F = Flat_oracle in
       let capacities = [ Some 1; Some 63; Some 64; Some 65; Some 100; Some 1000; None ] in
       let hybrids =
-        mk ~mode:Space.Array_only ~array_capacity:65 ()
-        :: mk ~interval_metadata:false ~array_capacity:65 ()
+        mk ~interval_metadata:false ~array_capacity:65 ()
         :: List.map (fun array_capacity -> mk ?array_capacity ()) capacities
       in
       let tree = mk ~mode:Space.Tree_only () in
