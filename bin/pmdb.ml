@@ -368,6 +368,7 @@ let crash_explore_cmd case trace workload n expect fences_only max_images bisect
   let module CE = Faultinject.Crash_explore in
   if case = None && expect = None then
     die "need --case ID, or --trace FILE / -w WORKLOAD with --expect PREDICATE";
+  if max_images < 1 then die "--max-images must be >= 1";
   let parse_expect e =
     match Faultinject.Predicate.parse e with Ok p -> Faultinject.Predicate.recovery p | Error msg -> die "--expect: %s" msg
   in
@@ -395,22 +396,19 @@ let crash_explore_cmd case trace workload n expect fences_only max_images bisect
           (List.length rep.Infer.Invariant.invariants)
           path
   in
+  let plan = CE.make_plan ~boundaries ~max_images ?budget ~seed steps in
   if bisect then begin
     let f =
-      Obs.Span.record spans "bisect" (fun () ->
-          if strategy_name = "exhaustive" then CE.bisect ~max_images ~metrics ~recovery steps
-          else CE.bisect ~max_images ~metrics ~strategy ~recovery steps)
+      Obs.Span.record spans "bisect" (fun () -> CE.minimal_failing_prefix ~max_images ~metrics ~recovery steps)
     in
     (match f with
     | None -> Printf.printf "%s: no crash image fails recovery (%d steps explored)\n" what (Array.length steps)
     | Some f ->
         Format.printf "%s: minimal failing prefix ends at event #%d (%a): %d/%d crash image(s) fail recovery@."
           what f.CE.index Faultinject.Replay.pp f.CE.step f.CE.failing_images f.CE.images_checked);
-    if invariants_out <> None then
-      write_invariants (CE.make_plan ~boundaries ~max_images ?budget ~seed steps) None
+    write_invariants plan None
   end
   else begin
-    let plan = CE.make_plan ~boundaries ~max_images ?budget ~seed steps in
     let o = Obs.Span.record spans "explore" (fun () -> CE.run ~metrics ~recovery plan strategy) in
     let r = o.CE.result in
     Printf.printf "%s: %d boundar%s checked, %d crash image(s) tested\n" what r.CE.boundaries_checked
@@ -761,6 +759,7 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
               (match frame.Serve.Wire.error with None -> "" | Some e -> Printf.sprintf " (%s)" e);
             exit (Serve.Status.exit_code frame.Serve.Wire.status))
     | None ->
+        if workers < 1 then die "--workers must be >= 1";
         let config = load_config config in
         (* Telemetry is always on for the daemon: the dispatch domain
            and every worker domain record into their own registries,
@@ -852,6 +851,7 @@ let heatmap_cmd case trace workload n config cap top json daemon =
       | Ok snap -> print_heatmap ~what:socket ~top ~json snap)
   | None ->
       (* Annotations on: Register_var events give the hot lines names. *)
+      if cap < 1 then die "--cap must be >= 1";
       let src = source ~annotate:true ?case ?trace ~workload ~n config in
       let heatmap = Obs.Heatmap.create ~cap () in
       ignore (detect_trace ~heatmap src.model src.config (events src));
@@ -1023,7 +1023,10 @@ let max_images_arg =
   Arg.(value & opt int 64 & info [ "max-images" ] ~docv:"K" ~doc)
 
 let bisect_arg =
-  let doc = "Report only the minimal failing prefix, found by coarse fence scan plus fine window scan." in
+  let doc =
+    "Report only the minimal failing prefix: the first failing boundary of the exhaustive every-op scan, whatever \
+     --strategy, --budget or --fences-only say."
+  in
   Arg.(value & flag & info [ "bisect" ] ~doc)
 
 let explore_trace_arg =

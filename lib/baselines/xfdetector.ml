@@ -196,7 +196,7 @@ let simulate_failure_point t =
     ignore (Hashtbl.length lines);
     match (t.pm, t.recovery) with
     | Some pm, Some recovery ->
-        let violations = Pmdebugger.Crash_check.violations ~pm ~recovery ~max_images:8 () in
+        let violations, _ = Pmem.State.check_crash_images pm ~max_images:8 ~recovery in
         if violations > 0 then
           report_bug t Bug.Cross_failure_semantic ~addr:(-1)
             ~detail:(Printf.sprintf "failure point %d: %d inconsistent crash image(s)" t.failure_points violations)

@@ -320,7 +320,7 @@ let run_crash_check t =
   match (t.pm, t.recovery) with
   | Some pm, Some recovery when t.rules.cross_failure ->
       Obs.Metrics.inc t.metrics "detector_crash_checks_total";
-      let violations = Crash_check.violations ~pm ~recovery () in
+      let violations, _ = Pmem.State.check_crash_images pm ~max_images:64 ~recovery in
       if violations > 0 then
         report_bug t Bug.Cross_failure_semantic ~addr:(-1)
           ~detail:(Printf.sprintf "%d inconsistent crash image(s)" violations)

@@ -18,14 +18,6 @@ let is_boundary boundaries step =
   | Fences_only -> Replay.is_fence step
   | Every_op -> Replay.is_store step || Replay.is_clf step || Replay.is_fence step
 
-let check_images st ~max_images ~recovery =
-  let images = Pmem.State.crash_images st ~max_images () in
-  (* [crash_images] floors at the two extreme images; a budget remainder
-     of one must still be a hard cap. *)
-  let images = if max_images < 2 then List.filteri (fun i _ -> i < max_images) images else images in
-  let failing = List.fold_left (fun acc img -> if recovery img then acc else acc + 1) 0 images in
-  (failing, List.length images)
-
 (* ------------------------------------------------------------------ *)
 (* Exploration plans                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -42,6 +34,7 @@ type plan = {
 }
 
 let make_plan ?(boundaries = Every_op) ?(max_images = 64) ?budget ?(seed = 0x5eed) ?invariants steps =
+  if max_images < 1 then invalid_arg "Crash_explore.make_plan: max_images must be >= 1";
   let idx = ref [] and evs = ref [] in
   let event_count = ref 0 in
   Array.iteri
@@ -167,7 +160,7 @@ let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery pla
       let allowance = min plan.max_images (budget_left ()) in
       incr boundaries_checked;
       incr explored;
-      let failing, checked = check_images st ~max_images:allowance ~recovery in
+      let failing, checked = Pmem.State.check_crash_images st ~max_images:allowance ~recovery in
       images_checked := !images_checked + checked;
       if failing > 0 then begin
         failures :=
@@ -179,7 +172,7 @@ let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery pla
   in
   if is_monotone order then begin
     (* Trace-ordered schedules (exhaustive, sampled) run as one forward
-       replay — the pre-strategy explorer loop. *)
+       replay. *)
     let st = Pmem.State.create () in
     let m = Array.length order in
     let next = ref 0 and i = ref 0 in
@@ -233,99 +226,11 @@ let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery pla
     invariants_used;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Legacy entry points, now thin wrappers over the driver              *)
-(* ------------------------------------------------------------------ *)
-
-let explore ?(boundaries = Every_op) ?(max_images = 64) ?(stop_at_first = false)
-    ?(metrics = Obs.Metrics.disabled) ~recovery steps =
-  let plan = make_plan ~boundaries ~max_images steps in
-  (run ~stop_at_first ~metrics ~recovery plan exhaustive).result
-
+(* Transient windows make failure non-monotone in the prefix length: a
+   prefix can fail and a longer one pass once a fence closes the window.
+   Only checking every boundary in order proves a prefix minimal. *)
 let minimal_failing_prefix ?max_images ?metrics ~recovery steps =
-  match (explore ?max_images ?metrics ~stop_at_first:true ~recovery steps).failures with
+  let plan = make_plan ?max_images steps in
+  match (run ~stop_at_first:true ?metrics ~recovery plan exhaustive).result.failures with
   | f :: _ -> Some f
   | [] -> None
-
-(* Fine pass shared by both bisection flavours: replay the known-good
-   prefix [0, from], then check every Every_op boundary in
-   (from, upto]; first failure wins. *)
-let scan_window ~max_images ~metrics ~recovery steps ~from ~upto =
-  let st = Pmem.State.create () in
-  for j = 0 to from do
-    Replay.apply st steps.(j)
-  done;
-  let note_check checked =
-    Obs.Metrics.inc metrics "crash_explore_prefixes_replayed_total";
-    Obs.Metrics.inc metrics ~by:checked "crash_explore_images_tested_total"
-  in
-  let found = ref None in
-  let j = ref (from + 1) in
-  while !found = None && !j <= upto do
-    let step = steps.(!j) in
-    Replay.apply st step;
-    if is_boundary Every_op step then begin
-      let failing, checked = check_images st ~max_images ~recovery in
-      note_check checked;
-      if failing > 0 then
-        found := Some { index = !j; step; failing_images = failing; images_checked = checked }
-    end;
-    incr j
-  done;
-  !found
-
-(* Two-pass search for the minimal failing prefix: a coarse pass that
-   samples crash images only at fences (cheap — this is exactly what
-   Crash_check does per fence), then a fine event-by-event pass confined
-   to the window between the last passing fence and the failing one.
-   When every fence passes but the caller knows the trace is bad (an
-   inconsistency window that closes before the next fence), fall back to
-   the full fine scan.
-
-   With [strategy], the coarse pass is replaced by the strategy's own
-   exploration order (risk-first for guided): the first failing boundary
-   it reaches caps the search window, and the fine pass verifies no
-   earlier boundary fails — so any strategy whose unbounded schedule
-   covers all boundaries converges to the same minimal prefix as the
-   exhaustive order. *)
-let bisect ?(max_images = 64) ?(metrics = Obs.Metrics.disabled) ?strategy ~recovery steps =
-  match strategy with
-  | Some strategy -> (
-      let plan = make_plan ~boundaries:Every_op ~max_images steps in
-      let first =
-        match (run ~stop_at_first:true ~metrics ~recovery plan strategy).result.failures with
-        | f :: _ -> Some f
-        | [] -> None
-      in
-      match first with
-      | None -> None
-      | Some f -> (
-          match scan_window ~max_images ~metrics ~recovery steps ~from:(-1) ~upto:(f.index - 1) with
-          | Some earlier -> Some earlier
-          | None -> Some f))
-  | None -> (
-      let n = Array.length steps in
-      let st = Pmem.State.create () in
-      let last_ok = ref (-1) in
-      let coarse_fail = ref None in
-      let i = ref 0 in
-      let note_check checked =
-        Obs.Metrics.inc metrics "crash_explore_prefixes_replayed_total";
-        Obs.Metrics.inc metrics ~by:checked "crash_explore_images_tested_total"
-      in
-      while !coarse_fail = None && !i < n do
-        let step = steps.(!i) in
-        Replay.apply st step;
-        if Replay.is_fence step then begin
-          let failing, checked = check_images st ~max_images ~recovery in
-          note_check checked;
-          if failing > 0 then coarse_fail := Some (!i, failing, checked) else last_ok := !i
-        end;
-        incr i
-      done;
-      match !coarse_fail with
-      | None -> minimal_failing_prefix ~max_images ~metrics ~recovery steps
-      | Some (fail_at, _, _) ->
-          (* The window always contains a failing boundary: its right
-             edge is one. *)
-          scan_window ~max_images ~metrics ~recovery steps ~from:!last_ok ~upto:fail_at)

@@ -1,14 +1,15 @@
 (** Crash-point exploration under a choice of three strategies.
 
-    The cross-failure rule as shipped only samples crash images at
-    fences ({!Pmdebugger.Crash_check} via [crash_check_every_fence]).
-    A machine can lose power at {e any} instruction boundary, and an
-    inconsistency window can open after a store and close again at the
-    next fence — invisible to fence-only sampling. This explorer replays
-    a step trace into a fresh {!Pmem.State}, derives the possible
-    durable images at store/CLF/fence boundaries, runs the workload's
-    recovery predicate against each, and reports the exact event index
-    of every boundary where some image fails recovery.
+    The detector's cross-failure rule checks crash images only at
+    fences ([crash_check_every_fence]). A machine can lose power at
+    {e any} instruction boundary, and an inconsistency window can open
+    after a store and close again at the next fence — invisible to
+    fence-only sampling. This explorer replays a step trace into a
+    fresh {!Pmem.State}, checks the possible durable images at
+    store/CLF/fence boundaries against the workload's recovery
+    predicate ({!Pmem.State.check_crash_images}, the same check the
+    detector runs), and reports the exact event index of every boundary
+    where some image fails recovery.
 
     Which boundaries are visited, and in what order, is set by the
     {!strategy}: {!exhaustive} visits every boundary in trace order,
@@ -16,7 +17,8 @@
     ({!Infer.Risk}) and visits highest-risk first, {!sampled} draws a
     seeded reservoir over the boundaries. An image budget on the
     {!plan} caps total exploration cost for the non-exhaustive
-    strategies. *)
+    strategies. {!run} is the only walk over a plan; the minimal
+    failing prefix is the first failure of its exhaustive walk. *)
 
 type boundaries =
   | Every_op  (** check after every store, CLF and fence *)
@@ -56,6 +58,9 @@ val make_plan :
   ?invariants:Infer.Invariant.report ->
   Replay.step array ->
   plan
+(** [max_images] (default 64) is the hard cap on images checked per
+    boundary; [budget] caps the whole run.
+    @raise Invalid_argument if [max_images < 1]. *)
 
 val plan_events : plan -> Pmtrace.Event.t array
 (** The event projection of the plan's steps. *)
@@ -107,48 +112,24 @@ val run :
   strategy ->
   outcome
 (** Runs the plan under the strategy. Trace-ordered schedules execute as
-    a single forward replay (the original explorer loop); risk-ordered
-    schedules replay a fresh prefix per boundary. The plan's [budget]
-    bounds total images derived across the run (the last boundary's
-    sample is truncated to the remainder, so a budget of [N] never
-    derives more than [N] images). [result.failures] is always in trace
-    order. [metrics] receives [crash_explore_prefixes_replayed_total]
-    and [crash_explore_images_tested_total] (as before) plus
+    a single forward replay; risk-ordered schedules replay a fresh
+    prefix per boundary. The plan's [budget] bounds total images derived
+    across the run (the last boundary's sample is truncated to the
+    remainder, so a budget of [N] never derives more than [N] images).
+    [stop_at_first] ends the run at its first failing boundary.
+    [result.failures] is always in trace order. [metrics] receives
+    [crash_explore_prefixes_replayed_total],
+    [crash_explore_images_tested_total],
     [explore_images_total{strategy}], [explore_bugs_found_total] and
     [explore_skipped_low_risk_total]. *)
 
-(** {1 Trace-order entry points} *)
-
-val explore :
-  ?boundaries:boundaries ->
-  ?max_images:int ->
-  ?stop_at_first:bool ->
-  ?metrics:Obs.Metrics.t ->
-  recovery:(Pmem.Image.t -> bool) ->
-  Replay.step array ->
-  result
-(** Full exhaustive scan — [run] with {!exhaustive} and no budget.
-    [max_images] bounds the images sampled per boundary (default 64);
-    [stop_at_first] stops at the first failing boundary. *)
+(** {1 Minimal failing prefix} *)
 
 val minimal_failing_prefix :
   ?max_images:int -> ?metrics:Obs.Metrics.t -> recovery:(Pmem.Image.t -> bool) -> Replay.step array -> failure option
-(** First failing boundary of the [Every_op] scan — by construction the
-    minimal trace prefix after which some crash image fails recovery. *)
-
-val bisect :
-  ?max_images:int ->
-  ?metrics:Obs.Metrics.t ->
-  ?strategy:strategy ->
-  recovery:(Pmem.Image.t -> bool) ->
-  Replay.step array ->
-  failure option
-(** Cheap minimal-prefix search. Without [strategy]: a coarse fence-only
-    pass finds the first failing fence, then a fine event-by-event pass
-    covers only the window after the last passing fence — far fewer
-    image derivations on long traces; falls back to the full scan when
-    every fence passes (transient windows). With [strategy]: the
-    strategy's own order (risk-first for {!guided}) finds a first
-    failing boundary, and the fine pass verifies the prefix before it —
-    converging to the same minimal failing prefix as the exhaustive
-    order for any strategy whose schedule covers all boundaries. *)
+(** The first failure of [run ~stop_at_first:true] over the exhaustive
+    [Every_op] plan: the shortest trace prefix after which some crash
+    image fails recovery. Every boundary before it is checked, since an
+    inconsistency window that a later fence closes makes failure
+    non-monotone in the prefix length; no strategy or coarser pass can
+    prove minimality with fewer checks. *)

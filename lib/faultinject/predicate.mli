@@ -31,5 +31,5 @@ val to_string : t -> string
 val eval : t -> Pmem.Image.t -> bool
 
 val recovery : t -> Pmem.Image.t -> bool
-(** [eval] partially applied — the shape {!Crash_explore.explore}
-    expects. *)
+(** [eval] partially applied — the recovery predicate
+    {!Crash_explore.run} expects. *)

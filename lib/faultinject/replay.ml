@@ -14,9 +14,9 @@ let events_of_steps steps =
   Array.of_list (List.filter_map event_of_step (Array.to_list steps))
 
 (* Crash-point exploration is the one trace consumer that genuinely
-   needs random access (bisection replays a known-good prefix a second
-   time), so a trace file is materialized here — explicitly — instead of
-   streamed. Everything detector-facing should prefer
+   needs random access (guided schedules replay a fresh prefix per
+   boundary), so a trace file is materialized here — explicitly —
+   instead of streamed. Everything detector-facing should prefer
    Trace_io.iter_file. *)
 let materialize_file ?synthesize_end path =
   Result.map

@@ -15,8 +15,11 @@
 
     Crash semantics: the log-truncation store is the commit point. The
     {!recover} function applied to any crash image rolls back an
-    unfinished transaction, which {!Pmdebugger.Crash_check} uses to
-    validate transactional workloads. *)
+    unfinished transaction. A recovery predicate runs it on its image
+    (writes to the image are the predicate's own) before checking the
+    workload's invariant, which is how
+    {!Pmem.State.check_crash_images} validates transactional
+    workloads. *)
 
 type t
 

@@ -102,7 +102,11 @@ let xorshift seed =
     s := x land max_int;
     !s
 
-let crash_images t ?(max_images = 64) () =
+(* Derives the possible crash images one at a time, in a fixed order,
+   handing each to [f]: at most [max_images] of them, so no caller holds
+   more than one image at once. *)
+let iter_crash_images t ~max_images f =
+  if max_images < 1 then invalid_arg "Pmem.State: max_images must be >= 1";
   let undrained =
     Hashtbl.fold (fun line _ acc -> line :: acc) t.lines [] |> List.sort compare |> Array.of_list
   in
@@ -116,30 +120,41 @@ let crash_images t ?(max_images = 64) () =
     Array.iteri (fun i line -> if keep.(i) then Image.blit_line ~src:t.vol ~dst:img ~line) undrained;
     img
   in
-  if n = 0 then [ Image.copy t.dur ]
-  else if n <= 20 && 1 lsl n <= max_images then
-    List.init (1 lsl n) (fun mask -> image_of_subset (Array.init n (fun i -> mask land (1 lsl i) <> 0)))
+  if n <= 20 && 1 lsl n <= max_images then
+    for mask = 0 to (1 lsl n) - 1 do
+      f (image_of_subset (Array.init n (fun i -> mask land (1 lsl i) <> 0)))
+    done
   else begin
     let rand = xorshift (n * 2654435761) in
     let seen = Hashtbl.create (2 * max_images) in
     let key keep = String.init n (fun i -> if keep.(i) then '1' else '0') in
-    let images = ref [] in
     let add keep =
       let k = key keep in
       if not (Hashtbl.mem seen k) then begin
         Hashtbl.add seen k ();
-        images := image_of_subset keep :: !images
+        f (image_of_subset keep)
       end
     in
     (* The two extremes first: nothing extra persisted / everything
        persisted. *)
     add (Array.make n false);
-    add (Array.make n true);
-    for _ = 1 to max 0 (max_images - 2) do
+    if max_images >= 2 then add (Array.make n true);
+    for _ = 1 to max_images - 2 do
       add (Array.init n (fun _ -> rand () land 1 = 1))
-    done;
-    List.rev !images
+    done
   end
+
+let crash_images t ?(max_images = 64) () =
+  let images = ref [] in
+  iter_crash_images t ~max_images (fun img -> images := img :: !images);
+  List.rev !images
+
+let check_crash_images t ~max_images ~recovery =
+  let failing = ref 0 and checked = ref 0 in
+  iter_crash_images t ~max_images (fun img ->
+      incr checked;
+      if not (recovery img) then incr failing);
+  (!failing, !checked)
 
 let stats t =
   [

@@ -78,10 +78,20 @@ val crash_images : t -> ?max_images:int -> unit -> Image.t list
     image; each dirty/pending line is independently either lost or
     persisted. Enumerates exhaustively when there are at most
     [log2 max_images] undrained lines, otherwise samples
-    deterministically (seeded), always includes the two extremes
-    (nothing extra persisted / everything persisted), and dedupes
-    repeated samples — so fewer than [max_images] distinct images may be
-    returned. Default [max_images] is 64. *)
+    deterministically (seeded), starting with the two extremes (nothing
+    extra persisted / everything persisted), and dedupes repeated
+    samples. At most [max_images] images are returned (default 64);
+    fewer when samples repeat.
+    @raise Invalid_argument if [max_images < 1]. *)
+
+val check_crash_images : t -> max_images:int -> recovery:(Image.t -> bool) -> int * int
+(** [(failing, checked)]: runs [recovery] on each image {!crash_images}
+    would return, in the same order, and counts the images it rejects
+    and the images derived. Images are derived one at a time, and each
+    is the predicate's to modify. This is the one crash-image check:
+    the detector's cross-failure rule, the XFDetector and Yat baselines
+    and crash-point exploration all go through it.
+    @raise Invalid_argument if [max_images < 1]. *)
 
 val stats : t -> (string * int) list
 (** Counters: stores, clfs, fences, drained lines. *)

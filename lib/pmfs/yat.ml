@@ -30,13 +30,12 @@ let create ?(max_failure_points = 64) ?(images_per_point = 16) ~pm () =
 let check_point t =
   if t.failure_points < t.max_failure_points then begin
     t.failure_points <- t.failure_points + 1;
-    let images = Pmem.State.crash_images t.pm ~max_images:t.images_per_point () in
-    let bad = List.fold_left (fun acc img -> if Pmfs.fsck img then acc else acc + 1) 0 images in
-    t.states <- t.states + List.length images;
+    let bad, checked = Pmem.State.check_crash_images t.pm ~max_images:t.images_per_point ~recovery:Pmfs.fsck in
+    t.states <- t.states + checked;
     if bad > 0 && not (Hashtbl.mem t.bugs t.failure_points) then begin
       Hashtbl.replace t.bugs t.failure_points
         (Bug.make ~seq:t.events
-           ~detail:(Printf.sprintf "failure point %d: %d/%d crash state(s) fail fsck" t.failure_points bad (List.length images))
+           ~detail:(Printf.sprintf "failure point %d: %d/%d crash state(s) fail fsck" t.failure_points bad checked)
            Bug.Cross_failure_semantic);
       t.bug_order <- t.failure_points :: t.bug_order
     end

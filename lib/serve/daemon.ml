@@ -166,6 +166,8 @@ let bind_listener path =
   fd
 
 let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
+  (* Checked before binding, so a bad config leaves no socket file. *)
+  if cfg.workers < 1 then invalid_arg "Daemon.create: workers must be >= 1";
   let listener = bind_listener cfg.socket_path in
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_r;

@@ -95,7 +95,8 @@ val create :
     it to the detector or ignore it. When [metrics] is enabled the pool
     gives every worker its own registry (see {!Pool.create}) —
     worker-side telemetry never goes through the sink, so reports stay
-    byte-identical to an offline replay. *)
+    byte-identical to an offline replay.
+    @raise Invalid_argument if [workers < 1], before anything is bound. *)
 
 val run : t -> unit
 (** Serve until stopped; drains sessions, stops workers, writes the

@@ -226,10 +226,13 @@ let test_crash_check_helper () =
      rejects the one where the flag reached PM. *)
   let recovery img = Pmem.Image.get_i64 img 0 = 0L in
   let pm = Engine.pm engine in
-  Alcotest.(check int) "one violating image" 1 (Pmdebugger.Crash_check.violations ~pm ~recovery ());
-  Alcotest.(check bool) "not consistent" false (Pmdebugger.Crash_check.consistent ~pm ~recovery ());
-  Alcotest.(check bool) "accept-all is consistent" true
-    (Pmdebugger.Crash_check.consistent ~pm ~recovery:(fun _ -> true) ())
+  let check = Pmem.State.check_crash_images pm ~max_images:64 in
+  Alcotest.(check (pair int int)) "one violating image of two" (1, 2) (check ~recovery);
+  Alcotest.(check (pair int int)) "accept-all is consistent" (0, 2) (check ~recovery:(fun _ -> true));
+  (* The cap is hard: one image is the durable one, which the flag has
+     not reached. *)
+  Alcotest.(check (pair int int)) "capped at one image" (0, 1)
+    (Pmem.State.check_crash_images pm ~max_images:1 ~recovery)
 
 let suite =
   [

@@ -35,6 +35,23 @@ let test_events_projection () =
 (* Crash-point explorer.                                               *)
 (* ------------------------------------------------------------------ *)
 
+module CE = FI.Crash_explore
+
+let xfail_cases =
+  lazy
+    (List.filter_map
+       (fun (c : Bugbench.Cases.t) ->
+         match c.Bugbench.Cases.recovery with
+         | Some recovery -> Some (c.Bugbench.Cases.id, FI.Replay.capture c.Bugbench.Cases.run, recovery)
+         | None -> None)
+       Bugbench.Cases.buggy)
+
+let failure_indexes (o : CE.outcome) = List.map (fun f -> f.CE.index) o.result.CE.failures
+
+(* A full exhaustive scan of the plan. *)
+let scan ?boundaries ?stop_at_first ~recovery steps =
+  (CE.run ?stop_at_first ~recovery (CE.make_plan ?boundaries steps) CE.exhaustive).CE.result
+
 let magic = 0xC0FFEEL
 
 (* flag persisted before the data it guards: the canonical cross-failure
@@ -60,41 +77,81 @@ let recovery_flag_data img =
 
 let test_explorer_finds_cross_failure () =
   let steps = FI.Replay.capture flag_before_data in
-  let result = FI.Crash_explore.explore ~recovery:recovery_flag_data steps in
-  Alcotest.(check bool) "failures found" true (result.FI.Crash_explore.failures <> []);
+  let result = scan ~recovery:recovery_flag_data steps in
+  Alcotest.(check bool) "failures found" true (result.CE.failures <> []);
   (* Every-op exploration pins the earliest exposure: right after the
      flag store (index 1, after Register_pmem), where an eviction could
      make the flag durable before the data exists. Fence-only sampling
      only sees it once the fence drains the flag line (index 3). *)
-  (match FI.Crash_explore.minimal_failing_prefix ~recovery:recovery_flag_data steps with
+  (match CE.minimal_failing_prefix ~recovery:recovery_flag_data steps with
   | None -> Alcotest.fail "expected a minimal failing prefix"
   | Some f ->
-      Alcotest.(check bool) "earliest exposure is the flag store" true (FI.Replay.is_store f.FI.Crash_explore.step);
-      Alcotest.(check int) "exact event index" 1 f.FI.Crash_explore.index);
-  let coarse =
-    FI.Crash_explore.explore ~boundaries:FI.Crash_explore.Fences_only ~stop_at_first:true
-      ~recovery:recovery_flag_data steps
-  in
-  match coarse.FI.Crash_explore.failures with
+      Alcotest.(check bool) "earliest exposure is the flag store" true (FI.Replay.is_store f.CE.step);
+      Alcotest.(check int) "exact event index" 1 f.CE.index);
+  let coarse = scan ~boundaries:CE.Fences_only ~stop_at_first:true ~recovery:recovery_flag_data steps in
+  match coarse.CE.failures with
   | [ f ] ->
-      Alcotest.(check bool) "fence-only failure at a fence" true (FI.Replay.is_fence f.FI.Crash_explore.step);
-      Alcotest.(check int) "fence index" 3 f.FI.Crash_explore.index
+      Alcotest.(check bool) "fence-only failure at a fence" true (FI.Replay.is_fence f.CE.step);
+      Alcotest.(check int) "fence index" 3 f.CE.index
   | _ -> Alcotest.fail "fence-only pass should report exactly one failure"
 
 let test_explorer_clean_program () =
   let steps = FI.Replay.capture data_then_flag in
-  let result = FI.Crash_explore.explore ~recovery:recovery_flag_data steps in
-  Alcotest.(check int) "no failures on correct ordering" 0 (List.length result.FI.Crash_explore.failures);
-  Alcotest.(check bool) "boundaries were checked" true (result.FI.Crash_explore.boundaries_checked >= 6)
+  let result = scan ~recovery:recovery_flag_data steps in
+  Alcotest.(check int) "no failures on correct ordering" 0 (List.length result.CE.failures);
+  Alcotest.(check bool) "boundaries were checked" true (result.CE.boundaries_checked >= 6)
 
+(* Two flag/data pairs. The first pair's window opens at its flag store
+   and the fence that persists both lines closes it; the second pair's
+   flag is persisted with no data at all. A fence-coarse search sees the
+   first fence pass, the second fail, and answers with the second pair's
+   flag store (index 6); the minimal failing prefix ends at the first
+   pair's flag store (index 2). *)
+let closed_window e =
+  Engine.register_pmem e ~base:0 ~size:4096;
+  Engine.store_i64 e ~addr:64 magic;
+  Engine.store_i64 e ~addr:0 1L;
+  Engine.clwb e ~addr:0;
+  Engine.clwb e ~addr:64;
+  Engine.sfence e;
+  Engine.store_i64 e ~addr:128 1L;
+  Engine.clwb e ~addr:128;
+  Engine.sfence e;
+  Engine.program_end e
+
+let recovery_two_flags = FI.Predicate.recovery (Result.get_ok (FI.Predicate.parse "ifset@0=>64,ifset@128=>192"))
+
+let test_minimal_prefix_behind_closed_window () =
+  let steps = FI.Replay.capture closed_window in
+  match CE.minimal_failing_prefix ~recovery:recovery_two_flags steps with
+  | Some f ->
+      Alcotest.(check int) "first pair's flag store" 2 f.CE.index;
+      Alcotest.(check (list int))
+        "the fence closes the first window"
+        [ 2; 3; 4; 6; 7; 8 ]
+        (List.map (fun f -> f.CE.index) (scan ~recovery:recovery_two_flags steps).CE.failures)
+  | None -> Alcotest.fail "the trace must fail"
+
+let bisect_cases () =
+  ("flag_before_data", FI.Replay.capture flag_before_data, recovery_flag_data)
+  :: ("closed_window", FI.Replay.capture closed_window, recovery_two_flags)
+  :: Lazy.force xfail_cases
+
+let first_failure o = match o.CE.result.CE.failures with f :: _ -> Some f | [] -> None
+let failure_triple = Option.map (fun f -> (f.CE.index, f.CE.failing_images, f.CE.images_checked))
+
+(* The minimal failing prefix is the full scan's first failure (same
+   index and image counts). *)
 let test_bisect_agrees_with_scan () =
-  let steps = FI.Replay.capture flag_before_data in
-  let scan = FI.Crash_explore.minimal_failing_prefix ~recovery:recovery_flag_data steps in
-  let bisect = FI.Crash_explore.bisect ~recovery:recovery_flag_data steps in
-  match (scan, bisect) with
-  | Some a, Some b ->
-      Alcotest.(check int) "same minimal index" a.FI.Crash_explore.index b.FI.Crash_explore.index
-  | _ -> Alcotest.fail "both searches must fail the trace"
+  List.iter
+    (fun (id, steps, recovery) ->
+      let expect = failure_triple (first_failure (CE.run ~recovery (CE.make_plan steps) CE.exhaustive)) in
+      Alcotest.(check bool) (id ^ ": the trace fails") true (expect <> None);
+      Alcotest.(check (option (triple int int int)))
+        (id ^ ": minimal prefix = full scan's first failure")
+        expect
+        (failure_triple (CE.minimal_failing_prefix ~recovery steps)))
+    (bisect_cases ())
 
 let test_explorer_on_bugbench_xfail () =
   (* Every cross-failure case the fence-sampling detector already flags
@@ -141,34 +198,6 @@ let test_eviction_changes_crash_images () =
 (* Exploration strategies.                                             *)
 (* ------------------------------------------------------------------ *)
 
-module CE = FI.Crash_explore
-
-let xfail_cases =
-  lazy
-    (List.filter_map
-       (fun (c : Bugbench.Cases.t) ->
-         match c.Bugbench.Cases.recovery with
-         | Some recovery -> Some (c.Bugbench.Cases.id, FI.Replay.capture c.Bugbench.Cases.run, recovery)
-         | None -> None)
-       Bugbench.Cases.buggy)
-
-let failure_indexes (o : CE.outcome) = List.map (fun f -> f.CE.index) o.result.CE.failures
-
-let test_exhaustive_strategy_is_explore () =
-  (* The strategy driver with [exhaustive] must reproduce the legacy
-     entry point exactly: same boundaries, images and failures. *)
-  List.iter
-    (fun (id, steps, recovery) ->
-      let legacy = CE.explore ~recovery steps in
-      let o = CE.run ~recovery (CE.make_plan steps) CE.exhaustive in
-      Alcotest.(check int) (id ^ ": boundaries") legacy.CE.boundaries_checked o.CE.result.CE.boundaries_checked;
-      Alcotest.(check int) (id ^ ": images") legacy.CE.images_checked o.CE.result.CE.images_checked;
-      Alcotest.(check (list int))
-        (id ^ ": failure indexes")
-        (List.map (fun f -> f.CE.index) legacy.CE.failures)
-        (failure_indexes o))
-    (Lazy.force xfail_cases)
-
 let test_guided_unbounded_matches_exhaustive () =
   List.iter
     (fun (id, steps, recovery) ->
@@ -179,8 +208,11 @@ let test_guided_unbounded_matches_exhaustive () =
 
 (* Every bounded run stays within its image budget and reports only
    failures the exhaustive scan of the same plan reports, at the
-   default per-boundary image count and at 4. *)
+   default per-boundary image count and at 4. A plan with no images
+   per boundary is refused rather than reported clean. *)
 let test_budget_caps_images () =
+  Alcotest.check_raises "no per-boundary images" (Invalid_argument "Crash_explore.make_plan: max_images must be >= 1")
+    (fun () -> ignore (CE.make_plan ~max_images:0 [||]));
   List.iter
     (fun (id, steps, recovery) ->
       List.iter
@@ -267,19 +299,19 @@ let test_strategy_metrics () =
   Alcotest.(check int) "skipped counter" o.CE.skipped (value "explore_skipped_low_risk_total")
 
 let test_guided_bisect_converges () =
-  (* Risk-first search plus the fine window pass must land on the same
-     minimal failing prefix as the trace-order scans. *)
+  (* Unbounded guided exploration covers every boundary in risk order;
+     its first failure in trace order is the minimal failing prefix,
+     with the same image counts. *)
   List.iter
     (fun (id, steps, recovery) ->
-      let scan = FI.Crash_explore.minimal_failing_prefix ~recovery steps in
-      let plain = CE.bisect ~recovery steps in
-      let guided = CE.bisect ~strategy:CE.guided ~recovery steps in
-      match (scan, plain, guided) with
-      | Some a, Some b, Some c ->
-          Alcotest.(check int) (id ^ ": bisect = scan") a.CE.index b.CE.index;
-          Alcotest.(check int) (id ^ ": guided bisect = scan") a.CE.index c.CE.index
-      | _ -> Alcotest.fail (id ^ ": all searches must fail the trace"))
-    (Lazy.force xfail_cases)
+      match CE.minimal_failing_prefix ~recovery steps with
+      | None -> Alcotest.fail (id ^ ": the trace must fail")
+      | Some f ->
+          Alcotest.(check (option (triple int int int)))
+            (id ^ ": guided's first failure = minimal prefix")
+            (failure_triple (Some f))
+            (failure_triple (first_failure (CE.run ~recovery (CE.make_plan steps) CE.guided))))
+    (bisect_cases ())
 
 (* QCheck soundness harness: on random small traces over four lines, any
    bounded strategy's verdicts are a subset of the exhaustive scan's,
@@ -439,8 +471,8 @@ let suite =
     Alcotest.test_case "explorer finds cross-failure" `Quick test_explorer_finds_cross_failure;
     Alcotest.test_case "explorer passes clean program" `Quick test_explorer_clean_program;
     Alcotest.test_case "bisect agrees with full scan" `Quick test_bisect_agrees_with_scan;
+    Alcotest.test_case "minimal prefix behind a closed window" `Quick test_minimal_prefix_behind_closed_window;
     Alcotest.test_case "explorer finds all bugbench xfail cases" `Quick test_explorer_on_bugbench_xfail;
-    Alcotest.test_case "exhaustive strategy reproduces explore" `Quick test_exhaustive_strategy_is_explore;
     Alcotest.test_case "guided unbounded matches exhaustive" `Quick test_guided_unbounded_matches_exhaustive;
     Alcotest.test_case "image budget is a hard cap" `Quick test_budget_caps_images;
     Alcotest.test_case "guided at a 25% budget finds planted rounds" `Quick test_guided_quarter_budget_finds_planted;

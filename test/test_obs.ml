@@ -720,7 +720,8 @@ let test_crash_explore_telemetry () =
         Pmtrace.Engine.persist e ~addr:8 ~size:8;
         Pmtrace.Engine.program_end e)
   in
-  let r = Faultinject.Crash_explore.explore ~metrics ~recovery:(fun _ -> true) steps in
+  let module CE = Faultinject.Crash_explore in
+  let r = (CE.run ~metrics ~recovery:(fun _ -> true) (CE.make_plan steps) CE.exhaustive).CE.result in
   let snap = M.snapshot metrics in
   Alcotest.(check int) "prefixes counted" r.Faultinject.Crash_explore.boundaries_checked
     (M.counter_value snap "crash_explore_prefixes_replayed_total");

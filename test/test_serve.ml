@@ -371,6 +371,13 @@ let temp_socket () =
   Sys.remove path;
   path
 
+let test_daemon_rejects_zero_workers () =
+  let socket = temp_socket () in
+  let cfg = { (Serve.Daemon.default_config ~socket) with Serve.Daemon.workers = 0 } in
+  Alcotest.check_raises "zero workers" (Invalid_argument "Daemon.create: workers must be >= 1") (fun () ->
+      ignore (Serve.Daemon.create ~make_sink:(fun ~heatmap -> D.sink (D.create ~heatmap ())) cfg));
+  Alcotest.(check bool) "no socket file left" false (Sys.file_exists socket)
+
 let trace_body =
   String.concat "\n"
     [
@@ -872,4 +879,5 @@ let suite =
     Alcotest.test_case "stats_stream follow" `Quick test_stats_stream_follow;
     Alcotest.test_case "heatmap verb and shutdown trace" `Quick test_heatmap_verb_and_shutdown_trace;
     Alcotest.test_case "protocol fuzz" `Quick test_fuzz_protocol;
+    Alcotest.test_case "daemon rejects zero workers before binding" `Quick test_daemon_rejects_zero_workers;
   ]

@@ -96,6 +96,48 @@ let prop_crash_image_bounds =
           !ok)
         (State.crash_images st ~max_images:32 ()))
 
+(* The one image check sees exactly the images [crash_images] lists, in
+   the same order and under the same hard cap, even when the predicate
+   writes to each image it is handed. *)
+let prop_check_matches_images =
+  QCheck.Test.make ~name:"image check sees the listed images" ~count:100
+    QCheck.(pair (small_list (pair (int_range 0 63) (int_range 0 2))) (int_range 1 40))
+    (fun (ops, max_images) ->
+      let st = State.create () in
+      List.iter
+        (fun (slot, op) ->
+          let addr = slot * 16 in
+          match op with
+          | 0 -> State.store_i64 st ~addr (Int64.of_int (addr + 1))
+          | 1 -> State.clf st ~addr
+          | _ -> State.fence st)
+        ops;
+      let key img = String.concat "," (List.init 64 (fun slot -> Int64.to_string (Image.get_i64 img (slot * 16)))) in
+      let listed = State.crash_images st ~max_images () in
+      let seen = ref [] in
+      let recovery img =
+        seen := key img :: !seen;
+        Image.set_i64 img 0 (-1L);
+        Image.get_i64 img 16 = 0L
+      in
+      let failing, checked = State.check_crash_images st ~max_images ~recovery in
+      checked = List.length listed
+      && checked <= max_images
+      && failing = List.length (List.filter (fun img -> Image.get_i64 img 16 <> 0L) listed)
+      && List.rev !seen = List.map key listed)
+
+let test_image_cap_is_hard () =
+  (* Sampling starts at the nothing-persisted extreme; a cap of one
+     stops there instead of flooring at both extremes. *)
+  let st = State.create () in
+  for line = 0 to 69 do
+    store8 st (line * 64) 1L
+  done;
+  let failing, checked = State.check_crash_images st ~max_images:1 ~recovery:(fun img -> Image.get_i64 img 0 = 0L) in
+  Alcotest.(check (pair int int)) "one image, the durable one" (0, 1) (failing, checked);
+  Alcotest.check_raises "cap below one" (Invalid_argument "Pmem.State: max_images must be >= 1") (fun () ->
+      ignore (State.check_crash_images st ~max_images:0 ~recovery:(fun _ -> true)))
+
 let test_crash_images_dedupe_and_bound () =
   (* Way more undrained lines than the sampling budget: the result must
      respect the budget, contain no duplicates, and not overflow [lsl]
@@ -157,4 +199,6 @@ let suite =
     Alcotest.test_case "evict makes a line durable" `Quick test_evict;
     Alcotest.test_case "copy is independent" `Quick test_copy_independent;
     QCheck_alcotest.to_alcotest prop_crash_image_bounds;
+    QCheck_alcotest.to_alcotest prop_check_matches_images;
+    Alcotest.test_case "image cap is hard" `Quick test_image_cap_is_hard;
   ]
