@@ -442,9 +442,14 @@ let parse_target s =
   match String.split_on_char ':' s with
   | [ "last" ] -> Faultinject.Injector.Last
   | [ "all" ] -> Faultinject.Injector.All
-  | [ "nth"; k ] -> (try Faultinject.Injector.Nth (int_of_string k) with _ -> fail ())
-  | [ "every"; k ] -> (try Faultinject.Injector.Every (int_of_string k) with _ -> fail ())
-  | [ "random"; p ] -> (try Faultinject.Injector.Random (float_of_string p) with _ -> fail ())
+  | [ "nth"; k ] -> (
+      match int_of_string_opt k with Some k when k >= 0 -> Faultinject.Injector.Nth k | _ -> fail ())
+  | [ "every"; k ] -> (
+      match int_of_string_opt k with Some k when k >= 1 -> Faultinject.Injector.Every k | _ -> fail ())
+  | [ "random"; p ] -> (
+      match float_of_string_opt p with
+      | Some p when p >= 0.0 && p <= 1.0 -> Faultinject.Injector.Random p
+      | _ -> fail ())
   | _ -> fail ()
 
 let print_matrix () =
@@ -808,11 +813,12 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
 
 let line_bytes = 64
 
-let print_heatmap ~what ~top ~json (snap : Obs.Heatmap.snapshot) =
+let print_heatmap ~what ~daemon ~top ~json (snap : Obs.Heatmap.snapshot) =
   let snap = { snap with Obs.Heatmap.s_rows = List.filteri (fun i _ -> i < top) snap.Obs.Heatmap.s_rows } in
   if json then print_endline (Obs.Json.to_string ~indent:true (Obs.Heatmap.snapshot_to_json snap))
   else if snap.Obs.Heatmap.s_rows = [] then
-    Printf.printf "no lines tracked for %s (daemon started without --heatmap-cap, or no PM traffic yet)\n" what
+    Printf.printf "no lines tracked for %s%s\n" what
+      (if daemon then " (daemon started without --heatmap-cap, or no PM traffic yet)" else "")
   else
     Harness.Table.print
       ~title:
@@ -834,6 +840,7 @@ let print_heatmap ~what ~top ~json (snap : Obs.Heatmap.snapshot) =
          snap.Obs.Heatmap.s_rows)
 
 let heatmap_cmd case trace workload n config cap top json daemon =
+  if top < 1 then die "--top must be >= 1";
   match daemon with
   | Some socket -> (
       reject_local_only ~what:"run"
@@ -848,14 +855,14 @@ let heatmap_cmd case trace workload n config cap top json daemon =
       (* The daemon's merged per-worker tables, over the wire. *)
       match Serve.Client.heatmap ~socket with
       | Error msg -> die "%s" msg
-      | Ok snap -> print_heatmap ~what:socket ~top ~json snap)
+      | Ok snap -> print_heatmap ~what:socket ~daemon:true ~top ~json snap)
   | None ->
       (* Annotations on: Register_var events give the hot lines names. *)
       if cap < 1 then die "--cap must be >= 1";
       let src = source ~annotate:true ?case ?trace ~workload ~n config in
       let heatmap = Obs.Heatmap.create ~cap () in
       ignore (detect_trace ~heatmap src.model src.config (events src));
-      print_heatmap ~what:src.what ~top ~json (Obs.Heatmap.snapshot heatmap)
+      print_heatmap ~what:src.what ~daemon:false ~top ~json (Obs.Heatmap.snapshot heatmap)
 
 let top_cmd socket once =
   (* --once asks the daemon for exactly one stats frame (CI smoke and

@@ -145,83 +145,106 @@ let is_monotone order =
   done;
   !ok
 
+(* Replays the plan's steps once, forward, into a fresh state and calls
+   [f j st] right after the boundary at [positions.(j)] ([positions]
+   ascend, as positions into [plan.boundary_indexes]); the walk ends
+   when [f] returns false. *)
+let walk plan positions f =
+  let st = Pmem.State.create () in
+  let n = Array.length plan.steps and m = Array.length positions in
+  let rec go i j =
+    if i < n && j < m then begin
+      Replay.apply st plan.steps.(i);
+      if plan.boundary_indexes.(positions.(j)) <> i then go (i + 1) j else if f j st then go (i + 1) (j + 1)
+    end
+  in
+  go 0 0
+
 let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery plan strategy =
   let order, dropped, invariants_used = schedule plan strategy in
   let name = strategy_name strategy in
-  let boundaries_checked = ref 0 and images_checked = ref 0 and failures = ref [] in
-  let explored = ref 0 and stop = ref false in
-  let budget_left () = match plan.budget with None -> max_int | Some b -> b - !images_checked in
-  (* Checks one boundary against the image budget; flips [stop] when the
-     budget is exhausted (before spending anything) or on a failure
-     under [stop_at_first]. *)
-  let check_at st index =
-    if budget_left () <= 0 then stop := true
-    else begin
-      let allowance = min plan.max_images (budget_left ()) in
-      incr boundaries_checked;
-      incr explored;
-      let failing, checked = Pmem.State.check_crash_images st ~max_images:allowance ~recovery in
-      images_checked := !images_checked + checked;
-      if failing > 0 then begin
-        failures :=
-          { index; step = plan.steps.(index); failing_images = failing; images_checked = checked }
-          :: !failures;
-        if stop_at_first then stop := true
-      end
-    end
+  let m = Array.length order in
+  let budget = Option.value plan.budget ~default:max_int in
+  (* [checks.(k)]: the (failing, checked) image counts of the k-th
+     boundary of [order]. The boundaries checked are always a prefix
+     of [order]: the image budget is spent in schedule order. *)
+  let checks = Array.make m None in
+  let check st k allowance =
+    let counts = Pmem.State.check_crash_images st ~max_images:allowance ~recovery in
+    checks.(k) <- Some counts;
+    counts
   in
   if is_monotone order then begin
-    (* Trace-ordered schedules (exhaustive, sampled) run as one forward
-       replay. *)
-    let st = Pmem.State.create () in
-    let m = Array.length order in
-    let next = ref 0 and i = ref 0 in
-    let n = Array.length plan.steps in
-    while (not !stop) && !i < n && !next < m do
-      Replay.apply st plan.steps.(!i);
-      if plan.boundary_indexes.(order.(!next)) = !i then begin
-        check_at st !i;
-        incr next
-      end;
-      incr i
-    done
+    (* Trace-ordered schedules (exhaustive, sampled) spend the budget
+       and stop as they walk. *)
+    let left = ref budget in
+    walk plan order (fun k st ->
+        !left > 0
+        &&
+        let failing, checked = check st k (min plan.max_images !left) in
+        left := !left - checked;
+        not (stop_at_first && failing > 0))
   end
   else begin
-    (* Risk-ordered schedules jump around the trace: each boundary gets
-       its own prefix replay into a fresh state. Costlier per boundary,
-       but guided runs exist to check far fewer boundaries. *)
-    let m = Array.length order in
-    let k = ref 0 in
-    while (not !stop) && !k < m do
-      let index = plan.boundary_indexes.(order.(!k)) in
-      if budget_left () <= 0 then stop := true
-      else begin
-        let st = Pmem.State.create () in
-        for j = 0 to index do
-          Replay.apply st plan.steps.(j)
-        done;
-        check_at st index
-      end;
-      incr k
-    done
+    (* Risk-ordered schedules jump around the trace, and still walk it
+       forward: a boundary's image count is a function of its
+       undrained-line count and its allowance, so a first walk that
+       only counts undrained lines lets the budget be spent in risk
+       order before any image is derived; a second walk checks the
+       boundaries the budget reaches, in trace order. *)
+    let rank = Array.make (Array.length plan.boundary_indexes) 0 in
+    Array.iteri (fun k pos -> rank.(pos) <- k) order;
+    let in_trace_order = Array.copy order in
+    Array.sort compare in_trace_order;
+    let allowance = Array.make m plan.max_images in
+    if plan.budget <> None then begin
+      let undrained = Array.make m 0 in
+      walk plan in_trace_order (fun j st ->
+          undrained.(rank.(in_trace_order.(j))) <- Pmem.State.undrained_lines st;
+          true);
+      let left = ref budget in
+      Array.iteri
+        (fun k n ->
+          let a = max 0 (min plan.max_images !left) in
+          allowance.(k) <- a;
+          if a > 0 then left := !left - Pmem.State.crash_image_count ~undrained:n ~max_images:a)
+        undrained
+    end;
+    let chosen = Array.of_list (List.filter (fun pos -> allowance.(rank.(pos)) > 0) (Array.to_list in_trace_order)) in
+    walk plan chosen (fun j st ->
+        let k = rank.(chosen.(j)) in
+        ignore (check st k allowance.(k));
+        true)
   end;
+  (* Read the checks out in schedule order; under [stop_at_first] the
+     run ends at the first failure in that order, which for a
+     risk-ordered schedule is only known after the walk. *)
+  let boundaries_checked = ref 0 and images_checked = ref 0 and failures = ref [] in
+  let rec read k =
+    match if k < m then checks.(k) else None with
+    | None -> ()
+    | Some (failing, checked) ->
+        incr boundaries_checked;
+        images_checked := !images_checked + checked;
+        if failing > 0 then begin
+          let index = plan.boundary_indexes.(order.(k)) in
+          failures := { index; step = plan.steps.(index); failing_images = failing; images_checked = checked } :: !failures
+        end;
+        if not (stop_at_first && failing > 0) then read (k + 1)
+  in
+  read 0;
   let failures = List.sort (fun a b -> compare a.index b.index) !failures in
-  let skipped = dropped + (Array.length order - !explored) in
+  let skipped = dropped + (m - !boundaries_checked) in
   Obs.Metrics.inc metrics ~by:!boundaries_checked "crash_explore_prefixes_replayed_total";
   Obs.Metrics.inc metrics ~by:!images_checked "crash_explore_images_tested_total";
   Obs.Metrics.inc metrics ~by:!images_checked ~labels:[ ("strategy", name) ] "explore_images_total";
   Obs.Metrics.inc metrics ~by:(List.length failures) "explore_bugs_found_total";
   Obs.Metrics.inc metrics ~by:skipped "explore_skipped_low_risk_total";
   {
-    result =
-      {
-        boundaries_checked = !boundaries_checked;
-        images_checked = !images_checked;
-        failures;
-      };
+    result = { boundaries_checked = !boundaries_checked; images_checked = !images_checked; failures };
     strategy = name;
-    scheduled = Array.length order;
-    explored = !explored;
+    scheduled = m;
+    explored = !boundaries_checked;
     skipped;
     invariants_used;
   }

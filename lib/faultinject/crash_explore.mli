@@ -4,8 +4,8 @@
     fences ([crash_check_every_fence]). A machine can lose power at
     {e any} instruction boundary, and an inconsistency window can open
     after a store and close again at the next fence — invisible to
-    fence-only sampling. This explorer replays a step trace into a
-    fresh {!Pmem.State}, checks the possible durable images at
+    fence-only sampling. This explorer replays a step trace forward
+    into a fresh {!Pmem.State}, checks the possible durable images at
     store/CLF/fence boundaries against the workload's recovery
     predicate ({!Pmem.State.check_crash_images}, the same check the
     detector runs), and reports the exact event index of every boundary
@@ -112,8 +112,14 @@ val run :
   strategy ->
   outcome
 (** Runs the plan under the strategy. Trace-ordered schedules execute as
-    a single forward replay; risk-ordered schedules replay a fresh
-    prefix per boundary. The plan's [budget] bounds total images derived
+    a single forward replay. Risk-ordered schedules replay forward
+    twice: the first walk records each boundary's undrained-line count,
+    from which {!Pmem.State.crash_image_count} gives its image count, so
+    the budget is spent in risk order before any image is derived; the
+    second walk checks the chosen boundaries in trace order, and
+    [stop_at_first] then cuts the risk order at its first failure. The
+    outcome is the one a fresh prefix replay per boundary, in risk
+    order, would give. The plan's [budget] bounds total images derived
     across the run (the last boundary's sample is truncated to the
     remainder, so a budget of [N] never derives more than [N] images).
     [stop_at_first] ends the run at its first failing boundary.

@@ -13,11 +13,11 @@ let event_of_step = function
 let events_of_steps steps =
   Array.of_list (List.filter_map event_of_step (Array.to_list steps))
 
-(* Crash-point exploration is the one trace consumer that genuinely
-   needs random access (guided schedules replay a fresh prefix per
-   boundary), so a trace file is materialized here — explicitly —
-   instead of streamed. Everything detector-facing should prefer
-   Trace_io.iter_file. *)
+(* Crash-point exploration is the one trace consumer that passes over a
+   trace several times (invariant inference, risk scoring, and two
+   forward walks for a risk-ordered schedule), so a trace file is
+   materialized here — explicitly — instead of streamed. Everything
+   detector-facing should prefer Trace_io.iter_file. *)
 let materialize_file ?synthesize_end path =
   Result.map
     (fun (acc, stats) -> (Array.of_list (List.rev acc), stats))

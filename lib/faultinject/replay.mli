@@ -37,8 +37,9 @@ val materialize_file :
   ?synthesize_end:bool -> string -> (step array * Trace_io.stream_stats, string) result
 (** Load a trace file into a step array (lenient parse; skipped lines
     are reported in the stats). This is the {e explicit} materialization
-    point for crash-point exploration, whose guided schedules replay a
-    fresh prefix per boundary — stream with {!Trace_io.iter_file}
+    point for crash-point exploration, which passes over a trace several
+    times (invariant inference, risk scoring, up to two forward walks)
+    — stream with {!Trace_io.iter_file}
     instead wherever events can be consumed one at a time. Stores carry
     no payload in the on-disk format, so they replay with the synthetic
     fill. *)

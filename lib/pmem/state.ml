@@ -10,10 +10,10 @@ type t = {
   mutable n_drained : int;
 }
 
-let create ?initial_size () =
+let create () =
   {
-    vol = Image.create ?initial_size ();
-    dur = Image.create ?initial_size ();
+    vol = Image.create ();
+    dur = Image.create ();
     lines = Hashtbl.create 1024;
     n_stores = 0;
     n_clfs = 0;
@@ -102,51 +102,78 @@ let xorshift seed =
     s := x land max_int;
     !s
 
-(* Derives the possible crash images one at a time, in a fixed order,
-   handing each to [f]: at most [max_images] of them, so no caller holds
-   more than one image at once. *)
-let iter_crash_images t ~max_images f =
+let undrained_lines t = Hashtbl.length t.lines
+
+(* The subsets of [n] undrained lines that make up the crash images, in
+   a fixed order: [f keep] for each, at most [max_images] of them, where
+   [keep.(i)] says whether the i-th line (ascending) persisted. [keep]
+   is one array refilled between calls. Subsets are bool arrays, not
+   int masks: [1 lsl i] is undefined once i reaches the word size, and
+   sampling produced duplicate masks that inflated violation counts. *)
+let iter_subsets n ~max_images f =
   if max_images < 1 then invalid_arg "Pmem.State: max_images must be >= 1";
-  let undrained =
-    Hashtbl.fold (fun line _ acc -> line :: acc) t.lines [] |> List.sort compare |> Array.of_list
-  in
-  let n = Array.length undrained in
-  (* Each possible image is a subset of undrained lines persisted on top
-     of the durable image. Subsets are bool arrays, not int masks:
-     [1 lsl i] is undefined once i reaches the word size, and sampling
-     produced duplicate masks that inflated violation counts. *)
-  let image_of_subset keep =
-    let img = Image.copy t.dur in
-    Array.iteri (fun i line -> if keep.(i) then Image.blit_line ~src:t.vol ~dst:img ~line) undrained;
-    img
-  in
+  let keep = Array.make n false in
   if n <= 20 && 1 lsl n <= max_images then
     for mask = 0 to (1 lsl n) - 1 do
-      f (image_of_subset (Array.init n (fun i -> mask land (1 lsl i) <> 0)))
+      for i = 0 to n - 1 do
+        keep.(i) <- mask land (1 lsl i) <> 0
+      done;
+      f keep
     done
   else begin
     let rand = xorshift (n * 2654435761) in
     let seen = Hashtbl.create (2 * max_images) in
-    let key keep = String.init n (fun i -> if keep.(i) then '1' else '0') in
-    let add keep =
-      let k = key keep in
+    let add () =
+      let k = String.init n (fun i -> if keep.(i) then '1' else '0') in
       if not (Hashtbl.mem seen k) then begin
         Hashtbl.add seen k ();
-        f (image_of_subset keep)
+        f keep
       end
     in
     (* The two extremes first: nothing extra persisted / everything
        persisted. *)
-    add (Array.make n false);
-    if max_images >= 2 then add (Array.make n true);
+    add ();
+    if max_images >= 2 then begin
+      Array.fill keep 0 n true;
+      add ()
+    end;
     for _ = 1 to max_images - 2 do
-      add (Array.init n (fun _ -> rand () land 1 = 1))
+      for i = 0 to n - 1 do
+        keep.(i) <- rand () land 1 = 1
+      done;
+      add ()
     done
   end
 
+let crash_image_count ~undrained ~max_images =
+  let count = ref 0 in
+  iter_subsets undrained ~max_images (fun _ -> incr count);
+  !count
+
+(* Derives each possible crash image in place on the durable image,
+   one at a time: it blits the kept lines from the volatile image under
+   an undo journal, hands the durable image to [f], and rolls the
+   journal back, also when [f] raises. A nested derivation on the same
+   state finds the journal open and raises. *)
+let iter_crash_images t ~max_images f =
+  let undrained =
+    Hashtbl.fold (fun line _ acc -> line :: acc) t.lines [] |> List.sort compare |> Array.of_list
+  in
+  iter_subsets (Array.length undrained) ~max_images (fun keep ->
+      Image.open_journal t.dur;
+      match
+        Array.iteri (fun i line -> if keep.(i) then Image.blit_line ~src:t.vol ~dst:t.dur ~line) undrained;
+        f t.dur
+      with
+      | () -> Image.rollback t.dur
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Image.rollback t.dur;
+          Printexc.raise_with_backtrace e bt)
+
 let crash_images t ?(max_images = 64) () =
   let images = ref [] in
-  iter_crash_images t ~max_images (fun img -> images := img :: !images);
+  iter_crash_images t ~max_images (fun img -> images := Image.copy img :: !images);
   List.rev !images
 
 let check_crash_images t ~max_images ~recovery =

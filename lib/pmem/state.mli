@@ -13,8 +13,11 @@
     Two byte images are maintained: the {e volatile} image (what the
     program reads) and the {e durable} image (the contents guaranteed to
     survive a crash). Lines that are dirty or writeback-pending at a
-    crash may or may not have reached PM; {!crash_images} samples that
-    non-determinism to produce possible post-crash images. *)
+    crash may or may not have reached PM; {!check_crash_images} samples
+    that non-determinism to produce possible post-crash images. It
+    derives each one in place on the durable image, under that image's
+    undo journal, so an image costs the lines it keeps, not a copy of
+    the pool. *)
 
 type line_state =
   | Clean  (** Line contents are identical in cache and PM. *)
@@ -25,7 +28,7 @@ type line_state =
 
 type t
 
-val create : ?initial_size:int -> unit -> t
+val create : unit -> t
 
 val volatile : t -> Image.t
 (** The program-visible image. *)
@@ -73,25 +76,41 @@ val is_durable_range : t -> lo:int -> hi:int -> bool
 (** True iff every line of the range is [Clean], i.e. all stores to the
     range have reached the persistence domain. *)
 
-val crash_images : t -> ?max_images:int -> unit -> Image.t list
-(** Possible post-crash PM contents. Each image starts from the durable
-    image; each dirty/pending line is independently either lost or
-    persisted. Enumerates exhaustively when there are at most
-    [log2 max_images] undrained lines, otherwise samples
-    deterministically (seeded), starting with the two extremes (nothing
-    extra persisted / everything persisted), and dedupes repeated
-    samples. At most [max_images] images are returned (default 64);
-    fewer when samples repeat.
+val undrained_lines : t -> int
+(** The number of [Dirty] or [Writeback_pending] lines: the lines whose
+    fate a crash leaves open. *)
+
+val crash_image_count : undrained:int -> max_images:int -> int
+(** How many images {!check_crash_images} derives from a state with
+    [undrained] undrained lines under a cap of [max_images], computed
+    from the same subset enumeration without deriving any image.
     @raise Invalid_argument if [max_images < 1]. *)
 
 val check_crash_images : t -> max_images:int -> recovery:(Image.t -> bool) -> int * int
-(** [(failing, checked)]: runs [recovery] on each image {!crash_images}
-    would return, in the same order, and counts the images it rejects
-    and the images derived. Images are derived one at a time, and each
-    is the predicate's to modify. This is the one crash-image check:
-    the detector's cross-failure rule, the XFDetector and Yat baselines
-    and crash-point exploration all go through it.
-    @raise Invalid_argument if [max_images < 1]. *)
+(** [(failing, checked)]: runs [recovery] on each possible post-crash
+    image and counts the images it rejects and the images derived.
+    Each image starts from the durable image; each dirty/pending line
+    is independently either lost or persisted. Enumerates exhaustively
+    when there are at most [log2 max_images] undrained lines, otherwise
+    samples deterministically (seeded), starting with the two extremes
+    (nothing extra persisted / everything persisted), and dedupes
+    repeated samples. At most [max_images] images are derived; fewer
+    when samples repeat.
+
+    Images are derived one at a time, in place on {!durable}: the image
+    handed to [recovery] is the durable image with the kept lines
+    blitted in, and it is valid only during that call. [recovery] may
+    write to it; every write is undone before the next image, and when
+    [recovery] raises, the exception propagates after the undo. Calling
+    this from inside [recovery] on the same state raises
+    [Invalid_argument]; so does [max_images < 1]. This is the one
+    crash-image check: the detector's cross-failure rule, the
+    XFDetector and Yat baselines and crash-point exploration all go
+    through it. *)
+
+val crash_images : t -> ?max_images:int -> unit -> Image.t list
+(** Copies of the images {!check_crash_images} derives (default cap
+    64), in the same order, for callers that need to hold them. *)
 
 val stats : t -> (string * int) list
 (** Counters: stores, clfs, fences, drained lines. *)

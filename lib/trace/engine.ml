@@ -23,9 +23,9 @@ type t = {
   mutable n_other : int;
 }
 
-let create ?initial_size ?(metrics = Obs.Metrics.disabled) ?(flightrec = Obs.Flightrec.disabled) () =
+let create ?(metrics = Obs.Metrics.disabled) ?(flightrec = Obs.Flightrec.disabled) () =
   {
-    state = Pmem.State.create ?initial_size ();
+    state = Pmem.State.create ();
     slots_rev = [];
     active = [||];
     active_dirty = false;

@@ -16,7 +16,7 @@
 
 type t
 
-val create : ?initial_size:int -> ?metrics:Obs.Metrics.t -> ?flightrec:Obs.Flightrec.t -> unit -> t
+val create : ?metrics:Obs.Metrics.t -> ?flightrec:Obs.Flightrec.t -> unit -> t
 (** [metrics] (default the shared disabled registry) receives
     per-event-class dispatch counts and latencies
     ([engine_events_total{class}], [engine_dispatch_seconds{class}])

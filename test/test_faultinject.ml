@@ -360,6 +360,56 @@ let prop_guided_complete =
       let full = failure_indexes (CE.run ~recovery:qc_recovery (CE.make_plan steps) CE.exhaustive) in
       failure_indexes (CE.run ~recovery:qc_recovery (CE.make_plan steps) CE.guided) = full)
 
+(* The forward walk against the reference walk (a fresh prefix replay
+   per risk-ordered boundary): the whole outcome must be equal — every
+   failure with its index, step and both image counts, the totals, and
+   the schedule counts — under every strategy, per-boundary cap, image
+   budget and stop rule. Caps below 16 make the four-line programs
+   sample, where repeated samples shrink a boundary's image count. *)
+let prop_walk_matches_reference =
+  QCheck.Test.make ~name:"forward walk equals the fresh-prefix reference" ~count:40 gen_program (fun ops ->
+      let steps = steps_of_program ops in
+      let invariants = CE.plan_invariants (CE.make_plan steps) in
+      List.for_all
+        (fun (strat, max_images, budget, stop_at_first) ->
+          let plan = CE.make_plan ~max_images ?budget ~invariants steps in
+          let got = CE.run ~stop_at_first ~recovery:qc_recovery plan strat in
+          let want = Crash_explore_oracle.run ~stop_at_first ~recovery:qc_recovery plan strat in
+          got = want
+          || QCheck.Test.fail_reportf "%s max_images=%d budget=%s stop_at_first=%b" (CE.strategy_name strat) max_images
+               (match budget with None -> "none" | Some b -> string_of_int b)
+               stop_at_first)
+        (List.concat_map
+           (fun strat ->
+             List.concat_map
+               (fun max_images ->
+                 List.concat_map
+                   (fun budget -> [ (strat, max_images, budget, false); (strat, max_images, budget, true) ])
+                   [ None; Some 1; Some 3; Some 17; Some 100 ])
+               [ 1; 2; 4; 64 ])
+           [ CE.exhaustive; CE.guided; CE.sampled ]))
+
+(* Images are derived in place, so exploring costs what the replay and
+   the kept lines cost, not a pool copy per image: b_tree registers a
+   2 MiB pool. Allocation is counted in bytes, not timed, so the bound
+   is deterministic. *)
+let test_explore_allocates_little () =
+  let steps = FI.Replay.capture (fun e -> Workloads.Btree.spec.Workloads.Workload.run (Workloads.Workload.params ~n:20 ()) e) in
+  let module P = Minipmdk.Pool in
+  let recovery img =
+    let get = Pmem.Image.get_int img in
+    (Pmem.Image.get_i64 img P.off_magic = 0L || get P.off_heap_top <> 0)
+    && (get P.off_root_off = 0 || get P.off_root_off < get P.off_heap_top)
+  in
+  let plan = CE.make_plan ~max_images:64 steps in
+  let before = Test_space.allocated_bytes () in
+  let o = CE.run ~recovery plan CE.exhaustive in
+  let allocated = Test_space.allocated_bytes () -. before in
+  let images = o.CE.result.CE.images_checked in
+  let per_image = allocated /. float_of_int images in
+  Alcotest.(check bool) "images derived" true (images > 1000);
+  Alcotest.(check bool) (Printf.sprintf "%.0f bytes per image <= 8 KiB" per_image) true (per_image <= 8192.0)
+
 (* ------------------------------------------------------------------ *)
 (* Injector.                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -480,6 +530,8 @@ let suite =
     Alcotest.test_case "guided bisect converges to minimal prefix" `Quick test_guided_bisect_converges;
     QCheck_alcotest.to_alcotest prop_strategies_sound;
     QCheck_alcotest.to_alcotest prop_guided_complete;
+    QCheck_alcotest.to_alcotest prop_walk_matches_reference;
+    Alcotest.test_case "exploration allocates per kept line, not per pool" `Quick test_explore_allocates_little;
     Alcotest.test_case "eviction changes crash images" `Quick test_eviction_changes_crash_images;
     Alcotest.test_case "injector deterministic" `Quick test_injector_deterministic;
     Alcotest.test_case "injector shapes" `Quick test_injector_shapes;

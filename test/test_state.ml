@@ -98,11 +98,15 @@ let prop_crash_image_bounds =
 
 (* The one image check sees exactly the images [crash_images] lists, in
    the same order and under the same hard cap, even when the predicate
-   writes to each image it is handed. *)
+   writes to each image it is handed — across a page edge and far past
+   the durable extent — or raises part-way. Every image is derived in
+   place on the durable image, so after each check, raising or not,
+   the durable image must read as it did before. *)
 let prop_check_matches_images =
   QCheck.Test.make ~name:"image check sees the listed images" ~count:100
-    QCheck.(pair (small_list (pair (int_range 0 63) (int_range 0 2))) (int_range 1 40))
-    (fun (ops, max_images) ->
+    QCheck.(
+      triple (small_list (pair (int_range 0 63) (int_range 0 2))) (int_range 1 40) (option (int_range 0 40)))
+    (fun (ops, max_images, raise_at) ->
       let st = State.create () in
       List.iter
         (fun (slot, op) ->
@@ -112,19 +116,49 @@ let prop_check_matches_images =
           | 1 -> State.clf st ~addr
           | _ -> State.fence st)
         ops;
+      let far = 1 lsl 24 in
+      let unchanged =
+        let before = Image.copy (State.durable st) in
+        fun () ->
+          Image.equal_range before (State.durable st) ~lo:0 ~hi:8192
+          && Image.equal_range before (State.durable st) ~lo:far ~hi:(far + 16)
+      in
       let key img = String.concat "," (List.init 64 (fun slot -> Int64.to_string (Image.get_i64 img (slot * 16)))) in
       let listed = State.crash_images st ~max_images () in
       let seen = ref [] in
       let recovery img =
+        if raise_at = Some (List.length !seen) then raise Exit;
         seen := key img :: !seen;
         Image.set_i64 img 0 (-1L);
+        Image.set_i64 img 4092 (-1L);
+        Image.set_i64 img (far + 3) (-1L);
         Image.get_i64 img 16 = 0L
       in
-      let failing, checked = State.check_crash_images st ~max_images ~recovery in
-      checked = List.length listed
-      && checked <= max_images
-      && failing = List.length (List.filter (fun img -> Image.get_i64 img 16 <> 0L) listed)
-      && List.rev !seen = List.map key listed)
+      let n = List.length listed in
+      let outcome = try Ok (State.check_crash_images st ~max_images ~recovery) with Exit -> Error () in
+      let prefix k l = List.filteri (fun i _ -> i < k) l in
+      unchanged ()
+      && n <= max_images
+      &&
+      match (outcome, raise_at) with
+      | Error (), Some k -> k < n && List.rev !seen = prefix k (List.map key listed)
+      | Error (), None -> false
+      | Ok (failing, checked), _ ->
+          (match raise_at with Some k -> k >= n | None -> true)
+          && checked = n
+          && failing = List.length (List.filter (fun img -> Image.get_i64 img 16 <> 0L) listed)
+          && List.rev !seen = List.map key listed)
+
+let test_nested_check_raises () =
+  let st = State.create () in
+  State.store_i64 st ~addr:0 1L;
+  let inner () = ignore (State.check_crash_images st ~max_images:4 ~recovery:(fun _ -> true)) in
+  Alcotest.check_raises "nested derivation on one state"
+    (Invalid_argument "Pmem.Image.open_journal: a journal is already open") (fun () ->
+      ignore (State.check_crash_images st ~max_images:4 ~recovery:(fun _ -> inner (); true)));
+  Alcotest.(check (pair int int)) "the state is usable afterwards" (1, 2)
+    (State.check_crash_images st ~max_images:4 ~recovery:(fun img -> Image.get_i64 img 0 = 0L));
+  Alcotest.(check int64) "durable image untouched" 0L (Image.get_i64 (State.durable st) 0)
 
 let test_image_cap_is_hard () =
   (* Sampling starts at the nothing-persisted extreme; a cap of one
@@ -196,6 +230,7 @@ let suite =
     Alcotest.test_case "crash images exhaustive" `Quick test_crash_images_exhaustive;
     Alcotest.test_case "crash image after drain" `Quick test_crash_images_after_drain;
     Alcotest.test_case "crash images dedupe under sampling" `Quick test_crash_images_dedupe_and_bound;
+    Alcotest.test_case "nested image check raises" `Quick test_nested_check_raises;
     Alcotest.test_case "evict makes a line durable" `Quick test_evict;
     Alcotest.test_case "copy is independent" `Quick test_copy_independent;
     QCheck_alcotest.to_alcotest prop_crash_image_bounds;
