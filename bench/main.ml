@@ -21,13 +21,14 @@ let run_spec (spec : W.spec) ?annotate n engine = spec.W.run (params ?annotate n
 
 let record_spec (spec : W.spec) ?annotate n = Recorder.record (run_spec spec ?annotate n)
 
-let mk_pmdebugger model () = Pmdebugger.Detector.sink (Pmdebugger.Detector.create ~model ())
+module Tool = Baselines.Tool
 
-let mk_pmemcheck () = Baselines.Pmemcheck.sink (Baselines.Pmemcheck.create ())
+(* A fresh sink of a -d detector, for the replay harnesses. *)
+let tool_sink ?(model = Pmdebugger.Detector.Strict) tool () =
+  Tool.sink ~model ~config:Pmdebugger.Order_config.empty tool
 
-let mk_pmtest () = Baselines.Pmtest.sink (Baselines.Pmtest.create ())
-
-let mk_xfdetector () = Baselines.Xfdetector.sink (Baselines.Xfdetector.create ())
+(* [(-d name, sink maker)] for Harness.Timing.measure. *)
+let timed ~model tools = List.map (fun tool -> (Tool.name tool, tool_sink ~model tool)) tools
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: characterization.                                         *)
@@ -109,7 +110,7 @@ let measure_fig8 (spec : W.spec) n =
   let repeats = if n >= 100_000 then 1 else 3 in
   let m, _trace =
     Harness.Timing.measure ~repeats ~run:(run_spec spec n)
-      ~detectors:[ ("pmdebugger", mk_pmdebugger spec.W.model); ("pmemcheck", mk_pmemcheck) ]
+      ~detectors:(timed ~model:spec.W.model [ Tool.PMDebugger; Tool.Pmemcheck ])
       ()
   in
   {
@@ -183,13 +184,7 @@ let table_sota () =
         let m, _ =
           Harness.Timing.measure ~repeats:1
             ~run:(run_spec spec ~annotate:true n)
-            ~detectors:
-              [
-                ("pmdebugger", mk_pmdebugger spec.W.model);
-                ("pmtest", mk_pmtest);
-                ("xfdetector", mk_xfdetector);
-                ("pmemcheck", mk_pmemcheck);
-              ]
+            ~detectors:(timed ~model:spec.W.model [ Tool.PMDebugger; Tool.PMTest; Tool.XFDetector; Tool.Pmemcheck ])
             ()
         in
         let native = m.Harness.Timing.native_s in
@@ -217,33 +212,42 @@ let table_sota () =
 (* ------------------------------------------------------------------ *)
 
 let table1 () =
-  (* Overhead class: slowdown on a 10K-op b_tree trace relative to
+  (* Overhead class: words allocated per event replaying a 10K-op b_tree
+     trace (deterministic, unlike timed medians), High at twice
      PMDebugger's. Coverage: kinds found on the 78-case dataset (for the
      tools Table 6 evaluates) or on a PMDK bug sampler (for the two
      domain-restricted tools). *)
   let trace = record_spec Workloads.Btree.spec 10_000 in
-  let time mk = Harness.Timing.median_of ~repeats:3 (fun () -> ignore (Recorder.replay trace (mk ()))) in
-  let t_pd = time (mk_pmdebugger Pmdebugger.Detector.Epoch) in
-  let cls t = if t < 2.0 *. t_pd then "Small" else "High" in
+  let words_per_event mk =
+    let sink = mk () in
+    let w0 = Gc.minor_words () in
+    ignore (Recorder.replay trace sink);
+    (Gc.minor_words () -. w0) /. float_of_int (Array.length trace)
+  in
+  let w_pd = words_per_event (tool_sink ~model:Pmdebugger.Detector.Epoch Tool.PMDebugger) in
+  let cls w = if w < 2.0 *. w_pd then "Small" else "High" in
+  let cls_of mk = cls (words_per_event mk) in
   let rows =
     [
-      [ "PMTest"; cls (time mk_pmtest); "Low (5 kinds)"; "Any"; "High (asserts)"; "N" ];
-      [ "Pmemcheck"; cls (time mk_pmemcheck); "Medium (4 kinds)"; "PMDK"; "Low"; "N" ];
+      [ "PMTest"; cls_of (tool_sink Tool.PMTest); "Low (5 kinds)"; "Any"; "High (asserts)"; "N" ];
+      [ "Pmemcheck"; cls_of (tool_sink Tool.Pmemcheck); "Medium (4 kinds)"; "PMDK"; "Low"; "N" ];
       [
         "Persist. Ins.";
-        cls (time (fun () -> Baselines.Persistence_inspector.sink (Baselines.Persistence_inspector.create ())));
+        cls_of (fun () -> Baselines.Persistence_inspector.sink (Baselines.Persistence_inspector.create ()));
         "Medium";
         "PMDK";
         "Low";
         "N";
       ];
       [ "Yat"; "High"; "Medium (fsck)"; "PMFS"; "Low"; "N" ];
-      [ "XFDetector"; cls (time mk_xfdetector); "Medium (6 kinds)"; "Any"; "Low"; "N" ];
-      [ "PMDebugger"; cls t_pd; "High (10 kinds)"; "Any"; "Low"; "Y" ];
+      [ "XFDetector"; cls_of (tool_sink Tool.XFDetector); "Medium (6 kinds)"; "Any"; "Low"; "N" ];
+      [ "PMDebugger"; cls w_pd; "High (10 kinds)"; "Any"; "Low"; "Y" ];
     ]
   in
   T.print
-    ~title:"Table 1: tool landscape (overhead measured on a 10K-op b_tree trace; coverage from Table 6 / design)"
+    ~title:
+      "Table 1: tool landscape (overhead class from allocated words/event on a 10K-op b_tree trace; coverage from \
+       Table 6 / design)"
     ~header:[ "tool"; "perf. overhead"; "bug coverage"; "target domain"; "prog. effort"; "relaxed models?" ]
     rows;
   (* Yat on its own domain, to show it is implemented and working. *)
@@ -262,7 +266,7 @@ let table1 () =
 
 let table6 () =
   let results = Bugbench.Eval.evaluate_all () in
-  let header = "kind (cases)" :: List.map (fun r -> Bugbench.Eval.tool_name r.Bugbench.Eval.tool) results in
+  let header = "kind (cases)" :: List.map (fun r -> Tool.label r.Bugbench.Eval.tool) results in
   let rows =
     List.map
       (fun kind ->
@@ -338,8 +342,8 @@ let fig10 () =
         let replay_time mk =
           Harness.Timing.median_of ~repeats:1 (fun () -> ignore (Recorder.replay merged (mk ())))
         in
-        let t_pd = native +. replay_time (mk_pmdebugger Pmdebugger.Detector.Strict) in
-        let t_pc = native +. replay_time mk_pmemcheck in
+        let t_pd = native +. replay_time (tool_sink Tool.PMDebugger) in
+        let t_pc = native +. replay_time (tool_sink Tool.Pmemcheck) in
         [ string_of_int threads; T.fmt_x (t_pd /. native); T.fmt_x (t_pc /. native) ])
       [ 1; 2; 4; 6 ]
   in
@@ -453,12 +457,9 @@ let newbugs () =
       "Sec 7.4: finding counts on the same memcached run (XFDetector's failure-point budget and PMTest's missing \
        annotations hide the sites)"
     ~header:[ "tool"; "findings" ]
-    [
-      [ "PMDebugger"; string_of_int (count_findings (mk_pmdebugger Pmdebugger.Detector.Strict)) ];
-      [ "Pmemcheck"; string_of_int (count_findings mk_pmemcheck) ];
-      [ "PMTest"; string_of_int (count_findings mk_pmtest) ];
-      [ "XFDetector"; string_of_int (count_findings mk_xfdetector) ];
-    ];
+    (List.map
+       (fun tool -> [ Tool.label tool; string_of_int (count_findings (tool_sink tool)) ])
+       Bugbench.Eval.all_tools);
   (* Bug 2: redundant epoch fence in the stock hashmap_atomic create
      path (Fig. 9b); Bug 3: lack of durability in the array example's
      epoch (Fig. 9c). *)

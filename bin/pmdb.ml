@@ -9,16 +9,17 @@
      pmdb list                                  available workloads
 
    The commands share one pipeline: [source] resolves a bugbench case, a
-   trace file or a workload run, [detect] drives events through an engine
-   carrying the chosen detector, [print_report] prints the result and
-   [with_metrics] writes the telemetry. Errors in the user's input go
-   through [die]. *)
+   trace file or a workload run, [detect] hands the -d detector and a feed
+   to Baselines.Tool.detect — the detection path the daemon's pool,
+   bugbench and the paper tables share — [print_report] prints the result
+   and [with_metrics] writes the telemetry. What stays here is the CLI's
+   own: resolving -d, the --trace-out write, the [die] messages and the
+   exit codes. *)
 
 open Cmdliner
 open Pmtrace
 module W = Workloads.Workload
 
-let detector_names = [ "pmdebugger"; "pmemcheck"; "pmtest"; "xfdetector"; "nulgrind" ]
 let default_workload = "b_tree"
 let default_ops = 1000
 let default_heatmap_cap = 1024
@@ -46,47 +47,30 @@ let reject_local_only ~what flags =
   | Some (_, flag, hint) -> die "%s needs a local %s%s" flag what hint
   | None -> ()
 
-(* Resolve -d to a sink factory. Resolution runs up front on the main
-   domain, so a bad name exits before any work starts; the daemon calls
-   the factory once per session on its worker domains. [heatmap] feeds
-   the pmdebugger path only. *)
-let sink_for ?(metrics = Obs.Metrics.disabled) name =
-  match name with
-  | "pmdebugger" ->
-      fun ~heatmap model config ->
-        Pmdebugger.Detector.sink (Pmdebugger.Detector.create ~model ~config ~metrics ~heatmap ())
-  | "pmemcheck" -> fun ~heatmap:_ _ _ -> Baselines.Pmemcheck.sink (Baselines.Pmemcheck.create ())
-  | "pmtest" -> fun ~heatmap:_ _ _ -> Baselines.Pmtest.sink (Baselines.Pmtest.create ())
-  | "xfdetector" -> fun ~heatmap:_ _ config -> Baselines.Xfdetector.sink (Baselines.Xfdetector.create ~config ())
-  | "nulgrind" -> fun ~heatmap:_ _ _ -> Baselines.Nulgrind.sink ()
-  | other -> die "unknown detector %S (expected one of: %s)" other (String.concat ", " detector_names)
+(* Resolve -d up front, so a bad name exits before any work starts. *)
+let tool_of name = match Baselines.Tool.of_name name with Ok tool -> tool | Error msg -> die "%s" msg
 
 (* The one detection path: [feed] drives events into an engine carrying
-   the -d detector. finish_all rather than finishing the sink by hand: a
-   detector that raised is quarantined (its report carries the failure)
-   instead of killing the run. Returns the report and the engine's
-   quarantine list.
+   the -d detector (Baselines.Tool.detect). A detector that raised is
+   quarantined — its report carries the failure — instead of killing
+   the run.
 
    [trace_out]: after the run the CLI's phase spans are written there as
    a Perfetto document (Obs.Tracecat), on a "phases" track. *)
-let detect ?(metrics = Obs.Metrics.disabled) ?(spans = Obs.Span.disabled) ?(heatmap = Obs.Heatmap.disabled)
-    ?trace_out ?(detector = "pmdebugger") model config feed =
-  let engine = Engine.create ~metrics () in
-  Engine.attach engine (sink_for ~metrics detector ~heatmap model config);
-  feed engine;
-  let reports = Obs.Span.record spans "finish" (fun () -> Engine.finish_all engine) in
+let detect ?metrics ?(spans = Obs.Span.disabled) ?heatmap ?trace_out ?(detector = "pmdebugger") model config feed =
+  let report = Baselines.Tool.detect ?metrics ~spans ?heatmap ~model ~config (tool_of detector) feed in
   Option.iter
     (fun path ->
       Obs.Json.to_file path (Obs.Tracecat.merge ~spans:(Obs.Span.finished spans) []);
       Printf.printf "phase trace written to %s (open in ui.perfetto.dev)\n" path)
     trace_out;
-  match reports with [ report ] -> (report, Engine.quarantined engine) | _ -> assert false
+  report
 
 (* Offline detection over a captured trace (inject, explain, infer,
    heatmap): with no partial report worth printing, a quarantined
    detector is a detector error. *)
 let detect_trace ?metrics ?heatmap ?detector model config trace =
-  let report, _ = detect ?metrics ?heatmap ?detector model config (fun e -> Array.iter (Engine.emit e) trace) in
+  let report = detect ?metrics ?heatmap ?detector model config (fun e -> Array.iter (Engine.emit e) trace) in
   Option.iter (die ~code:detector_error "%s quarantined: %s" report.Bug.detector) report.Bug.failure;
   report
 
@@ -116,11 +100,7 @@ let with_metrics ?(metrics_on = false) ?(spans_on = false) file f =
     file;
   result
 
-let print_quarantined = function
-  | [] -> ()
-  | qs ->
-      Printf.printf "%d sink(s) quarantined:\n" (List.length qs);
-      List.iter (fun (name, msg) -> Printf.printf "  %s: %s\n" name msg) qs
+let print_quarantine report = Option.iter (Printf.printf "  QUARANTINED: %s\n") report.Bug.failure
 
 let workload_arg =
   let doc = "Workload to run (see `pmdb list`)." in
@@ -148,17 +128,16 @@ let max_bugs_arg =
 
 (* The one report printer: a header line, the quarantine note, the first
    [max_print] findings and the kind summary, then (for live runs) the
-   detector's own stats and the engine's quarantine list. *)
-let print_report ?(stats = false) ?(quarantined = []) ~max_print header report =
+   detector's own stats. *)
+let print_report ?(stats = false) ~max_print header report =
   print_endline header;
-  Option.iter (Printf.printf "  QUARANTINED: %s\n") report.Bug.failure;
+  print_quarantine report;
   List.iteri (fun i b -> if i < max_print then Format.printf "  %a@." Bug.pp b) report.Bug.bugs;
   let total = List.length report.Bug.bugs in
   if total > max_print then Printf.printf "  ... and %d more\n" (total - max_print);
   Printf.printf "%d finding(s); kinds: %s\n" total
     (String.concat ", " (List.map Bug.kind_name (Bug.kinds_found report)));
-  if stats then List.iter (fun (k, v) -> Printf.printf "  stat %-28s %.2f\n" k v) report.Bug.stats;
-  print_quarantined quarantined
+  if stats then List.iter (fun (k, v) -> Printf.printf "  stat %-28s %.2f\n" k v) report.Bug.stats
 
 let replayed file report =
   Printf.sprintf "%s replayed %d event(s) from %s" report.Bug.detector report.Bug.events_processed file
@@ -215,7 +194,7 @@ let events src = Faultinject.Replay.events_of_steps src.steps
 let run_workload ?trace_out ~metrics ~spans ~detector ~annotate workload n config =
   let spec = workload_spec workload in
   let dt = ref 0.0 in
-  let report, quarantined =
+  let report =
     detect ~metrics ~spans ?trace_out ~detector spec.W.model (load_config config)
       (fun engine ->
         let t0 = Unix.gettimeofday () in
@@ -223,14 +202,12 @@ let run_workload ?trace_out ~metrics ~spans ~detector ~annotate workload n confi
             spec.W.run (W.params ~annotate ~n ()) engine);
         dt := Unix.gettimeofday () -. t0)
   in
-  (report, quarantined, !dt)
+  (report, !dt)
 
 let run_cmd workload n detector config annotate max_print metrics_file trace_out =
   with_metrics ~spans_on:(trace_out <> None) metrics_file (fun metrics spans ->
-      let report, quarantined, dt =
-        run_workload ?trace_out ~metrics ~spans ~detector ~annotate workload n config
-      in
-      print_report ~stats:true ~quarantined ~max_print
+      let report, dt = run_workload ?trace_out ~metrics ~spans ~detector ~annotate workload n config in
+      print_report ~stats:true ~max_print
         (Printf.sprintf "%s on %s (n=%d): %d event(s) in %.3fs" report.Bug.detector workload n
            report.Bug.events_processed dt)
         report;
@@ -279,7 +256,7 @@ let bugs_cmd metrics_file =
       let results = Obs.Span.record spans "bugbench" Bugbench.Eval.evaluate_all in
       List.iter
         (fun r ->
-          let tool = Bugbench.Eval.tool_name r.Bugbench.Eval.tool in
+          let tool = Baselines.Tool.label r.Bugbench.Eval.tool in
           Obs.Metrics.inc metrics ~labels:[ ("tool", tool) ] ~by:r.Bugbench.Eval.detected_total
             "bugbench_detected_total";
           Obs.Metrics.inc metrics ~labels:[ ("tool", tool) ] ~by:r.Bugbench.Eval.case_total "bugbench_cases_total";
@@ -341,7 +318,7 @@ let replay_cmd file detector config max_print lenient daemon metrics_file trace_
              selection, so strict covers all shared rules. The trace
              streams straight from disk into the engine — constant memory
              regardless of trace size. *)
-          let report, quarantined =
+          let report =
             detect ~metrics ~spans ?trace_out ~detector Pmdebugger.Detector.Strict
               (load_config config) (fun engine ->
                 Obs.Span.record spans ~attrs:[ ("file", file) ] "replay" (fun () ->
@@ -353,7 +330,7 @@ let replay_cmd file detector config max_print lenient daemon metrics_file trace_
                     in
                     Result.iter_error (die ~code:(Serve.Status.exit_code Serve.Status.Trace_error) "%s") streamed))
           in
-          print_report ~quarantined ~max_print (replayed file report) report;
+          print_report ~max_print (replayed file report) report;
           report)
       |> exit_for_report
 
@@ -731,13 +708,11 @@ let stats_cmd workload n detector config check check_prometheus diff files check
   | None, None, Some path -> check_report_file path
   | None, None, None ->
       with_metrics ~metrics_on:true json_file (fun metrics spans ->
-          let report, quarantined, _dt =
-            run_workload ~metrics ~spans ~detector ~annotate:false workload n config
-          in
+          let report, _dt = run_workload ~metrics ~spans ~detector ~annotate:false workload n config in
           Printf.printf "%s on %s (n=%d): %d event(s), %d finding(s)\n" report.Bug.detector workload n
             report.Bug.events_processed
             (List.length report.Bug.bugs);
-          print_quarantined quarantined;
+          print_quarantine report;
           print_snapshot ~title:(Printf.sprintf "telemetry: %s -w %s -n %d" detector workload n) ~prometheus
             (Obs.Metrics.snapshot metrics))
 
@@ -788,8 +763,8 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
         in
         (* Per-session registries stay disabled: the daemon's merged
            telemetry comes from the dispatch/worker registries. *)
-        let sink = sink_for detector in
-        let make_sink ~heatmap = sink ~heatmap Pmdebugger.Detector.Strict config in
+        let tool = tool_of detector in
+        let make_sink ~heatmap = Baselines.Tool.sink ~heatmap ~model:Pmdebugger.Detector.Strict ~config tool in
         let daemon = Serve.Daemon.create ~metrics ~make_sink cfg in
         Serve.Daemon.install_signal_handlers daemon;
         Printf.printf "pmdb serve: listening on %s (workers=%d, budget=%d bytes, idle-timeout=%.1fs)\n%!" socket

@@ -1,38 +1,18 @@
 open Pmtrace
 
-type tool = PMDebugger | Pmemcheck | PMTest | XFDetector
+type tool = Baselines.Tool.t = PMDebugger | Pmemcheck | PMTest | XFDetector | Nulgrind
 
 let all_tools = [ PMDebugger; Pmemcheck; PMTest; XFDetector ]
 
-let tool_name = function
-  | PMDebugger -> "PMDebugger"
-  | Pmemcheck -> "Pmemcheck"
-  | PMTest -> "PMTest"
-  | XFDetector -> "XFDetector"
-
-let sink_for tool (c : Cases.t) engine =
-  match tool with
-  | PMDebugger ->
-      let d =
-        Pmdebugger.Detector.create ~model:c.Cases.model ~config:c.Cases.config ~pm:(Engine.pm engine)
-          ?recovery:c.Cases.recovery
-          ~crash_check_every_fence:(c.Cases.recovery <> None)
-          ()
-      in
-      Pmdebugger.Detector.sink d
-  | Pmemcheck -> Baselines.Pmemcheck.sink (Baselines.Pmemcheck.create ())
-  | PMTest -> Baselines.Pmtest.sink (Baselines.Pmtest.create ())
-  | XFDetector ->
-      Baselines.Xfdetector.sink
-        (Baselines.Xfdetector.create ~config:c.Cases.config ~pm:(Engine.pm engine) ?recovery:c.Cases.recovery ())
-
 let run_case tool (c : Cases.t) =
-  let engine = Engine.create () in
-  let sink = sink_for tool c engine in
-  Engine.attach engine sink;
+  let engine =
+    Engine.open_one (fun engine ->
+        Baselines.Tool.sink ~pm:(Engine.pm engine) ?recovery:c.Cases.recovery ~model:c.Cases.model
+          ~config:c.Cases.config tool)
+  in
   c.Cases.run engine;
   Engine.program_end engine;
-  sink.Sink.finish ()
+  Engine.finish_one engine
 
 let detected (c : Cases.t) report =
   match c.Cases.expected with None -> false | Some kind -> Bug.has_kind report kind

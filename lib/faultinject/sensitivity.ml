@@ -68,9 +68,9 @@ let default_plan = function
   | fault -> Injector.plan fault
 
 let detect events =
-  let sink = Pmdebugger.Detector.sink (Pmdebugger.Detector.create ~model:Pmdebugger.Detector.Strict ()) in
-  Array.iter sink.Sink.on_event events;
-  Bug.kinds_found (sink.Sink.finish ())
+  Bug.kinds_found
+    (Baselines.Tool.detect ~model:Pmdebugger.Detector.Strict ~config:Pmdebugger.Order_config.empty
+       Baselines.Tool.PMDebugger (fun e -> Array.iter (Engine.emit e) events))
 
 type cell = {
   fault : Injector.fault;

@@ -7,11 +7,8 @@ type config = {
   session_budget : int;
   idle_timeout : float;
   max_sessions : int;
-  pending_watermark : int;
-  tick : float;
   stream_interval : float;
   metrics_file : string option;
-  flightrec_capacity : int;
   flightrec_dir : string option;
   heatmap_cap : int;
   trace_out : string option;
@@ -25,15 +22,19 @@ let default_config ~socket =
     session_budget = 8 lsl 20;
     idle_timeout = 30.0;
     max_sessions = 64;
-    pending_watermark = 4096;
-    tick = 0.02;
     stream_interval = 1.0;
     metrics_file = None;
-    flightrec_capacity = 512;
     flightrec_dir = None;
     heatmap_cap = 0;
     trace_out = None;
   }
+
+(* The select timeout (the housekeeping cadence, seconds); events
+   parked before a session's fd is throttled; slots per flight-recorder
+   ring, on the dispatch domain and on each worker. *)
+let tick = 0.02
+let pending_watermark = 4096
+let flightrec_capacity = 512
 
 (* A stats_stream subscriber: [remaining] frames still owed (-1 means
    until disconnect), [last_frame] when the previous one went out. *)
@@ -98,15 +99,14 @@ let write_json_atomic path json = write_atomic path (Obs.Json.to_string ~indent:
 
 (* {2 Flight recorder} *)
 
-let record t ~cat ~name ~a ~b =
-  if Obs.Flightrec.is_on t.flightrec then Obs.Flightrec.record t.flightrec ~ts:(now ()) ~cat ~name ~a ~b
+let record t ~cat ~name ~a ~b = Obs.Flightrec.record t.flightrec ~ts:(now ()) ~cat ~name ~a ~b
 
 (* The black-box dump: the dispatch ring plus every worker ring,
    written as JSON and as a Perfetto trace. Best-effort by design. *)
 let dump_flightrec t ~reason ~session =
   match t.cfg.flightrec_dir with
   | None -> ()
-  | Some dir when Obs.Flightrec.is_on t.flightrec ->
+  | Some dir ->
       let n = t.dump_seq in
       t.dump_seq <- n + 1;
       let rings = ("dispatch", t.flightrec) :: Pool.flightrec_rings t.pool in
@@ -120,7 +120,6 @@ let dump_flightrec t ~reason ~session =
       let base = Filename.concat dir (Printf.sprintf "flightrec-%s-%s-%d" session reason n) in
       write_json_atomic (base ^ ".json") (Obs.Flightrec.dump_to_json ~meta rings);
       write_json_atomic (base ^ ".perfetto.json") (Obs.Tracecat.merge ~metadata:meta rings)
-  | Some _ -> ()
 
 (* The daemon-wide causal trace: every ring merged into one Perfetto
    document, one track per domain. Same best-effort discipline as
@@ -128,14 +127,13 @@ let dump_flightrec t ~reason ~session =
 let dump_trace t ~reason =
   match t.cfg.trace_out with
   | None -> ()
-  | Some dir when Obs.Flightrec.is_on t.flightrec ->
+  | Some dir ->
       let n = t.dump_seq in
       t.dump_seq <- n + 1;
       let rings = ("dispatch", t.flightrec) :: Pool.flightrec_rings t.pool in
       let metadata = [ ("reason", Obs.Json.Str reason); ("time", Obs.Json.Float (now ())) ] in
       let path = Filename.concat dir (Printf.sprintf "trace-%s-%d.perfetto.json" reason n) in
       write_json_atomic path (Obs.Tracecat.merge ~metadata rings)
-  | Some _ -> ()
 
 (* {2 Socket plumbing} *)
 
@@ -172,11 +170,10 @@ let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_r;
   Unix.set_nonblock stop_w;
-  let flightrec_on = cfg.flightrec_capacity > 0 in
   let pool =
     Pool.create
       ~worker_metrics:(Obs.Metrics.is_on metrics)
-      ?flightrec_capacity:(if flightrec_on then Some cfg.flightrec_capacity else None)
+      ~flightrec_capacity
       ?heatmap_cap:(if cfg.heatmap_cap > 0 then Some cfg.heatmap_cap else None)
       ~workers:cfg.workers ~queue_capacity:cfg.queue_capacity make_sink
   in
@@ -201,9 +198,7 @@ let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
   {
     cfg;
     metrics;
-    flightrec =
-      (if flightrec_on then Obs.Flightrec.create ~capacity:cfg.flightrec_capacity ()
-       else Obs.Flightrec.disabled);
+    flightrec = Obs.Flightrec.create ~capacity:flightrec_capacity ();
     listener;
     stop_r;
     stop_w;
@@ -521,7 +516,7 @@ let tick_conn t conn =
       conn.stalled <- false;
       (* Fd-throttling rung changes are flight-recorder events: the
          black box shows when flow control engaged around a failure. *)
-      let throttled_now = Session.pending_events session >= t.cfg.pending_watermark in
+      let throttled_now = Session.pending_events session >= pending_watermark in
       if throttled_now <> conn.throttled then begin
         conn.throttled <- throttled_now;
         record t ~cat:"backpressure"
@@ -610,14 +605,14 @@ let accept_loop t =
 
 (* {2 The main loop} *)
 
-let wants_read t conn =
+let wants_read conn =
   match conn.kind with
   | Hello _ -> true
   | Streaming (session, _) ->
       (* Throttle a session outrunning its worker: stop reading its fd,
          so the kernel socket buffer fills and the client's writes
          block — flow control for free. *)
-      (not conn.eof) && Session.pending_events session < t.cfg.pending_watermark
+      (not conn.eof) && Session.pending_events session < pending_watermark
   | Stats_stream _ -> not conn.eof
   | Finishing _ | Awaiting _ -> not conn.eof
 
@@ -679,10 +674,10 @@ let run t =
     let read_fds =
       t.stop_r
       :: (if t.stopping then [] else [ t.listener ])
-      @ List.filter_map (fun c -> if wants_read t c then Some c.fd else None) t.conns
+      @ List.filter_map (fun c -> if wants_read c then Some c.fd else None) t.conns
     in
     let readable, _, _ =
-      match Unix.select read_fds [] [] t.cfg.tick with
+      match Unix.select read_fds [] [] tick with
       | r -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [], [])

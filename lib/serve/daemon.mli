@@ -10,7 +10,7 @@
     + the worker's bounded SPSC queue — full means the dispatch domain
       stops submitting (non-blocking [try_submit]) and parks events in
       the session's pending queue;
-    + the pending queue crossing [pending_watermark] — the daemon stops
+    + the pending queue crossing 4096 parked events — the daemon stops
       [select]ing that client's fd, so the kernel socket buffer fills
       and the client's writes block (flow control without a protocol);
     + the session's {!Session.live_bytes} crossing [session_budget] —
@@ -25,7 +25,7 @@
     gets a structured error frame, every other session is untouched.
     Shutdown (SIGTERM/SIGINT via {!install_signal_handlers}, a [stop]
     hello, or {!request_stop}) drains every live session through its
-    engine's [finish_all] before the process exits.
+    engine's [finish_one] before the process exits.
 
     {2 Observability}
 
@@ -36,9 +36,9 @@
     just the dispatch domain's view.
 
     The daemon also keeps an always-on flight recorder
-    ({!Obs.Flightrec}): a fixed ring of recent session transitions,
-    quarantines, and backpressure rung changes on the dispatch domain,
-    plus one ring per worker fed by engine dispatch. On a quarantine,
+    ({!Obs.Flightrec}): a fixed 512-slot ring of recent session
+    transitions, quarantines, and backpressure rung changes on the
+    dispatch domain, plus one ring per worker fed by engine dispatch. On a quarantine,
     an eviction, or SIGQUIT, the last-N window of every ring is dumped
     into [flightrec_dir] as JSON and a Perfetto trace — a black box
     for "what led up to this?" with no tracing enabled in advance.
@@ -54,17 +54,12 @@ type config = {
   session_budget : int;  (** bytes a session may hold in the daemon (default 8 MiB) *)
   idle_timeout : float;  (** seconds; [<= 0.] disables reaping (default 30) *)
   max_sessions : int;  (** connection cap (default 64) *)
-  pending_watermark : int;  (** parked events before fd throttling (default 4096) *)
-  tick : float;  (** select timeout, the housekeeping cadence (default 20 ms) *)
   stream_interval : float;
       (** seconds between [stats_stream] frames and metrics-file
           writes (default 1.0) *)
   metrics_file : string option;
       (** write Prometheus text exposition here periodically (default
           [None]) *)
-  flightrec_capacity : int;
-      (** slots per flight-recorder ring; [0] disables recording
-          entirely (default 512) *)
   flightrec_dir : string option;
       (** where black-box dumps land; [None] records but never dumps
           (default [None]) *)

@@ -38,27 +38,29 @@ let publish st =
   st.unpublished <- 0
 
 type t = {
-  workers : int;
   queues : msg Spsc.t array;
   mutable domains : unit Domain.t array; (* empty once stopped *)
   states : worker_state array;
 }
 
-(* One message step, on the worker domain: every detector exception
-   funnels through the engine's quarantine — the session's report then
-   carries the failure, exactly as an offline replay through an engine
-   would. *)
+(* Surface the engine's quarantine, if any, to the dispatch domain. *)
+let note_failure engine slot =
+  if Atomic.get slot.failed = None then
+    match Engine.quarantined engine with (_, msg) :: _ -> Atomic.set slot.failed (Some msg) | [] -> ()
+
+(* One message step, on the worker domain. A session is the offline
+   detection path (Engine.open_one ... Engine.finish_one): every
+   detector exception, at creation included, funnels through the
+   engine's quarantine — the session's report then carries the failure,
+   exactly as an offline replay would. *)
 let handle make_sink st sessions msg =
   match msg with
   | Open (id, slot) ->
       (* The engine records dispatch into the worker's ring (virtual
          seq timestamps); worker metrics stay out of the engine so the
          per-session report is byte-identical to an offline replay. *)
-      let engine = Engine.create ~flightrec:st.ring () in
-      (match make_sink ~heatmap:st.heatmap with
-      | sink -> Engine.attach engine sink
-      | exception exn ->
-          Atomic.set slot.failed (Some (Printf.sprintf "sink creation raised: %s" (Printexc.to_string exn))));
+      let engine = Engine.open_one ~flightrec:st.ring (fun _ -> make_sink ~heatmap:st.heatmap) in
+      note_failure engine slot;
       Hashtbl.replace sessions id (engine, slot);
       if Obs.Metrics.is_on st.reg then begin
         Obs.Metrics.inc st.reg ~labels:st.labels "serve_worker_sessions_total";
@@ -74,21 +76,13 @@ let handle make_sink st sessions msg =
             st.unpublished <- st.unpublished + 1;
             if st.unpublished >= publish_every then publish st
           end;
-          if Atomic.get slot.failed = None then (
-            match Engine.quarantined engine with
-            | (_, msg) :: _ -> Atomic.set slot.failed (Some msg)
-            | [] -> ()))
+          note_failure engine slot)
   | Finish id -> (
       match Hashtbl.find_opt sessions id with
       | None -> ()
       | Some (engine, slot) ->
           Hashtbl.remove sessions id;
-          let report =
-            match Engine.finish_all engine with
-            | r :: _ -> r
-            | [] -> Bug.empty_report "serve"
-            | exception exn -> { (Bug.empty_report "serve") with Bug.failure = Some (Printexc.to_string exn) }
-          in
+          let report = Engine.finish_one engine in
           (* Publish before the result lands: once the dispatch domain
              sees the report (and replies to the client), the published
              snapshot is guaranteed to cover this whole session. *)
@@ -149,11 +143,9 @@ let create ?(worker_metrics = false) ?flightrec_capacity ?heatmap_cap ~workers
         })
   in
   let domains = Array.init workers (fun i -> Domain.spawn (fun () -> worker_loop make_sink states.(i) queues.(i))) in
-  { workers; queues; domains; states }
+  { queues; domains; states }
 
-let workers t = t.workers
-
-let worker_of t id = id mod t.workers
+let worker_of t id = id mod Array.length t.queues
 
 let send t id msg = Spsc.push t.queues.(worker_of t id) msg
 

@@ -5,13 +5,13 @@
     [id mod workers], so detector state never crosses domains. The
     daemon's single dispatch domain is the one producer of every
     worker's SPSC queue; each worker hosts its sessions' engines
-    (one {!Pmtrace.Engine.t} + sink per session, created on the worker
-    at [open_session]) and publishes results through the session's
+    (one {!Pmtrace.Engine.open_one} engine per session, created on the
+    worker at [open_session]) and publishes results through the session's
     {!slot} — a pair of atomics the dispatch domain polls.
 
-    Fault containment: a detector exception is caught by the session's
-    engine (sink quarantine) and surfaces in [failed]; finishing the
-    session still yields a partial report with the failure recorded.
+    Fault containment: a detector exception, in [make_sink] included, is
+    caught by the session's engine (sink quarantine) and surfaces in
+    [failed]; finishing the session yields a report with the failure.
     Sibling sessions on the same worker are untouched. A worker domain
     that somehow dies closes its queue, so submissions raise
     {!Pmtrace.Spsc.Closed} rather than wedging the daemon. *)
@@ -67,10 +67,6 @@ val create :
     [worker_metrics], not the sink — per-session reports stay
     byte-identical to an offline replay. *)
 
-val workers : t -> int
-
-val worker_of : t -> int -> int
-
 val open_session : t -> id:int -> slot
 (** Blocking (the Open message must land). *)
 
@@ -83,7 +79,7 @@ val try_submit : t -> id:int -> Event.t -> bool
     never blocks. *)
 
 val finish_session : t -> id:int -> unit
-(** Ask the worker to finish the session's engine ({!Pmtrace.Engine.finish_all})
+(** Ask the worker to finish the session's engine ({!Pmtrace.Engine.finish_one})
     and publish the report into the slot. Blocking push. *)
 
 val queue_length : t -> id:int -> int

@@ -47,10 +47,6 @@ val parse_hello : string -> (hello, string) result
 val name_ok : string -> bool
 (** Session names: 1-64 chars of [A-Za-z0-9_.-]. *)
 
-val bug_to_json : Bug.t -> Obs.Json.t
-
-val bug_of_json : Obs.Json.t -> (Bug.t, string) result
-
 val report_to_json : Bug.report -> Obs.Json.t
 
 val report_of_json : Obs.Json.t -> (Bug.report, string) result
@@ -72,10 +68,6 @@ val result_frame :
   ?report:Bug.report ->
   Status.t ->
   result_frame
-
-val result_to_json : result_frame -> Obs.Json.t
-
-val result_of_json : Obs.Json.t -> (result_frame, string) result
 
 val result_to_line : result_frame -> string
 (** Single-line JSON, no trailing newline. *)

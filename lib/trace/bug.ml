@@ -68,11 +68,6 @@ let pp_cause ppf c =
   if c.c_addr >= 0 then Format.fprintf ppf " @@%d+%d" c.c_addr c.c_size;
   if c.c_note <> "" then Format.fprintf ppf " — %s" c.c_note
 
-let pp_chain ppf = function
-  | [] -> Format.fprintf ppf "(no causal history)"
-  | chain ->
-      Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "@,") pp_cause ppf chain
-
 let pp ppf b =
   Format.fprintf ppf "%a" pp_kind b.kind;
   if b.addr >= 0 then Format.fprintf ppf " @@%d+%d" b.addr b.size;

@@ -58,10 +58,6 @@ val pp : Format.formatter -> t -> unit
 
 val pp_cause : Format.formatter -> cause -> unit
 
-val pp_chain : Format.formatter -> cause list -> unit
-(** Vertical list of causes, one per line ("(no causal history)" when
-    empty) — the body of [pmdb explain]. *)
-
 type report = {
   detector : string;
   bugs : t list;

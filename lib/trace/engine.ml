@@ -76,12 +76,6 @@ let quarantined t =
 
 let set_instrumentation t b = t.instrument <- b
 
-let metrics t = t.metrics
-
-let flightrec t = t.flightrec
-
-let seq t = t.seq
-
 let set_tid t tid = t.tid <- tid
 
 let run_sinks t slots ev =
@@ -138,6 +132,22 @@ let finish_slot t slot =
   match slot.failure with None -> base | Some msg -> { base with Bug.failure = Some msg }
 
 let finish_all t = List.map (finish_slot t) (slots_in_order t)
+
+(* A constructor that raises leaves a slot that was never healthy: it is
+   quarantined before the first event, so dispatch skips it and
+   [finish_all] still yields its one report, failure recorded. *)
+let open_one ?metrics ?flightrec make =
+  let t = create ?metrics ?flightrec () in
+  (match make t with
+  | sink -> attach t sink
+  | exception exn ->
+      let slot = { sink = Sink.noop "sink"; events_seen = 0; failure = None } in
+      t.slots_rev <- [ slot ];
+      quarantine_msg t slot (Printf.sprintf "sink creation raised: %s" (Printexc.to_string exn)));
+  t
+
+let finish_one t =
+  match finish_all t with [ report ] -> report | _ -> invalid_arg "Engine.finish_one: not a one-sink engine"
 
 let emit = dispatch
 

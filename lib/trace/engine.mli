@@ -62,15 +62,17 @@ val finish_all : t -> Bug.report list
     at finish) gets the exception recorded in its report's [failure]
     field. *)
 
+val open_one : ?metrics:Obs.Metrics.t -> ?flightrec:Obs.Flightrec.t -> (t -> Sink.t) -> t
+(** A fresh engine carrying the one sink [make engine] builds. If
+    [make] raises, the engine carries a sink named ["sink"],
+    quarantined from the start with ["sink creation raised: <exn>"]. *)
+
+val finish_one : t -> Bug.report
+(** [finish_all] of an {!open_one} engine: its one report, any
+    quarantine in [failure]. Never raises on such an engine. *)
+
 val set_instrumentation : t -> bool -> unit
 (** When off, events are not dispatched (PM semantics still apply). *)
-
-val metrics : t -> Obs.Metrics.t
-
-val flightrec : t -> Obs.Flightrec.t
-
-val seq : t -> int
-(** Number of events emitted so far (sequence counter). *)
 
 val set_tid : t -> int -> unit
 (** Thread id stamped on subsequent events (default 0). *)

@@ -1,37 +1,25 @@
 type trace = Event.t array
 
-let recording_sink () =
-  let buf = ref [] and n = ref 0 in
-  let sink =
-    Sink.make ~name:"recorder"
-      ~on_event:(fun ev ->
-        buf := ev :: !buf;
-        incr n)
-      ~finish:(fun () -> { (Bug.empty_report "recorder") with events_processed = !n })
-  in
-  let extract () =
-    let arr = Array.make !n Event.Program_end in
-    let rec fill i = function
-      | [] -> ()
-      | ev :: rest ->
-          arr.(i) <- ev;
-          fill (i - 1) rest
-    in
-    fill (!n - 1) !buf;
-    arr
-  in
-  (sink, extract)
-
-let record_on engine run =
-  let sink, extract = recording_sink () in
-  Engine.attach engine sink;
-  run engine;
-  Engine.detach_all engine;
-  extract ()
-
 let record run =
   let engine = Engine.create () in
-  record_on engine run
+  let buf = ref [] and n = ref 0 in
+  Engine.attach engine
+    (Sink.make ~name:"recorder"
+       ~on_event:(fun ev ->
+         buf := ev :: !buf;
+         incr n)
+       ~finish:(fun () -> { (Bug.empty_report "recorder") with events_processed = !n }));
+  run engine;
+  Engine.detach_all engine;
+  let arr = Array.make !n Event.Program_end in
+  let rec fill i = function
+    | [] -> ()
+    | ev :: rest ->
+        arr.(i) <- ev;
+        fill (i - 1) rest
+  in
+  fill (!n - 1) !buf;
+  arr
 
 let replay trace sink =
   Array.iter sink.Sink.on_event trace;
@@ -40,8 +28,6 @@ let replay trace sink =
 let replay_stream produce sink =
   produce sink.Sink.on_event;
   sink.Sink.finish ()
-
-let filter trace pred = Array.of_list (List.filter pred (Array.to_list trace))
 
 let interleave_round_robin traces =
   let arrs = Array.of_list traces in

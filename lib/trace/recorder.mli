@@ -6,15 +6,9 @@
 
 type trace = Event.t array
 
-val recording_sink : unit -> Sink.t * (unit -> trace)
-(** A sink that appends every event; the closure extracts the trace. *)
-
 val record : (Engine.t -> unit) -> trace
 (** [record run] executes [run] on a fresh engine with a recording sink
     and returns the captured trace. *)
-
-val record_on : Engine.t -> (Engine.t -> unit) -> trace
-(** Same but on a caller-provided engine (so PM contents survive). *)
 
 val replay : trace -> Sink.t -> Bug.report
 (** Feed every event to the sink, then [finish]. *)
@@ -24,8 +18,6 @@ val replay_stream : ((Event.t -> unit) -> unit) -> Sink.t -> Bug.report
     the sink as they are produced — the constant-memory dual of
     {!replay} for event sources that never materialize a trace array
     (e.g. {!Trace_io.iter_file}). *)
-
-val filter : trace -> (Event.t -> bool) -> trace
 
 val interleave_round_robin : trace list -> trace
 (** Merge per-thread traces by alternating one event from each, the

@@ -196,6 +196,17 @@ let test_persistence_inspector_tx_rules () =
   Alcotest.(check bool) "blind to epoch fences" false
     (Bug.has_kind (run_with (mk ()) two_fences) Bug.Redundant_epoch_fence)
 
+let test_tool_names_roundtrip () =
+  let module Tool = Baselines.Tool in
+  List.iter
+    (fun t -> Alcotest.(check bool) (Tool.name t ^ " round-trips") true (Tool.of_name (Tool.name t) = Ok t))
+    Tool.all;
+  Alcotest.(check (list string)) "-d spellings" [ "pmdebugger"; "pmemcheck"; "pmtest"; "xfdetector"; "nulgrind" ]
+    (List.map Tool.name Tool.all);
+  Alcotest.(check bool) "unknown name names the choices" true
+    (Tool.of_name "nosuch"
+    = Error {|unknown detector "nosuch" (expected one of: pmdebugger, pmemcheck, pmtest, xfdetector, nulgrind)|})
+
 let suite =
   [
     Alcotest.test_case "nulgrind silent" `Quick test_nulgrind_silent;
@@ -207,6 +218,7 @@ let suite =
     Alcotest.test_case "xfdetector failure budget" `Quick test_xfdetector_failure_budget;
     Alcotest.test_case "xfdetector cross-failure" `Quick test_xfdetector_cross_failure;
     Alcotest.test_case "tools on one trace" `Quick test_all_tools_same_trace_capabilities;
+    Alcotest.test_case "tool names round-trip" `Quick test_tool_names_roundtrip;
     Alcotest.test_case "persistence inspector domain gate" `Quick test_persistence_inspector_domain_gate;
     Alcotest.test_case "persistence inspector tx rules" `Quick test_persistence_inspector_tx_rules;
   ]

@@ -33,10 +33,10 @@ let find_result tool = List.find (fun r -> r.Bugbench.Eval.tool = tool) (Lazy.fo
 
 let check_tool tool ~detected ~kinds ~fn_rate =
   let r = find_result tool in
-  Alcotest.(check int) (Bugbench.Eval.tool_name tool ^ " detections") detected r.Bugbench.Eval.detected_total;
-  Alcotest.(check int) (Bugbench.Eval.tool_name tool ^ " kinds") kinds r.Bugbench.Eval.kinds_covered;
-  Alcotest.(check (float 0.005)) (Bugbench.Eval.tool_name tool ^ " FN rate") fn_rate r.Bugbench.Eval.false_negative_rate;
-  Alcotest.(check (list string)) (Bugbench.Eval.tool_name tool ^ " no false positives") [] r.Bugbench.Eval.false_positives
+  Alcotest.(check int) (Baselines.Tool.label tool ^ " detections") detected r.Bugbench.Eval.detected_total;
+  Alcotest.(check int) (Baselines.Tool.label tool ^ " kinds") kinds r.Bugbench.Eval.kinds_covered;
+  Alcotest.(check (float 0.005)) (Baselines.Tool.label tool ^ " FN rate") fn_rate r.Bugbench.Eval.false_negative_rate;
+  Alcotest.(check (list string)) (Baselines.Tool.label tool ^ " no false positives") [] r.Bugbench.Eval.false_positives
 
 (* Paper: PMDebugger 78 bugs / 10 types / no false negatives. *)
 let test_pmdebugger_row () = check_tool Bugbench.Eval.PMDebugger ~detected:78 ~kinds:10 ~fn_rate:0.0
@@ -59,7 +59,7 @@ let test_per_kind_columns () =
   in
   let expect tool kind yes =
     Alcotest.(check bool)
-      (Printf.sprintf "%s x %s" (Bugbench.Eval.tool_name tool) (Bug.kind_name kind))
+      (Printf.sprintf "%s x %s" (Baselines.Tool.label tool) (Bug.kind_name kind))
       yes (covered tool kind)
   in
   let open Bugbench.Eval in

@@ -360,6 +360,38 @@ let test_pool_detector_failure () =
   Alcotest.(check bool) "report carries the failure" true (report.Bug.failure <> None);
   Serve.Pool.stop pool
 
+(* A session whose sink constructor raises is answered with the failure,
+   also when no event ever reaches the worker (a hello then EOF). *)
+let test_pool_sink_creation_failure () =
+  let pool = Serve.Pool.create ~workers:1 ~queue_capacity:64 (fun ~heatmap:_ -> failwith "no sink") in
+  let slot = Serve.Pool.open_session pool ~id:0 in
+  Serve.Pool.finish_session pool ~id:0;
+  let report = await "report after finish" (fun () -> Serve.Pool.result slot) in
+  Alcotest.(check (option string)) "report carries the creation failure"
+    (Some "sink creation raised: Failure(\"no sink\")") report.Bug.failure;
+  Alcotest.(check (option string)) "slot saw it too" report.Bug.failure (Serve.Pool.failed slot);
+  Serve.Pool.stop pool
+
+(* Every -d detector gives the same wire report offline (Tool.detect)
+   and through the worker pool (Tool.sink per session). *)
+let test_pool_tool_parity () =
+  let module Tool = Baselines.Tool in
+  let model = D.Strict and config = Pmdebugger.Order_config.empty in
+  let wire r = Obs.Json.to_string (Serve.Wire.report_to_json r) in
+  List.iteri
+    (fun id tool ->
+      let offline = Tool.detect ~model ~config tool (fun e -> List.iter (Engine.emit e) bug_trace_events) in
+      let pool =
+        Serve.Pool.create ~workers:2 ~queue_capacity:64 (fun ~heatmap -> Tool.sink ~heatmap ~model ~config tool)
+      in
+      let slot = Serve.Pool.open_session pool ~id in
+      List.iter (fun ev -> Serve.Pool.submit pool ~id ev) bug_trace_events;
+      Serve.Pool.finish_session pool ~id;
+      let served = await "report" (fun () -> Serve.Pool.result slot) in
+      Serve.Pool.stop pool;
+      Alcotest.(check string) (Tool.name tool ^ ": offline = pool") (wire offline) (wire served))
+    Tool.all
+
 (* ---------------------------------------------------------------- *)
 (* The fault-tolerance gate: 8 concurrent clients over a real socket, *)
 (* 2 of them misbehaving; 6 healthy reports byte-identical to the      *)
@@ -880,4 +912,6 @@ let suite =
     Alcotest.test_case "heatmap verb and shutdown trace" `Quick test_heatmap_verb_and_shutdown_trace;
     Alcotest.test_case "protocol fuzz" `Quick test_fuzz_protocol;
     Alcotest.test_case "daemon rejects zero workers before binding" `Quick test_daemon_rejects_zero_workers;
+    Alcotest.test_case "pool sink creation failure is reported" `Quick test_pool_sink_creation_failure;
+    Alcotest.test_case "pool report = offline report, every tool" `Quick test_pool_tool_parity;
   ]
