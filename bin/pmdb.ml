@@ -306,7 +306,7 @@ let replay_cmd file detector config max_print lenient daemon metrics_file trace_
   | Some socket ->
       reject_local_only ~what:"replay"
         [
-          (trace_out <> None, "--trace-out", " (the daemon dumps its own via serve --trace-out)");
+          (trace_out <> None, "--trace-out", " (the daemon dumps its own via serve --flightrec-dir)");
           (metrics_file <> None, "--metrics", " (read the daemon's telemetry with stats --daemon)");
           (config <> None, "-c/--config", " (pass it to serve -c)");
           (detector <> "pmdebugger", "-d", " (pass it to serve -d)");
@@ -339,21 +339,17 @@ let replay_cmd file detector config max_print lenient daemon metrics_file trace_
 (* derivable crash image against a recovery predicate.               *)
 (* ---------------------------------------------------------------- *)
 
-let crash_explore_cmd case trace workload n expect fences_only max_images bisect strategy budget invariants_out
-    seed metrics_file =
+let crash_explore_cmd case trace workload n expect fences_only max_images bisect metrics_file =
   with_metrics metrics_file @@ fun metrics spans ->
   let module CE = Faultinject.Crash_explore in
   if case = None && expect = None then
     die "need --case ID, or --trace FILE / -w WORKLOAD with --expect PREDICATE";
   if max_images < 1 then die "--max-images must be >= 1";
+  if bisect && fences_only then die "--bisect checks every store, CLF and fence; drop --fences-only";
   let parse_expect e =
     match Faultinject.Predicate.parse e with Ok p -> Faultinject.Predicate.recovery p | Error msg -> die "--expect: %s" msg
   in
   let expected = Option.map parse_expect expect in
-  let strategy_name = strategy in
-  let strategy =
-    match CE.strategy_of_string strategy with Ok s -> s | Error msg -> die "--strategy: %s" msg
-  in
   let src = source ?case ?trace ~workload ~n None in
   let recovery =
     match (src.recovery, expected) with
@@ -361,44 +357,23 @@ let crash_explore_cmd case trace workload n expect fences_only max_images bisect
     | None, None -> die "case %S has no recovery predicate; pass --expect" src.what
   in
   let what = src.what and steps = src.steps in
-  let budget = if budget <= 0 then None else Some budget in
-  let boundaries = if fences_only then CE.Fences_only else CE.Every_op in
-  let write_invariants plan used =
-    match invariants_out with
-    | None -> ()
-    | Some path ->
-        let rep = match used with Some r -> r | None -> CE.plan_invariants plan in
-        Obs.Json.to_file path (Infer.Invariant.to_json rep);
-        Printf.printf "invariants: %d candidate(s) -> %s\n"
-          (List.length rep.Infer.Invariant.invariants)
-          path
-  in
-  let plan = CE.make_plan ~boundaries ~max_images ?budget ~seed steps in
   if bisect then begin
     let f =
       Obs.Span.record spans "bisect" (fun () -> CE.minimal_failing_prefix ~max_images ~metrics ~recovery steps)
     in
-    (match f with
+    match f with
     | None -> Printf.printf "%s: no crash image fails recovery (%d steps explored)\n" what (Array.length steps)
     | Some f ->
         Format.printf "%s: minimal failing prefix ends at event #%d (%a): %d/%d crash image(s) fail recovery@."
-          what f.CE.index Faultinject.Replay.pp f.CE.step f.CE.failing_images f.CE.images_checked);
-    write_invariants plan None
+          what f.CE.index Faultinject.Replay.pp f.CE.step f.CE.failing_images f.CE.images_checked
   end
   else begin
-    let o = Obs.Span.record spans "explore" (fun () -> CE.run ~metrics ~recovery plan strategy) in
-    let r = o.CE.result in
+    let boundaries = if fences_only then CE.Fences_only else CE.Every_op in
+    let plan = CE.make_plan ~boundaries ~max_images steps in
+    let r = (Obs.Span.record spans "explore" (fun () -> CE.run ~metrics ~recovery plan CE.exhaustive)).CE.result in
     Printf.printf "%s: %d boundar%s checked, %d crash image(s) tested\n" what r.CE.boundaries_checked
       (if r.CE.boundaries_checked = 1 then "y" else "ies")
       r.CE.images_checked;
-    (* The strategy line only appears for non-default runs: the default
-       exhaustive report stays byte-identical to the pre-strategy CLI. *)
-    if strategy_name <> "exhaustive" || budget <> None then
-      Printf.printf "  strategy %s: %d/%d scheduled boundar%s explored, %d skipped%s\n" o.CE.strategy
-        o.CE.explored o.CE.scheduled
-        (if o.CE.scheduled = 1 then "y" else "ies")
-        o.CE.skipped
-        (match budget with None -> "" | Some b -> Printf.sprintf " (budget %d images)" b);
     List.iter
       (fun (f : CE.failure) ->
         Format.printf "  event #%d (%a): %d/%d image(s) fail recovery@." f.CE.index Faultinject.Replay.pp f.CE.step
@@ -406,8 +381,7 @@ let crash_explore_cmd case trace workload n expect fences_only max_images bisect
       r.CE.failures;
     if r.CE.failures = [] then Printf.printf "  all crash images satisfy recovery\n"
     else Printf.printf "%d failing boundar%s\n" (List.length r.CE.failures)
-      (if List.length r.CE.failures = 1 then "y" else "ies");
-    write_invariants plan o.CE.invariants_used
+      (if List.length r.CE.failures = 1 then "y" else "ies")
   end
 
 (* ---------------------------------------------------------------- *)
@@ -626,7 +600,7 @@ let check_report_file path =
   | Error msg -> invalid path "invalid JSON: %s" msg
   | Ok json when Obs.Json.member "traceEvents" json <> None -> (
       (* A Perfetto/Chrome trace-event document (pmdb timeline,
-         --trace-out, the daemon's causal dumps) — structural check. *)
+         --trace-out, the daemon's flight-recorder dumps) — structural check. *)
       match Obs.Perfetto.validate_json json with
       | Ok n -> Printf.printf "%s: valid trace-event document (%d events)\n" path n
       | Error msg -> invalid path "invalid trace-event document: %s" msg)
@@ -717,7 +691,7 @@ let stats_cmd workload n detector config check check_prometheus diff files check
             (Obs.Metrics.snapshot metrics))
 
 let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sessions detector config
-    metrics_file flightrec_dir heatmap_cap trace_out stop probe =
+    metrics_file flightrec_dir heatmap_cap stop probe =
   if stop then (
     match Serve.Client.stop ~socket with
     | Ok () -> Printf.printf "daemon at %s stopped\n" socket
@@ -758,7 +732,6 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
             metrics_file;
             flightrec_dir;
             heatmap_cap;
-            trace_out;
           }
         in
         (* Per-session registries stay disabled: the daemon's merged
@@ -774,7 +747,6 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
             Printf.printf "pmdb serve: Prometheus exposition -> %s (every %.1fs)\n%!" path cfg.Serve.Daemon.stream_interval)
           metrics_file;
         Option.iter (Printf.printf "pmdb serve: flight-recorder dumps -> %s\n%!") flightrec_dir;
-        Option.iter (Printf.printf "pmdb serve: causal Perfetto traces -> %s (SIGQUIT or shutdown)\n%!") trace_out;
         if heatmap_cap > 0 then
           Printf.printf "pmdb serve: hot-line heatmap on (cap %d lines/worker; query with `pmdb heatmap --daemon %s`)\n%!"
             heatmap_cap socket;
@@ -948,8 +920,9 @@ let metrics_file_arg =
 
 let flightrec_dir_arg =
   let doc =
-    "Directory for flight-recorder black-box dumps: on a session quarantine, an eviction or SIGQUIT the daemon \
-     writes the last events of every ring there as JSON and a Perfetto trace."
+    "Directory for flight-recorder black-box dumps: on a session quarantine, an eviction, SIGQUIT and at shutdown \
+     the daemon writes the last events of every ring there as JSON and as one Perfetto trace merging the dispatch \
+     domain's and every worker's ring onto one time base."
   in
   Arg.(value & opt (some string) None & info [ "flightrec-dir" ] ~docv:"DIR" ~doc)
 
@@ -959,14 +932,6 @@ let heatmap_cap_arg =
      table with `pmdb heatmap --daemon`. 0 (the default) disables tracking — the per-event cost is one branch."
   in
   Arg.(value & opt int 0 & info [ "heatmap-cap" ] ~docv:"LINES" ~doc)
-
-let serve_trace_out_arg =
-  let doc =
-    "Directory for daemon-wide causal Perfetto traces: on SIGQUIT and at shutdown the dispatch domain's and every \
-     worker's flight-recorder rings are merged onto one time base and written there. Requires flight recording, \
-     which is always on in the daemon."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"DIR" ~doc)
 
 let serve_stop_arg =
   let doc = "Ask the daemon at --socket to shut down gracefully, then exit." in
@@ -983,7 +948,7 @@ let serve_term =
   Term.(
     const serve_cmd $ socket_arg $ workers_arg $ queue_capacity_arg $ idle_timeout_arg $ session_budget_arg
     $ max_sessions_arg $ detector_arg $ config_arg $ metrics_file_arg
-    $ flightrec_dir_arg $ heatmap_cap_arg $ serve_trace_out_arg $ serve_stop_arg $ probe_arg)
+    $ flightrec_dir_arg $ heatmap_cap_arg $ serve_stop_arg $ probe_arg)
 
 let case_arg =
   let doc = "Explore a bugbench case by id instead of a workload." in
@@ -991,8 +956,8 @@ let case_arg =
 
 let expect_arg =
   let doc =
-    "Recovery predicate for the workload: comma-separated clauses, e.g. 'i64\\@0=1', 'nonzero\\@64', 'le\\@8<=16', \
-     'ifset\\@0=>64'."
+    "Recovery predicate for the workload: comma-separated clauses, e.g. 'i64@0=1', 'nonzero@64', 'le@8<=16', \
+     'ifset@0=>64'."
   in
   Arg.(value & opt (some string) None & info [ "expect" ] ~docv:"PRED" ~doc)
 
@@ -1006,8 +971,8 @@ let max_images_arg =
 
 let bisect_arg =
   let doc =
-    "Report only the minimal failing prefix: the first failing boundary of the exhaustive every-op scan, whatever \
-     --strategy, --budget or --fences-only say."
+    "Report only the minimal failing prefix: the first failing boundary of the exhaustive every-op scan (not \
+     combinable with --fences-only)."
   in
   Arg.(value & flag & info [ "bisect" ] ~doc)
 
@@ -1018,37 +983,10 @@ let explore_trace_arg =
   in
   Arg.(value & opt (some file) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let strategy_arg =
-  let doc =
-    "Crash-point exploration strategy: 'exhaustive' (every boundary in trace order), 'guided' (boundaries ranked by \
-     inferred-invariant risk, highest first — pair with --budget) or 'sampled' (seeded reservoir over the \
-     boundaries, sized by --budget / --max-images)."
-  in
-  Arg.(value & opt string "exhaustive" & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
-
-let budget_arg =
-  let doc =
-    "Total crash-image budget for the whole exploration: stop once $(docv) images have been derived and tested \
-     (0 = unbounded). The last boundary's sample is truncated to the remainder, so the run never exceeds the budget."
-  in
-  Arg.(value & opt int 0 & info [ "budget" ] ~docv:"N" ~doc)
-
-let invariants_out_arg =
-  let doc =
-    "Write the pmdb-invariants/v1 report the run inferred (or would infer) to $(docv); validate with `pmdb infer \
-     --check` or `pmdb stats --check`."
-  in
-  Arg.(value & opt (some string) None & info [ "invariants-out" ] ~docv:"FILE" ~doc)
-
-let explore_seed_arg =
-  let doc = "Seed for the sampled strategy's reservoir (deterministic in it)." in
-  Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"SEED" ~doc)
-
 let crash_explore_term =
   Term.(
     const crash_explore_cmd $ case_arg $ explore_trace_arg $ workload_arg $ n_arg $ expect_arg $ fences_only_arg
-    $ max_images_arg $ bisect_arg $ strategy_arg $ budget_arg $ invariants_out_arg $ explore_seed_arg
-    $ metrics_arg)
+    $ max_images_arg $ bisect_arg $ metrics_arg)
 
 let fault_arg =
   let doc = "Fault class: drop-clf, drop-fence, torn-store, duplicate-flush or evict-line." in
@@ -1081,8 +1019,8 @@ let bugs_term = Term.(const bugs_cmd $ metrics_arg)
 
 let check_arg =
   let doc =
-    "Validate a JSON report written by --metrics, --trace-out, timeline, characterize --json or crash-explore \
-     --invariants-out (exit 1 if invalid)."
+    "Validate a JSON report written by --metrics, --trace-out, timeline, characterize --json or infer --json (exit \
+     1 if invalid)."
   in
   Arg.(value & opt (some file) None & info [ "check" ] ~docv:"FILE" ~doc)
 

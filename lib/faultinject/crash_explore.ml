@@ -29,11 +29,10 @@ type plan = {
   boundary_events : int array;
   max_images : int;
   budget : int option;
-  seed : int;
   invariants : Infer.Invariant.report option;
 }
 
-let make_plan ?(boundaries = Every_op) ?(max_images = 64) ?budget ?(seed = 0x5eed) ?invariants steps =
+let make_plan ?(boundaries = Every_op) ?(max_images = 64) ?budget ?invariants steps =
   if max_images < 1 then invalid_arg "Crash_explore.make_plan: max_images must be >= 1";
   let idx = ref [] and evs = ref [] in
   let event_count = ref 0 in
@@ -54,7 +53,6 @@ let make_plan ?(boundaries = Every_op) ?(max_images = 64) ?budget ?(seed = 0x5ee
     boundary_events = Array.of_list (List.rev !evs);
     max_images;
     budget;
-    seed;
     invariants;
   }
 
@@ -67,25 +65,19 @@ let plan_invariants plan =
 (* Strategies                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type strategy = Exhaustive | Guided | Sampled
+type strategy = Exhaustive | Guided
 
 let exhaustive = Exhaustive
 let guided = Guided
-let sampled = Sampled
-
-let strategy_name = function Exhaustive -> "exhaustive" | Guided -> "guided" | Sampled -> "sampled"
 
 (* The strategy's exploration order as positions into
-   [plan.boundary_indexes] (a subsequence, possibly a permutation, of
-   [0 .. n-1]), the boundaries it drops up front, and the invariant
-   report it ranked with. *)
+   [plan.boundary_indexes]: a permutation of [0 .. n-1]. *)
 let schedule plan strategy =
   let n = Array.length plan.boundary_indexes in
   match strategy with
-  | Exhaustive -> (Array.init n Fun.id, 0, None)
+  | Exhaustive -> Array.init n Fun.id
   | Guided ->
-      let report = plan_invariants plan in
-      let risks = Infer.Risk.scores report (plan_events plan) in
+      let risks = Infer.Risk.scores (plan_invariants plan) (plan_events plan) in
       let order = Array.init n Fun.id in
       let risk_of pos =
         let ev = plan.boundary_events.(pos) in
@@ -98,32 +90,7 @@ let schedule plan strategy =
         if c <> 0 then c else compare a b
       in
       Array.sort cmp order;
-      (order, 0, Some report)
-  | Sampled ->
-      let k =
-        match plan.budget with
-        | None -> n
-        | Some b -> min n (max 1 (b / max 1 plan.max_images))
-      in
-      if k >= n then (Array.init n Fun.id, 0, None)
-      else begin
-        (* Classic reservoir over boundary positions, seeded — a uniform
-           k-subset kept in trace order. *)
-        let rng = Random.State.make [| plan.seed; n; k |] in
-        let res = Array.init k Fun.id in
-        for i = k to n - 1 do
-          let j = Random.State.int rng (i + 1) in
-          if j < k then res.(j) <- i
-        done;
-        Array.sort compare res;
-        (res, n - k, None)
-      end
-
-let strategy_of_string = function
-  | "exhaustive" -> Ok exhaustive
-  | "guided" -> Ok guided
-  | "sampled" -> Ok sampled
-  | s -> Error (Printf.sprintf "unknown strategy %S (expected exhaustive|guided|sampled)" s)
+      order
 
 (* ------------------------------------------------------------------ *)
 (* The driver                                                          *)
@@ -131,11 +98,9 @@ let strategy_of_string = function
 
 type outcome = {
   result : result;
-  strategy : string;
   scheduled : int;
   explored : int;
   skipped : int;
-  invariants_used : Infer.Invariant.report option;
 }
 
 let is_monotone order =
@@ -161,8 +126,7 @@ let walk plan positions f =
   go 0 0
 
 let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery plan strategy =
-  let order, dropped, invariants_used = schedule plan strategy in
-  let name = strategy_name strategy in
+  let order = schedule plan strategy in
   let m = Array.length order in
   let budget = Option.value plan.budget ~default:max_int in
   (* [checks.(k)]: the (failing, checked) image counts of the k-th
@@ -175,8 +139,8 @@ let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery pla
     counts
   in
   if is_monotone order then begin
-    (* Trace-ordered schedules (exhaustive, sampled) spend the budget
-       and stop as they walk. *)
+    (* A trace-ordered schedule spends the budget and stops as it
+       walks. *)
     let left = ref budget in
     walk plan order (fun k st ->
         !left > 0
@@ -234,19 +198,16 @@ let run ?(stop_at_first = false) ?(metrics = Obs.Metrics.disabled) ~recovery pla
   in
   read 0;
   let failures = List.sort (fun a b -> compare a.index b.index) !failures in
-  let skipped = dropped + (m - !boundaries_checked) in
+  let skipped = m - !boundaries_checked in
   Obs.Metrics.inc metrics ~by:!boundaries_checked "crash_explore_prefixes_replayed_total";
   Obs.Metrics.inc metrics ~by:!images_checked "crash_explore_images_tested_total";
-  Obs.Metrics.inc metrics ~by:!images_checked ~labels:[ ("strategy", name) ] "explore_images_total";
   Obs.Metrics.inc metrics ~by:(List.length failures) "explore_bugs_found_total";
   Obs.Metrics.inc metrics ~by:skipped "explore_skipped_low_risk_total";
   {
     result = { boundaries_checked = !boundaries_checked; images_checked = !images_checked; failures };
-    strategy = name;
     scheduled = m;
     explored = !boundaries_checked;
     skipped;
-    invariants_used;
   }
 
 (* Transient windows make failure non-monotone in the prefix length: a

@@ -1,4 +1,4 @@
-(** Crash-point exploration under a choice of three strategies.
+(** Crash-point exploration.
 
     The detector's cross-failure rule checks crash images only at
     fences ([crash_check_every_fence]). A machine can lose power at
@@ -11,14 +11,14 @@
     detector runs), and reports the exact event index of every boundary
     where some image fails recovery.
 
-    Which boundaries are visited, and in what order, is set by the
-    {!strategy}: {!exhaustive} visits every boundary in trace order,
-    {!guided} ranks boundaries by inferred-invariant risk
-    ({!Infer.Risk}) and visits highest-risk first, {!sampled} draws a
-    seeded reservoir over the boundaries. An image budget on the
-    {!plan} caps total exploration cost for the non-exhaustive
-    strategies. {!run} is the only walk over a plan; the minimal
-    failing prefix is the first failure of its exhaustive walk. *)
+    {!exhaustive} visits every boundary in trace order; it is the order
+    [pmdb crash-explore] runs, and the minimal failing prefix is the
+    first failure of its walk. {!guided} ranks boundaries by
+    inferred-invariant risk ({!Infer.Risk}) and spends an image budget
+    on the plan highest-risk first. It stays as a measured baseline
+    only: an image costs a few microseconds, and on every input
+    measured (EXPERIMENTS.md) exhaustive reached the first failure
+    sooner. {!run} is the only walk over a plan. *)
 
 type boundaries =
   | Every_op  (** check after every store, CLF and fence *)
@@ -46,7 +46,6 @@ type plan = {
   boundary_events : int array;  (** event index of each boundary (for risk lookup) *)
   max_images : int;  (** images sampled per boundary *)
   budget : int option;  (** total image cap across the whole run *)
-  seed : int;  (** seed for {!sampled} *)
   invariants : Infer.Invariant.report option;  (** pre-computed invariants for {!guided} *)
 }
 
@@ -54,7 +53,6 @@ val make_plan :
   ?boundaries:boundaries ->
   ?max_images:int ->
   ?budget:int ->
-  ?seed:int ->
   ?invariants:Infer.Invariant.report ->
   Replay.step array ->
   plan
@@ -83,25 +81,13 @@ val guided : strategy
     boundaries keep trace order, so an unbounded guided run covers
     exactly the exhaustive boundary set. *)
 
-val sampled : strategy
-(** Seeded reservoir sample of [budget / max_images] boundaries (all of
-    them when the plan has no budget), visited in trace order. *)
-
-val strategy_of_string : string -> (strategy, string) Stdlib.result
-(** ["exhaustive" | "guided" | "sampled"]. *)
-
-val strategy_name : strategy -> string
-(** The inverse of {!strategy_of_string}. *)
-
 (** {1 Driver} *)
 
 type outcome = {
   result : result;
-  strategy : string;
   scheduled : int;  (** boundaries in the strategy's schedule *)
   explored : int;  (** boundaries actually checked *)
-  skipped : int;  (** dropped up front + cut by the image budget *)
-  invariants_used : Infer.Invariant.report option;
+  skipped : int;  (** scheduled boundaries the image budget cut *)
 }
 
 val run :
@@ -125,8 +111,7 @@ val run :
     [stop_at_first] ends the run at its first failing boundary.
     [result.failures] is always in trace order. [metrics] receives
     [crash_explore_prefixes_replayed_total],
-    [crash_explore_images_tested_total],
-    [explore_images_total{strategy}], [explore_bugs_found_total] and
+    [crash_explore_images_tested_total], [explore_bugs_found_total] and
     [explore_skipped_low_risk_total]. *)
 
 (** {1 Minimal failing prefix} *)
@@ -137,5 +122,5 @@ val minimal_failing_prefix :
     [Every_op] plan: the shortest trace prefix after which some crash
     image fails recovery. Every boundary before it is checked, since an
     inconsistency window that a later fence closes makes failure
-    non-monotone in the prefix length; no strategy or coarser pass can
-    prove minimality with fewer checks. *)
+    non-monotone in the prefix length; no coarser pass can prove
+    minimality with fewer checks. *)

@@ -14,14 +14,13 @@ type measurement = {
   native_s : float;
   nulgrind_s : float;
   detector_s : (string * float) list;
-  dispatch : (string * dispatch_profile) list;
 }
 
 let slowdown m t = if m.native_s > 0.0 then t /. m.native_s else 0.0
 
-(* One timed pass per event: the per-event dispatch latency histogram
-   behind the p50/p95 columns. Kept out of the median-timed replays so
-   the gettimeofday pair does not pollute the whole-run numbers. *)
+(* One timed pass per event: the per-event dispatch latency histogram.
+   Kept out of the median-timed replays so the gettimeofday pair does
+   not pollute the whole-run numbers. *)
 let dispatch_profile trace sink =
   let h = Obs.Metrics.hist_create () in
   Array.iter
@@ -55,8 +54,4 @@ let measure ?(repeats = 3) ~run ~detectors () =
   let detector_s =
     List.map (fun (name, mk) -> (name, native_s +. replay_median mk)) detectors
   in
-  let dispatch =
-    ("nulgrind", dispatch_profile trace (Pmtrace.Sink.noop "nulgrind"))
-    :: List.map (fun (name, mk) -> (name, dispatch_profile trace (mk ()))) detectors
-  in
-  ({ native_s; nulgrind_s = native_s +. nulgrind_replay; detector_s; dispatch }, trace)
+  ({ native_s; nulgrind_s = native_s +. nulgrind_replay; detector_s }, trace)

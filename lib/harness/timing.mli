@@ -4,9 +4,9 @@
     program with detectors disabled. Here the "original program" is the
     workload run with instrumentation off; Nulgrind adds dispatch-only
     instrumentation; each detector adds its bookkeeping on top. Times
-    are medians of repeated runs on a recorded trace; {!measure} also
-    profiles per-event dispatch latency into an {!Obs.Metrics} histogram
-    and reports its p50/p95/p99 per tool. *)
+    are medians of repeated runs on a recorded trace.
+    {!dispatch_profile} times each event's dispatch into an
+    {!Obs.Metrics} histogram and reports its p50/p95/p99. *)
 
 val time_once : (unit -> unit) -> float
 
@@ -23,9 +23,6 @@ type measurement = {
   native_s : float;  (** uninstrumented workload run *)
   nulgrind_s : float;  (** native + dispatch to a no-op sink *)
   detector_s : (string * float) list;  (** native + dispatch + bookkeeping *)
-  dispatch : (string * dispatch_profile) list;
-      (** per-event dispatch latency quantiles, ["nulgrind"] first then
-          one entry per detector, from a single profiled replay *)
 }
 
 val slowdown : measurement -> float -> float
@@ -44,5 +41,4 @@ val measure :
   measurement * Pmtrace.Recorder.trace
 (** Runs the workload natively (instrumentation off) for the baseline
     time, records its trace once, then replays the trace into each
-    detector; detector total time = native + replay. A final profiled
-    replay per tool fills [dispatch]. *)
+    detector; detector total time = native + replay. *)

@@ -11,7 +11,6 @@ type config = {
   metrics_file : string option;
   flightrec_dir : string option;
   heatmap_cap : int;
-  trace_out : string option;
 }
 
 let default_config ~socket =
@@ -26,7 +25,6 @@ let default_config ~socket =
     metrics_file = None;
     flightrec_dir = None;
     heatmap_cap = 0;
-    trace_out = None;
   }
 
 (* The select timeout (the housekeeping cadence, seconds); events
@@ -102,7 +100,8 @@ let write_json_atomic path json = write_atomic path (Obs.Json.to_string ~indent:
 let record t ~cat ~name ~a ~b = Obs.Flightrec.record t.flightrec ~ts:(now ()) ~cat ~name ~a ~b
 
 (* The black-box dump: the dispatch ring plus every worker ring,
-   written as JSON and as a Perfetto trace. Best-effort by design. *)
+   written as JSON and as one Perfetto trace merging them onto one time
+   base (Obs.Tracecat). Best-effort by design. *)
 let dump_flightrec t ~reason ~session =
   match t.cfg.flightrec_dir with
   | None -> ()
@@ -120,20 +119,6 @@ let dump_flightrec t ~reason ~session =
       let base = Filename.concat dir (Printf.sprintf "flightrec-%s-%s-%d" session reason n) in
       write_json_atomic (base ^ ".json") (Obs.Flightrec.dump_to_json ~meta rings);
       write_json_atomic (base ^ ".perfetto.json") (Obs.Tracecat.merge ~metadata:meta rings)
-
-(* The daemon-wide causal trace: every ring merged into one Perfetto
-   document, one track per domain. Same best-effort discipline as
-   dump_flightrec. *)
-let dump_trace t ~reason =
-  match t.cfg.trace_out with
-  | None -> ()
-  | Some dir ->
-      let n = t.dump_seq in
-      t.dump_seq <- n + 1;
-      let rings = ("dispatch", t.flightrec) :: Pool.flightrec_rings t.pool in
-      let metadata = [ ("reason", Obs.Json.Str reason); ("time", Obs.Json.Float (now ())) ] in
-      let path = Filename.concat dir (Printf.sprintf "trace-%s-%d.perfetto.json" reason n) in
-      write_json_atomic path (Obs.Tracecat.merge ~metadata rings)
 
 (* {2 Socket plumbing} *)
 
@@ -641,7 +626,7 @@ let run t =
       Pool.stop t.pool;
       (* Workers have joined: the final exposition is exact. *)
       write_metrics_file t;
-      dump_trace t ~reason:"shutdown";
+      dump_flightrec t ~reason:"shutdown" ~session:"daemon";
       close_fd t.listener;
       close_fd t.stop_r;
       close_fd t.stop_w;
@@ -663,10 +648,7 @@ let run t =
       | exception Unix.Unix_error _ -> ()
     in
     go ();
-    if !dump then begin
-      dump_flightrec t ~reason:"sigquit" ~session:"daemon";
-      dump_trace t ~reason:"sigquit"
-    end
+    if !dump then dump_flightrec t ~reason:"sigquit" ~session:"daemon"
   in
   let shutdown_started = ref false in
   let continue = ref true in

@@ -39,8 +39,9 @@
     ({!Obs.Flightrec}): a fixed 512-slot ring of recent session
     transitions, quarantines, and backpressure rung changes on the
     dispatch domain, plus one ring per worker fed by engine dispatch. On a quarantine,
-    an eviction, or SIGQUIT, the last-N window of every ring is dumped
-    into [flightrec_dir] as JSON and a Perfetto trace — a black box
+    an eviction, SIGQUIT or shutdown, the last-N window of every ring is
+    dumped into [flightrec_dir] as JSON and as one Perfetto trace that
+    merges the rings onto one time base ({!Obs.Tracecat}) — a black box
     for "what led up to this?" with no tracing enabled in advance.
 
     When [metrics_file] is set, a Prometheus text-format rendering of
@@ -61,16 +62,12 @@ type config = {
       (** write Prometheus text exposition here periodically (default
           [None]) *)
   flightrec_dir : string option;
-      (** where black-box dumps land; [None] records but never dumps
-          (default [None]) *)
+      (** where black-box dumps land, including one at shutdown
+          (reason [shutdown]); [None] records but never dumps (default
+          [None]) *)
   heatmap_cap : int;
       (** distinct cache lines each worker's hot-line table tracks;
           [0] disables the heatmap entirely (default 0) *)
-  trace_out : string option;
-      (** where daemon-wide causal Perfetto traces land
-          ({!Obs.Tracecat}: every flight-recorder ring merged, one
-          track per domain), dumped on SIGQUIT and at shutdown; [None] never dumps
-          (default [None]) *)
 }
 
 val default_config : socket:string -> config
@@ -95,8 +92,8 @@ val create :
 
 val run : t -> unit
 (** Serve until stopped; drains sessions, stops workers, writes the
-    final metrics file, closes and unlinks the socket before returning
-    (also on exception). *)
+    final metrics file and the shutdown dump, closes and unlinks the
+    socket before returning (also on exception). *)
 
 val request_stop : t -> unit
 (** Trigger graceful shutdown from a signal handler or another domain

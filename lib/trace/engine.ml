@@ -17,10 +17,6 @@ type t = {
   flightrec : Obs.Flightrec.t;
   mutable tid : int;
   mutable seq : int;
-  mutable n_stores : int;
-  mutable n_clfs : int;
-  mutable n_fences : int;
-  mutable n_other : int;
 }
 
 let create ?(metrics = Obs.Metrics.disabled) ?(flightrec = Obs.Flightrec.disabled) () =
@@ -34,10 +30,6 @@ let create ?(metrics = Obs.Metrics.disabled) ?(flightrec = Obs.Flightrec.disable
     flightrec;
     tid = 0;
     seq = 0;
-    n_stores = 0;
-    n_clfs = 0;
-    n_fences = 0;
-    n_other = 0;
   }
 
 let pm t = t.state
@@ -90,11 +82,6 @@ let run_sinks t slots ev =
 
 let dispatch t ev =
   t.seq <- t.seq + 1;
-  (match ev with
-  | Event.Store _ -> t.n_stores <- t.n_stores + 1
-  | Event.Clf _ -> t.n_clfs <- t.n_clfs + 1
-  | Event.Fence _ -> t.n_fences <- t.n_fences + 1
-  | _ -> t.n_other <- t.n_other + 1);
   if t.instrument then begin
     if t.active_dirty then refresh_active t;
     let slots = t.active in
@@ -221,12 +208,3 @@ let call_marker t ~func = dispatch t (Event.Call { func; tid = t.tid })
 let annotate t a = dispatch t (Event.Annotation a)
 
 let program_end t = dispatch t Event.Program_end
-
-let counts t =
-  [ ("stores", t.n_stores); ("clfs", t.n_clfs); ("fences", t.n_fences); ("other", t.n_other) ]
-
-let n_stores t = t.n_stores
-
-let n_clfs t = t.n_clfs
-
-let n_fences t = t.n_fences

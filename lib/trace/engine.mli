@@ -124,12 +124,3 @@ val register_var : t -> name:string -> addr:int -> size:int -> unit
 val call_marker : t -> func:string -> unit
 val annotate : t -> Event.annotation -> unit
 val program_end : t -> unit
-
-(** {1 Counters} *)
-
-val counts : t -> (string * int) list
-(** Event counts by class: stores, clfs, fences, others. *)
-
-val n_stores : t -> int
-val n_clfs : t -> int
-val n_fences : t -> int

@@ -10,47 +10,27 @@ module FI = Faultinject
 module CE = FI.Crash_explore
 open CE
 
-(* Positions into [plan.boundary_indexes] in exploration order, the
-   boundaries dropped up front, and the invariant report ranked with. *)
+(* Positions into [plan.boundary_indexes] in exploration order. The
+   strategy type is abstract: any strategy but [exhaustive] is
+   [guided]. *)
 let schedule plan strategy =
   let n = Array.length plan.boundary_indexes in
-  match strategy_name strategy with
-  | "exhaustive" -> (Array.init n Fun.id, 0, None)
-  | "guided" ->
-      let report = plan_invariants plan in
-      let risks = Infer.Risk.scores report (plan_events plan) in
-      let order = Array.init n Fun.id in
-      let risk_of pos =
-        let ev = plan.boundary_events.(pos) in
-        if ev >= 0 && ev < Array.length risks then risks.(ev) else 0.0
-      in
-      (* Highest risk first; trace order breaks ties, so an unbounded
-         guided run visits every boundary exhaustive does. *)
-      let cmp a b =
-        let c = compare (risk_of b) (risk_of a) in
-        if c <> 0 then c else compare a b
-      in
-      Array.sort cmp order;
-      (order, 0, Some report)
-  | _ ->
-      let k =
-        match plan.budget with
-        | None -> n
-        | Some b -> min n (max 1 (b / max 1 plan.max_images))
-      in
-      if k >= n then (Array.init n Fun.id, 0, None)
-      else begin
-        (* Classic reservoir over boundary positions, seeded — a uniform
-           k-subset kept in trace order. *)
-        let rng = Random.State.make [| plan.seed; n; k |] in
-        let res = Array.init k Fun.id in
-        for i = k to n - 1 do
-          let j = Random.State.int rng (i + 1) in
-          if j < k then res.(j) <- i
-        done;
-        Array.sort compare res;
-        (res, n - k, None)
-      end
+  let order = Array.init n Fun.id in
+  if strategy <> exhaustive then begin
+    let risks = Infer.Risk.scores (plan_invariants plan) (plan_events plan) in
+    let risk_of pos =
+      let ev = plan.boundary_events.(pos) in
+      if ev >= 0 && ev < Array.length risks then risks.(ev) else 0.0
+    in
+    (* Highest risk first; trace order breaks ties, so an unbounded
+       guided run visits every boundary exhaustive does. *)
+    let cmp a b =
+      let c = compare (risk_of b) (risk_of a) in
+      if c <> 0 then c else compare a b
+    in
+    Array.sort cmp order
+  end;
+  order
 
 let is_monotone order =
   let ok = ref true in
@@ -60,8 +40,7 @@ let is_monotone order =
   !ok
 
 let run ?(stop_at_first = false) ~recovery plan strategy =
-  let order, dropped, invariants_used = schedule plan strategy in
-  let name = strategy_name strategy in
+  let order = schedule plan strategy in
   let boundaries_checked = ref 0 and images_checked = ref 0 and failures = ref [] in
   let explored = ref 0 and stop = ref false in
   let budget_left () = match plan.budget with None -> max_int | Some b -> b - !images_checked in
@@ -85,8 +64,7 @@ let run ?(stop_at_first = false) ~recovery plan strategy =
     end
   in
   if is_monotone order then begin
-    (* Trace-ordered schedules (exhaustive, sampled) run as one forward
-       replay. *)
+    (* A trace-ordered schedule runs as one forward replay. *)
     let st = Pmem.State.create () in
     let m = Array.length order in
     let next = ref 0 and i = ref 0 in
@@ -120,7 +98,7 @@ let run ?(stop_at_first = false) ~recovery plan strategy =
     done
   end;
   let failures = List.sort (fun a b -> compare a.index b.index) !failures in
-  let skipped = dropped + (Array.length order - !explored) in
+  let skipped = Array.length order - !explored in
   {
     result =
       {
@@ -128,10 +106,8 @@ let run ?(stop_at_first = false) ~recovery plan strategy =
         images_checked = !images_checked;
         failures;
       };
-    strategy = name;
     scheduled = Array.length order;
     explored = !explored;
     skipped;
-    invariants_used;
   }
 

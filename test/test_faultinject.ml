@@ -206,7 +206,7 @@ let test_guided_unbounded_matches_exhaustive () =
       Alcotest.(check (list int)) (id ^ ": guided covers the exhaustive set") full g)
     (Lazy.force xfail_cases)
 
-(* Every bounded run stays within its image budget and reports only
+(* Every bounded guided run stays within its image budget and reports only
    failures the exhaustive scan of the same plan reports, at the
    default per-boundary image count and at 4. A plan with no images
    per boundary is refused rather than reported clean. *)
@@ -220,23 +220,20 @@ let test_budget_caps_images () =
           let full = failure_indexes (CE.run ~recovery (CE.make_plan ~max_images steps) CE.exhaustive) in
           List.iter
             (fun budget ->
-              List.iter
-                (fun strat ->
-                  let plan = CE.make_plan ~max_images ~budget steps in
-                  let o = CE.run ~recovery plan strat in
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: <= %d images (got %d)" id budget o.CE.result.CE.images_checked)
-                    true
-                    (o.CE.result.CE.images_checked <= budget);
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: budget %d failures within exhaustive's" id budget)
-                    true
-                    (List.for_all (fun i -> List.mem i full) (failure_indexes o));
-                  Alcotest.(check int)
-                    (id ^ ": skipped accounts for every unexplored boundary")
-                    (Array.length plan.CE.boundary_indexes - o.CE.explored)
-                    o.CE.skipped)
-                [ CE.guided; CE.sampled ])
+              let plan = CE.make_plan ~max_images ~budget steps in
+              let o = CE.run ~recovery plan CE.guided in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: <= %d images (got %d)" id budget o.CE.result.CE.images_checked)
+                true
+                (o.CE.result.CE.images_checked <= budget);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: budget %d failures within exhaustive's" id budget)
+                true
+                (List.for_all (fun i -> List.mem i full) (failure_indexes o));
+              Alcotest.(check int)
+                (id ^ ": skipped accounts for every unexplored boundary")
+                (Array.length plan.CE.boundary_indexes - o.CE.explored)
+                o.CE.skipped)
             [ 1; 3; 8 ])
         [ 64; 4 ])
     (Lazy.force xfail_cases)
@@ -294,7 +291,6 @@ let test_strategy_metrics () =
         | _ -> acc)
       0 (Obs.Metrics.snapshot metrics)
   in
-  Alcotest.(check int) "images counter" o.CE.result.CE.images_checked (value "explore_images_total");
   Alcotest.(check int) "bugs counter" (List.length o.CE.result.CE.failures) (value "explore_bugs_found_total");
   Alcotest.(check int) "skipped counter" o.CE.skipped (value "explore_skipped_low_risk_total")
 
@@ -313,8 +309,8 @@ let test_guided_bisect_converges () =
             (failure_triple (first_failure (CE.run ~recovery (CE.make_plan steps) CE.guided))))
     (bisect_cases ())
 
-(* QCheck soundness harness: on random small traces over four lines, any
-   bounded strategy's verdicts are a subset of the exhaustive scan's,
+(* QCheck soundness harness: on random small traces over four lines,
+   bounded guided verdicts are a subset of the exhaustive scan's,
    and unbounded guided reports exactly the exhaustive failure set. Ops:
    (0..2 = store to line with that op as value-salt, 3 = persist line,
    4 = flush line only, 5 = fence). *)
@@ -338,20 +334,15 @@ let steps_of_program ops =
    be non-zero too — random programs violate it often. *)
 let qc_recovery img = Pmem.Image.get_i64 img 0 = 0L || Pmem.Image.get_i64 img 64 <> 0L
 
-let prop_strategies_sound =
-  QCheck.Test.make ~name:"bounded guided/sampled verdicts are a subset of exhaustive" ~count:120 gen_program
-    (fun ops ->
+let prop_guided_sound =
+  QCheck.Test.make ~name:"bounded guided verdicts are within exhaustive's" ~count:120 gen_program (fun ops ->
       let steps = steps_of_program ops in
       let full = failure_indexes (CE.run ~recovery:qc_recovery (CE.make_plan steps) CE.exhaustive) in
       List.for_all
-        (fun strat ->
-          List.for_all
-            (fun budget ->
-              let o = CE.run ~recovery:qc_recovery (CE.make_plan ~budget steps) strat in
-              o.CE.result.CE.images_checked <= budget
-              && List.for_all (fun i -> List.mem i full) (failure_indexes o))
-            [ 2; 6; 16 ])
-        [ CE.guided; CE.sampled ])
+        (fun budget ->
+          let o = CE.run ~recovery:qc_recovery (CE.make_plan ~budget steps) CE.guided in
+          o.CE.result.CE.images_checked <= budget && List.for_all (fun i -> List.mem i full) (failure_indexes o))
+        [ 2; 6; 16 ])
 
 let prop_guided_complete =
   QCheck.Test.make ~name:"unbounded guided equals the exhaustive failure set" ~count:120 gen_program
@@ -363,7 +354,7 @@ let prop_guided_complete =
 (* The forward walk against the reference walk (a fresh prefix replay
    per risk-ordered boundary): the whole outcome must be equal — every
    failure with its index, step and both image counts, the totals, and
-   the schedule counts — under every strategy, per-boundary cap, image
+   the schedule counts — under both strategies, every per-boundary cap, image
    budget and stop rule. Caps below 16 make the four-line programs
    sample, where repeated samples shrink a boundary's image count. *)
 let prop_walk_matches_reference =
@@ -371,12 +362,12 @@ let prop_walk_matches_reference =
       let steps = steps_of_program ops in
       let invariants = CE.plan_invariants (CE.make_plan steps) in
       List.for_all
-        (fun (strat, max_images, budget, stop_at_first) ->
+        (fun ((name, strat), max_images, budget, stop_at_first) ->
           let plan = CE.make_plan ~max_images ?budget ~invariants steps in
           let got = CE.run ~stop_at_first ~recovery:qc_recovery plan strat in
           let want = Crash_explore_oracle.run ~stop_at_first ~recovery:qc_recovery plan strat in
           got = want
-          || QCheck.Test.fail_reportf "%s max_images=%d budget=%s stop_at_first=%b" (CE.strategy_name strat) max_images
+          || QCheck.Test.fail_reportf "%s max_images=%d budget=%s stop_at_first=%b" name max_images
                (match budget with None -> "none" | Some b -> string_of_int b)
                stop_at_first)
         (List.concat_map
@@ -387,7 +378,7 @@ let prop_walk_matches_reference =
                    (fun budget -> [ (strat, max_images, budget, false); (strat, max_images, budget, true) ])
                    [ None; Some 1; Some 3; Some 17; Some 100 ])
                [ 1; 2; 4; 64 ])
-           [ CE.exhaustive; CE.guided; CE.sampled ]))
+           [ ("exhaustive", CE.exhaustive); ("guided", CE.guided) ]))
 
 (* Images are derived in place, so exploring costs what the replay and
    the kept lines cost, not a pool copy per image: b_tree registers a
@@ -528,7 +519,7 @@ let suite =
     Alcotest.test_case "guided at a 25% budget finds planted rounds" `Quick test_guided_quarter_budget_finds_planted;
     Alcotest.test_case "strategy metrics counters" `Quick test_strategy_metrics;
     Alcotest.test_case "guided bisect converges to minimal prefix" `Quick test_guided_bisect_converges;
-    QCheck_alcotest.to_alcotest prop_strategies_sound;
+    QCheck_alcotest.to_alcotest prop_guided_sound;
     QCheck_alcotest.to_alcotest prop_guided_complete;
     QCheck_alcotest.to_alcotest prop_walk_matches_reference;
     Alcotest.test_case "exploration allocates per kept line, not per pool" `Quick test_explore_allocates_little;

@@ -28,17 +28,16 @@ let test_measure () =
   let det = List.assoc "pmdebugger" m.Harness.Timing.detector_s in
   Alcotest.(check bool) "detector >= native" true (det >= m.Harness.Timing.native_s);
   Alcotest.(check bool) "slowdown >= 1" true (Harness.Timing.slowdown m det >= 1.0);
-  (* Satellite: per-event dispatch-latency quantiles ride along. *)
-  Alcotest.(check (list string))
-    "dispatch profiles for every tool" [ "nulgrind"; "pmdebugger" ]
-    (List.map fst m.Harness.Timing.dispatch);
+  (* Per-event dispatch-latency quantiles, for the no-op sink and the
+     detector, over the recorded trace. *)
   List.iter
-    (fun (_, p) ->
+    (fun sink ->
+      let p = Harness.Timing.dispatch_profile trace sink in
       Alcotest.(check int) "profiled every event" (Array.length trace) p.Harness.Timing.samples;
       Alcotest.(check bool) "p50 >= 0" true (p.Harness.Timing.p50_s >= 0.0);
       Alcotest.(check bool) "p95 >= p50" true (p.Harness.Timing.p95_s >= p.Harness.Timing.p50_s);
       Alcotest.(check bool) "p99 >= p95" true (p.Harness.Timing.p99_s >= p.Harness.Timing.p95_s))
-    m.Harness.Timing.dispatch
+    [ Pmtrace.Sink.noop "nulgrind"; Pmdebugger.Detector.sink (Pmdebugger.Detector.create ()) ]
 
 let test_formatters () =
   Alcotest.(check string) "fmt_f" "3.14" (Harness.Table.fmt_f 3.14159);

@@ -747,9 +747,9 @@ let test_stats_stream_follow () =
   Domain.join handle
 
 (* The observability verbs end to end: a daemon with the heatmap on
-   and a trace-out directory serves the merged hot-line table over the
-   wire, observes session end-to-end latency, and leaves a valid
-   causal Perfetto dump at shutdown. *)
+   and a flight-recorder directory serves the merged hot-line table
+   over the wire, observes session end-to-end latency, and leaves a
+   valid causal Perfetto dump at shutdown. *)
 let test_heatmap_verb_and_shutdown_trace () =
   let socket = temp_socket () in
   let tracedir = temp_dir () in
@@ -760,7 +760,7 @@ let test_heatmap_verb_and_shutdown_trace () =
       Serve.Daemon.workers = 2;
       idle_timeout = 5.0;
       heatmap_cap = 64;
-      trace_out = Some tracedir;
+      flightrec_dir = Some tracedir;
     }
   in
   let daemon =
@@ -797,17 +797,18 @@ let test_heatmap_verb_and_shutdown_trace () =
       | _ -> Alcotest.fail "serve_session_e2e_seconds histogram missing"));
   (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
   Domain.join handle;
-  (* Shutdown leaves one merged causal trace, and it validates. *)
-  let dumps = Sys.readdir tracedir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ".json") in
-  (match dumps with
-  | [ f ] -> (
-      match Obs.Json.of_file (Filename.concat tracedir f) with
-      | Error e -> Alcotest.fail ("trace dump unreadable: " ^ e)
-      | Ok doc -> (
-          match Obs.Perfetto.validate_json doc with
-          | Ok n -> Alcotest.(check bool) (Printf.sprintf "%d trace events" n) true (n > 0)
-          | Error e -> Alcotest.fail ("trace dump invalid: " ^ e)))
-  | files -> Alcotest.fail (Printf.sprintf "expected one shutdown dump, found %d" (List.length files)))
+  (* Shutdown leaves one dump, and its merged causal trace validates. *)
+  let dumps = Sys.readdir tracedir |> Array.to_list |> List.sort compare in
+  Alcotest.(check (list string))
+    "one shutdown dump"
+    [ "flightrec-daemon-shutdown-0.json"; "flightrec-daemon-shutdown-0.perfetto.json" ]
+    dumps;
+  match Obs.Json.of_file (Filename.concat tracedir "flightrec-daemon-shutdown-0.perfetto.json") with
+  | Error e -> Alcotest.fail ("trace dump unreadable: " ^ e)
+  | Ok doc -> (
+      match Obs.Perfetto.validate_json doc with
+      | Ok n -> Alcotest.(check bool) (Printf.sprintf "%d trace events" n) true (n > 0)
+      | Error e -> Alcotest.fail ("trace dump invalid: " ^ e))
 
 (* ---------------------------------------------------------------- *)
 (* Protocol fuzz: whatever bytes arrive, the daemon answers every      *)

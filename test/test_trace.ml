@@ -9,14 +9,17 @@ let test_engine_pm_coupling () =
   Alcotest.(check int64) "durable after persist" 7L (Pmem.Image.get_i64 (Pmem.State.durable (Engine.pm e)) 100)
 
 let test_event_counters () =
-  let e = Engine.create () in
-  Engine.store_i64 e ~addr:0 1L;
-  Engine.store_i64 e ~addr:64 2L;
-  Engine.flush_range e ~addr:0 ~size:128;
-  Engine.sfence e;
-  Alcotest.(check int) "stores" 2 (Engine.n_stores e);
-  Alcotest.(check int) "clfs cover two lines" 2 (Engine.n_clfs e);
-  Alcotest.(check int) "fences" 1 (Engine.n_fences e)
+  let stats =
+    Recorder.stats
+      (Recorder.record (fun e ->
+           Engine.store_i64 e ~addr:0 1L;
+           Engine.store_i64 e ~addr:64 2L;
+           Engine.flush_range e ~addr:0 ~size:128;
+           Engine.sfence e))
+  in
+  Alcotest.(check int) "stores" 2 (List.assoc "stores" stats);
+  Alcotest.(check int) "clfs cover two lines" 2 (List.assoc "clfs" stats);
+  Alcotest.(check int) "fences" 1 (List.assoc "fences" stats)
 
 let test_instrumentation_toggle () =
   let e = Engine.create () in
