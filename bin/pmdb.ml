@@ -738,7 +738,9 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
            telemetry comes from the dispatch/worker registries. *)
         let tool = tool_of detector in
         let make_sink ~heatmap = Baselines.Tool.sink ~heatmap ~model:Pmdebugger.Detector.Strict ~config tool in
-        let daemon = Serve.Daemon.create ~metrics ~make_sink cfg in
+        let daemon =
+          try Serve.Daemon.create ~metrics ~make_sink cfg with Invalid_argument msg -> die "%s" msg
+        in
         Serve.Daemon.install_signal_handlers daemon;
         Printf.printf "pmdb serve: listening on %s (workers=%d, budget=%d bytes, idle-timeout=%.1fs)\n%!" socket
           workers session_budget idle_timeout;

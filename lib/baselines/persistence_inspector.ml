@@ -10,39 +10,24 @@ type t = {
   mutable history : record list;
   mutable engaged : bool;  (** PMDK markers seen *)
   mutable in_tx : int;
-  bugs : (Bug.kind * int, Bug.t) Hashtbl.t;
-  mutable bug_keys : (Bug.kind * int) list;
-  kind_counts : (Bug.kind, int) Hashtbl.t;
-  max_bugs_per_kind : int;
+  ledger : Bug.Ledger.t;
   mutable events : int;
   mutable seq : int;
 }
 
-let create ?(max_bugs_per_kind = 1000) () =
+let create () =
   {
     history = [];
     engaged = false;
     in_tx = 0;
-    bugs = Hashtbl.create 64;
-    bug_keys = [];
-    kind_counts = Hashtbl.create 16;
-    max_bugs_per_kind;
+    ledger = Bug.Ledger.create ();
     events = 0;
     seq = 0;
   }
 
 let active t = t.engaged
 
-let report_bug t kind ~addr ?(size = 0) ~detail () =
-  let key = (kind, addr) in
-  if not (Hashtbl.mem t.bugs key) then begin
-    let n = match Hashtbl.find_opt t.kind_counts kind with None -> 0 | Some n -> n in
-    if n < t.max_bugs_per_kind then begin
-      Hashtbl.replace t.kind_counts kind (n + 1);
-      Hashtbl.replace t.bugs key (Bug.make ~addr ~size ~seq:t.seq ~detail kind);
-      t.bug_keys <- key :: t.bug_keys
-    end
-  end
+let report_bug t kind ~addr ?size ~detail () = Bug.Ledger.add t.ledger kind ~addr ?size ~seq:t.seq ~detail ()
 
 let overlaps r ~lo ~hi = r.lo < hi && lo < r.hi
 
@@ -112,7 +97,7 @@ let sink t =
     ~finish:(fun () ->
       {
         Bug.detector = "persistence-inspector";
-        bugs = List.rev_map (fun key -> Hashtbl.find t.bugs key) t.bug_keys;
+        bugs = Bug.Ledger.findings t.ledger;
         events_processed = t.events;
         stats = [ ("engaged", if t.engaged then 1.0 else 0.0) ];
         failure = None;

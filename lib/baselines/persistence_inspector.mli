@@ -11,7 +11,7 @@
 
 type t
 
-val create : ?max_bugs_per_kind:int -> unit -> t
+val create : unit -> t
 
 val sink : t -> Pmtrace.Sink.t
 

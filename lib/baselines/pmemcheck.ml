@@ -1,147 +1,83 @@
 open Pmem
 open Pmtrace
 
-type payload = { mutable flushed : bool; seq : int }
-
 type t = {
-  tree : payload Rangetree.t;
-  mutable registered : Addr.range list;
-  mutable track_all : bool;
-  bugs : (Bug.kind * int, Bug.t) Hashtbl.t;
-  mutable bug_keys : (Bug.kind * int) list;
-  kind_counts : (Bug.kind, int) Hashtbl.t;
-  max_bugs_per_kind : int;
+  shadow : Shadow_tree.t;
+  ledger : Bug.Ledger.t;
   mutable events : int;
   mutable seq : int;
   mutable fence_samples : int;
   mutable tree_size_sum : int;
 }
 
-let create ?(max_bugs_per_kind = 1000) () =
+let create () =
   {
-    tree = Rangetree.create ();
-    registered = [];
-    track_all = true;
-    bugs = Hashtbl.create 64;
-    bug_keys = [];
-    kind_counts = Hashtbl.create 16;
-    max_bugs_per_kind;
+    shadow = Shadow_tree.create ();
+    ledger = Bug.Ledger.create ();
     events = 0;
     seq = 0;
     fence_samples = 0;
     tree_size_sum = 0;
   }
 
-let report_bug t kind ~addr ?(size = 0) ~detail () =
-  let key = (kind, addr) in
-  if not (Hashtbl.mem t.bugs key) then begin
-    let n = match Hashtbl.find_opt t.kind_counts kind with None -> 0 | Some n -> n in
-    if n < t.max_bugs_per_kind then begin
-      Hashtbl.replace t.kind_counts kind (n + 1);
-      Hashtbl.replace t.bugs key (Bug.make ~addr ~size ~seq:t.seq ~detail kind);
-      t.bug_keys <- key :: t.bug_keys
-    end
-  end
+let report_bug t kind ~addr ?size ~detail () = Bug.Ledger.add t.ledger kind ~addr ?size ~seq:t.seq ~detail ()
 
-let in_registered t ~lo ~hi =
-  t.track_all || List.exists (fun r -> Addr.overlaps r (Addr.range ~lo ~hi)) t.registered
+let tree t = Shadow_tree.tree t.shadow
 
 let reorganize t =
-  Rangetree.reorganize t.tree
-    ~eq:(fun a b -> a.flushed = b.flushed)
-    ~merge:(fun a b -> if a.seq >= b.seq then a else b)
+  Rangetree.reorganize (tree t)
+    ~eq:(fun a b -> a.Shadow_tree.flushed = b.Shadow_tree.flushed)
+    ~merge:(fun a b -> if a.Shadow_tree.seq >= b.Shadow_tree.seq then a else b)
 
 (* The per-store maintenance real pmemcheck performs: merge the freshly
-   inserted region with any adjacent same-state neighbours. Counted as a
-   reorganization (the paper counts ~3.6 per operation on
+   inserted (unflushed) region with any adjacent unflushed neighbours.
+   Counted as a reorganization (the paper counts ~3.6 per operation on
    hashmap_atomic). *)
-let local_merge t ~lo ~hi (p : payload) =
-  (Rangetree.stats t.tree).Rangetree.reorganizations <-
-    (Rangetree.stats t.tree).Rangetree.reorganizations + 1;
+let local_merge t ~lo ~hi ~seq =
+  let tree = tree t in
+  (Rangetree.stats tree).Rangetree.reorganizations <- (Rangetree.stats tree).Rangetree.reorganizations + 1;
   let neighbours =
-    List.filter
-      (fun (_, (q : payload)) -> q.flushed = p.flushed)
-      (Rangetree.overlapping t.tree ~lo:(lo - 1) ~hi:(hi + 1))
+    List.filter (fun (_, q) -> not q.Shadow_tree.flushed) (Rangetree.overlapping tree ~lo:(lo - 1) ~hi:(hi + 1))
   in
   if List.length neighbours > 1 then begin
     let lo', hi', seq' =
       List.fold_left
-        (fun (a, b, sq) ((r : Addr.range), (q : payload)) -> (min a r.Addr.lo, max b r.Addr.hi, max sq q.seq))
-        (lo, hi, p.seq) neighbours
+        (fun (a, b, sq) ((r : Addr.range), q) -> (min a r.Addr.lo, max b r.Addr.hi, max sq q.Shadow_tree.seq))
+        (lo, hi, seq) neighbours
     in
     List.iter
-      (fun ((r : Addr.range), (q : payload)) ->
-        ignore (Rangetree.remove_first t.tree ~lo:r.Addr.lo ~hi:r.Addr.hi (fun x -> x == q)))
+      (fun ((r : Addr.range), q) ->
+        ignore (Rangetree.remove_first tree ~lo:r.Addr.lo ~hi:r.Addr.hi (fun x -> x == q)))
       neighbours;
-    (Rangetree.stats t.tree).Rangetree.merges <-
-      (Rangetree.stats t.tree).Rangetree.merges + List.length neighbours - 1;
-    Rangetree.insert t.tree ~lo:lo' ~hi:hi' { flushed = p.flushed; seq = seq' }
+    (Rangetree.stats tree).Rangetree.merges <- (Rangetree.stats tree).Rangetree.merges + List.length neighbours - 1;
+    Rangetree.insert tree ~lo:lo' ~hi:hi' { Shadow_tree.flushed = false; seq = seq' }
   end
 
 let on_store t ~addr ~size =
-  if in_registered t ~lo:addr ~hi:(addr + size) then begin
-    (* The store dirties the line again: overlapping flushed regions
-       lose their flushed state, and any overlap at all is a multiple
+  let lo = addr and hi = addr + size in
+  if Shadow_tree.tracks t.shadow ~lo ~hi then begin
+    (* Any overlap of a tracked, not yet durable store is a multiple
        overwrite. *)
-    let store_range = Addr.of_base_size addr size in
-    (* The store supersedes exactly the overlapped bytes: flushed
-       regions keep their non-overlapped parts flushed. *)
-    let visited =
-      Rangetree.map_overlapping t.tree ~lo:addr ~hi:(addr + size) ~f:(fun r p ->
-          if Addr.covers store_range r then []
-          else if not p.flushed then [ (r, p) ]
-          else List.map (fun piece -> (piece, { flushed = true; seq = p.seq })) (Addr.diff r store_range))
-    in
-    if visited > 0 then
+    if Shadow_tree.store t.shadow ~lo ~hi ~seq:t.seq then
       report_bug t Bug.Multiple_overwrites ~addr ~size ~detail:"overwrite before durability guaranteed" ();
-    let p = { flushed = false; seq = t.seq } in
-    Rangetree.insert t.tree ~lo:addr ~hi:(addr + size) p;
-    local_merge t ~lo:addr ~hi:(addr + size) p
+    local_merge t ~lo ~hi ~seq:t.seq
   end
 
 let on_clf t ~addr ~size =
-  if in_registered t ~lo:addr ~hi:(addr + size) then begin
-    let flush = Addr.of_base_size addr size in
-    let newly = ref 0 in
-    let redundant = ref None in
-    let visited =
-      Rangetree.map_overlapping t.tree ~lo:addr ~hi:(addr + size) ~f:(fun r p ->
-          if p.flushed then begin
-            if !redundant = None then redundant := Some (r.Addr.lo, Addr.size r);
-            [ (r, p) ]
-          end
-          else if Addr.covers flush r then begin
-            p.flushed <- true;
-            incr newly;
-            [ (r, p) ]
-          end
-          else begin
-            match Addr.inter r flush with
-            | None -> [ (r, p) ]
-            | Some covered ->
-                incr newly;
-                (covered, { flushed = true; seq = p.seq })
-                :: List.map (fun part -> (part, { flushed = false; seq = p.seq })) (Addr.diff r covered)
-          end)
-    in
-    if visited = 0 then report_bug t Bug.Flush_nothing ~addr ~size ~detail:"CLF persists no prior store" ();
-    (* Redundant only when the writeback persists nothing new. *)
-    if visited > 0 && !newly = 0 then begin
-      let a, s = match !redundant with Some (a, s) -> (a, s) | None -> (addr, size) in
-      report_bug t Bug.Redundant_flush ~addr:a ~size:s ~detail:"store flushed again before the fence" ()
-    end
+  let lo = addr and hi = addr + size in
+  if Shadow_tree.tracks t.shadow ~lo ~hi then begin
+    match Shadow_tree.clf t.shadow ~lo ~hi with
+    | Shadow_tree.Flushed_nothing -> report_bug t Bug.Flush_nothing ~addr ~size ~detail:"CLF persists no prior store" ()
+    | Shadow_tree.Redundant { addr; size } ->
+        report_bug t Bug.Redundant_flush ~addr ~size ~detail:"store flushed again before the fence" ()
+    | Shadow_tree.Persisted -> ()
   end
 
 let on_fence t =
   t.fence_samples <- t.fence_samples + 1;
-  t.tree_size_sum <- t.tree_size_sum + Rangetree.size t.tree;
-  ignore (Rangetree.filter_in_place t.tree (fun _ p -> not p.flushed));
+  t.tree_size_sum <- t.tree_size_sum + Rangetree.size (tree t);
+  Shadow_tree.drop_flushed t.shadow;
   reorganize t
-
-let on_program_end t =
-  Rangetree.iter t.tree (fun r p ->
-      let detail = if p.flushed then "flushed but never fenced (missing fence)" else "never flushed (missing CLF)" in
-      report_bug t Bug.No_durability ~addr:r.Addr.lo ~size:(Addr.size r) ~detail ())
 
 let on_event t ev =
   t.events <- t.events + 1;
@@ -150,20 +86,20 @@ let on_event t ev =
   | Event.Store { addr; size; tid = _ } -> on_store t ~addr ~size
   | Event.Clf { addr; size; tid = _; kind = _ } -> on_clf t ~addr ~size
   | Event.Fence _ -> on_fence t
-  | Event.Register_pmem { base; size } ->
-      t.track_all <- false;
-      t.registered <- Addr.of_base_size base size :: t.registered
+  | Event.Register_pmem { base; size } -> Shadow_tree.register t.shadow (Addr.of_base_size base size)
   (* Pmemcheck treats transactions as plain instruction streams and has
      no epoch/strand/ordering/logging rules. *)
   | Event.Epoch_begin _ | Event.Epoch_end _ | Event.Strand_begin _ | Event.Strand_end _ | Event.Join_strand _
   | Event.Tx_log _ | Event.Register_var _ | Event.Call _ | Event.Annotation _ ->
       ()
-  | Event.Program_end -> on_program_end t
+  | Event.Program_end ->
+      Shadow_tree.iter_unpersisted t.shadow (fun ~addr ~size ~detail ->
+          report_bug t Bug.No_durability ~addr ~size ~detail ())
 
 let avg_tree_nodes_per_fence t =
   if t.fence_samples = 0 then 0.0 else float_of_int t.tree_size_sum /. float_of_int t.fence_samples
 
-let reorganizations t = (Rangetree.stats t.tree).Rangetree.reorganizations
+let reorganizations t = (Rangetree.stats (tree t)).Rangetree.reorganizations
 
 let sink t =
   Sink.make ~name:"pmemcheck"
@@ -171,13 +107,13 @@ let sink t =
     ~finish:(fun () ->
       {
         Bug.detector = "pmemcheck";
-        bugs = List.rev_map (fun key -> Hashtbl.find t.bugs key) t.bug_keys;
+        bugs = Bug.Ledger.findings t.ledger;
         events_processed = t.events;
         stats =
           [
             ("avg_tree_nodes_per_fence", avg_tree_nodes_per_fence t);
             ("reorganizations", float_of_int (reorganizations t));
-            ("tree_max_size", float_of_int (Rangetree.stats t.tree).Rangetree.max_size);
+            ("tree_max_size", float_of_int (Rangetree.stats (tree t)).Rangetree.max_size);
           ];
         failure = None;
       })

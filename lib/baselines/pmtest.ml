@@ -10,40 +10,25 @@ type line_info = {
 type t = {
   lines : (int, line_info) Hashtbl.t;
   mutable pending_lines : int list;
-  logged : (int, Addr.range list ref) Hashtbl.t;
-  bugs : (Bug.kind * int, Bug.t) Hashtbl.t;
-  mutable bug_keys : (Bug.kind * int) list;
-  kind_counts : (Bug.kind, int) Hashtbl.t;
-  max_bugs_per_kind : int;
+  logs : Pmdebugger.Tx_logs.t;
+  ledger : Bug.Ledger.t;
   mutable events : int;
   mutable seq : int;
   mutable annotations : int;
 }
 
-let create ?(max_bugs_per_kind = 1000) () =
+let create () =
   {
     lines = Hashtbl.create 1024;
     pending_lines = [];
-    logged = Hashtbl.create 8;
-    bugs = Hashtbl.create 64;
-    bug_keys = [];
-    kind_counts = Hashtbl.create 16;
-    max_bugs_per_kind;
+    logs = Pmdebugger.Tx_logs.create ();
+    ledger = Bug.Ledger.create ();
     events = 0;
     seq = 0;
     annotations = 0;
   }
 
-let report_bug t kind ~addr ?(size = 0) ~detail () =
-  let key = (kind, addr) in
-  if not (Hashtbl.mem t.bugs key) then begin
-    let n = match Hashtbl.find_opt t.kind_counts kind with None -> 0 | Some n -> n in
-    if n < t.max_bugs_per_kind then begin
-      Hashtbl.replace t.kind_counts kind (n + 1);
-      Hashtbl.replace t.bugs key (Bug.make ~addr ~size ~seq:t.seq ~detail kind);
-      t.bug_keys <- key :: t.bug_keys
-    end
-  end
+let report_bug t kind ~addr ?size ~detail () = Bug.Ledger.add t.ledger kind ~addr ?size ~seq:t.seq ~detail ()
 
 let line_info t line =
   match Hashtbl.find_opt t.lines line with
@@ -132,18 +117,8 @@ let on_annotation t = function
         report_bug t Bug.Multiple_overwrites ~addr ~size ~detail:"assert_fresh: pending store overwritten" ()
 
 let on_tx_log t ~obj_addr ~size ~tid =
-  let ranges =
-    match Hashtbl.find_opt t.logged tid with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace t.logged tid r;
-        r
-  in
-  let range = Addr.of_base_size obj_addr size in
-  if List.exists (fun r -> Addr.overlaps r range) !ranges then
+  if Option.is_some (Pmdebugger.Tx_logs.note t.logs ~tid (Addr.of_base_size obj_addr size) ~seq:t.seq) then
     report_bug t Bug.Redundant_logging ~addr:obj_addr ~size ~detail:"object logged more than once in one transaction" ()
-  else ranges := range :: !ranges
 
 let on_event t ev =
   t.events <- t.events + 1;
@@ -154,7 +129,7 @@ let on_event t ev =
   | Event.Fence _ -> on_fence t
   | Event.Annotation ann -> on_annotation t ann
   | Event.Tx_log { obj_addr; size; tid } -> on_tx_log t ~obj_addr ~size ~tid
-  | Event.Epoch_end { tid } -> Hashtbl.remove t.logged tid
+  | Event.Epoch_end { tid } -> Pmdebugger.Tx_logs.reset t.logs ~tid
   (* PMTest has no epoch/strand rules and no final-state sweep: bugs not
      covered by an annotation are missed. *)
   | Event.Register_pmem _ | Event.Epoch_begin _ | Event.Strand_begin _ | Event.Strand_end _ | Event.Join_strand _
@@ -169,7 +144,7 @@ let sink t =
     ~finish:(fun () ->
       {
         Bug.detector = "pmtest";
-        bugs = List.rev_map (fun key -> Hashtbl.find t.bugs key) t.bug_keys;
+        bugs = Bug.Ledger.findings t.ledger;
         events_processed = t.events;
         stats = [ ("annotations", float_of_int t.annotations) ];
         failure = None;

@@ -18,7 +18,6 @@ val create :
   ?config:Pmdebugger.Order_config.t ->
   ?pm:Pmem.State.t ->
   ?recovery:(Pmem.Image.t -> bool) ->
-  ?max_bugs_per_kind:int ->
   unit ->
   t
 

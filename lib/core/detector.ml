@@ -72,15 +72,9 @@ let all_rules_off =
     cross_failure = false;
   }
 
-(* [persisted] carries the event (seq, class) at which durability was
-   observed — a fence or the program end — so order-rule findings can
-   cite the exact persist point in their causal chain. *)
-type var_state = { mutable stored : bool; mutable persisted : (int * string) option }
-
 type t = {
   model : model;
   rules : rule_set;
-  config : Order_config.t;
   make_space : unit -> Space.t;
   dspace : Space.t;
   strand_spaces : (int, Space.t) Hashtbl.t;
@@ -88,17 +82,12 @@ type t = {
   epoch_depth : (int, int) Hashtbl.t;
   epoch_fences : (int, int list ref) Hashtbl.t; (* tid -> fence seqs, newest first *)
   epoch_begin_seq : (int, int) Hashtbl.t; (* tid -> seq of the outermost epoch_begin *)
-  logged : (int, (Addr.range * int) list ref) Hashtbl.t; (* tid -> (range, log seq) *)
+  logs : Tx_logs.t;
   mutable registered : Addr.range list;
   mutable track_all : bool;
-  vars : (string, Addr.range) Hashtbl.t;
-  var_state : (string, var_state) Hashtbl.t;
-  funcs_called : (string, unit) Hashtbl.t;
-  bugs : (Bug.kind * int, unit) Hashtbl.t; (* dedup membership *)
-  mutable bug_list : Bug.t list; (* reverse firing order *)
+  order : Persist_order.t;
+  ledger : Bug.Ledger.t;
   walk_dedup : bool;
-  max_bugs_per_kind : int;
-  kind_counts : (Bug.kind, int) Hashtbl.t;
   mutable events : int;
   mutable seq : int;
   mutable cur_class : string; (* Event.class_name of the event being dispatched *)
@@ -114,7 +103,7 @@ type t = {
 }
 
 let create ?(model = Strict) ?rules ?(config = Order_config.empty) ?array_capacity ?merge_threshold ?mode
-    ?interval_metadata ?pm ?recovery ?(crash_check_every_fence = false) ?(max_bugs_per_kind = 1000)
+    ?interval_metadata ?pm ?recovery ?(crash_check_every_fence = false) ?max_bugs_per_kind
     ?(walk_dedup = true) ?(metrics = Obs.Metrics.disabled) ?(heatmap = Obs.Heatmap.disabled) () =
   let rules = match rules with Some r -> r | None -> default_rules model in
   let make_space () = Space.create ?array_capacity ?merge_threshold ?mode ?interval_metadata ~metrics () in
@@ -127,7 +116,6 @@ let create ?(model = Strict) ?rules ?(config = Order_config.empty) ?array_capaci
   {
     model;
     rules;
-    config;
     make_space;
     dspace = make_space ();
     strand_spaces = Hashtbl.create 8;
@@ -135,17 +123,12 @@ let create ?(model = Strict) ?rules ?(config = Order_config.empty) ?array_capaci
     epoch_depth = Hashtbl.create 8;
     epoch_fences = Hashtbl.create 8;
     epoch_begin_seq = Hashtbl.create 8;
-    logged = Hashtbl.create 8;
+    logs = Tx_logs.create ();
     registered = [];
     track_all = true;
-    vars = Hashtbl.create 8;
-    var_state = Hashtbl.create 8;
-    funcs_called = Hashtbl.create 8;
-    bugs = Hashtbl.create 64;
-    bug_list = [];
+    order = Persist_order.create config;
+    ledger = Bug.Ledger.create ?max_per_kind:max_bugs_per_kind ();
     walk_dedup;
-    max_bugs_per_kind;
-    kind_counts = Hashtbl.create 16;
     events = 0;
     seq = 0;
     cur_class = "program_end";
@@ -184,15 +167,12 @@ let pending_walk_candidates ?(epoch_only = false) spaces =
     spaces;
   List.rev !acc
 
-let var_name_for t addr =
-  Hashtbl.fold (fun name r acc -> if Addr.contains r addr then Some name else acc) t.vars None
-
 let build_bug t kind ~addr ~size ~chain ~detail =
   (* Annotation names make reports readable without a memory map:
      every rule's message is prefixed with the registered variable
      covering the primary address, when there is one. *)
   let detail =
-    match if addr >= 0 then var_name_for t addr else None with
+    match if addr >= 0 then Persist_order.name_covering t.order addr else None with
     | Some name -> name ^ ": " ^ detail
     | None -> detail
   in
@@ -208,21 +188,15 @@ let build_bug t kind ~addr ~size ~chain ~detail =
    merge, which sees every shard's findings, can replicate them. *)
 let admit_bug t ?(dedup = true) (bug : Bug.t) =
   let kind = bug.Bug.kind in
-  let key = (kind, bug.Bug.addr) in
-  if (not dedup) || not (Hashtbl.mem t.bugs key) then begin
-    let n = match Hashtbl.find_opt t.kind_counts kind with None -> 0 | Some n -> n in
-    if (not dedup) || n < t.max_bugs_per_kind then begin
-      if dedup then begin
-        Hashtbl.replace t.kind_counts kind (n + 1);
-        Hashtbl.replace t.bugs key ()
-      end;
-      t.bug_list <- bug :: t.bug_list;
+  match if dedup then Bug.Ledger.admit t.ledger kind ~addr:bug.Bug.addr else Bug.Ledger.Admitted with
+  | Bug.Ledger.Admitted ->
+      Bug.Ledger.append t.ledger bug;
       if Obs.Heatmap.is_on t.heatmap && bug.Bug.addr >= 0 then
         Obs.Heatmap.on_bug t.heatmap ~line:(Addr.line_of bug.Bug.addr);
       Obs.Metrics.inc t.metrics ~labels:[ ("rule", Bug.kind_name kind) ] "detector_rule_fires_total"
-    end
-    else Obs.Metrics.inc t.metrics ~labels:[ ("rule", Bug.kind_name kind) ] "detector_bugs_suppressed_total"
-  end
+  | Bug.Ledger.Capped ->
+      Obs.Metrics.inc t.metrics ~labels:[ ("rule", Bug.kind_name kind) ] "detector_bugs_suppressed_total"
+  | Bug.Ledger.Duplicate -> ()
 
 let report_bug t ?dedup kind ~addr ?(size = 0) ?(chain = []) ~detail () =
   if not t.silent then admit_bug t ?dedup (build_bug t kind ~addr ~size ~chain ~detail)
@@ -245,76 +219,27 @@ let in_epoch t tid = match Hashtbl.find_opt t.epoch_depth tid with Some d when d
 
 (* A variable is durable when it has been stored to and no space still
    tracks an unpersisted location overlapping it. *)
-let update_var_persistence t =
-  let spaces = all_spaces t in
-  Hashtbl.iter
-    (fun name (r : Addr.range) ->
-      let st =
-        match Hashtbl.find_opt t.var_state name with
-        | Some st -> st
-        | None ->
-            let st = { stored = false; persisted = None } in
-            Hashtbl.replace t.var_state name st;
-            st
-      in
-      if st.stored && st.persisted = None then
-        if not (List.exists (fun s -> Space.has_pending_overlap s ~lo:r.Addr.lo ~hi:r.Addr.hi) spaces) then
-          st.persisted <- Some (t.seq, t.cur_class))
-    t.vars
-
-let var_persisted t name =
-  match Hashtbl.find_opt t.var_state name with Some { persisted = Some _; _ } -> true | _ -> false
-
-let var_addr t name = match Hashtbl.find_opt t.vars name with Some r -> r.Addr.lo | None -> -1
-
-let var_persist_point t name =
-  match Hashtbl.find_opt t.var_state name with Some { persisted = Some p; _ } -> Some p | _ -> None
-
-let func_gate_open t = function None -> true | Some f -> Hashtbl.mem t.funcs_called f
-
-let check_order_constraints t =
-  List.iter
-    (fun (e : Order_config.entry) ->
-      let enabled =
-        match e.Order_config.kind with
-        | Order_config.Intra -> t.rules.no_order_guarantee && func_gate_open t e.Order_config.func
-        | Order_config.Cross_strand -> t.rules.lack_ordering_in_strands
-      in
-      if enabled && var_persisted t e.Order_config.next && not (var_persisted t e.Order_config.first) then begin
+let check_order t =
+  if Persist_order.constrained t.order then begin
+    let spaces = all_spaces t in
+    Persist_order.update t.order ~seq:t.seq ~cls:t.cur_class ~pending:(fun ~lo ~hi ->
+        List.exists (fun s -> Space.has_pending_overlap s ~lo ~hi) spaces);
+    Persist_order.check t.order
+      ~enabled:(function
+        | Order_config.Intra -> t.rules.no_order_guarantee
+        | Order_config.Cross_strand -> t.rules.lack_ordering_in_strands)
+      (fun e ~addr ~at:(seq, cls) ->
         let kind =
           match e.Order_config.kind with
           | Order_config.Intra -> Bug.No_order_guarantee
           | Order_config.Cross_strand -> Bug.Lack_ordering_in_strands
         in
-        let chain =
-          match var_persist_point t e.Order_config.next with
-          | Some (seq, cls) ->
-              [
-                Bug.cause ~addr:(var_addr t e.Order_config.next) ~cls
-                  ~note:(e.Order_config.next ^ " became durable here, before " ^ e.Order_config.first)
-                  seq;
-              ]
-          | None -> []
-        in
-        report_bug t kind ~addr:(var_addr t e.Order_config.next) ~chain
+        let note = e.Order_config.next ^ " became durable here, before " ^ e.Order_config.first in
+        let chain = [ Bug.cause ~addr ~cls ~note seq ] in
+        report_bug t kind ~addr ~chain
           ~detail:(Printf.sprintf "%s persisted before %s" e.Order_config.next e.Order_config.first)
-          ()
-      end)
-    (Order_config.entries t.config)
-
-let note_var_store t ~lo ~hi =
-  if Hashtbl.length t.vars > 0 then
-    Hashtbl.iter
-      (fun name (r : Addr.range) ->
-        if Addr.overlaps r (Addr.range ~lo ~hi) then begin
-          match Hashtbl.find_opt t.var_state name with
-          | Some st ->
-              st.stored <- true;
-              (* A new store invalidates previous durability. *)
-              st.persisted <- None
-          | None -> Hashtbl.replace t.var_state name { stored = true; persisted = None }
-        end)
-      t.vars
+          ())
+  end
 
 let run_crash_check t =
   match (t.pm, t.recovery) with
@@ -339,7 +264,7 @@ let store_scan t ~tid ~lo ~hi =
     Space.process_store space ~check_overlap ~addr:lo ~size:(hi - lo) ~epoch:(in_epoch t tid) ~seq:t.seq ~tid
       ~strand ()
   in
-  note_var_store t ~lo ~hi;
+  Persist_order.note_store t.order ~lo ~hi;
   (* Per-line traffic/dirty accounting, owner events only ([silent]
      replica updates would double-count a broadcast line once per
      shard). An allocation-free line loop: the heatmap hook must not
@@ -367,23 +292,6 @@ let on_store t ~addr ~size ~tid =
     let obs = store_scan t ~tid ~lo:addr ~hi:(addr + size) in
     store_fire t ~addr ~size obs
   end
-
-(* §5.2, Fig. 7b: a CLF that persists a location with a cross-strand
-   ordering requirement violates it when the predecessor variable is
-   not yet durable (its barrier has not completed). *)
-let check_strand_order_at_clf t ~lo ~hi =
-  List.iter
-    (fun (e : Order_config.entry) ->
-      if e.Order_config.kind = Order_config.Cross_strand then
-        match Hashtbl.find_opt t.vars e.Order_config.next with
-        | Some r when Addr.overlaps r (Addr.range ~lo ~hi) ->
-            if not (var_persisted t e.Order_config.first) then
-              report_bug t Bug.Lack_ordering_in_strands ~addr:r.Addr.lo
-                ~detail:
-                  (Printf.sprintf "%s written back before %s is durable" e.Order_config.next e.Order_config.first)
-                ()
-        | _ -> ())
-    (Order_config.entries t.config)
 
 (* Like the store path, the CLF path is a scan (bookkeeping over one
    contiguous range, possibly a per-line clip) plus a fire (rules over
@@ -450,8 +358,14 @@ let clf_fire t ~addr ~size (obs : Shard_router.clf_obs) =
     | None ->
         report_bug t Bug.Redundant_flush ~addr ~size ~detail:"store flushed again before the fence" ()
   end;
-  if t.rules.lack_ordering_in_strands && not (Order_config.is_empty t.config) then
-    check_strand_order_at_clf t ~lo:addr ~hi:(addr + size)
+  (* §5.2, Fig. 7b: a CLF that persists a location with a cross-strand
+     ordering requirement violates it when the predecessor variable is
+     not yet durable (its barrier has not completed). *)
+  if t.rules.lack_ordering_in_strands && Persist_order.constrained t.order then
+    Persist_order.check_writeback t.order ~lo:addr ~hi:(addr + size) (fun e ~addr ->
+        report_bug t Bug.Lack_ordering_in_strands ~addr
+          ~detail:(Printf.sprintf "%s written back before %s is durable" e.Order_config.next e.Order_config.first)
+          ())
 
 let on_clf t ~addr ~size ~tid =
   if in_registered t ~lo:addr ~hi:(addr + size) then begin
@@ -474,10 +388,7 @@ let on_fence t ~tid =
     in
     fences := t.seq :: !fences
   end;
-  if not (Order_config.is_empty t.config) then begin
-    update_var_persistence t;
-    check_order_constraints t
-  end;
+  check_order t;
   if t.crash_check_every_fence then run_crash_check t
 
 let on_epoch_begin t ~tid =
@@ -486,7 +397,7 @@ let on_epoch_begin t ~tid =
   if d = 0 then begin
     Hashtbl.replace t.epoch_fences tid (ref []);
     Hashtbl.replace t.epoch_begin_seq tid t.seq;
-    Hashtbl.replace t.logged tid (ref [])
+    Tx_logs.reset t.logs ~tid
   end;
   Hashtbl.replace t.epoch_depth tid (d + 1)
 
@@ -535,30 +446,20 @@ let on_epoch_end t ~tid =
         |> List.sort Bug.compare_canonical
         |> List.iter (admit_bug t ~dedup:t.walk_dedup)
     end;
-    Hashtbl.remove t.logged tid
+    Tx_logs.reset t.logs ~tid
   end
   else Hashtbl.replace t.epoch_depth tid (d - 1)
 
 let on_tx_log t ~obj_addr ~size ~tid =
-  if t.rules.redundant_logging then begin
-    let ranges =
-      match Hashtbl.find_opt t.logged tid with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.replace t.logged tid r;
-          r
-    in
-    let range = Addr.of_base_size obj_addr size in
-    match List.find_opt (fun (r, _) -> Addr.overlaps r range) !ranges with
-    | Some (prior, log_seq) ->
+  if t.rules.redundant_logging then
+    match Tx_logs.note t.logs ~tid (Addr.of_base_size obj_addr size) ~seq:t.seq with
+    | Some { Tx_logs.range = prior; seq = log_seq } ->
         let chain =
           [ Bug.cause ~addr:prior.Addr.lo ~size:(Addr.size prior) ~cls:"tx_log" ~note:"object first logged here" log_seq ]
         in
         report_bug t Bug.Redundant_logging ~addr:obj_addr ~size ~chain
           ~detail:"object logged more than once in one transaction" ()
-    | None -> ranges := (range, t.seq) :: !ranges
-  end
+    | None -> ()
 
 let on_program_end t =
   if not t.finished then begin
@@ -589,10 +490,7 @@ let on_program_end t =
        |> List.iter (admit_bug t ~dedup:t.walk_dedup));
     (* Order constraints where the later var persisted but the earlier
        one never did are caught here even without a closing fence. *)
-    if not (Order_config.is_empty t.config) then begin
-      update_var_persistence t;
-      check_order_constraints t
-    end;
+    check_order t;
     run_crash_check t
   end
 
@@ -611,13 +509,12 @@ let dispatch t ev =
   | Event.Join_strand _ -> ()
   | Event.Tx_log { obj_addr; size; tid } -> on_tx_log t ~obj_addr ~size ~tid
   | Event.Register_var { name; addr; size } ->
-      Hashtbl.replace t.vars name (Addr.of_base_size addr size);
+      Persist_order.register t.order ~name (Addr.of_base_size addr size);
       if Obs.Heatmap.is_on t.heatmap && size > 0 then
         for line = Addr.line_of addr to Addr.line_of (addr + size - 1) do
           Obs.Heatmap.set_name t.heatmap ~line name
-        done;
-      if not (Hashtbl.mem t.var_state name) then Hashtbl.replace t.var_state name { stored = false; persisted = None }
-  | Event.Call { func; tid = _ } -> Hashtbl.replace t.funcs_called func ()
+        done
+  | Event.Call { func; tid = _ } -> Persist_order.call t.order func
   | Event.Annotation _ -> () (* PMTest-style annotations are not needed *)
   | Event.Program_end -> on_program_end t
 
@@ -636,8 +533,6 @@ let on_event_at t ~seq ?(silent = false) ev =
 
 let on_event t ev = on_event_at t ~seq:(t.seq + 1) ev
 
-let bugs_in_order t = List.rev t.bug_list
-
 let stats t =
   let spaces = all_spaces t in
   let tree_nodes = List.fold_left (fun acc s -> acc + Space.tree_size s) 0 spaces in
@@ -650,7 +545,7 @@ let stats t =
   ]
 
 let report t =
-  { Bug.detector = "pmdebugger"; bugs = bugs_in_order t; events_processed = t.events; stats = stats t; failure = None }
+  { Bug.detector = "pmdebugger"; bugs = Bug.Ledger.findings t.ledger; events_processed = t.events; stats = stats t; failure = None }
 
 let avg_tree_nodes_per_fence t = Space.avg_tree_nodes_per_fence t.dspace
 

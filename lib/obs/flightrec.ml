@@ -11,8 +11,7 @@
    side by side. *)
 
 type t = {
-  mutable on : bool;
-  frozen : bool; (* the shared [disabled] singleton must stay off *)
+  on : bool;
   cap : int;
   mutable next : int; (* total records ever; the live slot is [next mod cap] *)
   cats : string array;
@@ -22,11 +21,10 @@ type t = {
   ts : float array; (* separate unboxed array: no float boxing on write *)
 }
 
-let create ?(capacity = 512) ?(enabled = true) () =
+let create ?(capacity = 512) () =
   if capacity < 1 then invalid_arg "Obs.Flightrec.create: capacity must be >= 1";
   {
-    on = enabled;
-    frozen = false;
+    on = true;
     cap = capacity;
     next = 0;
     cats = Array.make capacity "";
@@ -39,7 +37,6 @@ let create ?(capacity = 512) ?(enabled = true) () =
 let disabled =
   {
     on = false;
-    frozen = true;
     cap = 1;
     next = 0;
     cats = [| "" |];
@@ -50,10 +47,6 @@ let disabled =
   }
 
 let is_on t = t.on
-
-let set_enabled t b =
-  if t.frozen then invalid_arg "Obs.Flightrec.set_enabled: the shared disabled ring is immutable";
-  t.on <- b
 
 let capacity t = t.cap
 

@@ -25,19 +25,16 @@
 
 type t
 
-val create : ?capacity:int (** default 512 *) -> ?enabled:bool (** default [true] *) -> unit -> t
-(** Raises [Invalid_argument] if [capacity < 1]. *)
+val create : ?capacity:int (** default 512 *) -> unit -> t
+(** A recording ring. Raises [Invalid_argument] if [capacity < 1]. *)
 
 val disabled : t
-(** A shared always-off ring: the default for instrumented components.
-    Calling {!set_enabled} on it raises [Invalid_argument]. *)
+(** A shared always-off ring: the default for instrumented components. *)
 
 val is_on : t -> bool
 (** Guard for call sites that would otherwise compute arguments — the
     idiomatic hot-path form is
     [if Flightrec.is_on r then Flightrec.record r ~ts ...]. *)
-
-val set_enabled : t -> bool -> unit
 
 val capacity : t -> int
 
@@ -45,7 +42,7 @@ val recorded : t -> int
 (** Total records ever (not capped at capacity). *)
 
 val clear : t -> unit
-(** Forget everything; enabled state and capacity are kept. *)
+(** Forget everything; the capacity is kept. *)
 
 val record : t -> ts:float -> cat:string -> name:string -> a:int -> b:int -> unit
 (** Append one entry, overwriting the oldest once the ring is full.

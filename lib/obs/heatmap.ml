@@ -5,7 +5,7 @@
    do the findings cluster".
 
    Same observability contract as Metrics/Flightrec: a disabled table
-   costs one branch per hook, a shared frozen [disabled] singleton is
+   costs one branch per hook, a shared [disabled] singleton is
    the default everywhere, and the table is single-domain (per-worker
    tables merge via snapshots). The cap bounds memory on adversarial
    traces: once [cap] distinct lines are tracked, traffic on new lines
@@ -22,26 +22,20 @@ type entry = {
 }
 
 type t = {
-  mutable on : bool;
-  frozen : bool;
+  on : bool;
   cap : int;
   table : (int, entry) Hashtbl.t;
   mutable dropped : int; (* events on lines beyond the cap *)
   mutable last_seq : int;
 }
 
-let create ?(cap = 1024) ?(enabled = true) () =
+let create ?(cap = 1024) () =
   if cap < 1 then invalid_arg "Obs.Heatmap.create: cap must be >= 1";
-  { on = enabled; frozen = false; cap; table = Hashtbl.create 64; dropped = 0; last_seq = 0 }
+  { on = true; cap; table = Hashtbl.create 64; dropped = 0; last_seq = 0 }
 
-let disabled =
-  { on = false; frozen = true; cap = 1; table = Hashtbl.create 1; dropped = 0; last_seq = 0 }
+let disabled = { on = false; cap = 1; table = Hashtbl.create 1; dropped = 0; last_seq = 0 }
 
 let is_on t = t.on
-
-let set_enabled t b =
-  if t.frozen then invalid_arg "Obs.Heatmap.set_enabled: the shared disabled table is immutable";
-  t.on <- b
 
 let cap t = t.cap
 

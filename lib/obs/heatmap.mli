@@ -22,14 +22,13 @@
 
 type t
 
-val create : ?cap:int (** default 1024 *) -> ?enabled:bool (** default [true] *) -> unit -> t
-(** Raises [Invalid_argument] if [cap < 1]. *)
+val create : ?cap:int (** default 1024 *) -> unit -> t
+(** A recording table. Raises [Invalid_argument] if [cap < 1]. *)
 
 val disabled : t
-(** Shared always-off table; {!set_enabled} on it raises. *)
+(** Shared always-off table. *)
 
 val is_on : t -> bool
-val set_enabled : t -> bool -> unit
 val cap : t -> int
 
 val tracked : t -> int

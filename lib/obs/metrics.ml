@@ -75,21 +75,13 @@ let quantile v q =
 
 type value = Counter of int ref | Gauge of float ref | Hist of hist
 
-type t = {
-  mutable on : bool;
-  frozen : bool; (* the shared [disabled] singleton must stay off *)
-  series : (string * labels, value) Hashtbl.t;
-}
+type t = { on : bool; series : (string * labels, value) Hashtbl.t }
 
-let create ?(enabled = true) () = { on = enabled; frozen = false; series = Hashtbl.create 64 }
+let create () = { on = true; series = Hashtbl.create 64 }
 
-let disabled = { on = false; frozen = true; series = Hashtbl.create 1 }
+let disabled = { on = false; series = Hashtbl.create 1 }
 
 let is_on t = t.on
-
-let set_enabled t b =
-  if t.frozen then invalid_arg "Obs.Metrics.set_enabled: the shared disabled registry is immutable";
-  t.on <- b
 
 let clear t = Hashtbl.reset t.series
 

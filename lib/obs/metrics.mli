@@ -28,19 +28,17 @@ type t
     {!snapshot}s with {!merge} — never share one registry across
     domains. *)
 
-val create : ?enabled:bool (** default [true] *) -> unit -> t
+val create : unit -> t
+(** A recording registry. *)
 
 val disabled : t
 (** A shared always-off registry: the default for every instrumented
-    component, so recording costs one branch and allocates nothing.
-    Calling {!set_enabled} on it raises [Invalid_argument]. *)
+    component, so recording costs one branch and allocates nothing. *)
 
 val is_on : t -> bool
 
-val set_enabled : t -> bool -> unit
-
 val clear : t -> unit
-(** Drop every series (enabled state is kept). *)
+(** Drop every series. *)
 
 (** {1 Recording} *)
 

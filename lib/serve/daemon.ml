@@ -151,6 +151,18 @@ let bind_listener path =
 let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
   (* Checked before binding, so a bad config leaves no socket file. *)
   if cfg.workers < 1 then invalid_arg "Daemon.create: workers must be >= 1";
+  (* The dumps and the metrics file are written best-effort later, so a
+     missing directory would otherwise go unnoticed. *)
+  let is_dir path = Sys.file_exists path && Sys.is_directory path in
+  Option.iter
+    (fun dir ->
+      if not (is_dir dir) then invalid_arg (Printf.sprintf "Daemon.create: flightrec_dir %S is not a directory" dir))
+    cfg.flightrec_dir;
+  Option.iter
+    (fun path ->
+      if not (is_dir (Filename.dirname path)) then
+        invalid_arg (Printf.sprintf "Daemon.create: metrics_file %S is not in an existing directory" path))
+    cfg.metrics_file;
   let listener = bind_listener cfg.socket_path in
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_r;

@@ -88,7 +88,9 @@ val create :
     gives every worker its own registry (see {!Pool.create}) —
     worker-side telemetry never goes through the sink, so reports stay
     byte-identical to an offline replay.
-    @raise Invalid_argument if [workers < 1], before anything is bound. *)
+    @raise Invalid_argument if [workers < 1], if [flightrec_dir] is
+    not a directory or if [metrics_file]'s directory does not exist,
+    before anything is bound. *)
 
 val run : t -> unit
 (** Serve until stopped; drains sessions, stops workers, writes the

@@ -115,7 +115,7 @@ let create ?(worker_metrics = false) ?flightrec_capacity ?heatmap_cap ~workers
   let states =
     Array.init workers (fun i ->
         let labels = [ ("domain", string_of_int i) ] in
-        let reg = Obs.Metrics.create ~enabled:worker_metrics () in
+        let reg = if worker_metrics then Obs.Metrics.create () else Obs.Metrics.disabled in
         if worker_metrics then
           (* Declare the series so every worker appears in merged
              snapshots even before its first session. *)

@@ -84,6 +84,44 @@ let compare_canonical a b =
   let c = compare (a.seq, kind_rank a.kind, a.addr, a.size, a.detail) (b.seq, kind_rank b.kind, b.addr, b.size, b.detail) in
   if c <> 0 then c else List.compare compare_cause a.chain b.chain
 
+(* Dedup per (kind, addr), a cap per kind, firing order: the one
+   admission policy every detector reports through. *)
+module Ledger = struct
+  type finding = t
+
+  type admission = Admitted | Duplicate | Capped
+
+  type nonrec t = {
+    seen : (kind * int, unit) Hashtbl.t;
+    kind_counts : (kind, int) Hashtbl.t;
+    max_per_kind : int;
+    mutable found : finding list; (* reverse firing order *)
+  }
+
+  let create ?(max_per_kind = 1000) () =
+    { seen = Hashtbl.create 64; kind_counts = Hashtbl.create 16; max_per_kind; found = [] }
+
+  let admit t kind ~addr =
+    let key = (kind, addr) in
+    if Hashtbl.mem t.seen key then Duplicate
+    else begin
+      let n = match Hashtbl.find_opt t.kind_counts kind with None -> 0 | Some n -> n in
+      if n < t.max_per_kind then begin
+        Hashtbl.replace t.kind_counts kind (n + 1);
+        Hashtbl.replace t.seen key ();
+        Admitted
+      end
+      else Capped
+    end
+
+  let append t bug = t.found <- bug :: t.found
+
+  let add t kind ~addr ?size ~seq ~detail () =
+    if admit t kind ~addr = Admitted then append t (make ~addr ?size ~seq ~detail kind)
+
+  let findings t = List.rev t.found
+end
+
 type report = {
   detector : string;
   bugs : t list;

@@ -58,6 +58,35 @@ val pp : Format.formatter -> t -> unit
 
 val pp_cause : Format.formatter -> cause -> unit
 
+(** Which findings a detector keeps: one per (kind, addr), at most
+    [max_per_kind] per kind, in firing order. Every detector reports
+    through one ledger. *)
+module Ledger : sig
+  type finding := t
+
+  type t
+
+  type admission =
+    | Admitted  (** first finding at this (kind, addr) under the cap; now counted *)
+    | Duplicate  (** this (kind, addr) was admitted before *)
+    | Capped  (** new (kind, addr), but its kind already holds [max_per_kind] *)
+
+  val create : ?max_per_kind:int (** default 1000 *) -> unit -> t
+
+  val admit : t -> kind -> addr:int -> admission
+  (** Decides on a finding before it is built. [Admitted] records the
+      key and counts it; the caller then {!append}s the finding. *)
+
+  val append : t -> finding -> unit
+  (** Keeps the finding, with no dedup and no cap of its own. *)
+
+  val add : t -> kind -> addr:int -> ?size:int -> seq:int -> detail:string -> unit -> unit
+  (** [admit], then on [Admitted] append a finding with no causal chain. *)
+
+  val findings : t -> finding list
+  (** Kept findings in firing order. *)
+end
+
 type report = {
   detector : string;
   bugs : t list;

@@ -410,6 +410,20 @@ let test_daemon_rejects_zero_workers () =
       ignore (Serve.Daemon.create ~make_sink:(fun ~heatmap -> D.sink (D.create ~heatmap ())) cfg));
   Alcotest.(check bool) "no socket file left" false (Sys.file_exists socket)
 
+let test_daemon_rejects_missing_dirs () =
+  let socket = temp_socket () in
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "pmdb-no-such-dir" in
+  let create cfg = ignore (Serve.Daemon.create ~make_sink:(fun ~heatmap -> D.sink (D.create ~heatmap ())) cfg) in
+  let base = Serve.Daemon.default_config ~socket in
+  Alcotest.check_raises "missing flightrec dir"
+    (Invalid_argument (Printf.sprintf "Daemon.create: flightrec_dir %S is not a directory" missing)) (fun () ->
+      create { base with Serve.Daemon.flightrec_dir = Some missing });
+  let metrics_file = Filename.concat missing "m.prom" in
+  Alcotest.check_raises "missing metrics dir"
+    (Invalid_argument (Printf.sprintf "Daemon.create: metrics_file %S is not in an existing directory" metrics_file))
+    (fun () -> create { base with Serve.Daemon.metrics_file = Some metrics_file });
+  Alcotest.(check bool) "no socket file left" false (Sys.file_exists socket)
+
 let trace_body =
   String.concat "\n"
     [
@@ -915,4 +929,6 @@ let suite =
     Alcotest.test_case "daemon rejects zero workers before binding" `Quick test_daemon_rejects_zero_workers;
     Alcotest.test_case "pool sink creation failure is reported" `Quick test_pool_sink_creation_failure;
     Alcotest.test_case "pool report = offline report, every tool" `Quick test_pool_tool_parity;
+    Alcotest.test_case "daemon rejects missing output directories before binding" `Quick
+      test_daemon_rejects_missing_dirs;
   ]
