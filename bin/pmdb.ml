@@ -746,7 +746,7 @@ let serve_cmd socket workers queue_capacity idle_timeout session_budget max_sess
           workers session_budget idle_timeout;
         Option.iter
           (fun path ->
-            Printf.printf "pmdb serve: Prometheus exposition -> %s (every %.1fs)\n%!" path cfg.Serve.Daemon.stream_interval)
+            Printf.printf "pmdb serve: Prometheus exposition -> %s (every %.1fs)\n%!" path Serve.Daemon.stream_interval)
           metrics_file;
         Option.iter (Printf.printf "pmdb serve: flight-recorder dumps -> %s\n%!") flightrec_dir;
         if heatmap_cap > 0 then

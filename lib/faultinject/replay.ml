@@ -18,19 +18,12 @@ let events_of_steps steps =
    forward walks for a risk-ordered schedule), so a trace file is
    materialized here — explicitly — instead of streamed. Everything
    detector-facing should prefer Trace_io.iter_file. *)
-let materialize_file ?synthesize_end path =
+let materialize_file path =
   Result.map
     (fun (acc, stats) -> (Array.of_list (List.rev acc), stats))
-    (Trace_io.fold_file ?synthesize_end path ~init:[] ~f:(fun acc ev -> Ev ev :: acc))
+    (Trace_io.fold_file path ~init:[] ~f:(fun acc ev -> Ev ev :: acc))
 
-let ends_with_program_end steps =
-  let n = Array.length steps in
-  n > 0 && (match steps.(n - 1) with Ev Event.Program_end -> true | _ -> false)
-
-let ensure_end steps =
-  if ends_with_program_end steps then steps else Array.append steps [| Ev Event.Program_end |]
-
-let capture ?(ensure_program_end = true) run =
+let capture run =
   let engine = Engine.create () in
   let vol = Pmem.State.volatile (Engine.pm engine) in
   let buf = ref [] and n = ref 0 in
@@ -54,7 +47,14 @@ let capture ?(ensure_program_end = true) run =
   Engine.attach engine sink;
   run engine;
   Engine.detach_all engine;
-  let arr = Array.make (max !n 1) (Ev Event.Program_end) in
+  (* The end rule of a lenient trace read: a program that did not end
+     its trace gets a [Program_end]. *)
+  (match !buf with
+  | Ev ev :: _ when Trace_io.ends_trace ev -> ()
+  | _ ->
+      buf := Ev Event.Program_end :: !buf;
+      incr n);
+  let arr = Array.make !n (Ev Event.Program_end) in
   let rec fill i = function
     | [] -> ()
     | s :: rest ->
@@ -62,8 +62,7 @@ let capture ?(ensure_program_end = true) run =
         fill (i - 1) rest
   in
   fill (!n - 1) !buf;
-  let steps = if !n = 0 then [||] else arr in
-  if ensure_program_end then ensure_end steps else steps
+  arr
 
 (* Stores replayed from a payloadless event stream still need bytes:
    fill with a deterministic nonzero pattern so recovery predicates of

@@ -17,10 +17,11 @@ type step =
       (** injected spontaneous eviction — applied to the PM state during
           replay but invisible to detectors *)
 
-val capture : ?ensure_program_end:bool -> (Engine.t -> unit) -> step array
+val capture : (Engine.t -> unit) -> step array
 (** Run a program on a fresh engine, recording every event and snapping
     each store's payload from the volatile image. Appends a
-    [Program_end] step when the program did not emit one (default). *)
+    [Program_end] step when the last event does not pass
+    {!Trace_io.ends_trace}: the end rule of a lenient trace read. *)
 
 val apply : Pmem.State.t -> step -> unit
 (** Apply one step to a persistency state: stores write (captured or
@@ -33,19 +34,15 @@ val event_of_step : step -> Event.t option
 val events_of_steps : step array -> Event.t array
 (** Project to the detector-visible event stream (evictions dropped). *)
 
-val materialize_file :
-  ?synthesize_end:bool -> string -> (step array * Trace_io.stream_stats, string) result
-(** Load a trace file into a step array (lenient parse; skipped lines
-    are reported in the stats). This is the {e explicit} materialization
+val materialize_file : string -> (step array * Trace_io.stream_stats, string) result
+(** Load a trace file into a step array (lenient parse: skipped lines
+    are reported in the stats, and the end rule applies). This is the {e explicit} materialization
     point for crash-point exploration, which passes over a trace several
     times (invariant inference, risk scoring, up to two forward walks)
     — stream with {!Trace_io.iter_file}
     instead wherever events can be consumed one at a time. Stores carry
     no payload in the on-disk format, so they replay with the synthetic
     fill. *)
-
-val ensure_end : step array -> step array
-(** Append a [Program_end] step unless the trace already ends with one. *)
 
 val is_store : step -> bool
 val is_clf : step -> bool

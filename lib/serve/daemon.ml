@@ -7,7 +7,6 @@ type config = {
   session_budget : int;
   idle_timeout : float;
   max_sessions : int;
-  stream_interval : float;
   metrics_file : string option;
   flightrec_dir : string option;
   heatmap_cap : int;
@@ -21,16 +20,17 @@ let default_config ~socket =
     session_budget = 8 lsl 20;
     idle_timeout = 30.0;
     max_sessions = 64;
-    stream_interval = 1.0;
     metrics_file = None;
     flightrec_dir = None;
     heatmap_cap = 0;
   }
 
-(* The select timeout (the housekeeping cadence, seconds); events
-   parked before a session's fd is throttled; slots per flight-recorder
-   ring, on the dispatch domain and on each worker. *)
+(* The select timeout (the housekeeping cadence, seconds); the seconds
+   between stats_stream frames and metrics-file rewrites; events parked
+   before a session's fd is throttled; slots per flight-recorder ring,
+   on the dispatch domain and on each worker. *)
 let tick = 0.02
+let stream_interval = 1.0
 let pending_watermark = 4096
 let flightrec_capacity = 512
 
@@ -277,14 +277,17 @@ let reply_session t conn session frame =
 
 (* {2 Session termination paths} *)
 
-(* Stop ingesting and drive the session toward its final report:
-   optionally drop undelivered events, make sure the detector sees an
-   end-of-trace, then let the Finishing flusher hand the rest over. *)
-let begin_finish t conn session slot ~drop =
-  if drop then Session.drop_pending session;
-  Session.ensure_end session;
+(* Stop ingesting and let the Finishing flusher hand the rest over to
+   the worker. *)
+let drain t conn session slot =
   record t ~cat:"session" ~name:"drain" ~a:(Session.id session) ~b:0;
   conn.kind <- Finishing (session, slot)
+
+(* The daemon ends the session before its input did: a truncated trace,
+   which gets the end rule. *)
+let cut_short t conn session slot ~drop =
+  Session.cut_short session ~drop;
+  drain t conn session slot
 
 let session_result_frame session (report : Bug.report option) =
   let events = match report with Some r -> r.Bug.events_processed | None -> Session.events_delivered session in
@@ -352,21 +355,32 @@ let quarantine_trace t conn session slot msg =
   Session.terminate session Status.Trace_error (Some msg);
   record t ~cat:"quarantine" ~name:"trace" ~a:(Session.id session) ~b:0;
   dump_flightrec t ~reason:"trace-quarantine" ~session:(Session.name session);
-  begin_finish t conn session slot ~drop:false
+  cut_short t conn session slot ~drop:false
 
 let quarantine_detector t conn session slot msg ~drop =
   Obs.Metrics.inc t.metrics ~labels:[ ("reason", "detector") ] "serve_quarantines_total";
   Session.terminate session Status.Detector_error (Some msg);
   record t ~cat:"quarantine" ~name:"detector" ~a:(Session.id session) ~b:0;
   dump_flightrec t ~reason:"detector-quarantine" ~session:(Session.name session);
-  if drop then begin_finish t conn session slot ~drop:true
+  if drop then cut_short t conn session slot ~drop:true
 
-let feed_session t conn session slot bytes_read =
-  Obs.Metrics.inc t.metrics ~by:bytes_read "serve_bytes_read_total";
+let feed_session t conn session slot ~off ~len =
+  Obs.Metrics.inc t.metrics ~by:len "serve_bytes_read_total";
   let t0 = now () in
-  let r = Session.feed session ~now:t0 read_buf ~off:0 ~len:bytes_read in
+  let r = Session.feed session ~now:t0 read_buf ~off ~len in
   Obs.Metrics.observe t.metrics "serve_ingest_seconds" (now () -. t0);
   match r with Ok () -> () | Error msg -> quarantine_trace t conn session slot msg
+
+(* The client's end of input: the decoder's last line and end rule. *)
+let end_of_input t conn session slot =
+  match Session.finish session with
+  | Ok () -> drain t conn session slot
+  | Error msg -> quarantine_trace t conn session slot msg
+
+(* The first '\n' in [read_buf.[0, n)]. *)
+let hello_end n =
+  let rec go i = if i >= n then None else if Bytes.get read_buf i = '\n' then Some i else go (i + 1) in
+  go 0
 
 let handle_readable t conn =
   match conn.kind with
@@ -384,27 +398,21 @@ let handle_readable t conn =
             conn.eof <- true;
             handle_hello_line t conn s;
             match conn.kind with
-            | Streaming (session, slot) -> begin_finish t conn session slot ~drop:false
+            | Streaming (session, slot) -> end_of_input t conn session slot
             | _ -> ()
           end)
       | n -> (
-          Buffer.add_subbytes buf read_buf 0 n;
-          let s = Buffer.contents buf in
-          match String.index_opt s '\n' with
+          match hello_end n with
           | None ->
+              Buffer.add_subbytes buf read_buf 0 n;
               if Buffer.length buf > 512 then protocol_error t conn "hello line too long"
-          | Some i ->
-              let line = String.sub s 0 i in
-              let rest = String.sub s (i + 1) (String.length s - i - 1) in
-              handle_hello_line t conn line;
+          | Some i -> (
+              Buffer.add_subbytes buf read_buf 0 i;
+              handle_hello_line t conn (Buffer.contents buf);
               (* Bytes pipelined behind the hello belong to the session. *)
-              (match conn.kind with
-              | Streaming (session, slot) when rest <> "" -> (
-                  let b = Bytes.of_string rest in
-                  Obs.Metrics.inc t.metrics ~by:(Bytes.length b) "serve_bytes_read_total";
-                  match Session.feed session ~now:(now ()) b ~off:0 ~len:(Bytes.length b) with
-                  | Ok () -> ()
-                  | Error msg -> quarantine_trace t conn session slot msg)
+              match conn.kind with
+              | Streaming (session, slot) when i + 1 < n ->
+                  feed_session t conn session slot ~off:(i + 1) ~len:(n - i - 1)
               | _ -> ())))
   | Streaming (session, slot) -> (
       match Unix.read conn.fd read_buf 0 (Bytes.length read_buf) with
@@ -412,13 +420,11 @@ let handle_readable t conn =
       | exception Unix.Unix_error _ ->
           Obs.Metrics.inc t.metrics "serve_conn_errors_total";
           conn.eof <- true;
-          begin_finish t conn session slot ~drop:false
-      | 0 -> (
+          cut_short t conn session slot ~drop:false
+      | 0 ->
           conn.eof <- true;
-          match Session.flush_partial session with
-          | Ok () -> begin_finish t conn session slot ~drop:false
-          | Error msg -> quarantine_trace t conn session slot msg)
-      | n -> feed_session t conn session slot n)
+          end_of_input t conn session slot
+      | n -> feed_session t conn session slot ~off:0 ~len:n)
   | Stats_stream _ ->
       (* Subscribers only read; a half-close (EOF) is how one-shot
          followers signal "send me my frames and go" — keep streaming,
@@ -493,7 +499,7 @@ let update_gauges t conn session =
    so restore nonblock after every frame. *)
 let tick_stream t conn st =
   let n = now () in
-  if n -. st.last_frame >= t.cfg.stream_interval then begin
+  if n -. st.last_frame >= stream_interval then begin
     st.last_frame <- n;
     if not (write_all t conn.fd (stats_json t ^ "\n")) then remove_conn t conn
     else begin
@@ -534,7 +540,7 @@ let tick_conn t conn =
             record t ~cat:"backpressure" ~name:"evict" ~a:(Session.id session)
               ~b:(Session.live_bytes session);
             dump_flightrec t ~reason:"eviction" ~session:(Session.name session);
-            begin_finish t conn session slot ~drop:true
+            cut_short t conn session slot ~drop:true
           end
           else if
             (not conn.eof)
@@ -544,7 +550,7 @@ let tick_conn t conn =
             Obs.Metrics.inc t.metrics "serve_timeouts_total";
             Session.terminate session Status.Timeout
               (Some (Printf.sprintf "idle for more than %.1fs" t.cfg.idle_timeout));
-            begin_finish t conn session slot ~drop:false
+            cut_short t conn session slot ~drop:false
           end
           else if flush_pending t conn session slot then update_gauges t conn session)
   | Finishing (session, slot) ->
@@ -624,7 +630,7 @@ let begin_shutdown t =
           remove_conn t conn
       | Streaming (session, slot) ->
           Session.terminate session Status.Shutdown (Some "daemon is shutting down");
-          begin_finish t conn session slot ~drop:false
+          cut_short t conn session slot ~drop:false
       | Finishing _ | Awaiting _ -> ())
     t.conns
 
@@ -703,7 +709,7 @@ let run t =
     Obs.Metrics.set t.metrics "serve_sessions_active" (float_of_int (List.length t.conns));
     (if t.cfg.metrics_file <> None then
        let n = now () in
-       if n -. t.last_metrics_write >= t.cfg.stream_interval then begin
+       if n -. t.last_metrics_write >= stream_interval then begin
          t.last_metrics_write <- n;
          write_metrics_file t
        end);

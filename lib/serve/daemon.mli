@@ -2,8 +2,9 @@
     server on a Unix-domain socket.
 
     One dispatch domain owns all I/O: a [select] loop accepts
-    connections, reads hello lines and event streams, and feeds parsed
-    events to a sticky {!Pool} of worker domains (session [id] always
+    connections, reads hello lines and event streams, decodes each
+    stream with its {!Session}'s {!Pmtrace.Trace_io.Decoder} (the one
+    file replays use) and feeds the events to a sticky {!Pool} of worker domains (session [id] always
     lands on worker [id mod workers], so detector state never crosses
     domains). Robustness is layered as a backpressure ladder:
 
@@ -14,13 +15,16 @@
       [select]ing that client's fd, so the kernel socket buffer fills
       and the client's writes block (flow control without a protocol);
     + the session's {!Session.live_bytes} crossing [session_budget] —
-      the session is evicted: undelivered events are dropped, a
-      synthesized [program_end] runs the end-of-trace rules over what
-      {e was} delivered, and the client gets a partial report with
-      status [evicted].
+      the session is evicted: undelivered events are dropped, the end
+      rule appends a [program_end] unless the last decoded event was
+      one, so the end-of-trace rules run over what {e was} delivered,
+      and the client gets a partial report with status [evicted].
 
     Sessions idle past [idle_timeout] are reaped the same way (status
-    [timeout], nothing dropped). A malformed line (strict sessions) or
+    [timeout], nothing dropped). A session that reaches its client's
+    end of input gets the end rule only if it is lenient, exactly as
+    [pmdb replay] treats the same file, so a healthy trace's report is
+    byte-identical in both modes. A malformed line (strict sessions) or
     a detector exception quarantines only that session — the client
     gets a structured error frame, every other session is untouched.
     Shutdown (SIGTERM/SIGINT via {!install_signal_handlers}, a [stop]
@@ -46,7 +50,7 @@
 
     When [metrics_file] is set, a Prometheus text-format rendering of
     the merged snapshot is written atomically (temp file + rename)
-    every [stream_interval] seconds and once more at shutdown. *)
+    every {!stream_interval} seconds and once more at shutdown. *)
 
 type config = {
   socket_path : string;
@@ -55,9 +59,6 @@ type config = {
   session_budget : int;  (** bytes a session may hold in the daemon (default 8 MiB) *)
   idle_timeout : float;  (** seconds; [<= 0.] disables reaping (default 30) *)
   max_sessions : int;  (** connection cap (default 64) *)
-  stream_interval : float;
-      (** seconds between [stats_stream] frames and metrics-file
-          writes (default 1.0) *)
   metrics_file : string option;
       (** write Prometheus text exposition here periodically (default
           [None]) *)
@@ -71,6 +72,10 @@ type config = {
 }
 
 val default_config : socket:string -> config
+
+val stream_interval : float
+(** Seconds between [stats_stream] frames and metrics-file writes
+    (1.0). *)
 
 type t
 

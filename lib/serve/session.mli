@@ -1,15 +1,18 @@
-(** Per-session ingest state machine — socket-free, so the protocol
-    core (line framing, strict/lenient parsing, budget accounting,
-    status transitions) is directly unit- and fuzz-testable.
+(** Per-session ingest state — socket-free, so the protocol core
+    (decoding, budget accounting, status transitions) is directly unit-
+    and fuzz-testable.
 
     The daemon owns the lifecycle (its connection state machine walks
     a session from streaming through finishing to awaiting the
-    worker's report); this module owns the data: the partial-line
-    buffer, the bounded pending queue of parsed events and
-    the byte accounting that the backpressure ladder and the memory
-    budget read ({!live_bytes} = partial bytes + queued-event cost, so
-    a budget in bytes bounds a client sending one enormous line just as
-    well as one outrunning its worker). *)
+    worker's report); this module owns the data: a
+    {!Pmtrace.Trace_io.Decoder} — the same one file replays use, so a
+    session frames, numbers, skips and ends its trace exactly as
+    [pmdb replay] does on the same bytes — the bounded pending queue of
+    decoded events, and the byte accounting that the backpressure
+    ladder and the memory budget read ({!live_bytes} = the decoder's
+    carried line + queued-event cost, so a budget in bytes bounds a
+    client sending one enormous line just as well as one outrunning its
+    worker). *)
 
 open Pmtrace
 
@@ -19,7 +22,6 @@ val create : id:int -> name:string -> lenient:bool -> now:float -> t
 
 val id : t -> int
 val name : t -> string
-val lenient : t -> bool
 
 val status : t -> Status.t
 val error : t -> string option
@@ -29,45 +31,42 @@ val terminate : t -> Status.t -> string option -> unit
     session already quarantined keeps its original status). *)
 
 val feed : t -> now:float -> Bytes.t -> off:int -> len:int -> (unit, string) result
-(** Split the chunk into newline-framed lines and scan each in place
-    with {!Trace_io.event_of_bytes}; only a line split across chunks is
-    copied (into the partial-line buffer). Chunk boundaries are
-    invisible: feeding
-    byte-by-byte parses identically to feeding everything at once.
-    Strict sessions return [Error "line N: ..."] at the first malformed
-    line (and set the status to [Trace_error]); lenient sessions skip
-    and count it. *)
+(** {!Trace_io.Decoder.feed}: chunk boundaries are invisible, and a
+    strict session returns [Error "line N: ..."] at the first malformed
+    line (and sets the status to [Trace_error]); a lenient one skips and
+    counts it. *)
 
-val flush_partial : t -> (unit, string) result
-(** Parse the final unterminated line, if any (called at client EOF,
-    matching the file parsers' treatment of a missing trailing
-    newline). *)
+val finish : t -> (unit, string) result
+(** The client's end of input: {!Trace_io.Decoder.finish} — the last
+    unterminated line is decoded and, for a lenient session, the end
+    rule applies. A strict session gets no [program_end], like a strict
+    file replay. *)
+
+val cut_short : t -> drop:bool -> unit
+(** The daemon ends the session before its input did (eviction, idle
+    timeout, shutdown, trace or detector quarantine, a connection
+    error): with [drop], discard the undelivered events; then
+    {!Trace_io.Decoder.truncate} drops the carried line and applies the
+    end rule, so end-of-trace rules fire for the truncated stream. The
+    rule reads the last {e decoded} event: a dropped [program_end]
+    still counts. *)
 
 val peek_pending : t -> Event.t option
-(** The next parsed event, without consuming it — the daemon peeks,
+(** The next decoded event, without consuming it — the daemon peeks,
     offers it to the worker with a non-blocking submit, and only pops
     on success, so a full worker queue never loses an event. *)
 
 val pop_pending : t -> Event.t option
-(** Take the next parsed event for delivery to the worker. *)
+(** Take the next decoded event for delivery to the worker. *)
 
 val pending_events : t -> int
 
-val drop_pending : t -> unit
-(** Discard undelivered events and the partial line (eviction path). *)
-
-val ensure_end : t -> unit
-(** Queue a synthesized [Program_end] unless the stream already carried
-    one, so end-of-trace rules fire for truncated sessions — the same
-    semantics as lenient replay. *)
-
 val live_bytes : t -> int
-(** Bytes this session holds in the daemon: partial line + pending
+(** Bytes this session holds in the daemon: carried line + pending
     queue cost. The per-session budget gates on this. *)
 
 val events_delivered : t -> int
 val skipped : t -> int
-val bytes_read : t -> int
 val synthesized_end : t -> bool
 val last_activity : t -> float
 

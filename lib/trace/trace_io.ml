@@ -313,80 +313,117 @@ let event_of_bytes b ~off ~len =
 let event_of_line line = event_of_bytes (Bytes.unsafe_of_string line) ~off:0 ~len:(String.length line)
 
 (* ------------------------------------------------------------------ *)
-(* Line source: a string in memory, or a channel read in blocks into a  *)
-(* reusable buffer. A line is the range [lo, hi) before a '\n', or      *)
-(* before the end of input for a last line with no '\n'. On refill the  *)
-(* unconsumed tail (a partial line) moves to the front of the buffer;   *)
-(* the buffer doubles only when one line fills all of it, so memory is  *)
-(* bounded by the longest line, never by the trace length.              *)
+(* Decoder: the one line framer and end rule. A line is the range      *)
+(* before a '\n', or the unterminated rest at [finish]. A line wholly   *)
+(* inside a chunk is scanned where it lies; only a line split across    *)
+(* chunks is copied, into [carry]. Line numbers count blank and comment *)
+(* lines.                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type source = {
-  ic : in_channel option;  (** [None]: [buf] is a whole string, never written *)
-  mutable buf : Bytes.t;
-  mutable pos : int;  (** first unconsumed byte *)
-  mutable len : int;  (** end of valid data *)
-  mutable lo : int;  (** last line returned by [next_line] *)
-  mutable hi : int;
-  cur : cursor;
-}
+let ends_trace = function Event.Program_end -> true | _ -> false
 
-let block_size = 65536
+let no_skip _ _ = ()
 
-let source_of_string text =
-  let len = String.length text in
-  { ic = None; buf = Bytes.unsafe_of_string text; pos = 0; len; lo = 0; hi = 0; cur = { p = 0; e = 0 } }
+module Decoder = struct
+  type t = {
+    lenient : bool;
+    emit : Event.t -> int -> unit;
+    on_skip : int -> string -> unit;
+    cur : cursor;
+    carry : Buffer.t;
+    mutable lineno : int;
+    mutable events : int;
+    mutable skipped : int;
+    mutable ended : bool;  (** the last event passed [ends_trace] *)
+    mutable synthesized : bool;
+  }
 
-let source_of_channel ic =
-  { ic = Some ic; buf = Bytes.create block_size; pos = 0; len = 0; lo = 0; hi = 0; cur = { p = 0; e = 0 } }
+  let create ?(on_skip = no_skip) ~lenient emit =
+    let cur = { p = 0; e = 0 } and carry = Buffer.create 256 in
+    { lenient; emit; on_skip; cur; carry; lineno = 0; events = 0; skipped = 0; ended = false; synthesized = false }
 
-(* Read more input after the unconsumed tail; false at end of input. *)
-let refill s =
-  match s.ic with
-  | None -> false
-  | Some ic ->
-      let keep = s.len - s.pos in
-      if s.pos > 0 then Bytes.blit s.buf s.pos s.buf 0 keep
-      else if keep = Bytes.length s.buf then begin
-        let bigger = Bytes.create (2 * Bytes.length s.buf) in
-        Bytes.blit s.buf 0 bigger 0 keep;
-        s.buf <- bigger
-      end;
-      s.pos <- 0;
-      let n = input ic s.buf keep (Bytes.length s.buf - keep) in
-      s.len <- keep + n;
-      n > 0
+  let events d = d.events
 
-let rec next_line s =
-  let b = s.buf and stop = s.len in
-  let i = ref s.pos in
-  while !i < stop && Bytes.unsafe_get b !i <> '\n' do
-    incr i
-  done;
-  if !i < stop then begin
-    s.lo <- s.pos;
-    s.hi <- !i;
-    s.pos <- !i + 1;
-    true
-  end
-  else if refill s then next_line s
-  else if s.pos < s.len then begin
-    s.lo <- s.pos;
-    s.hi <- s.len;
-    s.pos <- s.len;
-    true
-  end
-  else false
+  let skipped d = d.skipped
 
-let scan_next s = scan_line s.cur s.buf s.lo s.hi
+  let synthesized d = d.synthesized
 
-let error_of_line s = parse_error s.cur s.buf s.lo s.hi
+  let carried d = Buffer.length d.carry
 
-(* ------------------------------------------------------------------ *)
-(* Folds: a string in memory and a multi-GB file on disk go through the *)
-(* exact same skip / error-position / synthesize-program_end logic.     *)
-(* Line numbers count blank and comment lines.                          *)
-(* ------------------------------------------------------------------ *)
+  (* A strict decoder's error, caught by [feed] and [finish]. *)
+  exception Strict of string
+
+  (* The line [b.[lo, hi)]. *)
+  let line d b lo hi =
+    d.lineno <- d.lineno + 1;
+    let ev = scan_line d.cur b lo hi in
+    if ev == blank then ()
+    else if ev == malformed then begin
+      let msg = parse_error d.cur b lo hi in
+      if d.lenient then begin
+        d.skipped <- d.skipped + 1;
+        d.on_skip d.lineno msg
+      end
+      else raise_notrace (Strict (Printf.sprintf "line %d: %s" d.lineno msg))
+    end
+    else begin
+      d.events <- d.events + 1;
+      d.ended <- ends_trace ev;
+      d.emit ev (hi - lo)
+    end
+
+  let carried_line d =
+    let b = Buffer.to_bytes d.carry in
+    Buffer.clear d.carry;
+    line d b 0 (Bytes.length b)
+
+  let feed d b ~off ~len =
+    if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Trace_io.Decoder.feed";
+    let stop = off + len in
+    let rec go start =
+      (* The next '\n', bounded by [stop]: the bytes past a chunk in a
+         reused read buffer are stale. *)
+      let i = ref start in
+      while !i < stop && Bytes.unsafe_get b !i <> '\n' do
+        incr i
+      done;
+      let nl = !i in
+      if nl = stop then Buffer.add_subbytes d.carry b start (stop - start)
+      else begin
+        if Buffer.length d.carry = 0 then line d b start nl
+        else begin
+          Buffer.add_subbytes d.carry b start (nl - start);
+          carried_line d
+        end;
+        go (nl + 1)
+      end
+    in
+    try Ok (go off) with Strict msg -> Error msg
+
+  (* The end rule: a trace whose last event does not end it gets a
+     synthesized [program_end], once. *)
+  let ensure_end d =
+    if not d.ended then begin
+      d.ended <- true;
+      d.synthesized <- true;
+      d.events <- d.events + 1;
+      d.emit Event.Program_end 0
+    end
+
+  let finish d =
+    match if Buffer.length d.carry > 0 then carried_line d with
+    | () ->
+        if d.lenient then ensure_end d;
+        Ok ()
+    | exception Strict msg -> Error msg
+
+  let truncate d =
+    Buffer.clear d.carry;
+    ensure_end d
+end
+
+(* A string is fed as one chunk, a file a 64 KiB block at a time
+   through one reusable buffer. *)
 
 type stream_stats = {
   events : int;
@@ -394,75 +431,70 @@ type stream_stats = {
   synthesized : bool;
 }
 
-let fold_strict s ~init ~f =
-  let rec go lineno acc =
-    if not (next_line s) then Ok acc
-    else
-      let ev = scan_next s in
-      if ev == blank then go (lineno + 1) acc
-      else if ev == malformed then Error (Printf.sprintf "line %d: %s" lineno (error_of_line s))
-      else go (lineno + 1) (f acc ev)
-  in
-  go 1 init
+let block_size = 65536
 
-let fold_lenient ~metrics ~synthesize_end ~on_skip s ~init ~f =
-  let rec go lineno acc parsed skipped nskip last_was_end =
-    if not (next_line s) then begin
-      Obs.Metrics.inc metrics ~by:parsed "trace_io_lines_parsed_total";
-      Obs.Metrics.inc metrics ~by:nskip "trace_io_lines_skipped_total";
-      let synthesized = synthesize_end && not last_was_end in
-      let acc, parsed = if synthesized then (f acc Event.Program_end, parsed + 1) else (acc, parsed) in
-      (acc, { events = parsed; skipped_lines = List.rev skipped; synthesized })
-    end
-    else
-      let ev = scan_next s in
-      if ev == blank then go (lineno + 1) acc parsed skipped nskip last_was_end
-      else if ev == malformed then begin
-        let msg = error_of_line s in
-        on_skip lineno msg;
-        go (lineno + 1) acc parsed ((lineno, msg) :: skipped) (nskip + 1) last_was_end
-      end
-      else
-        let is_end = match ev with Event.Program_end -> true | _ -> false in
-        go (lineno + 1) (f acc ev) (parsed + 1) skipped nskip is_end
-  in
-  go 1 init 0 [] 0 false
+(* The decoder never writes the bytes it is fed. *)
+let decode_string text d =
+  match Decoder.feed d (Bytes.unsafe_of_string text) ~off:0 ~len:(String.length text) with
+  | Ok () -> Decoder.finish d
+  | Error _ as e -> e
 
-let rev_array acc = Array.of_list (List.rev acc)
-
-let push acc ev = ev :: acc
-
-let of_string text = Result.map rev_array (fold_strict (source_of_string text) ~init:[] ~f:push)
-
-type lenient = { trace : Event.t array; skipped : (int * string) list; synthesized_end : bool }
-
-let lenient_of_fold (acc, stats) =
-  { trace = rev_array acc; skipped = stats.skipped_lines; synthesized_end = stats.synthesized }
-
-let of_string_lenient ?(metrics = Obs.Metrics.disabled) ?(synthesize_end = true) text =
-  lenient_of_fold
-    (fold_lenient ~metrics ~synthesize_end ~on_skip:(fun _ _ -> ()) (source_of_string text) ~init:[] ~f:push)
-
-(* All file I/O below closes its channel on any exit path: a write
-   failure or a read error must not leak the descriptor. *)
-
-let with_in_file path f =
+(* The channel is closed on every exit path: a read error must not leak
+   the descriptor. *)
+let decode_file path d =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> try f (source_of_channel ic) with Sys_error msg -> Error msg)
+        (fun () ->
+          let buf = Bytes.create block_size in
+          let rec go () =
+            match input ic buf 0 block_size with
+            | 0 -> Decoder.finish d
+            | n -> ( match Decoder.feed d buf ~off:0 ~len:n with Ok () -> go () | Error _ as e -> e)
+          in
+          try go () with Sys_error msg -> Error msg)
 
-let fold_file ?(metrics = Obs.Metrics.disabled) ?(synthesize_end = true) ?(on_skip = fun _ _ -> ()) path ~init ~f =
-  with_in_file path (fun s -> Ok (fold_lenient ~metrics ~synthesize_end ~on_skip s ~init ~f))
+let strict decode f = decode (Decoder.create ~lenient:false (fun ev _ -> f ev))
 
-let iter_file ?metrics ?synthesize_end ?on_skip path ~f =
-  Result.map snd (fold_file ?metrics ?synthesize_end ?on_skip path ~init:() ~f:(fun () ev -> f ev))
+let lenient ~metrics ~on_skip decode f =
+  let skipped = ref [] in
+  let on_skip lineno msg =
+    on_skip lineno msg;
+    skipped := (lineno, msg) :: !skipped
+  in
+  let d = Decoder.create ~on_skip ~lenient:true (fun ev _ -> f ev) in
+  Result.map
+    (fun () ->
+      let synthesized = Decoder.synthesized d in
+      Obs.Metrics.inc metrics ~by:(Decoder.events d - Bool.to_int synthesized) "trace_io_lines_parsed_total";
+      Obs.Metrics.inc metrics ~by:(Decoder.skipped d) "trace_io_lines_skipped_total";
+      { events = Decoder.events d; skipped_lines = List.rev !skipped; synthesized })
+    (decode d)
 
-let fold_file_strict path ~init ~f = with_in_file path (fun s -> fold_strict s ~init ~f)
+(* The events [run] hands its callback, as an array. *)
+let collect run =
+  let acc = ref [] in
+  Result.map (fun x -> (Array.of_list (List.rev !acc), x)) (run (fun ev -> acc := ev :: !acc))
 
-let iter_file_strict path ~f = fold_file_strict path ~init:() ~f:(fun () ev -> f ev)
+let of_string text = Result.map fst (collect (strict (decode_string text)))
+
+let of_string_lenient ?(metrics = Obs.Metrics.disabled) text =
+  Result.get_ok (collect (lenient ~metrics ~on_skip:no_skip (decode_string text)))
+
+let iter_file ?(metrics = Obs.Metrics.disabled) ?(on_skip = no_skip) path ~f =
+  lenient ~metrics ~on_skip (decode_file path) f
+
+let fold_file ?metrics ?on_skip path ~init ~f =
+  let acc = ref init in
+  Result.map (fun stats -> (!acc, stats)) (iter_file ?metrics ?on_skip path ~f:(fun ev -> acc := f !acc ev))
+
+let iter_file_strict path ~f = strict (decode_file path) f
+
+let load path = Result.map fst (collect (strict (decode_file path)))
+
+let load_lenient ?metrics path = collect (fun f -> iter_file ?metrics path ~f)
 
 (* Lines accumulate in one Buffer that goes to the channel a block at a
    time. *)
@@ -492,8 +524,3 @@ let save_stream path produce =
    byte-identical cross-platform (text mode would translate newlines on
    Windows and corrupt offsets against open_in_bin readers). *)
 let save path trace = ignore (save_stream path (fun emit -> Array.iter emit trace))
-
-let load path = Result.map rev_array (fold_file_strict path ~init:[] ~f:push)
-
-let load_lenient ?metrics ?synthesize_end path =
-  Result.map lenient_of_fold (fold_file ?metrics ?synthesize_end path ~init:[] ~f:push)

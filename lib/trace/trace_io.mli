@@ -33,8 +33,7 @@
     [_] separators; decimal overflow is an error); a name is the
     remaining tokens joined by single spaces. A malformed line's error
     is [Printf.sprintf "cannot parse event %S"] of the trimmed line. A
-    last line with no
-    trailing newline is still a line. *)
+    last line with no trailing newline is still a line. *)
 
 val add_event : Buffer.t -> Event.t -> unit
 (** Append the event's line, without a newline. Writes keywords and
@@ -54,21 +53,64 @@ val to_string : Recorder.trace -> string
 val of_string : string -> (Recorder.trace, string) result
 (** Fails with a line-numbered message on the first malformed line. *)
 
-type lenient = {
-  trace : Event.t array;
-  skipped : (int * string) list;  (** (line number, error) per malformed line *)
-  synthesized_end : bool;
-      (** true when the input did not end with [program_end] and one was
-          appended (unless [synthesize_end:false]). *)
+(** {1 Decoding}
+
+    Every reader of the format — {!of_string}, the [*_file] functions
+    and the daemon's sessions — pushes its bytes through a {!Decoder},
+    so line framing, line numbers, the strict/lenient policy and the
+    end rule exist once. The end rule: a trace is complete when its
+    last event passes {!ends_trace}; a lenient read appends a
+    [program_end] to one that is not (an empty one included), a strict
+    read never does. *)
+
+type stream_stats = {
+  events : int;  (** events delivered, including a synthesized end *)
+  skipped_lines : (int * string) list;  (** (line number, error) per malformed line *)
+  synthesized : bool;  (** the end rule appended a [program_end] *)
 }
 
-val of_string_lenient : ?metrics:Obs.Metrics.t -> ?synthesize_end:bool -> string -> lenient
+val ends_trace : Event.t -> bool
+(** [true] for [program_end]. *)
+
+module Decoder : sig
+  type t
+
+  val create : ?on_skip:(int -> string -> unit) -> lenient:bool -> (Event.t -> int -> unit) -> t
+  (** [create ~lenient emit]: [emit ev len] gets each event and the
+      length of its line ([0] for a synthesized end). A lenient decoder
+      counts a malformed line and passes its 1-based number and error
+      to [on_skip]. *)
+
+  val feed : t -> Bytes.t -> off:int -> len:int -> (unit, string) result
+  (** Decode [b.[off, off + len)], never writing it. Whole lines are
+      scanned in place; only a line split across chunks is copied, so
+      any split of the same bytes gives the same events, line numbers
+      and errors. A strict decoder returns
+      [Error "line N: cannot parse event ..."] at the first malformed
+      line; feed it no more. Raises [Invalid_argument] on an invalid
+      range. *)
+
+  val finish : t -> (unit, string) result
+  (** End of input: decode the unterminated last line, if any, then
+      apply the end rule if lenient. *)
+
+  val truncate : t -> unit
+  (** The input was cut short: drop the unterminated line and apply
+      the end rule, strict or lenient. *)
+
+  val carried : t -> int
+  (** Bytes of the unterminated line held between chunks. *)
+
+  val events : t -> int
+  val skipped : t -> int
+  val synthesized : t -> bool
+end
+
+val of_string_lenient : ?metrics:Obs.Metrics.t -> string -> Event.t array * stream_stats
 (** Best-effort parse: malformed lines are skipped and collected as
-    per-line diagnostics instead of aborting, and a truncated trace
-    (one not ending in [program_end]) gets a synthesized terminator so
-    end-of-run detector rules still fire. [synthesize_end] defaults to
-    [true]. [metrics] (default disabled) gets
-    [trace_io_lines_parsed_total] / [trace_io_lines_skipped_total]. *)
+    per-line diagnostics, and the end rule applies. [metrics] (default
+    disabled) gets [trace_io_lines_parsed_total] /
+    [trace_io_lines_skipped_total]. *)
 
 val save : string -> Recorder.trace -> unit
 (** Raises [Sys_error] on write failure; the channel is closed on every
@@ -80,33 +122,21 @@ val load : string -> (Recorder.trace, string) result
     blocks (never the whole file into a string); I/O failures are
     reported as [Error] and never leak the input channel. *)
 
-val load_lenient : ?metrics:Obs.Metrics.t -> ?synthesize_end:bool -> string -> (lenient, string) result
+val load_lenient : ?metrics:Obs.Metrics.t -> string -> (Event.t array * stream_stats, string) result
 (** [load] with {!of_string_lenient} semantics; [Error] only for I/O
     failures. *)
 
 (** {1 Streaming}
 
-    The [*_file] functions below read the file in blocks into one
-    reusable buffer, scan each line in place and hand each event to a
-    callback without ever materializing the trace: the buffer grows only
-    for a line longer than it, so memory use is bounded by the longest
-    line, not the trace length, and multi-GB traces replay in constant
-    memory. They share the scanner — and,
-    for the lenient variants, the skip-and-report plus
-    synthesize-[program_end] semantics and per-line error positions —
-    with {!of_string} / {!of_string_lenient}. Materialize (via {!load}
-    / {!load_lenient}) only when random access over the event sequence
-    is genuinely required, e.g. crash-point prefix replay. *)
-
-type stream_stats = {
-  events : int;  (** events delivered to [f], including a synthesized end *)
-  skipped_lines : (int * string) list;  (** (line number, error) per malformed line *)
-  synthesized : bool;  (** a [program_end] was appended for a truncated trace *)
-}
+    The [*_file] functions below feed the file to a {!Decoder} in
+    64 KiB blocks through one reusable buffer and hand each event to a
+    callback without ever materializing the trace, so multi-GB traces
+    replay in memory bounded by the longest line. Materialize (via
+    {!load} / {!load_lenient}) only when random access over the event
+    sequence is genuinely required, e.g. crash-point prefix replay. *)
 
 val fold_file :
   ?metrics:Obs.Metrics.t ->
-  ?synthesize_end:bool ->
   ?on_skip:(int -> string -> unit) ->
   string ->
   init:'a ->
@@ -115,29 +145,22 @@ val fold_file :
 (** Lenient streaming fold over a trace file. Malformed lines are
     skipped, reported through [on_skip] (called with the 1-based line
     number and error as they are encountered) and collected in the
-    returned stats; a truncated trace gets a synthesized terminator
-    event unless [synthesize_end:false]. [metrics] (default disabled)
-    gets [trace_io_lines_parsed_total] / [trace_io_lines_skipped_total].
-    [Error] only for I/O failures. *)
+    returned stats; the end rule applies. [metrics] as in
+    {!of_string_lenient}. [Error] only for I/O failures. *)
 
 val iter_file :
   ?metrics:Obs.Metrics.t ->
-  ?synthesize_end:bool ->
   ?on_skip:(int -> string -> unit) ->
   string ->
   f:(Event.t -> unit) ->
   (stream_stats, string) result
 (** {!fold_file} without an accumulator. *)
 
-val fold_file_strict : string -> init:'a -> f:('a -> Event.t -> 'a) -> ('a, string) result
-(** Strict streaming fold: stops at the first malformed line with the
-    same [line N: ...] message {!of_string} produces. Events already
-    folded before the error are discarded with the accumulator. *)
-
 val iter_file_strict : string -> f:(Event.t -> unit) -> (unit, string) result
-(** {!fold_file_strict} without an accumulator. Note that [f] has
-    already observed every event preceding a malformed line when the
-    error is returned — side effects are not rolled back. *)
+(** Strict streaming parse: stops at the first malformed line with the
+    same [line N: ...] message {!of_string} produces. [f] has already
+    observed every event before it — side effects are not rolled
+    back. *)
 
 val save_stream : string -> ((Event.t -> unit) -> unit) -> int
 (** [save_stream path produce] opens [path] (binary mode), hands

@@ -686,8 +686,8 @@ let test_space_spill_metric () =
 
 let test_trace_io_telemetry () =
   let metrics = M.create () in
-  let l = Pmtrace.Trace_io.of_string_lenient ~metrics "store 0 128 8\nBOGUS LINE\nfence 0\n" in
-  Alcotest.(check int) "trace survives" 3 (Array.length l.Pmtrace.Trace_io.trace);
+  let trace, _ = Pmtrace.Trace_io.of_string_lenient ~metrics "store 0 128 8\nBOGUS LINE\nfence 0\n" in
+  Alcotest.(check int) "trace survives" 3 (Array.length trace);
   let snap = M.snapshot metrics in
   Alcotest.(check int) "parsed lines counted" 2 (M.counter_value snap "trace_io_lines_parsed_total");
   Alcotest.(check int) "skipped lines counted" 1 (M.counter_value snap "trace_io_lines_skipped_total")

@@ -226,18 +226,7 @@ let prop_wire_result_roundtrip =
 (* Session: socket-free ingest state machine                          *)
 (* ---------------------------------------------------------------- *)
 
-let feed_string ?(chunk = max_int) s text =
-  let b = Bytes.of_string text in
-  let n = Bytes.length b in
-  let rec go off acc =
-    if off >= n then acc
-    else
-      let len = min chunk (n - off) in
-      match Serve.Session.feed s ~now:0.0 b ~off ~len with
-      | Ok () -> go (off + len) acc
-      | Error e -> Error e
-  in
-  go 0 (Ok ())
+let feed_string s text = Serve.Session.feed s ~now:0.0 (Bytes.of_string text) ~off:0 ~len:(String.length text)
 
 let drain_events s =
   let rec go acc = match Serve.Session.pop_pending s with None -> List.rev acc | Some ev -> go (ev :: acc) in
@@ -245,16 +234,95 @@ let drain_events s =
 
 let mk_session ?(lenient = false) () = Serve.Session.create ~id:0 ~name:"s" ~lenient ~now:0.0
 
-let test_session_chunk_boundaries_invisible () =
-  let text = "register_pmem 0 4096\nstore 1 0 8\nclf clwb 1 0 8\nfence 1\nprogram_end\n" in
-  let whole = mk_session () in
-  Alcotest.(check bool) "whole feed ok" true (feed_string whole text = Ok ());
-  let bytewise = mk_session () in
-  Alcotest.(check bool) "bytewise feed ok" true (feed_string ~chunk:1 bytewise text = Ok ());
-  let evs_whole = drain_events whole and evs_byte = drain_events bytewise in
-  Alcotest.(check int) "same event count" (List.length evs_whole) (List.length evs_byte);
-  Alcotest.(check bool) "same events" true (evs_whole = evs_byte);
-  Alcotest.(check int) "same bytes_read" (Serve.Session.bytes_read whole) (Serve.Session.bytes_read bytewise)
+let with_trace_file text f =
+  let path = Filename.temp_file "pmdb-serve-test" ".pmt" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* What a whole-file read gives: events, skipped (line, error) pairs,
+   the strict error and the synthesized flag. *)
+let file_read ~lenient path =
+  let acc = ref [] in
+  let f ev = acc := ev :: !acc in
+  if lenient then
+    match Trace_io.iter_file path ~f with
+    | Ok st -> (List.rev !acc, st.Trace_io.skipped_lines, None, st.Trace_io.synthesized)
+    | Error m -> failwith m
+  else
+    match Trace_io.iter_file_strict path ~f with
+    | Ok () -> (List.rev !acc, [], None, false)
+    | Error m -> (List.rev !acc, [], Some m, false)
+
+(* The same bytes fed in the given chunk sizes (cycled), through a
+   session and through a bare decoder that keeps the skipped lines. *)
+let chunked_read ~lenient ~chunks text =
+  let b = Bytes.of_string text and n = String.length text in
+  let chunks = Array.of_list (List.map (max 1) chunks) in
+  let split feed finish =
+    let rec go off i =
+      if off >= n then finish ()
+      else
+        let len = min chunks.(i mod Array.length chunks) (n - off) in
+        match feed b ~off ~len with Ok () -> go (off + len) (i + 1) | Error _ as e -> e
+    in
+    go 0 0
+  in
+  let s = mk_session ~lenient () in
+  let err = split (Serve.Session.feed s ~now:0.0) (fun () -> Serve.Session.finish s) in
+  let skipped = ref [] in
+  let d =
+    Trace_io.Decoder.create ~lenient ~on_skip:(fun l m -> skipped := (l, m) :: !skipped) (fun _ _ -> ())
+  in
+  let derr = split (Trace_io.Decoder.feed d) (fun () -> Trace_io.Decoder.finish d) in
+  let err = match err with Ok () -> None | Error m -> Some m in
+  ( (drain_events s, Serve.Session.skipped s, err, Serve.Session.synthesized_end s),
+    (List.rev !skipped, Result.is_error derr, Trace_io.Decoder.synthesized d) )
+
+(* Line soup: valid and malformed lines, blanks, comments, mid-trace
+   program_ends, LF or CRLF per line, with or without a final newline. *)
+let soup_gen =
+  QCheck.Gen.(
+    let line =
+      oneofl
+        [
+          "register_pmem 0 4096";
+          "store 1 0 8";
+          "store 1 64 8";
+          "clf clwb 1 0 8";
+          "fence 1";
+          "program_end";
+          "zap!";
+          "store 1 oops 8";
+          "";
+          "  ";
+          "# note";
+          "register_var 64 8 head  ptr";
+        ]
+    in
+    let* lines = list_size (int_range 0 12) (pair line (oneofl [ "\n"; "\r\n" ])) in
+    let* final_newline = bool in
+    let* chunks = list_size (int_range 1 6) (int_range 1 9) in
+    let* lenient = bool in
+    let body = String.concat "" (List.map (fun (l, eol) -> l ^ eol) lines) in
+    let text =
+      if final_newline || body = "" then body
+      else String.sub body 0 (String.length body - if String.ends_with ~suffix:"\r\n" body then 2 else 1)
+    in
+    return (text, chunks, lenient))
+
+let prop_session_chunk_boundaries_invisible =
+  QCheck.Test.make ~name:"session chunk boundaries invisible" ~count:300
+    (QCheck.make
+       ~print:(fun (t, c, l) ->
+         Printf.sprintf "%S chunks=[%s] lenient=%b" t (String.concat ";" (List.map string_of_int c)) l)
+       soup_gen)
+    (fun (text, chunks, lenient) ->
+      let events, skipped, err, synthesized = with_trace_file text (file_read ~lenient) in
+      let (s_events, s_skipped, s_err, s_synth), (d_skipped, d_failed, d_synth) =
+        chunked_read ~lenient ~chunks text
+      in
+      s_events = events && s_err = err && s_synth = synthesized && s_skipped = List.length skipped
+      && d_skipped = skipped && d_failed = (err <> None) && d_synth = synthesized)
 
 let test_session_strict_error_position () =
   let s = mk_session () in
@@ -272,23 +340,31 @@ let test_session_lenient_skips () =
   Alcotest.(check int) "skipped" 2 (Serve.Session.skipped s);
   Alcotest.(check int) "parsed" 3 (Serve.Session.pending_events s)
 
-let test_session_ensure_end () =
-  (* Truncated stream: the final unterminated line still parses at
-     flush, and a program_end is synthesized. *)
-  let s = mk_session () in
-  Alcotest.(check bool) "feed" true (feed_string s "store 1 0 8\nfence 1" = Ok ());
-  Alcotest.(check bool) "flush_partial" true (Serve.Session.flush_partial s = Ok ());
-  Serve.Session.ensure_end s;
-  Alcotest.(check bool) "synthesized" true (Serve.Session.synthesized_end s);
-  (match List.rev (drain_events s) with
-  | Event.Program_end :: Event.Fence _ :: _ -> ()
-  | _ -> Alcotest.fail "expected fence then synthesized program_end");
-  (* A stream that carried its own program_end gets nothing added. *)
-  let s2 = mk_session () in
-  Alcotest.(check bool) "feed" true (feed_string s2 "store 1 0 8\nprogram_end\n" = Ok ());
-  Serve.Session.ensure_end s2;
-  Alcotest.(check bool) "not synthesized" false (Serve.Session.synthesized_end s2);
-  Alcotest.(check int) "no extra event" 2 (Serve.Session.pending_events s2)
+(* The end rule, as a file replay applies it: at the client's end of
+   input a strict session gets nothing and a lenient one a program_end
+   unless its last event is one; a session the daemon cuts short gets
+   the lenient rule either way. *)
+let test_session_end_rule () =
+  let ended ~lenient ?(cut = false) text =
+    let s = mk_session ~lenient () in
+    Alcotest.(check bool) "feed" true (feed_string s text = Ok ());
+    if cut then Serve.Session.cut_short s ~drop:false
+    else Alcotest.(check bool) "finish" true (Serve.Session.finish s = Ok ());
+    (Serve.Session.synthesized_end s, drain_events s)
+  in
+  let store = Event.Store { addr = 0; size = 8; tid = 1 } and fence = Event.Fence { tid = 1 } in
+  let unterminated = "store 1 0 8\nfence 1" in
+  Alcotest.(check bool) "strict EOF: last line parsed, nothing added" true
+    (ended ~lenient:false unterminated = (false, [ store; fence ]));
+  Alcotest.(check bool) "lenient EOF: program_end added" true
+    (ended ~lenient:true unterminated = (true, [ store; fence; Event.Program_end ]));
+  Alcotest.(check bool) "lenient EOF after a mid-trace program_end: added" true
+    (ended ~lenient:true "store 1 0 8\nprogram_end\nfence 1\n"
+    = (true, [ store; Event.Program_end; fence; Event.Program_end ]));
+  Alcotest.(check bool) "cut short, strict: the carried line dropped, program_end added" true
+    (ended ~lenient:false ~cut:true unterminated = (true, [ store; Event.Program_end ]));
+  Alcotest.(check bool) "cut short after its own program_end: nothing added" true
+    (ended ~lenient:false ~cut:true "store 1 0 8\nprogram_end\n" = (false, [ store; Event.Program_end ]))
 
 let test_session_live_bytes_accounting () =
   let s = mk_session () in
@@ -298,7 +374,7 @@ let test_session_live_bytes_accounting () =
   Alcotest.(check bool) "queued events + partial line cost bytes" true (before > 0);
   ignore (Serve.Session.pop_pending s);
   Alcotest.(check bool) "pop releases bytes" true (Serve.Session.live_bytes s < before);
-  Serve.Session.drop_pending s;
+  Serve.Session.cut_short s ~drop:true;
   Alcotest.(check int) "drop releases everything" 0 (Serve.Session.live_bytes s)
 
 let test_session_terminate_first_wins () =
@@ -442,19 +518,10 @@ let offline_report body =
   | Error e -> Alcotest.fail ("offline parse failed: " ^ e)
   | Ok trace -> Recorder.replay trace (D.sink (D.create ~model:D.Strict ()))
 
-let start_daemon ?(idle_timeout = 0.5) ?(workers = 2) ?(stream_interval = 1.0) ?flightrec_dir ~metrics socket =
-  let cfg =
-    {
-      (Serve.Daemon.default_config ~socket) with
-      Serve.Daemon.workers;
-      idle_timeout;
-      stream_interval;
-      flightrec_dir;
-    }
-  in
-  let daemon =
-    Serve.Daemon.create ~metrics ~make_sink:(fun ~heatmap -> D.sink (D.create ~model:D.Strict ~heatmap ())) cfg
-  in
+let start_daemon ?(idle_timeout = 0.5) ?(workers = 2) ?flightrec_dir
+    ?(make_sink = fun ~heatmap -> D.sink (D.create ~model:D.Strict ~heatmap ())) ~metrics socket =
+  let cfg = { (Serve.Daemon.default_config ~socket) with Serve.Daemon.workers; idle_timeout; flightrec_dir } in
+  let daemon = Serve.Daemon.create ~metrics ~make_sink cfg in
   let d = Domain.spawn (fun () -> Serve.Daemon.run daemon) in
   (* Wait for the listener to come up. *)
   let rec wait tries =
@@ -626,11 +693,17 @@ let test_soak_waves_leave_no_session_state () =
     true
     (after - before <= slack_words)
 
-let temp_dir () =
+(* A fresh directory for [f], removed with its files afterwards, also
+   when [f] fails. *)
+let with_temp_dir f =
   let d = Filename.temp_file "pmdb-flightrec" "" in
   Sys.remove d;
   Unix.mkdir d 0o700;
-  d
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat d name)) (Sys.readdir d);
+      Unix.rmdir d)
+    (fun () -> f d)
 
 (* A session whose detector raises mid-stream is quarantined with a
    detector-error frame; its sibling on the same daemon is unharmed.
@@ -638,8 +711,8 @@ let temp_dir () =
    above already run with it recording) must leave a black-box dump
    naming the failing session. *)
 let test_gate_detector_quarantine_isolated () =
+  with_temp_dir @@ fun dumpdir ->
   let socket = temp_socket () in
-  let dumpdir = temp_dir () in
   let metrics = Obs.Metrics.create () in
   let calls = Atomic.make 0 in
   let cfg =
@@ -715,7 +788,7 @@ let test_gate_detector_quarantine_isolated () =
 let test_stats_stream_follow () =
   let socket = temp_socket () in
   let metrics = Obs.Metrics.create () in
-  let handle = start_daemon ~idle_timeout:5.0 ~stream_interval:0.05 ~metrics socket in
+  let handle = start_daemon ~idle_timeout:5.0 ~metrics socket in
   (* Put a session through first so frames carry real counters. *)
   (match Serve.Client.replay_string ~socket ~name:"warm" trace_body with
   | Error e -> Alcotest.fail ("warm session: " ^ e)
@@ -765,8 +838,8 @@ let test_stats_stream_follow () =
    over the wire, observes session end-to-end latency, and leaves a
    valid causal Perfetto dump at shutdown. *)
 let test_heatmap_verb_and_shutdown_trace () =
+  with_temp_dir @@ fun tracedir ->
   let socket = temp_socket () in
-  let tracedir = temp_dir () in
   let metrics = Obs.Metrics.create () in
   let cfg =
     {
@@ -900,6 +973,59 @@ let test_fuzz_protocol () =
   match res with Ok () -> () | Error e -> Alcotest.fail e
 
 (* ---------------------------------------------------------------- *)
+(* Traces that do not end cleanly: `pmdb replay` (the file decoder),  *)
+(* a session fed through the pool and a live daemon give one report.  *)
+(* ---------------------------------------------------------------- *)
+
+let no_end = "register_pmem 0 4096\nstore 0 64 8\nstore 0 128 8\n"
+
+let mid_end = "register_pmem 0 4096\nstore 0 64 8\nprogram_end\nstore 0 128 8\n"
+
+let cut_traces =
+  [ ("no program_end", no_end, false); ("no program_end", no_end, true); ("mid-trace program_end", mid_end, true) ]
+
+let test_cut_traces_offline_pool_daemon () =
+  let module Tool = Baselines.Tool in
+  let model = D.Strict and config = Pmdebugger.Order_config.empty in
+  let wire r = Obs.Json.to_string (Serve.Wire.report_to_json r) in
+  let make_sink tool ~heatmap = Tool.sink ~heatmap ~model ~config tool in
+  List.iter
+    (fun tool ->
+      let socket = temp_socket () in
+      let handle = start_daemon ~idle_timeout:5.0 ~make_sink:(make_sink tool) ~metrics:Obs.Metrics.disabled socket in
+      let pool = Serve.Pool.create ~workers:1 ~queue_capacity:64 (make_sink tool) in
+      List.iteri
+        (fun id (what, text, lenient) ->
+          let mode = if lenient then "lenient" else "strict" in
+          let label how = Printf.sprintf "%s, %s, %s: offline = %s" (Tool.name tool) what mode how in
+          (* What `pmdb replay [--lenient]` runs. *)
+          let offline =
+            with_trace_file text (fun path ->
+                Tool.detect ~model ~config tool (fun e ->
+                    let streamed =
+                      if lenient then Result.map ignore (Trace_io.iter_file path ~f:(Engine.emit e))
+                      else Trace_io.iter_file_strict path ~f:(Engine.emit e)
+                    in
+                    Result.iter_error Alcotest.fail streamed))
+          in
+          let session = mk_session ~lenient () in
+          Alcotest.(check bool) "session feed" true
+            (feed_string session text = Ok () && Serve.Session.finish session = Ok ());
+          let slot = Serve.Pool.open_session pool ~id in
+          List.iter (Serve.Pool.submit pool ~id) (drain_events session);
+          Serve.Pool.finish_session pool ~id;
+          let pooled = await "pool report" (fun () -> Serve.Pool.result slot) in
+          Alcotest.(check string) (label "pool") (wire offline) (wire pooled);
+          match Serve.Client.replay_string ~socket ~name:"cut" ~lenient text with
+          | Error e -> Alcotest.fail e
+          | Ok { Serve.Wire.report = None; _ } -> Alcotest.fail "daemon sent no report"
+          | Ok { Serve.Wire.report = Some served; _ } ->
+              Alcotest.(check string) (label "daemon") (wire offline) (wire served))
+        cut_traces;
+      Serve.Pool.stop pool;
+      (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
+      Domain.join handle)
+    Tool.all
 
 let suite =
   [
@@ -912,10 +1038,10 @@ let suite =
     Alcotest.test_case "wire parse_hello" `Quick test_wire_parse_hello;
     Alcotest.test_case "wire rejects malformed frames" `Quick test_wire_malformed_json;
     QCheck_alcotest.to_alcotest prop_wire_result_roundtrip;
-    Alcotest.test_case "session chunk boundaries invisible" `Quick test_session_chunk_boundaries_invisible;
+    QCheck_alcotest.to_alcotest prop_session_chunk_boundaries_invisible;
     Alcotest.test_case "session strict error position" `Quick test_session_strict_error_position;
     Alcotest.test_case "session lenient skip counting" `Quick test_session_lenient_skips;
-    Alcotest.test_case "session ensure_end" `Quick test_session_ensure_end;
+    Alcotest.test_case "session end rule" `Quick test_session_end_rule;
     Alcotest.test_case "session live_bytes accounting" `Quick test_session_live_bytes_accounting;
     Alcotest.test_case "session first terminal status wins" `Quick test_session_terminate_first_wins;
     Alcotest.test_case "pool inline roundtrip" `Quick test_pool_roundtrip;
@@ -931,4 +1057,5 @@ let suite =
     Alcotest.test_case "pool report = offline report, every tool" `Quick test_pool_tool_parity;
     Alcotest.test_case "daemon rejects missing output directories before binding" `Quick
       test_daemon_rejects_missing_dirs;
+    Alcotest.test_case "cut traces: offline = pool = daemon, every tool" `Quick test_cut_traces_offline_pool_daemon;
   ]

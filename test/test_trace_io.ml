@@ -125,25 +125,25 @@ let prop_event_roundtrip =
 
 let test_lenient_skips_malformed () =
   let text = "store 0 128 8\nnot an event\nfence 0\nstore 0 oops 8\nprogram_end\n" in
-  let l = Trace_io.of_string_lenient text in
-  Alcotest.(check int) "parsed events" 3 (Array.length l.Trace_io.trace);
-  Alcotest.(check (list int)) "skipped line numbers" [ 2; 4 ] (List.map fst l.Trace_io.skipped);
-  Alcotest.(check bool) "no synthesized end (explicit program_end)" false l.Trace_io.synthesized_end
+  let trace, l = Trace_io.of_string_lenient text in
+  Alcotest.(check int) "parsed events" 3 (Array.length trace);
+  Alcotest.(check (list int)) "skipped line numbers" [ 2; 4 ] (List.map fst l.Trace_io.skipped_lines);
+  Alcotest.(check bool) "no synthesized end (explicit program_end)" false l.Trace_io.synthesized
 
 let test_lenient_synthesizes_end () =
-  let l = Trace_io.of_string_lenient "store 0 128 8\nfence 0\n" in
-  Alcotest.(check bool) "synthesized" true l.Trace_io.synthesized_end;
-  Alcotest.(check int) "end appended" 3 (Array.length l.Trace_io.trace);
-  Alcotest.(check bool) "last is program_end" true (l.Trace_io.trace.(2) = Event.Program_end)
+  let trace, l = Trace_io.of_string_lenient "store 0 128 8\nfence 0\n" in
+  Alcotest.(check bool) "synthesized" true l.Trace_io.synthesized;
+  Alcotest.(check int) "end appended" 3 (Array.length trace);
+  Alcotest.(check bool) "last is program_end" true (trace.(2) = Event.Program_end)
 
 let test_lenient_strict_agree_on_clean_input () =
   let text = Trace_io.to_string (sample_trace ()) in
   match Trace_io.of_string text with
   | Error _ -> Alcotest.fail "strict parser must accept clean input"
   | Ok strict ->
-      let l = Trace_io.of_string_lenient text in
-      Alcotest.(check bool) "same trace" true (strict = l.Trace_io.trace);
-      Alcotest.(check int) "nothing skipped" 0 (List.length l.Trace_io.skipped)
+      let trace, l = Trace_io.of_string_lenient text in
+      Alcotest.(check bool) "same trace" true (strict = trace);
+      Alcotest.(check int) "nothing skipped" 0 (List.length l.Trace_io.skipped_lines)
 
 let test_lenient_load_truncated_file () =
   let trace = sample_trace () in
@@ -157,9 +157,9 @@ let test_lenient_load_truncated_file () =
   | Ok _ -> Alcotest.fail "strict load must reject a truncated trace");
   (match Trace_io.load_lenient path with
   | Error msg -> Alcotest.fail msg
-  | Ok l ->
-      Alcotest.(check bool) "synthesized end" true l.Trace_io.synthesized_end;
-      Alcotest.(check bool) "most events recovered" true (Array.length l.Trace_io.trace >= Array.length trace - 2));
+  | Ok (events, l) ->
+      Alcotest.(check bool) "synthesized end" true l.Trace_io.synthesized;
+      Alcotest.(check bool) "most events recovered" true (Array.length events >= Array.length trace - 2));
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
@@ -178,19 +178,19 @@ let test_stream_matches_lenient_load () =
      same events, the same skipped line positions and the same
      synthesized end as the materializing loader. *)
   with_trace_file dirty_text @@ fun path ->
-  let l = match Trace_io.load_lenient path with Ok l -> l | Error m -> Alcotest.fail m in
+  let trace, l = match Trace_io.load_lenient path with Ok l -> l | Error m -> Alcotest.fail m in
   let streamed = ref [] in
   let stats =
     match Trace_io.iter_file path ~f:(fun ev -> streamed := ev :: !streamed) with
     | Ok stats -> stats
     | Error m -> Alcotest.fail m
   in
-  Alcotest.(check bool) "same events" true (Array.of_list (List.rev !streamed) = l.Trace_io.trace);
-  Alcotest.(check int) "stats.events counts emitted events" (Array.length l.Trace_io.trace) stats.Trace_io.events;
+  Alcotest.(check bool) "same events" true (Array.of_list (List.rev !streamed) = trace);
+  Alcotest.(check int) "stats.events counts emitted events" (Array.length trace) stats.Trace_io.events;
   Alcotest.(check (list int))
-    "same skipped lines" (List.map fst l.Trace_io.skipped)
+    "same skipped lines" (List.map fst l.Trace_io.skipped_lines)
     (List.map fst stats.Trace_io.skipped_lines);
-  Alcotest.(check bool) "same synthesized flag" l.Trace_io.synthesized_end stats.Trace_io.synthesized
+  Alcotest.(check bool) "same synthesized flag" l.Trace_io.synthesized stats.Trace_io.synthesized
 
 let test_stream_on_skip_callback () =
   with_trace_file dirty_text @@ fun path ->
@@ -327,9 +327,9 @@ let test_streamed_replay_constant_memory () =
   in
   let streamed_words = max 0 (!mid - base - detector_words) in
   let base = live_words () in
-  let l = match Trace_io.load_lenient path with Ok l -> l | Error m -> Alcotest.fail m in
+  let trace, _ = match Trace_io.load_lenient path with Ok l -> l | Error m -> Alcotest.fail m in
   let materialized_words = live_words () - base in
-  let materialized = Recorder.replay l.Trace_io.trace (mk ()) in
+  let materialized = Recorder.replay trace (mk ()) in
   Alcotest.(check int) "same events" materialized.Bug.events_processed streamed.Bug.events_processed;
   Alcotest.(check bool) "findings to compare" true (materialized.Bug.bugs <> []);
   Alcotest.(check bool) "same findings" true (materialized.Bug.bugs = streamed.Bug.bugs);
@@ -545,7 +545,9 @@ let prop_scanner_matches_oracle =
     same_parse
 
 (* Whole texts through the string and the file folds: the same events,
-   the same skipped (line, error) pairs as a line-by-line reference. *)
+   the same skipped (line, error) pairs as a line-by-line reference,
+   whose events get the end rule: a [program_end] unless the last event
+   is one. *)
 let prop_folds_match_oracle =
   let text_gen =
     QCheck.Gen.(
@@ -556,15 +558,18 @@ let prop_folds_match_oracle =
   QCheck.Test.make ~name:"string and file folds = reference line loop" ~count:300
     (QCheck.make ~print:(Printf.sprintf "%S") text_gen) (fun text ->
       let events, skipped = Trace_io_oracle.lenient_of_string text in
-      let l = Trace_io.of_string_lenient ~synthesize_end:false text in
+      let events =
+        match List.rev events with Event.Program_end :: _ -> events | _ -> events @ [ Event.Program_end ]
+      in
+      let trace, l = Trace_io.of_string_lenient text in
       let from_file =
         with_trace_file text (fun path ->
             let acc = ref [] in
-            match Trace_io.iter_file ~synthesize_end:false path ~f:(fun ev -> acc := ev :: !acc) with
+            match Trace_io.iter_file path ~f:(fun ev -> acc := ev :: !acc) with
             | Ok stats -> (List.rev !acc, stats.Trace_io.skipped_lines)
             | Error m -> failwith m)
       in
-      Array.to_list l.Trace_io.trace = events && l.Trace_io.skipped = skipped && from_file = (events, skipped))
+      Array.to_list trace = events && l.Trace_io.skipped_lines = skipped && from_file = (events, skipped))
 
 let wide_event_gen =
   QCheck.Gen.(
@@ -612,15 +617,15 @@ let test_line_longer_than_buffer () =
     match Trace_io_oracle.event_of_line var_line with Ok (Some ev) -> ev | _ -> Alcotest.fail "oracle rejected"
   in
   with_trace_file text @@ fun path ->
-  (match Trace_io.load_lenient ~synthesize_end:false path with
+  (match Trace_io.load_lenient path with
   | Error m -> Alcotest.fail m
-  | Ok l ->
-      Alcotest.(check int) "three events" 3 (Array.length l.Trace_io.trace);
-      Alcotest.(check bool) "long name intact" true (l.Trace_io.trace.(1) = expected_var);
+  | Ok (trace, l) ->
+      Alcotest.(check int) "three events and the synthesized end" 4 (Array.length trace);
+      Alcotest.(check bool) "long name intact" true (trace.(1) = expected_var);
       Alcotest.(check (list (pair int string)))
         "later line keeps its number"
         [ (4, "cannot parse event \"not an event\"") ]
-        l.Trace_io.skipped);
+        l.Trace_io.skipped_lines);
   match Trace_io.iter_file_strict path ~f:ignore with
   | Error m -> Alcotest.(check string) "strict error position" "line 4: cannot parse event \"not an event\"" m
   | Ok () -> Alcotest.fail "expected error"
@@ -653,15 +658,15 @@ let test_lines_split_across_reads () =
       let text = Buffer.contents buf in
       let line_len = 18 + String.length eol - 1 in
       Alcotest.(check bool) "boundary is mid-line" true (65536 mod line_len <> 0);
-      let l = Trace_io.of_string_lenient text in
+      let l_trace, l = Trace_io.of_string_lenient text in
       with_trace_file text @@ fun path ->
       match Trace_io.load_lenient path with
       | Error m -> Alcotest.fail m
-      | Ok f ->
-          Alcotest.(check int) "16,001 lines - 2 + synthesized end" 16_000 (Array.length f.Trace_io.trace);
-          Alcotest.(check bool) "same events" true (f.Trace_io.trace = l.Trace_io.trace);
-          Alcotest.(check (list int)) "same skipped lines" [ 5001 ] (List.map fst f.Trace_io.skipped);
-          Alcotest.(check bool) "same diagnostics" true (f.Trace_io.skipped = l.Trace_io.skipped))
+      | Ok (f_trace, f) ->
+          Alcotest.(check int) "16,001 lines - 2 + synthesized end" 16_000 (Array.length f_trace);
+          Alcotest.(check bool) "same events" true (f_trace = l_trace);
+          Alcotest.(check (list int)) "same skipped lines" [ 5001 ] (List.map fst f.Trace_io.skipped_lines);
+          Alcotest.(check bool) "same diagnostics" true (f.Trace_io.skipped_lines = l.Trace_io.skipped_lines))
     [ "\n"; "\r\n" ]
 
 (* ------------------------------------------------------------------ *)
