@@ -291,10 +291,15 @@ let replay_daemon_cmd ~socket ~file ~max_print ~lenient =
   match Serve.Client.replay_file ~socket ~name:(session_name_for file) ~lenient file with
   | Error msg -> die "%s" msg
   | Ok frame ->
-      Option.iter (fun report -> print_report ~max_print (replayed file report) report) frame.Serve.Wire.report;
+      (* A strict parse error ends the replay with no report, as it
+         does offline: the daemon's partial report and its cut-short
+         end are not shown. *)
+      let parse_failed = frame.Serve.Wire.status = Serve.Status.Trace_error in
+      if not parse_failed then
+        Option.iter (fun report -> print_report ~max_print (replayed file report) report) frame.Serve.Wire.report;
       if frame.Serve.Wire.skipped > 0 then
         Printf.eprintf "warning: %s: %d malformed line(s) skipped by the daemon\n" file frame.Serve.Wire.skipped;
-      if frame.Serve.Wire.synthesized_end then warn_truncated file;
+      if frame.Serve.Wire.synthesized_end && not parse_failed then warn_truncated file;
       let code = Serve.Status.exit_code frame.Serve.Wire.status in
       if frame.Serve.Wire.status <> Serve.Status.Ok then
         die ~code "session %s: %s" (Serve.Status.name frame.Serve.Wire.status)

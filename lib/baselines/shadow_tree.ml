@@ -12,7 +12,7 @@ let register t range =
   t.track_all <- false;
   t.registered <- range :: t.registered
 
-let tracks t ~lo ~hi = t.track_all || List.exists (fun r -> Addr.overlaps r (Addr.range ~lo ~hi)) t.registered
+let tracks t ~lo ~hi = t.track_all || List.exists (fun r -> Addr.overlaps_span r ~lo ~hi) t.registered
 
 let store t ~lo ~hi ~seq =
   let store_range = Addr.range ~lo ~hi in
@@ -61,6 +61,6 @@ let clf t ~lo ~hi =
 let drop_flushed t = ignore (Rangetree.filter_in_place t.tree (fun _ p -> not p.flushed))
 
 let iter_unpersisted t f =
-  Rangetree.iter t.tree (fun r p ->
-      f ~addr:r.Addr.lo ~size:(Addr.size r)
+  Rangetree.iter t.tree (fun ~lo ~hi p ->
+      f ~addr:lo ~size:(hi - lo)
         ~detail:(if p.flushed then "flushed but never fenced (missing fence)" else "never flushed (missing CLF)"))

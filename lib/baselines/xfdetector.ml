@@ -74,7 +74,7 @@ let check_order t ~cls =
   if Pmdebugger.Persist_order.constrained t.order then begin
     let tree = Shadow_tree.tree t.shadow in
     Pmdebugger.Persist_order.update t.order ~seq:t.seq ~cls ~pending:(fun ~lo ~hi ->
-        Rangetree.find_first_overlap tree ~lo ~hi <> None);
+        Rangetree.exists_overlap tree ~lo ~hi);
     Pmdebugger.Persist_order.check t.order
       ~enabled:(fun kind -> kind = Pmdebugger.Order_config.Intra)
       (fun e ~addr ~at:_ ->

@@ -12,7 +12,6 @@ type t = {
          (-1 otherwise): the shared provenance of every slot the
          interval covers, so Pattern-2 updates stay O(1) yet causal
          chains can still name the flush. *)
-  mutable next : t option;
 }
 
 let make ~start_idx =
@@ -24,8 +23,16 @@ let make ~start_idx =
     state = Not_flushed;
     invalidated = 0;
     clf_seq = -1;
-    next = None;
   }
+
+let reset t ~start_idx =
+  t.start_idx <- start_idx;
+  t.end_idx <- -1;
+  t.min_addr <- max_int;
+  t.max_addr <- min_int;
+  t.state <- Not_flushed;
+  t.invalidated <- 0;
+  t.clf_seq <- -1
 
 let is_empty t = t.end_idx < t.start_idx
 
@@ -33,8 +40,6 @@ let note_store t ~idx ~lo ~hi =
   t.end_idx <- idx;
   if lo < t.min_addr then t.min_addr <- lo;
   if hi > t.max_addr then t.max_addr <- hi
-
-let addr_range t = if is_empty t then None else Some (Pmem.Addr.range ~lo:t.min_addr ~hi:t.max_addr)
 
 let pp ppf t =
   let state_name = match t.state with Not_flushed -> "not" | Partially_flushed -> "partial" | All_flushed -> "all" in

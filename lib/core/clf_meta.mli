@@ -4,8 +4,9 @@
     neighbouring CLF instructions. Its metadata records the array index
     span of those stores, the covered address range, and a collective
     flushing state so that CLF and fence processing can treat all the
-    interval's locations at once (Pattern 2). Metadata nodes form a
-    singly-linked list in interval order. *)
+    interval's locations at once (Pattern 2). A space keeps its
+    intervals in an array in interval order and reuses them after
+    every fence. *)
 
 type fstate = Not_flushed | Partially_flushed | All_flushed
 
@@ -24,19 +25,18 @@ type t = {
           (-1 otherwise): shared flush provenance for every slot the
           interval covers, so Pattern-2 updates stay O(1) yet causal
           chains can still name the flush *)
-  mutable next : t option;
 }
 
 val make : start_idx:int -> t
 (** A fresh, empty interval starting at the given array index. *)
+
+val reset : t -> start_idx:int -> unit
+(** Make the interval fresh and empty again, starting at the index. *)
 
 val is_empty : t -> bool
 
 val note_store : t -> idx:int -> lo:int -> hi:int -> unit
 (** Extend the interval with a store recorded at array index [idx]
     covering [\[lo,hi)]. *)
-
-val addr_range : t -> Pmem.Addr.range option
-(** Covered address range; [None] when the interval has no stores. *)
 
 val pp : Format.formatter -> t -> unit

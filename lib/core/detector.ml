@@ -181,41 +181,72 @@ let build_bug t kind ~addr ~size ~chain ~detail =
   let chain = Bug.cause ~addr ~size ~note:"rule fired here" ~cls:t.cur_class t.seq :: chain in
   Bug.make ~addr ~size ~seq:t.seq ~detail ~chain kind
 
-(* [dedup = false] (pending walks of a sharded worker): record every
-   finding, skipping the per-(kind, addr) suppression and the per-kind
-   cap — replicated locations make a shard's local dedup and cap
-   decisions diverge from the single-shard ones; only the router's
-   merge, which sees every shard's findings, can replicate them. *)
-let admit_bug t ?(dedup = true) (bug : Bug.t) =
-  let kind = bug.Bug.kind in
-  match if dedup then Bug.Ledger.admit t.ledger kind ~addr:bug.Bug.addr else Bug.Ledger.Admitted with
-  | Bug.Ledger.Admitted ->
-      Bug.Ledger.append t.ledger bug;
-      if Obs.Heatmap.is_on t.heatmap && bug.Bug.addr >= 0 then
-        Obs.Heatmap.on_bug t.heatmap ~line:(Addr.line_of bug.Bug.addr);
-      Obs.Metrics.inc t.metrics ~labels:[ ("rule", Bug.kind_name kind) ] "detector_rule_fires_total"
+(* Rules ask the ledger first and build a finding only once it is
+   admitted: most fires on hot addresses are (kind, addr) duplicates,
+   and building a finding — its chain, the covering variable's name,
+   the chain sort — costs far more than the lookup. So every rule site
+   reads [if admit t kind ~addr then emit t kind ...]. [silent]
+   (replica updates) admits nothing. *)
+let admit t kind ~addr =
+  (not t.silent)
+  &&
+  match Bug.Ledger.admit t.ledger kind ~addr with
+  | Bug.Ledger.Admitted -> true
   | Bug.Ledger.Capped ->
-      Obs.Metrics.inc t.metrics ~labels:[ ("rule", Bug.kind_name kind) ] "detector_bugs_suppressed_total"
-  | Bug.Ledger.Duplicate -> ()
+      if Obs.Metrics.is_on t.metrics then
+        Obs.Metrics.inc t.metrics ~labels:[ ("rule", Bug.kind_name kind) ] "detector_bugs_suppressed_total";
+      false
+  | Bug.Ledger.Duplicate -> false
 
-let report_bug t ?dedup kind ~addr ?(size = 0) ?(chain = []) ~detail () =
-  if not t.silent then admit_bug t ?dedup (build_bug t kind ~addr ~size ~chain ~detail)
+(* Record a finding the ledger has admitted. *)
+let append_bug t (bug : Bug.t) =
+  Bug.Ledger.append t.ledger bug;
+  if Obs.Heatmap.is_on t.heatmap && bug.Bug.addr >= 0 then
+    Obs.Heatmap.on_bug t.heatmap ~line:(Addr.line_of bug.Bug.addr);
+  if Obs.Metrics.is_on t.metrics then
+    Obs.Metrics.inc t.metrics ~labels:[ ("rule", Bug.kind_name bug.Bug.kind) ] "detector_rule_fires_total"
 
-let in_registered t ~lo ~hi =
-  t.track_all || List.exists (fun r -> Addr.overlaps r (Addr.range ~lo ~hi)) t.registered
+let emit t kind ~addr ~size ~chain ~detail = append_bug t (build_bug t kind ~addr ~size ~chain ~detail)
+
+(* The pending walks build their candidates first and admit them in
+   canonical order (see [pending_walk_candidates]). [dedup = false]
+   (pending walks of a sharded worker): record every finding, skipping
+   the per-(kind, addr) suppression and the per-kind cap — replicated
+   locations make a shard's local dedup and cap decisions diverge from
+   the single-shard ones; only the router's merge, which sees every
+   shard's findings, can replicate them. *)
+let admit_built t ~dedup (bug : Bug.t) =
+  if not dedup then append_bug t bug
+  else if admit t bug.Bug.kind ~addr:bug.Bug.addr then append_bug t bug
+
+let rec overlaps_any ~lo ~hi = function
+  | [] -> false
+  | r :: rest -> Addr.overlaps_span r ~lo ~hi || overlaps_any ~lo ~hi rest
+
+let in_registered t ~lo ~hi = t.track_all || overlaps_any ~lo ~hi t.registered
+
+(* The strand and epoch tables are empty on most traces: check their
+   size before hashing the tid. *)
+let strand_of t tid =
+  if Hashtbl.length t.cur_strand = 0 then -1
+  else match Hashtbl.find t.cur_strand tid with s -> s | exception Not_found -> -1
 
 let space_for t tid =
-  match Hashtbl.find_opt t.cur_strand tid with
-  | None -> t.dspace
-  | Some strand -> (
-      match Hashtbl.find_opt t.strand_spaces strand with
-      | Some s -> s
-      | None ->
-          let s = t.make_space () in
-          Hashtbl.replace t.strand_spaces strand s;
-          s)
+  if Hashtbl.length t.cur_strand = 0 then t.dspace
+  else
+    match Hashtbl.find_opt t.cur_strand tid with
+    | None -> t.dspace
+    | Some strand -> (
+        match Hashtbl.find_opt t.strand_spaces strand with
+        | Some s -> s
+        | None ->
+            let s = t.make_space () in
+            Hashtbl.replace t.strand_spaces strand s;
+            s)
 
-let in_epoch t tid = match Hashtbl.find_opt t.epoch_depth tid with Some d when d > 0 -> true | _ -> false
+let in_epoch t tid =
+  Hashtbl.length t.epoch_depth > 0
+  && match Hashtbl.find t.epoch_depth tid with d -> d > 0 | exception Not_found -> false
 
 (* A variable is durable when it has been stored to and no space still
    tracks an unpersisted location overlapping it. *)
@@ -234,11 +265,12 @@ let check_order t =
           | Order_config.Intra -> Bug.No_order_guarantee
           | Order_config.Cross_strand -> Bug.Lack_ordering_in_strands
         in
-        let note = e.Order_config.next ^ " became durable here, before " ^ e.Order_config.first in
-        let chain = [ Bug.cause ~addr ~cls ~note seq ] in
-        report_bug t kind ~addr ~chain
-          ~detail:(Printf.sprintf "%s persisted before %s" e.Order_config.next e.Order_config.first)
-          ())
+        if admit t kind ~addr then begin
+          let note = e.Order_config.next ^ " became durable here, before " ^ e.Order_config.first in
+          emit t kind ~addr ~size:0
+            ~chain:[ Bug.cause ~addr ~cls ~note seq ]
+            ~detail:(Printf.sprintf "%s persisted before %s" e.Order_config.next e.Order_config.first)
+        end)
   end
 
 let run_crash_check t =
@@ -246,23 +278,22 @@ let run_crash_check t =
   | Some pm, Some recovery when t.rules.cross_failure ->
       Obs.Metrics.inc t.metrics "detector_crash_checks_total";
       let violations, _ = Pmem.State.check_crash_images pm ~max_images:64 ~recovery in
-      if violations > 0 then
-        report_bug t Bug.Cross_failure_semantic ~addr:(-1)
+      if violations > 0 && admit t Bug.Cross_failure_semantic ~addr:(-1) then
+        emit t Bug.Cross_failure_semantic ~addr:(-1) ~size:0 ~chain:[]
           ~detail:(Printf.sprintf "%d inconsistent crash image(s)" violations)
-          ()
   | _ -> ()
+
+let overwrites_checked t = t.rules.multiple_overwrites && t.model = Strict
 
 (* The store path is split into a bookkeeping scan and a rule fire so
    the shard router can scan per-line clips on several shards and fire
    once with the merged observation; the single-shard [on_store] is the
-   composition of the two over the full range. *)
-let store_scan t ~tid ~lo ~hi =
-  let space = space_for t tid in
-  let strand = match Hashtbl.find_opt t.cur_strand tid with Some s -> s | None -> -1 in
-  let check_overlap = t.rules.multiple_overwrites && t.model = Strict in
-  let r =
-    Space.process_store space ~check_overlap ~addr:lo ~size:(hi - lo) ~epoch:(in_epoch t tid) ~seq:t.seq ~tid
-      ~strand ()
+   composition of the two over the full range. The scan returns the
+   overlap observation and leaves the prior seqs in [space]. *)
+let store_scan t space ~tid ~lo ~hi =
+  let overlapped =
+    Space.process_store space ~check_overlap:(overwrites_checked t) ~addr:lo ~size:(hi - lo)
+      ~epoch:(in_epoch t tid) ~seq:t.seq ~tid ~strand:(strand_of t tid)
   in
   Persist_order.note_store t.order ~lo ~hi;
   (* Per-line traffic/dirty accounting, owner events only ([silent]
@@ -274,23 +305,23 @@ let store_scan t ~tid ~lo ~hi =
     for line = Addr.line_of lo to Addr.line_of (hi - 1) do
       Obs.Heatmap.on_store t.heatmap ~seq:t.seq ~line
     done;
-  { Shard_router.so_overlapped = r.Space.overlapped; so_prior_seqs = r.Space.prior_seqs }
+  overlapped
+
+let fire_overwrite t ~addr ~size prior_seqs =
+  emit t Bug.Multiple_overwrites ~addr ~size
+    ~chain:(List.map (fun seq -> Bug.cause ~addr ~size ~cls:"store" ~note:"earlier store, not yet durable" seq) prior_seqs)
+    ~detail:"overwrite before durability guaranteed"
 
 let store_fire t ~addr ~size (obs : Shard_router.store_obs) =
-  let check_overlap = t.rules.multiple_overwrites && t.model = Strict in
-  if obs.Shard_router.so_overlapped && check_overlap then begin
-    let chain =
-      List.map
-        (fun seq -> Bug.cause ~addr ~size ~cls:"store" ~note:"earlier store, not yet durable" seq)
-        obs.Shard_router.so_prior_seqs
-    in
-    report_bug t Bug.Multiple_overwrites ~addr ~size ~chain ~detail:"overwrite before durability guaranteed" ()
-  end
+  if obs.Shard_router.so_overlapped && overwrites_checked t && admit t Bug.Multiple_overwrites ~addr then
+    fire_overwrite t ~addr ~size obs.Shard_router.so_prior_seqs
 
 let on_store t ~addr ~size ~tid =
-  if in_registered t ~lo:addr ~hi:(addr + size) then begin
-    let obs = store_scan t ~tid ~lo:addr ~hi:(addr + size) in
-    store_fire t ~addr ~size obs
+  let hi = addr + size in
+  if in_registered t ~lo:addr ~hi then begin
+    let space = space_for t tid in
+    if store_scan t space ~tid ~lo:addr ~hi && overwrites_checked t && admit t Bug.Multiple_overwrites ~addr then
+      fire_overwrite t ~addr ~size (Space.prior_seqs space)
   end
 
 (* Like the store path, the CLF path is a scan (bookkeeping over one
@@ -322,61 +353,74 @@ let clf_scan t ~tid ~lo ~hi =
     for line = Addr.line_of lo to Addr.line_of (hi - 1) do
       Obs.Heatmap.on_clf t.heatmap ~seq:t.seq ~line
     done;
-  {
-    Shard_router.co_matched = result.Space.matched;
-    co_newly = result.Space.newly_flushed;
-    co_redundant =
-      List.map2
-        (fun (a, s) (store_seq, prior_clf) -> (a, s, store_seq, prior_clf))
-        result.Space.redundant result.Space.redundant_prov;
-  }
+  result
 
-let clf_fire t ~addr ~size (obs : Shard_router.clf_obs) =
-  if t.rules.flush_nothing && obs.Shard_router.co_matched = 0 then
-    report_bug t Bug.Flush_nothing ~addr ~size ~detail:"CLF persists no prior store" ();
+(* (addr, size, store seq, prior CLF seq) per redundant hit. *)
+let redundant_hits (r : Space.clf_result) =
+  List.map2
+    (fun (a, s) (store_seq, prior_clf) -> (a, s, store_seq, prior_clf))
+    r.Space.redundant r.Space.redundant_prov
+
+(* The canonical redundant hit: the minimum over (store seq, addr,
+   size, prior CLF), first one on ties. *)
+let rec canonical_hit best = function
+  | [] -> best
+  | (((a : int), (s : int), (q : int), (c : int)) as hit) :: rest ->
+      let better =
+        match best with
+        | None -> true
+        | Some (a', s', q', c') ->
+            q < q' || (q = q' && (a < a' || (a = a' && (s < s' || (s = s' && c < c')))))
+      in
+      canonical_hit (if better then Some hit else best) rest
+
+let clf_fire t ~addr ~size ~matched ~newly ~redundant =
+  if t.rules.flush_nothing && matched = 0 && admit t Bug.Flush_nothing ~addr then
+    emit t Bug.Flush_nothing ~addr ~size ~chain:[] ~detail:"CLF persists no prior store";
   (* A CLF is redundant only when it covers tracked locations yet
      persists nothing new: a line writeback that also persists a fresh
      store is useful, however many already-flushed neighbours share
      the line. The reported hit is the canonical minimum over
      (store seq, addr, size, prior CLF), independent of bookkeeping
      walk order and of how shards partitioned the range. *)
-  if t.rules.redundant_flush && obs.Shard_router.co_matched > 0 && obs.Shard_router.co_newly = 0 then begin
-    let pick =
-      List.fold_left
-        (fun acc (a, s, store_seq, prior_clf) ->
-          let key = (store_seq, a, s, prior_clf) in
-          match acc with Some best when compare best key <= 0 -> acc | _ -> Some key)
-        None obs.Shard_router.co_redundant
-    in
-    match pick with
-    | Some (store_seq, a, s, prior_clf) ->
-        let chain =
-          Bug.cause ~addr:a ~size:s ~cls:"store" ~note:"the store being re-flushed" store_seq
-          :: (if prior_clf >= 0 then [ Bug.cause ~addr:a ~size:s ~cls:"clf" ~note:"already flushed here" prior_clf ] else [])
-        in
-        report_bug t Bug.Redundant_flush ~addr:a ~size:s ~chain ~detail:"store flushed again before the fence" ()
+  if t.rules.redundant_flush && matched > 0 && newly = 0 then begin
+    match canonical_hit None redundant with
+    | Some (a, s, store_seq, prior_clf) ->
+        if admit t Bug.Redundant_flush ~addr:a then
+          emit t Bug.Redundant_flush ~addr:a ~size:s
+            ~chain:
+              (Bug.cause ~addr:a ~size:s ~cls:"store" ~note:"the store being re-flushed" store_seq
+              ::
+              (if prior_clf >= 0 then [ Bug.cause ~addr:a ~size:s ~cls:"clf" ~note:"already flushed here" prior_clf ]
+               else []))
+            ~detail:"store flushed again before the fence"
     | None ->
-        report_bug t Bug.Redundant_flush ~addr ~size ~detail:"store flushed again before the fence" ()
+        if admit t Bug.Redundant_flush ~addr then
+          emit t Bug.Redundant_flush ~addr ~size ~chain:[] ~detail:"store flushed again before the fence"
   end;
   (* §5.2, Fig. 7b: a CLF that persists a location with a cross-strand
      ordering requirement violates it when the predecessor variable is
      not yet durable (its barrier has not completed). *)
   if t.rules.lack_ordering_in_strands && Persist_order.constrained t.order then
     Persist_order.check_writeback t.order ~lo:addr ~hi:(addr + size) (fun e ~addr ->
-        report_bug t Bug.Lack_ordering_in_strands ~addr
-          ~detail:(Printf.sprintf "%s written back before %s is durable" e.Order_config.next e.Order_config.first)
-          ())
+        if admit t Bug.Lack_ordering_in_strands ~addr then
+          emit t Bug.Lack_ordering_in_strands ~addr ~size:0 ~chain:[]
+            ~detail:(Printf.sprintf "%s written back before %s is durable" e.Order_config.next e.Order_config.first))
 
 let on_clf t ~addr ~size ~tid =
-  if in_registered t ~lo:addr ~hi:(addr + size) then begin
-    let obs = clf_scan t ~tid ~lo:addr ~hi:(addr + size) in
-    clf_fire t ~addr ~size obs
+  let hi = addr + size in
+  if in_registered t ~lo:addr ~hi then begin
+    let r = clf_scan t ~tid ~lo:addr ~hi in
+    let matched = r.Space.matched and newly = r.Space.newly_flushed in
+    (* Redundant hits matter only to a redundant-flush candidate. *)
+    let redundant = if matched > 0 && newly = 0 && t.rules.redundant_flush then redundant_hits r else [] in
+    clf_fire t ~addr ~size ~matched ~newly ~redundant
   end
 
 let on_fence t ~tid =
   let space = space_for t tid in
   Space.note_fence_sample space;
-  Space.process_fence ~seq:t.seq space;
+  Space.process_fence space ~seq:t.seq;
   if in_epoch t tid then begin
     let fences =
       match Hashtbl.find_opt t.epoch_fences tid with
@@ -412,15 +456,13 @@ let on_epoch_end t ~tid =
     Hashtbl.replace t.epoch_depth tid 0;
     (* Rules at the outermost epoch end (§5.2). *)
     let fences = match Hashtbl.find_opt t.epoch_fences tid with None -> [] | Some l -> List.rev !l in
-    if t.rules.redundant_epoch_fence && List.length fences > 1 then begin
-      let chain =
-        epoch_begin_cause t ~tid
-        @ List.map (fun seq -> Bug.cause ~cls:"fence" ~note:"fence inside the epoch section" seq) fences
-      in
-      report_bug t Bug.Redundant_epoch_fence ~addr:(-tid - 1) ~chain
-        ~detail:(Printf.sprintf "%d fences inside one epoch section" (List.length fences))
-        ()
-    end;
+    if t.rules.redundant_epoch_fence && List.length fences > 1 && admit t Bug.Redundant_epoch_fence ~addr:(-tid - 1)
+    then
+      emit t Bug.Redundant_epoch_fence ~addr:(-tid - 1) ~size:0
+        ~chain:
+          (epoch_begin_cause t ~tid
+          @ List.map (fun seq -> Bug.cause ~cls:"fence" ~note:"fence inside the epoch section" seq) fences)
+        ~detail:(Printf.sprintf "%d fences inside one epoch section" (List.length fences));
     if t.rules.lack_durability_in_epoch && not t.silent then begin
       let space = space_for t tid in
       if Space.exists_epoch_pending space then
@@ -444,7 +486,7 @@ let on_epoch_end t ~tid =
               ~detail:"epoch ends with unpersisted store")
           (pending_walk_candidates ~epoch_only:true [ space ])
         |> List.sort Bug.compare_canonical
-        |> List.iter (admit_bug t ~dedup:t.walk_dedup)
+        |> List.iter (admit_built t ~dedup:t.walk_dedup)
     end;
     Tx_logs.reset t.logs ~tid
   end
@@ -454,11 +496,11 @@ let on_tx_log t ~obj_addr ~size ~tid =
   if t.rules.redundant_logging then
     match Tx_logs.note t.logs ~tid (Addr.of_base_size obj_addr size) ~seq:t.seq with
     | Some { Tx_logs.range = prior; seq = log_seq } ->
-        let chain =
-          [ Bug.cause ~addr:prior.Addr.lo ~size:(Addr.size prior) ~cls:"tx_log" ~note:"object first logged here" log_seq ]
-        in
-        report_bug t Bug.Redundant_logging ~addr:obj_addr ~size ~chain
-          ~detail:"object logged more than once in one transaction" ()
+        if admit t Bug.Redundant_logging ~addr:obj_addr then
+          emit t Bug.Redundant_logging ~addr:obj_addr ~size
+            ~chain:
+              [ Bug.cause ~addr:prior.Addr.lo ~size:(Addr.size prior) ~cls:"tx_log" ~note:"object first logged here" log_seq ]
+            ~detail:"object logged more than once in one transaction"
     | None -> ()
 
 let on_program_end t =
@@ -487,7 +529,7 @@ let on_program_end t =
            build_bug t Bug.No_durability ~addr ~size ~chain ~detail)
          (pending_walk_candidates (all_spaces t))
        |> List.sort Bug.compare_canonical
-       |> List.iter (admit_bug t ~dedup:t.walk_dedup));
+       |> List.iter (admit_built t ~dedup:t.walk_dedup));
     (* Order constraints where the later var persisted but the earlier
        one never did are caught here even without a closing fence. *)
     check_order t;
@@ -569,7 +611,9 @@ let worker t =
       (fun ~seq ~tid ~lo ~hi ->
         t.seq <- seq;
         t.cur_class <- "store";
-        store_scan t ~tid ~lo ~hi);
+        let space = space_for t tid in
+        let overlapped = store_scan t space ~tid ~lo ~hi in
+        { Shard_router.so_overlapped = overlapped; so_prior_seqs = Space.prior_seqs space });
     w_fire_store =
       (fun ~seq ~addr ~size obs ->
         t.seq <- seq;
@@ -579,12 +623,14 @@ let worker t =
       (fun ~seq ~tid ~lo ~hi ->
         t.seq <- seq;
         t.cur_class <- "clf";
-        clf_scan t ~tid ~lo ~hi);
+        let r = clf_scan t ~tid ~lo ~hi in
+        { Shard_router.co_matched = r.Space.matched; co_newly = r.Space.newly_flushed; co_redundant = redundant_hits r });
     w_fire_clf =
       (fun ~seq ~addr ~size obs ->
         t.seq <- seq;
         t.cur_class <- "clf";
-        clf_fire t ~addr ~size obs);
+        clf_fire t ~addr ~size ~matched:obs.Shard_router.co_matched ~newly:obs.Shard_router.co_newly
+          ~redundant:obs.Shard_router.co_redundant);
     w_finish =
       (fun () ->
         on_program_end t;

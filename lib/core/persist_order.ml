@@ -22,7 +22,7 @@ let note_store t ~lo ~hi =
   if Hashtbl.length t.vars > 0 then
     Hashtbl.iter
       (fun _ v ->
-        if Addr.overlaps v.range (Addr.range ~lo ~hi) then begin
+        if Addr.overlaps_span v.range ~lo ~hi then begin
           v.stored <- true;
           (* A new store invalidates previous durability. *)
           v.persisted <- None
@@ -55,7 +55,7 @@ let check_writeback t ~lo ~hi f =
     (fun (e : Order_config.entry) ->
       if e.Order_config.kind = Order_config.Cross_strand then
         match Hashtbl.find_opt t.vars e.Order_config.next with
-        | Some v when Addr.overlaps v.range (Addr.range ~lo ~hi) && persist_point t e.Order_config.first = None ->
+        | Some v when Addr.overlaps_span v.range ~lo ~hi && persist_point t e.Order_config.first = None ->
             f e ~addr:v.range.Addr.lo
         | _ -> ())
     (Order_config.entries t.config)

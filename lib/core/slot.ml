@@ -54,5 +54,3 @@ let payload_of t =
     p_clf_seq = t.clf_seq;
     p_fence_seq = -1;
   }
-
-let range t = Pmem.Addr.of_base_size t.addr t.size

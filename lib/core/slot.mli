@@ -41,5 +41,3 @@ val fill : t -> addr:int -> size:int -> epoch:bool -> seq:int -> tid:int -> stra
 val payload_of : t -> payload
 (** Carries the slot's provenance ([seq], [clf_seq]); [p_fence_seq]
     starts at -1 and is stamped by the fence that migrates it. *)
-
-val range : t -> Pmem.Addr.range

@@ -1,5 +1,5 @@
 (** One bookkeeping space: memory-location array + CLF-interval
-    metadata list + AVL spill tree (§4.1).
+    metadata + AVL spill tree (§4.1).
 
     The space implements the three processing algorithms of §4.2–4.4 as
     pure bookkeeping; it reports the observations the detection rules
@@ -49,35 +49,33 @@ val create :
 
 (** {1 Processing} *)
 
-type store_result = {
-  overlapped : bool;  (** some tracked location overlapped the store *)
-  prior_seqs : int list;
-      (** store seqs of the overlapped locations — sorted ascending,
-          deduplicated, capped at {!Pmtrace.Shard_router.max_prior_seqs}
-          (canonical regardless of bookkeeping mode); the causal
-          history of a multiple-overwrites finding.
-          Best-effort under [~check_overlap:false] (intervals skipped by
-          the Pattern-3 fast path are not walked) and after tree merges
-          (a merged node keeps only its newest store's seq). *)
-}
-
 val process_store :
   t ->
-  ?check_overlap:bool ->
+  check_overlap:bool ->
   addr:int ->
   size:int ->
   epoch:bool ->
   seq:int ->
   tid:int ->
   strand:int ->
-  unit ->
-  store_result
+  bool
 (** §4.2: append to the array (spilling to the tree when full) and
     update the current CLF interval's metadata. Tracked overlapping
     locations that were flushed but not fenced lose their flushed state
     (the line is dirty again). Returns the multiple-overwrites
-    observation; pass [~check_overlap:false] (when the overwrite rule is
-    off) to let stores skip intervals that cannot hold flushed slots. *)
+    observation: whether some tracked location overlapped the store.
+    With [~check_overlap:false] (the overwrite rule is off) the store
+    keeps no prior seqs. The common store — appended to the array,
+    overlapping nothing — allocates nothing. *)
+
+val prior_seqs : t -> int list
+(** Store seqs of the locations the last {!process_store} overlapped —
+    sorted ascending, deduplicated, capped at
+    {!Pmtrace.Shard_router.max_prior_seqs} (canonical regardless of
+    bookkeeping mode); the causal history of a multiple-overwrites
+    finding. Empty under [~check_overlap:false]. After tree merges a
+    merged node keeps only its newest store's seq. Built on demand, so
+    a caller that drops the finding as a duplicate never pays for it. *)
 
 val find_overlap : t -> lo:int -> hi:int -> int option
 (** Sequence number of some tracked, still-unpersisted location
@@ -90,23 +88,23 @@ type clf_result = {
   redundant_prov : (int * int) list;
       (** (store seq, prior CLF seq) per redundant hit, aligned with
           [redundant]; prior CLF seq is -1 when the earlier flush
-          predates seq stamping (e.g. a caller passing no [?seq]) *)
+          predates seq stamping (a CLF processed with [~seq:(-1)]) *)
 }
 
-val process_clf : ?seq:int -> t -> lo:int -> hi:int -> clf_result
+val process_clf : t -> seq:int -> lo:int -> hi:int -> clf_result
 (** §4.3: update flushing states collectively via interval metadata,
     split partially covered locations (unflushed remainder goes to the
     tree), then update the tree; finally open a new CLF interval.
-    [seq] (default -1 = unstamped) is this CLF's event sequence number,
+    [seq] (-1 = unstamped) is this CLF's event sequence number,
     recorded as flush provenance on every location it newly covers —
     individually on slots and tree nodes, collectively on an interval's
     metadata when the Pattern-2 fast path applies. *)
 
-val process_fence : ?seq:int -> t -> unit
+val process_fence : t -> seq:int -> unit
 (** §4.4: tree first — drop persisted nodes; then the array — drop
     flushed entries collectively per interval, migrate survivors to the
     tree; reset the array and metadata; merge the tree when it exceeds
-    the threshold. [seq] (default -1) stamps payloads migrating to the
+    the threshold. [seq] (-1 = unstamped) stamps payloads migrating to the
     tree with the fence they crossed unpersisted; nodes already in the
     tree keep the stamp of their first crossing. *)
 

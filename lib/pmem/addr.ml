@@ -27,22 +27,30 @@ let is_empty r = r.hi <= r.lo
 
 let contains r a = r.lo <= a && a < r.hi
 
-let overlaps a b = a.lo < b.hi && b.lo < a.hi && not (is_empty a) && not (is_empty b)
+let overlaps_span r ~lo ~hi = r.lo < hi && lo < r.hi && r.lo < r.hi && lo < hi
+
+let overlaps a b = overlaps_span a ~lo:b.lo ~hi:b.hi
 
 let covers outer inner = outer.lo <= inner.lo && inner.hi <= outer.hi
 
+(* [int]-typed: without flambda, [Stdlib.min]/[max] go through the
+   polymorphic C compare. *)
+let imin (a : int) b = if a <= b then a else b
+
+let imax (a : int) b = if a >= b then a else b
+
 let inter a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
+  let lo = imax a.lo b.lo and hi = imin a.hi b.hi in
   if hi <= lo then None else Some { lo; hi }
 
 let diff r cut =
-  let left = { lo = r.lo; hi = min r.hi cut.lo } in
-  let right = { lo = max r.lo cut.hi; hi = r.hi } in
-  List.filter (fun x -> not (is_empty x)) [ left; right ]
+  let left_hi = imin r.hi cut.lo and right_lo = imax r.lo cut.hi in
+  let right = if right_lo < r.hi then [ { lo = right_lo; hi = r.hi } ] else [] in
+  if r.lo < left_hi then { lo = r.lo; hi = left_hi } :: right else right
 
 let adjacent_or_overlapping a b = a.lo <= b.hi && b.lo <= a.hi
 
-let join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+let join a b = { lo = imin a.lo b.lo; hi = imax a.hi b.hi }
 
 let pp ppf r = Format.fprintf ppf "[%d,%d)" r.lo r.hi
 

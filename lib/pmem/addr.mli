@@ -36,6 +36,10 @@ val contains : range -> int -> bool
 val overlaps : range -> range -> bool
 (** True iff the two ranges share at least one byte. *)
 
+val overlaps_span : range -> lo:int -> hi:int -> bool
+(** [overlaps_span r ~lo ~hi] is [overlaps r (range ~lo ~hi)], without
+    building (or validating) the second range. *)
+
 val covers : range -> range -> bool
 (** [covers outer inner] is true iff [inner] is fully inside [outer]. *)
 

@@ -39,22 +39,43 @@ val insert : 'a t -> lo:int -> hi:int -> 'a -> unit
 
 val find_first_overlap : 'a t -> lo:int -> hi:int -> (Pmem.Addr.range * 'a) option
 
+val exists_overlap : 'a t -> lo:int -> hi:int -> bool
+(** Whether some node intersects [\[lo,hi)]. Allocates nothing. *)
+
 val overlapping : 'a t -> lo:int -> hi:int -> (Pmem.Addr.range * 'a) list
 (** All nodes whose range intersects [\[lo,hi)], in key order. *)
 
-val iter : 'a t -> (Pmem.Addr.range -> 'a -> unit) -> unit
+val collect_overlapping : 'a t -> lo:int -> hi:int -> int
+(** {!overlapping} without the list: snapshot the intersecting nodes,
+    in key order, into a buffer the tree keeps and reuses, and return
+    their number [k]. Read hit [i] ([0 <= i < k]) with {!hit_lo},
+    {!hit_hi} and {!hit_data}. The snapshot is a copy: {!insert} and
+    {!remove} leave it intact, so a caller may restructure the tree
+    while it walks the hits; the next [collect_overlapping] or
+    {!map_overlapping} overwrites it. Allocates nothing once the
+    buffer has grown to the largest hit count. *)
+
+val hit_lo : 'a t -> int -> int
+
+val hit_hi : 'a t -> int -> int
+
+val hit_data : 'a t -> int -> 'a
+
+val iter : 'a t -> (lo:int -> hi:int -> 'a -> unit) -> unit
 (** In-order traversal. *)
 
 val fold : 'a t -> init:'b -> f:('b -> Pmem.Addr.range -> 'a -> 'b) -> 'b
 
 val to_list : 'a t -> (Pmem.Addr.range * 'a) list
 
-val remove_exact : 'a t -> lo:int -> hi:int -> bool
-(** Remove one node with exactly this key, if any; true if removed. *)
-
 val remove_first : 'a t -> lo:int -> hi:int -> ('a -> bool) -> bool
 (** Remove one node with exactly this key whose payload satisfies the
-    predicate (for duplicate keys, physical identity can be used). *)
+    predicate; true if one was removed. *)
+
+val remove : 'a t -> lo:int -> hi:int -> 'a -> bool
+(** Remove one node with exactly this key whose payload is physically
+    the given value (duplicate keys stay distinct by identity).
+    Allocates nothing. *)
 
 val filter_in_place : 'a t -> (Pmem.Addr.range -> 'a -> bool) -> int
 (** Rebuild keeping only nodes satisfying the predicate; returns the
@@ -64,17 +85,23 @@ val map_overlapping :
   'a t -> lo:int -> hi:int -> f:(Pmem.Addr.range -> 'a -> (Pmem.Addr.range * 'a) list) -> int
 (** For every node overlapping [\[lo,hi)], replace it by the (possibly
     empty) list [f range payload] — used to mark flushed and to split
-    partially flushed ranges. Returns the number of nodes visited. *)
+    partially flushed ranges. Returns the number of nodes visited. It
+    walks the {!collect_overlapping} snapshot, so [f] must not take
+    another one of the same tree. *)
 
 val reorganize : 'a t -> eq:('a -> 'a -> bool) -> merge:('a -> 'a -> 'a) -> unit
 (** Merge adjacent-or-overlapping nodes whose payloads satisfy [eq]
     into single nodes (payloads combined with [merge]), then rebuild
     balanced. Counted in {!stats}. *)
 
-val bounds : 'a t -> (int * int) option
-(** [(min lo, max hi)] over every node — the tree's bounding box — or
-    [None] when empty. O(log n): the minimum [lo] is the leftmost key
-    and the maximum [hi] is the root's augmentation. *)
+val min_lo : 'a t -> int
+(** The smallest [lo] of any node (the leftmost key), or [max_int] when
+    empty. O(log n). *)
+
+val max_hi : 'a t -> int
+(** The largest [hi] of any node (the root's augmentation), or
+    [min_int] when empty. O(1). Together with {!min_lo}, the tree's
+    bounding box. *)
 
 val clear : 'a t -> unit
 

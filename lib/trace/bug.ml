@@ -24,9 +24,18 @@ let all_kinds =
     Cross_failure_semantic;
   ]
 
-let kind_rank k =
-  let rec idx i = function [] -> i | x :: rest -> if x = k then i else idx (i + 1) rest in
-  idx 0 all_kinds
+(* Position in [all_kinds]. *)
+let kind_rank = function
+  | No_durability -> 0
+  | Multiple_overwrites -> 1
+  | No_order_guarantee -> 2
+  | Redundant_flush -> 3
+  | Flush_nothing -> 4
+  | Redundant_logging -> 5
+  | Lack_durability_in_epoch -> 6
+  | Redundant_epoch_fence -> 7
+  | Lack_ordering_in_strands -> 8
+  | Cross_failure_semantic -> 9
 
 let kind_name = function
   | No_durability -> "no-durability-guarantee"
@@ -91,28 +100,41 @@ module Ledger = struct
 
   type admission = Admitted | Duplicate | Capped
 
+  (* Admitted addresses, one table per kind: a rule on a hot address
+     asks once per event, so the lookup hashes and compares one [int]
+     and allocates nothing. *)
+  module Addrs = Hashtbl.Make (struct
+    type t = int
+
+    let equal (a : int) b = a = b
+
+    let hash = Hashtbl.hash
+  end)
+
   type nonrec t = {
-    seen : (kind * int, unit) Hashtbl.t;
-    kind_counts : (kind, int) Hashtbl.t;
+    seen : unit Addrs.t array; (* by [kind_rank] *)
+    kind_counts : int array; (* by [kind_rank] *)
     max_per_kind : int;
     mutable found : finding list; (* reverse firing order *)
   }
 
   let create ?(max_per_kind = 1000) () =
-    { seen = Hashtbl.create 64; kind_counts = Hashtbl.create 16; max_per_kind; found = [] }
+    {
+      seen = Array.init (List.length all_kinds) (fun _ -> Addrs.create 8);
+      kind_counts = Array.make (List.length all_kinds) 0;
+      max_per_kind;
+      found = [];
+    }
 
   let admit t kind ~addr =
-    let key = (kind, addr) in
-    if Hashtbl.mem t.seen key then Duplicate
-    else begin
-      let n = match Hashtbl.find_opt t.kind_counts kind with None -> 0 | Some n -> n in
-      if n < t.max_per_kind then begin
-        Hashtbl.replace t.kind_counts kind (n + 1);
-        Hashtbl.replace t.seen key ();
-        Admitted
-      end
-      else Capped
+    let k = kind_rank kind in
+    if Addrs.mem t.seen.(k) addr then Duplicate
+    else if t.kind_counts.(k) < t.max_per_kind then begin
+      t.kind_counts.(k) <- t.kind_counts.(k) + 1;
+      Addrs.replace t.seen.(k) addr ();
+      Admitted
     end
+    else Capped
 
   let append t bug = t.found <- bug :: t.found
 

@@ -150,6 +150,12 @@ let int_field c b =
   if !plain then !n
   else match int_of_string_opt (Bytes.sub_string b start (stop - start)) with Some v -> v | None -> raise_notrace Bad
 
+(* An address or a size: negative values are malformed. *)
+let nat_field c b =
+  let v = int_field c b in
+  if v < 0 then raise_notrace Bad;
+  v
+
 let kind_field c b =
   let start = token c b in
   let stop = c.p in
@@ -184,16 +190,16 @@ let parse_event c b =
   let stop = c.p in
   if token_is b start stop "store" then begin
     let tid = int_field c b in
-    let addr = int_field c b in
-    let size = int_field c b in
+    let addr = nat_field c b in
+    let size = nat_field c b in
     finish c b;
     Event.Store { addr; size; tid }
   end
   else if token_is b start stop "clf" then begin
     let kind = kind_field c b in
     let tid = int_field c b in
-    let addr = int_field c b in
-    let size = int_field c b in
+    let addr = nat_field c b in
+    let size = nat_field c b in
     finish c b;
     Event.Clf { addr; size; kind; tid }
   end
@@ -203,8 +209,8 @@ let parse_event c b =
     Event.Fence { tid }
   end
   else if token_is b start stop "register_pmem" then begin
-    let base = int_field c b in
-    let size = int_field c b in
+    let base = nat_field c b in
+    let size = nat_field c b in
     finish c b;
     Event.Register_pmem { base; size }
   end
@@ -237,14 +243,14 @@ let parse_event c b =
   end
   else if token_is b start stop "tx_log" then begin
     let tid = int_field c b in
-    let obj_addr = int_field c b in
-    let size = int_field c b in
+    let obj_addr = nat_field c b in
+    let size = nat_field c b in
     finish c b;
     Event.Tx_log { obj_addr; size; tid }
   end
   else if token_is b start stop "register_var" then begin
-    let addr = int_field c b in
-    let size = int_field c b in
+    let addr = nat_field c b in
+    let size = nat_field c b in
     let name = name_field c b in
     Event.Register_var { name; addr; size }
   end
@@ -254,22 +260,22 @@ let parse_event c b =
     Event.Call { func; tid }
   end
   else if token_is b start stop "assert_durable" then begin
-    let addr = int_field c b in
-    let size = int_field c b in
+    let addr = nat_field c b in
+    let size = nat_field c b in
     finish c b;
     Event.Annotation (Event.Assert_durable { addr; size })
   end
   else if token_is b start stop "assert_ordered" then begin
-    let first_addr = int_field c b in
-    let first_size = int_field c b in
-    let then_addr = int_field c b in
-    let then_size = int_field c b in
+    let first_addr = nat_field c b in
+    let first_size = nat_field c b in
+    let then_addr = nat_field c b in
+    let then_size = nat_field c b in
     finish c b;
     Event.Annotation (Event.Assert_ordered { first_addr; first_size; then_addr; then_size })
   end
   else if token_is b start stop "assert_fresh" then begin
-    let addr = int_field c b in
-    let size = int_field c b in
+    let addr = nat_field c b in
+    let size = nat_field c b in
     finish c b;
     Event.Annotation (Event.Assert_fresh { addr; size })
   end

@@ -30,7 +30,11 @@
     are skipped; tokens are separated by one or more spaces (a tab
     inside a line belongs to its token); numeric fields are what
     [int_of_string_opt] accepts (signs, [0x]/[0o]/[0b]/[0u] prefixes,
-    [_] separators; decimal overflow is an error); a name is the
+    [_] separators; decimal overflow is an error); an address or a
+    size (every numeric field but a [tid] or a [strand]) must also be
+    non-negative, so a line with a negative one is malformed like any
+    other, and every reader and detector agrees on where it stops (or,
+    lenient, which lines it skips); a name is the
     remaining tokens joined by single spaces. A malformed line's error
     is [Printf.sprintf "cannot parse event %S"] of the trimmed line. A
     last line with no trailing newline is still a line. *)

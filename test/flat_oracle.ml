@@ -72,6 +72,16 @@ let filter_in_place t keep =
 
 let range_of e = Addr.range ~lo:e.addr ~hi:(e.addr + e.size)
 
+(* A store's observation: the overlap verdict and the overlapped
+   stores' seqs, sorted, deduplicated and capped. *)
+type store_result = { overlapped : bool; prior_seqs : int list }
+
+(* {!Pmdebugger.Space.process_store}'s observation in the same shape:
+   the verdict it returns plus the prior seqs it leaves in the space. *)
+let space_store sp ~addr ~size ~epoch ~seq ~tid ~strand =
+  let overlapped = Pmdebugger.Space.process_store sp ~check_overlap:true ~addr ~size ~epoch ~seq ~tid ~strand in
+  { overlapped; prior_seqs = Pmdebugger.Space.prior_seqs sp }
+
 let process_store t ~addr ~size ~epoch ~seq ~tid ~strand () =
   let probe = Addr.range ~lo:addr ~hi:(addr + size) in
   let priors = ref [] in
@@ -119,7 +129,7 @@ let process_store t ~addr ~size ~epoch ~seq ~tid ~strand () =
   push t { addr; size; flushed = false; epoch; seq; tid; strand; clf_seq = -1; fence_seq = -1; spilled = false };
   let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
   {
-    Pmdebugger.Space.overlapped = !priors <> [];
+    overlapped = !priors <> [];
     prior_seqs = take Pmtrace.Shard_router.max_prior_seqs (List.sort_uniq compare !priors);
   }
 

@@ -678,7 +678,7 @@ let test_space_spill_metric () =
   (* Tiny array so stores overflow into the AVL tree. *)
   let space = Pmdebugger.Space.create ~array_capacity:4 ~metrics () in
   for i = 0 to 15 do
-    ignore (Pmdebugger.Space.process_store space ~addr:(i * 128) ~size:8 ~epoch:false ~seq:i ~tid:0 ~strand:0 ())
+    ignore (Pmdebugger.Space.process_store space ~check_overlap:true ~addr:(i * 128) ~size:8 ~epoch:false ~seq:i ~tid:0 ~strand:0)
   done;
   let snap = M.snapshot metrics in
   Alcotest.(check int) "array absorbed its capacity" 4 (M.counter_value snap "space_array_hits_total");

@@ -36,7 +36,7 @@ let test_remove_exact_and_first () =
   (match Rangetree.find_first_overlap t ~lo:0 ~hi:10 with
   | Some (_, v) -> Alcotest.(check int) "survivor is p1" 1 !v
   | None -> Alcotest.fail "expected survivor");
-  Alcotest.(check bool) "remove_exact" true (Rangetree.remove_exact t ~lo:0 ~hi:10);
+  Alcotest.(check bool) "remove_first, any payload" true (Rangetree.remove_first t ~lo:0 ~hi:10 (fun _ -> true));
   Alcotest.(check bool) "now empty" true (Rangetree.is_empty t);
   Rangetree.check_invariants t
 
@@ -47,7 +47,7 @@ let test_filter_in_place () =
   done;
   let removed = Rangetree.filter_in_place t (fun _ v -> v land 1 = 0) in
   Alcotest.(check int) "removed odds" 50 removed;
-  Rangetree.iter t (fun _ v -> Alcotest.(check bool) "only evens" true (v land 1 = 0));
+  Rangetree.iter t (fun ~lo:_ ~hi:_ v -> Alcotest.(check bool) "only evens" true (v land 1 = 0));
   Rangetree.check_invariants t
 
 let test_reorganize_merges () =
@@ -130,20 +130,32 @@ let prop_invariants_random =
     (fun pairs ->
       let t = Rangetree.create () in
       List.iter (fun (lo, len) -> Rangetree.insert t ~lo ~hi:(lo + len) (lo * len)) pairs;
-      List.iteri (fun i (lo, len) -> if i land 1 = 0 then ignore (Rangetree.remove_exact t ~lo ~hi:(lo + len))) pairs;
+      List.iteri
+        (fun i (lo, len) -> if i land 1 = 0 then ignore (Rangetree.remove_first t ~lo ~hi:(lo + len) (fun _ -> true)))
+        pairs;
       Rangetree.check_invariants t;
       true)
 
+(* The bounding box as [min_lo]/[max_hi] report it, [None] when empty. *)
+let bounds t =
+  if Rangetree.is_empty t then begin
+    Alcotest.(check (pair int int)) "empty box" (max_int, min_int) (Rangetree.min_lo t, Rangetree.max_hi t);
+    None
+  end
+  else Some (Rangetree.min_lo t, Rangetree.max_hi t)
+
+let remove_any t ~lo ~hi = Rangetree.remove_first t ~lo ~hi (fun _ -> true)
+
 let test_bounds () =
   let t = Rangetree.create () in
-  Alcotest.(check (option (pair int int))) "empty tree has no bounds" None (Rangetree.bounds t);
+  Alcotest.(check (option (pair int int))) "empty tree has no bounds" None (bounds t);
   Rangetree.insert t ~lo:100 ~hi:120 0;
-  Alcotest.(check (option (pair int int))) "single interval" (Some (100, 120)) (Rangetree.bounds t);
+  Alcotest.(check (option (pair int int))) "single interval" (Some (100, 120)) (bounds t);
   Rangetree.insert t ~lo:40 ~hi:48 1;
   Rangetree.insert t ~lo:300 ~hi:364 2;
-  Alcotest.(check (option (pair int int))) "spans all intervals" (Some (40, 364)) (Rangetree.bounds t);
-  ignore (Rangetree.remove_exact t ~lo:300 ~hi:364);
-  (match Rangetree.bounds t with
+  Alcotest.(check (option (pair int int))) "spans all intervals" (Some (40, 364)) (bounds t);
+  ignore (remove_any t ~lo:300 ~hi:364);
+  (match bounds t with
   | Some (lo, hi) ->
       (* The hi bound comes from the root's max_hi augmentation, so it is
          conservative: it may overshoot after a removal but must still
@@ -151,9 +163,9 @@ let test_bounds () =
       Alcotest.(check int) "lo exact after removal" 40 lo;
       Alcotest.(check bool) "hi covers live intervals" true (hi >= 120)
   | None -> Alcotest.fail "bounds must exist while intervals remain");
-  ignore (Rangetree.remove_exact t ~lo:40 ~hi:48);
-  ignore (Rangetree.remove_exact t ~lo:100 ~hi:120);
-  Alcotest.(check (option (pair int int))) "empty again" None (Rangetree.bounds t)
+  ignore (remove_any t ~lo:40 ~hi:48);
+  ignore (remove_any t ~lo:100 ~hi:120);
+  Alcotest.(check (option (pair int int))) "empty again" None (bounds t)
 
 let prop_bounds_cover =
   QCheck.Test.make ~name:"bounds cover every live interval" ~count:300
@@ -161,11 +173,42 @@ let prop_bounds_cover =
     (fun pairs ->
       let t = Rangetree.create () in
       List.iter (fun (lo, len) -> Rangetree.insert t ~lo ~hi:(lo + len) 0) pairs;
-      List.iteri (fun i (lo, len) -> if i land 1 = 0 then ignore (Rangetree.remove_exact t ~lo ~hi:(lo + len))) pairs;
-      match Rangetree.bounds t with
+      List.iteri (fun i (lo, len) -> if i land 1 = 0 then ignore (remove_any t ~lo ~hi:(lo + len))) pairs;
+      match bounds t with
       | None -> Rangetree.to_list t = []
       | Some (lo, hi) ->
           List.for_all (fun ((r : Addr.range), _) -> r.Addr.lo >= lo && r.Addr.hi <= hi) (Rangetree.to_list t))
+
+(* The allocation-free probes agree with the list-building ones: the
+   snapshot with [overlapping], [exists_overlap] with
+   [find_first_overlap], and the snapshot survives the removals and
+   inserts a caller makes while walking it. *)
+let prop_snapshot_matches_overlapping =
+  QCheck.Test.make ~name:"collect_overlapping = overlapping; exists_overlap = find_first_overlap" ~count:300
+    QCheck.(pair (small_list (pair (int_range 0 300) (int_range 1 40))) (small_list (pair (int_range 0 340) (int_range 0 40))))
+    (fun (nodes, probes) ->
+      let t = Rangetree.create () in
+      List.iteri (fun i (lo, len) -> Rangetree.insert t ~lo ~hi:(lo + len) (ref i)) nodes;
+      List.for_all
+        (fun (lo, len) ->
+          let hi = lo + len in
+          let expected = List.map (fun ((r : Addr.range), d) -> (r.Addr.lo, r.Addr.hi, d)) (Rangetree.overlapping t ~lo ~hi) in
+          let k = Rangetree.collect_overlapping t ~lo ~hi in
+          let hits = List.init k (fun i -> (Rangetree.hit_lo t i, Rangetree.hit_hi t i, Rangetree.hit_data t i)) in
+          (* Restructure while walking: drop each hit, re-insert a copy. *)
+          let walked =
+            List.init k (fun i ->
+                let lo = Rangetree.hit_lo t i and hi = Rangetree.hit_hi t i and d = Rangetree.hit_data t i in
+                let removed = Rangetree.remove t ~lo ~hi d in
+                Rangetree.insert t ~lo ~hi d;
+                removed && (lo, hi, d) = List.nth hits i)
+          in
+          Rangetree.check_invariants t;
+          List.length hits = List.length expected
+          && List.for_all2 (fun (l, h, d) (l', h', d') -> l = l' && h = h' && d == d') hits expected
+          && List.for_all Fun.id walked
+          && Rangetree.exists_overlap t ~lo ~hi = Option.is_some (Rangetree.find_first_overlap t ~lo ~hi))
+        probes)
 
 let suite =
   [
@@ -180,4 +223,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_differential;
     QCheck_alcotest.to_alcotest prop_invariants_random;
     QCheck_alcotest.to_alcotest prop_bounds_cover;
+    QCheck_alcotest.to_alcotest prop_snapshot_matches_overlapping;
   ]

@@ -974,15 +974,27 @@ let test_fuzz_protocol () =
 
 (* ---------------------------------------------------------------- *)
 (* Traces that do not end cleanly: `pmdb replay` (the file decoder),  *)
-(* a session fed through the pool and a live daemon give one report.  *)
+(* a session fed through the pool and a live daemon give one report;  *)
+(* a strict malformed line stops all of them with one error.          *)
 (* ---------------------------------------------------------------- *)
 
 let no_end = "register_pmem 0 4096\nstore 0 64 8\nstore 0 128 8\n"
 
 let mid_end = "register_pmem 0 4096\nstore 0 64 8\nprogram_end\nstore 0 128 8\n"
 
+(* Line 3 is malformed; line 5 has a negative address. *)
+let bad_line = "register_pmem 0 4096\nstore 0 64 8\nthis is not an event\nstore 0 128 8\n"
+
+let negative_addr = "register_pmem 0 4096\nstore 0 64 8\nfence 0\nstore 0 128 8\nstore 0 -8 8\n"
+
 let cut_traces =
-  [ ("no program_end", no_end, false); ("no program_end", no_end, true); ("mid-trace program_end", mid_end, true) ]
+  [
+    ("no program_end", no_end, false);
+    ("no program_end", no_end, true);
+    ("mid-trace program_end", mid_end, true);
+    ("malformed line", bad_line, false);
+    ("negative address", negative_addr, false);
+  ]
 
 let test_cut_traces_offline_pool_daemon () =
   let module Tool = Baselines.Tool in
@@ -998,29 +1010,50 @@ let test_cut_traces_offline_pool_daemon () =
         (fun id (what, text, lenient) ->
           let mode = if lenient then "lenient" else "strict" in
           let label how = Printf.sprintf "%s, %s, %s: offline = %s" (Tool.name tool) what mode how in
-          (* What `pmdb replay [--lenient]` runs. *)
-          let offline =
-            with_trace_file text (fun path ->
-                Tool.detect ~model ~config tool (fun e ->
-                    let streamed =
-                      if lenient then Result.map ignore (Trace_io.iter_file path ~f:(Engine.emit e))
-                      else Trace_io.iter_file_strict path ~f:(Engine.emit e)
-                    in
-                    Result.iter_error Alcotest.fail streamed))
+          let strict_error =
+            if lenient then None
+            else
+              with_trace_file text (fun path ->
+                  Result.fold ~ok:(fun () -> None) ~error:Option.some (Trace_io.iter_file_strict path ~f:ignore))
           in
-          let session = mk_session ~lenient () in
-          Alcotest.(check bool) "session feed" true
-            (feed_string session text = Ok () && Serve.Session.finish session = Ok ());
-          let slot = Serve.Pool.open_session pool ~id in
-          List.iter (Serve.Pool.submit pool ~id) (drain_events session);
-          Serve.Pool.finish_session pool ~id;
-          let pooled = await "pool report" (fun () -> Serve.Pool.result slot) in
-          Alcotest.(check string) (label "pool") (wire offline) (wire pooled);
-          match Serve.Client.replay_string ~socket ~name:"cut" ~lenient text with
-          | Error e -> Alcotest.fail e
-          | Ok { Serve.Wire.report = None; _ } -> Alcotest.fail "daemon sent no report"
-          | Ok { Serve.Wire.report = Some served; _ } ->
-              Alcotest.(check string) (label "daemon") (wire offline) (wire served))
+          match strict_error with
+          | Some error -> (
+              (* `pmdb replay` stops at the line with this error and no
+                 report; a session stops with the same error, and the
+                 daemon's frame carries it as [Trace_error], for which
+                 `replay --daemon` prints no report either. *)
+              Alcotest.(check (result unit string)) (label "session") (Error error)
+                (feed_string (mk_session ()) text);
+              match Serve.Client.replay_string ~socket ~name:"cut" ~lenient text with
+              | Error e -> Alcotest.fail e
+              | Ok frame ->
+                  Alcotest.(check string) (label "daemon status") "trace-error"
+                    (Serve.Status.name frame.Serve.Wire.status);
+                  Alcotest.(check (option string)) (label "daemon error") (Some error) frame.Serve.Wire.error)
+          | None ->
+              (* What `pmdb replay [--lenient]` runs. *)
+              let offline =
+                with_trace_file text (fun path ->
+                    Tool.detect ~model ~config tool (fun e ->
+                        let streamed =
+                          if lenient then Result.map ignore (Trace_io.iter_file path ~f:(Engine.emit e))
+                          else Trace_io.iter_file_strict path ~f:(Engine.emit e)
+                        in
+                        Result.iter_error Alcotest.fail streamed))
+              in
+              let session = mk_session ~lenient () in
+              Alcotest.(check bool) "session feed" true
+                (feed_string session text = Ok () && Serve.Session.finish session = Ok ());
+              let slot = Serve.Pool.open_session pool ~id in
+              List.iter (Serve.Pool.submit pool ~id) (drain_events session);
+              Serve.Pool.finish_session pool ~id;
+              let pooled = await "pool report" (fun () -> Serve.Pool.result slot) in
+              Alcotest.(check string) (label "pool") (wire offline) (wire pooled);
+              match Serve.Client.replay_string ~socket ~name:"cut" ~lenient text with
+              | Error e -> Alcotest.fail e
+              | Ok { Serve.Wire.report = None; _ } -> Alcotest.fail "daemon sent no report"
+              | Ok { Serve.Wire.report = Some served; _ } ->
+                  Alcotest.(check string) (label "daemon") (wire offline) (wire served))
         cut_traces;
       Serve.Pool.stop pool;
       (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));

@@ -534,7 +534,7 @@ let prop_flat_oracle_lockstep =
         let op_agrees =
           match ev with
           | Event.Store { addr; size; tid } ->
-              Space.process_store sp ~addr ~size ~epoch:!epoch ~seq ~tid ~strand:(-1) ()
+              F.space_store sp ~addr ~size ~epoch:!epoch ~seq ~tid ~strand:(-1)
               = F.process_store fl ~addr ~size ~epoch:!epoch ~seq ~tid ~strand:(-1) ()
               && range_agrees ~lo:addr ~hi:(addr + size)
           | Event.Clf { addr; size; _ } ->
@@ -595,14 +595,14 @@ let test_flat_overwrite_priors () =
     for i = 0 to 9 do
       ignore (store ~addr:(8 * i) ~size:8 ~seq:(i + 1))
     done;
-    let (r : Space.store_result) = store ~addr:0 ~size:80 ~seq:11 in
-    Alcotest.(check bool) (name ^ ": overlap seen") true r.Space.overlapped;
-    Alcotest.(check (list int)) (name ^ ": priors sorted, capped at 8") [ 1; 2; 3; 4; 5; 6; 7; 8 ] r.Space.prior_seqs
+    let (r : F.store_result) = store ~addr:0 ~size:80 ~seq:11 in
+    Alcotest.(check bool) (name ^ ": overlap seen") true r.F.overlapped;
+    Alcotest.(check (list int)) (name ^ ": priors sorted, capped at 8") [ 1; 2; 3; 4; 5; 6; 7; 8 ] r.F.prior_seqs
   in
   let f = F.create () in
   check "flat" (fun ~addr ~size ~seq -> F.process_store f ~addr ~size ~epoch:false ~seq ~tid:0 ~strand:(-1) ());
   let sp = Space.create () in
-  check "space" (fun ~addr ~size ~seq -> Space.process_store sp ~addr ~size ~epoch:false ~seq ~tid:0 ~strand:(-1) ())
+  check "space" (fun ~addr ~size ~seq -> F.space_store sp ~addr ~size ~epoch:false ~seq ~tid:0 ~strand:(-1))
 
 (* ---------------------------------------------------------------- *)
 (* Diff: opt-in gauge gating                                         *)

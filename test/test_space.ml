@@ -1,10 +1,19 @@
 open Pmdebugger
 
+(* These tests leave CLFs and fences unstamped unless they pass [~seq]. *)
+module Space = struct
+  include Space
+
+  let process_clf ?(seq = -1) t ~lo ~hi = process_clf t ~seq ~lo ~hi
+
+  let process_fence ?(seq = -1) t = process_fence t ~seq
+end
+
 let mk ?mode ?interval_metadata ?array_capacity ?merge_threshold () =
   Space.create ?mode ?interval_metadata ?array_capacity ?merge_threshold ()
 
 let store ?(epoch = false) ?(seq = 0) sp ~addr ~size =
-  Space.process_store sp ~addr ~size ~epoch ~seq ~tid:0 ~strand:(-1) ()
+  Flat_oracle.space_store sp ~addr ~size ~epoch ~seq ~tid:0 ~strand:(-1)
 
 let pending sp =
   let acc = ref [] in
@@ -60,11 +69,11 @@ let test_partial_flush_splits () =
 
 let test_overwrite_detection_and_unflush () =
   let sp = mk () in
-  Alcotest.(check bool) "fresh store has no overlap" false (store sp ~addr:100 ~size:8).Space.overlapped;
+  Alcotest.(check bool) "fresh store has no overlap" false (store sp ~addr:100 ~size:8).Flat_oracle.overlapped;
   ignore (Space.process_clf sp ~lo:64 ~hi:128);
   let r = store sp ~addr:100 ~size:8 in
-  Alcotest.(check bool) "overwrite detected" true r.Space.overlapped;
-  Alcotest.(check bool) "prior store seq carried" true (List.mem 0 r.Space.prior_seqs);
+  Alcotest.(check bool) "overwrite detected" true r.Flat_oracle.overlapped;
+  Alcotest.(check bool) "prior store seq carried" true (List.mem 0 r.Flat_oracle.prior_seqs);
   (* The flushed state must have been voided by the new store. *)
   Space.process_fence sp;
   Alcotest.(check bool) "still pending after fence" true (Space.pending_count sp > 0)
@@ -221,7 +230,7 @@ let prop_modes_observations_equivalent =
           (* Overlap verdicts agree across modes; prior-seq lists are
              deliberately excluded — tree merges coarsen them (a merged
              node keeps only its newest store's seq). *)
-          | 0 -> agree (List.map (fun sp -> (store sp ~addr ~size:16).Space.overlapped) sps)
+          | 0 -> agree (List.map (fun sp -> (store sp ~addr ~size:16).Flat_oracle.overlapped) sps)
           | 1 ->
               let lo = Pmem.Addr.line_base addr in
               agree
@@ -352,7 +361,7 @@ let prop_growth_boundary_parity =
       in
       let store_all addr =
         let seq = next () in
-        let st sp = Space.process_store sp ~addr ~size:16 ~epoch:false ~seq ~tid:0 ~strand:(-1) () in
+        let st sp = F.space_store sp ~addr ~size:16 ~epoch:false ~seq ~tid:0 ~strand:(-1) in
         let reference = st tree in
         agree reference (F.process_store flat ~addr ~size:16 ~epoch:false ~seq ~tid:0 ~strand:(-1) () :: List.map st hybrids)
       in

@@ -596,11 +596,28 @@ let wide_event_gen =
     | 14 -> Event.Annotation (Event.Assert_fresh { addr = a; size = b })
     | _ -> Event.Program_end)
 
+(* An event with a negative address or size prints, but its line is
+   malformed. *)
+let negative_extent = function
+  | Event.Store { addr; size; _ }
+  | Event.Clf { addr; size; _ }
+  | Event.Register_var { addr; size; _ }
+  | Event.Annotation (Event.Assert_durable { addr; size })
+  | Event.Annotation (Event.Assert_fresh { addr; size }) ->
+      addr < 0 || size < 0
+  | Event.Register_pmem { base; size } -> base < 0 || size < 0
+  | Event.Tx_log { obj_addr; size; _ } -> obj_addr < 0 || size < 0
+  | Event.Annotation (Event.Assert_ordered { first_addr; first_size; then_addr; then_size }) ->
+      first_addr < 0 || first_size < 0 || then_addr < 0 || then_size < 0
+  | _ -> false
+
 let prop_printer_matches_oracle =
   QCheck.Test.make ~name:"printer = reference Printf printer, and parses back" ~count:2000
     (QCheck.make wide_event_gen) (fun ev ->
       let line = Trace_io.event_to_line ev in
-      line = Trace_io_oracle.event_to_line ev && Trace_io.event_of_line line = Ok (Some ev))
+      line = Trace_io_oracle.event_to_line ev
+      && Trace_io.event_of_line line
+         = if negative_extent ev then Error (Printf.sprintf "cannot parse event %S" line) else Ok (Some ev))
 
 (* ------------------------------------------------------------------ *)
 (* The file scanner's buffer: long lines, missing final newline, lines  *)
@@ -704,6 +721,77 @@ let test_allocation_per_event () =
     true
     (per_event save <= 2.0)
 
+(* The detector's bookkeeping allocates only for what it keeps (tree
+   nodes, findings): minor words per event on four seed-7 traces, each
+   gated at its measured value plus 5%, replaying in-memory events
+   through a fresh detector as the paper tables do. *)
+let test_detector_allocation_per_event () =
+  List.iter
+    (fun (name, n, limit) ->
+      let spec = Workloads.Registry.find_exn name in
+      let trace =
+        Recorder.record (fun e -> spec.Workloads.Workload.run (Workloads.Workload.params ~seed:7 ~n ()) e)
+      in
+      let before = Gc.minor_words () in
+      ignore (Recorder.replay trace (Pmdebugger.Detector.sink (Pmdebugger.Detector.create ~model:spec.Workloads.Workload.model ())));
+      let per_event = (Gc.minor_words () -. before) /. float_of_int (Array.length trace) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s n=%d: detector allocates %.2f words/event (<= %.2f)" name n per_event limit)
+        true (per_event <= limit))
+    (* Measured: 3.05, 5.77, 23.37 and 22.36 (94.4, 140.5, 252.2 and
+       183.3 before the store, CLF and fence paths stopped allocating). *)
+    [ ("b_tree", 450, 3.20); ("hashmap_tx", 400, 6.05); ("memcached", 4000, 24.5); ("a_YCSB", 1000, 23.45) ]
+
+(* Words one event costs a warmed-up detector. *)
+let event_words sink ev =
+  let before = Gc.minor_words () in
+  sink.Sink.on_event ev;
+  Gc.minor_words () -. before
+
+(* The common store (appended to the array, overlapping nothing) and a
+   CLF of array slots only: at most 8 words each. The detector first
+   runs the same store/CLF/fence rounds, so its slot array and interval
+   pool have grown. *)
+let test_store_and_clf_words () =
+  let sink = Pmdebugger.Detector.sink (Pmdebugger.Detector.create ()) in
+  let round ~base =
+    let stores = List.init 8 (fun i -> Event.Store { addr = base + (8 * i); size = 8; tid = 0 }) in
+    (stores, Event.Clf { addr = base; size = 64; kind = Event.Clwb; tid = 0 })
+  in
+  for r = 0 to 15 do
+    let stores, clf = round ~base:(r * 64) in
+    List.iter sink.Sink.on_event stores;
+    sink.Sink.on_event clf;
+    sink.Sink.on_event (Event.Fence { tid = 0 })
+  done;
+  let stores, clf = round ~base:4096 in
+  let store_words = List.fold_left (fun acc ev -> Float.max acc (event_words sink ev)) 0.0 stores in
+  let clf_words = event_words sink clf in
+  Alcotest.(check bool) (Printf.sprintf "a plain store allocates %.0f words (<= 8)" store_words) true (store_words <= 8.0);
+  Alcotest.(check bool) (Printf.sprintf "an array-only CLF allocates %.0f words (<= 8)" clf_words) true (clf_words <= 8.0);
+  sink.Sink.on_event (Event.Fence { tid = 0 });
+  Alcotest.(check int) "no finding" 0 (List.length (sink.Sink.finish ()).Bug.bugs)
+
+(* One insert into a 1,000-node tree allocates its node and nothing
+   per level: rotations and untouched links reuse what is there. *)
+let test_rangetree_insert_words () =
+  let t = Rangetree.create () in
+  let key i = (i * 7919) mod 100_003 in
+  for i = 0 to 999 do
+    Rangetree.insert t ~lo:(key i) ~hi:(key i + 8) i
+  done;
+  let worst = ref 0.0 in
+  for i = 1000 to 1099 do
+    let lo = key i in
+    let before = Gc.minor_words () in
+    Rangetree.insert t ~lo ~hi:(lo + 8) i;
+    worst := Float.max !worst (Gc.minor_words () -. before)
+  done;
+  Rangetree.check_invariants t;
+  (* A node is an inline record of 7 fields: 8 words with its header. *)
+  Alcotest.(check bool) (Printf.sprintf "an insert allocates at most %.0f words (<= one node, 8)" !worst) true
+    (!worst <= 8.0)
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -733,4 +821,7 @@ let suite =
     Alcotest.test_case "last line without newline" `Quick test_last_line_without_newline;
     Alcotest.test_case "lines split across reads" `Quick test_lines_split_across_reads;
     Alcotest.test_case "allocation per event (parse, save)" `Quick test_allocation_per_event;
+    Alcotest.test_case "detector allocation per event" `Quick test_detector_allocation_per_event;
+    Alcotest.test_case "store and CLF allocation" `Quick test_store_and_clf_words;
+    Alcotest.test_case "rangetree insert allocation" `Quick test_rangetree_insert_words;
   ]

@@ -18,19 +18,21 @@ let event_of_line line =
   else begin
     let words = String.split_on_char ' ' line |> List.filter (fun w -> w <> "") in
     let int s = int_of_string_opt s in
+    (* Addresses and sizes: a negative one is malformed. *)
+    let nat s = match int s with Some v when v >= 0 -> Some v | _ -> None in
     let bad () = Error (Printf.sprintf "cannot parse event %S" line) in
     match words with
     | [ "store"; tid; addr; size ] -> (
-        match (int tid, int addr, int size) with
+        match (int tid, nat addr, nat size) with
         | Some tid, Some addr, Some size -> Ok (Some (Event.Store { addr; size; tid }))
         | _ -> bad ())
     | [ "clf"; kind; tid; addr; size ] -> (
-        match (kind_of_string kind, int tid, int addr, int size) with
+        match (kind_of_string kind, int tid, nat addr, nat size) with
         | Some kind, Some tid, Some addr, Some size -> Ok (Some (Event.Clf { addr; size; kind; tid }))
         | _ -> bad ())
     | [ "fence"; tid ] -> ( match int tid with Some tid -> Ok (Some (Event.Fence { tid })) | None -> bad ())
     | [ "register_pmem"; base; size ] -> (
-        match (int base, int size) with
+        match (nat base, nat size) with
         | Some base, Some size -> Ok (Some (Event.Register_pmem { base; size }))
         | _ -> bad ())
     | [ "epoch_begin"; tid ] -> (
@@ -47,11 +49,11 @@ let event_of_line line =
     | [ "join_strand"; tid ] -> (
         match int tid with Some tid -> Ok (Some (Event.Join_strand { tid })) | None -> bad ())
     | [ "tx_log"; tid; obj_addr; size ] -> (
-        match (int tid, int obj_addr, int size) with
+        match (int tid, nat obj_addr, nat size) with
         | Some tid, Some obj_addr, Some size -> Ok (Some (Event.Tx_log { obj_addr; size; tid }))
         | _ -> bad ())
     | "register_var" :: addr :: size :: name_parts when name_parts <> [] -> (
-        match (int addr, int size) with
+        match (nat addr, nat size) with
         | Some addr, Some size ->
             Ok (Some (Event.Register_var { name = String.concat " " name_parts; addr; size }))
         | _ -> bad ())
@@ -60,16 +62,16 @@ let event_of_line line =
         | Some tid -> Ok (Some (Event.Call { func = String.concat " " func_parts; tid }))
         | None -> bad ())
     | [ "assert_durable"; addr; size ] -> (
-        match (int addr, int size) with
+        match (nat addr, nat size) with
         | Some addr, Some size -> Ok (Some (Event.Annotation (Event.Assert_durable { addr; size })))
         | _ -> bad ())
     | [ "assert_ordered"; a; asz; b; bsz ] -> (
-        match (int a, int asz, int b, int bsz) with
+        match (nat a, nat asz, nat b, nat bsz) with
         | Some first_addr, Some first_size, Some then_addr, Some then_size ->
             Ok (Some (Event.Annotation (Event.Assert_ordered { first_addr; first_size; then_addr; then_size })))
         | _ -> bad ())
     | [ "assert_fresh"; addr; size ] -> (
-        match (int addr, int size) with
+        match (nat addr, nat size) with
         | Some addr, Some size -> Ok (Some (Event.Annotation (Event.Assert_fresh { addr; size })))
         | _ -> bad ())
     | [ "program_end" ] -> Ok (Some Event.Program_end)
