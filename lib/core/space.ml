@@ -319,17 +319,6 @@ let first_slot_overlap t ~lo ~hi =
   done;
   !found
 
-let find_overlap t ~lo ~hi =
-  if bounds_miss t ~lo ~hi then begin
-    Obs.Metrics.inc t.metrics "space_bounds_skips_total";
-    None
-  end
-  else begin
-    let i = first_slot_overlap t ~lo ~hi in
-    if i >= 0 then Some t.slots.(i).Slot.seq
-    else match Rangetree.find_first_overlap t.tree ~lo ~hi with Some (_, p) -> Some p.Slot.p_seq | None -> None
-  end
-
 let has_pending_overlap t ~lo ~hi =
   if bounds_miss t ~lo ~hi then begin
     Obs.Metrics.inc t.metrics "space_bounds_skips_total";

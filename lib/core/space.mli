@@ -77,10 +77,6 @@ val prior_seqs : t -> int list
     merged node keeps only its newest store's seq. Built on demand, so
     a caller that drops the finding as a duplicate never pays for it. *)
 
-val find_overlap : t -> lo:int -> hi:int -> int option
-(** Sequence number of some tracked, still-unpersisted location
-    overlapping the range, if any. *)
-
 type clf_result = {
   matched : int;  (** tracked locations the flush covered (fully or partly) *)
   newly_flushed : int;  (** covered locations that were not already flushed *)

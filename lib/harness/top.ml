@@ -46,10 +46,9 @@ let rate ~prev ~cur ~dt ?labels name =
 let fmt_rate = function None -> "" | Some r -> Printf.sprintf "  (+%.0f/s)" (Float.max 0.0 r)
 
 (* The daemon's backpressure ladder, reconstructed from this frame's
-   deltas: rung 1 = a worker queue refused events this frame, rung 2 =
-   a session crossed the pending watermark and its fd was throttled
-   (visible as queue depth >= watermark is not exported, so we settle
-   for stalls), rung 3 = an eviction landed. *)
+   deltas: "stalling" = a session's fd was paused (its bytes in flight
+   reached the budget, or its worker's queue was full), "EVICTING" = an
+   eviction landed. *)
 let rung ~prev ~cur =
   let delta name = match prev with Some p -> counter cur name - counter p name | None -> counter cur name in
   if delta "serve_evictions_total" > 0 then "EVICTING"

@@ -128,22 +128,6 @@ let insert t ~lo ~hi data =
     if t.count > t.st.max_size then t.st.max_size <- t.count
   end
 
-let find_first_overlap t ~lo ~hi =
-  let rec go = function
-    | Leaf -> None
-    | Node n ->
-        if n.max_hi <= lo then None
-        else begin
-          match go n.left with
-          | Some _ as r -> r
-          | None ->
-              if n.lo < hi && lo < n.hi then Some (Addr.range ~lo:n.lo ~hi:n.hi, n.data)
-              else if n.lo >= hi then None
-              else go n.right
-        end
-  in
-  go t.root
-
 let rec exists_in lo hi = function
   | Leaf -> false
   | Node n -> n.max_hi > lo && (exists_in lo hi n.left || (n.lo < hi && (lo < n.hi || exists_in lo hi n.right)))

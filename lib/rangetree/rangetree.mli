@@ -37,8 +37,6 @@ val insert : 'a t -> lo:int -> hi:int -> 'a -> unit
 (** Insert a node for [\[lo,hi)] carrying payload. Duplicate keys are
     allowed (kept as distinct nodes). Empty ranges are ignored. *)
 
-val find_first_overlap : 'a t -> lo:int -> hi:int -> (Pmem.Addr.range * 'a) option
-
 val exists_overlap : 'a t -> lo:int -> hi:int -> bool
 (** Whether some node intersects [\[lo,hi)]. Allocates nothing. *)
 

@@ -1,4 +1,7 @@
 let with_conn socket f =
+  (* A daemon that hangs up mid-write must fail the write (EPIPE), not
+     kill the client. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX socket) with
@@ -18,12 +21,14 @@ let send_all fd s =
     off := !off + Unix.write fd b !off (Bytes.length b - !off)
   done
 
+(* A daemon that closes with our unread bytes still queued resets the
+   connection after what it sent: the reset ends the reply. *)
 let read_all fd =
   let buf = Buffer.create 4096 in
   let chunk = Bytes.create 65536 in
   let rec go () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
+    | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
     | n ->
         Buffer.add_subbytes buf chunk 0 n;
         go ()
@@ -46,12 +51,16 @@ let result_of_reply raw =
   else Wire.result_of_line (first_line raw)
 
 (* Send [body] after the hello for session [name], half-close, and read
-   the daemon's result frame. *)
+   the daemon's result frame. A daemon that ends the session early
+   (eviction, a parse error) replies without reading the rest, so a
+   write it refuses still leaves the reply to read. *)
 let run_session ~socket ~name ~lenient body =
   with_conn socket @@ fun fd ->
   wrap_io @@ fun () ->
-  send_all fd (Wire.hello_line (Wire.Session { name; lenient }) ^ "\n");
-  send_all fd body;
+  (try
+     send_all fd (Wire.hello_line (Wire.Session { name; lenient }) ^ "\n");
+     send_all fd body
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
   half_close fd;
   result_of_reply (read_all fd)
 

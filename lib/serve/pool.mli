@@ -1,49 +1,59 @@
-(** Bounded worker pool multiplexing per-session detectors over OCaml
-    Domains.
+(** Bounded worker pool running daemon sessions on OCaml Domains.
 
-    Sessions are sticky: session [id] always runs on worker
-    [id mod workers], so detector state never crosses domains. The
-    daemon's single dispatch domain is the one producer of every
-    worker's SPSC queue; each worker hosts its sessions' engines
-    (one {!Pmtrace.Engine.open_one} engine per session, created on the
-    worker at [open_session]) and publishes results through the session's
-    {!slot} — a pair of atomics the dispatch domain polls.
+    A session runs on its worker as [pmdb replay] runs on a file: the
+    worker decodes the bytes it is sent with the session's {!Session}
+    straight into the session's engine ({!Pmtrace.Engine.open_one},
+    created on the worker). The daemon's dispatch domain is the one
+    producer of every worker's SPSC queue. Sessions are sticky: session
+    [id] always runs on worker [id mod workers], so detector state never
+    crosses domains.
 
-    Fault containment: a detector exception, in [make_sink] included, is
-    caught by the session's engine (sink quarantine) and surfaces in
-    [failed]; finishing the session yields a report with the failure.
-    Sibling sessions on the same worker are untouched. A worker domain
-    that somehow dies closes its queue, so submissions raise
-    {!Pmtrace.Spsc.Closed} rather than wedging the daemon. *)
+    A session's {!slot} is its cross-domain cell. The worker publishes
+    the {!outcome} there when the session ends: at the client's end of
+    input, at the daemon's cut, or on its own at a strict parse error,
+    past its budget, or at a detector quarantine (a detector exception,
+    in [make_sink] included, is caught by the session's engine). After
+    that the worker feeds the session nothing more; its siblings are
+    untouched. A worker domain that somehow dies closes its queue, so
+    {!offer} and {!open_session} raise {!Pmtrace.Spsc.Closed} rather
+    than wedging the daemon. *)
 
 open Pmtrace
 
 type t
 
+type outcome = {
+  status : Status.t;  (** the first terminal status, [Ok] for a clean end *)
+  error : string option;
+  report : Bug.report;  (** its [failure] field carries any quarantine *)
+  skipped_lines : (int * string) list;  (** (line, error) per skipped line *)
+  synthesized_end : bool;  (** the end rule appended a [program_end] *)
+}
+
 type slot
-(** Cross-domain result cell for one session. *)
+(** Cross-domain cell for one session. *)
 
-val failed : slot -> string option
-(** Set as soon as the session's detector raised (the engine
-    quarantined it); the daemon polls this to fail fast instead of
-    streaming the rest of the trace into a dead detector. *)
+val result : slot -> outcome option
+(** Set once, when the worker has finished the session's engine. *)
 
-val result : slot -> Bug.report option
-(** Set when the worker has finished the session (after
-    [finish_session]); the report's [failure] field carries any
-    quarantine. *)
+val in_flight : slot -> int
+(** Bytes offered to the session and not yet decoded. *)
+
+val queued : slot -> int
+(** Chunks offered to the session and not yet decoded. *)
+
+val events : slot -> int
+(** Events the session has decoded so far. *)
 
 val create :
   ?worker_metrics:bool
     (** default false: give each worker its own enabled
-        {!Obs.Metrics} registry recording
-        [serve_worker_sessions_total{domain}],
-        [serve_worker_events_total{domain}] and
-        [serve_worker_finishes_total{domain}]; immutable snapshots are
-        published through an atomic on every open/finish and every 512
-        events, so the dispatch domain can fold live worker truth into
-        {!Obs.Metrics.merge}d stats without sharing a registry across
-        domains. *) ->
+        {!Obs.Metrics} registry recording [serve_events_total] and
+        [serve_worker_{sessions,events,finishes,bytes}_total{domain}]
+        (bytes: every chunk byte taken off the queue); snapshots are
+        published through an atomic on every open and finish and every
+        512 events, so the dispatch domain folds live worker truth into
+        {!Obs.Metrics.merge}d stats without sharing a registry. *) ->
   ?flightrec_capacity:int
     (** when given, each worker records into its own
         {!Obs.Flightrec} ring of this capacity (engine dispatch with
@@ -53,37 +63,33 @@ val create :
     (** when given, each worker owns an enabled {!Obs.Heatmap} of this
         cap, handed to [make_sink] so the session detectors feed it;
         see {!heatmap_snapshots}. Default: the disabled table. *) ->
+  wake:(unit -> unit)
+    (** called on a worker domain when a session's outcome lands or its
+        bytes in flight fall back under [session_budget] *) ->
   workers:int ->
-  queue_capacity:int ->
+  session_budget:int ->
   (heatmap:Obs.Heatmap.t -> Sink.t) ->
   t
 (** [make_sink ~heatmap] is called once per session {e on the worker
     domain}; it must build a fresh, unshared sink. [heatmap] is the
     worker's hot-line table (the disabled singleton unless
-    [heatmap_cap] was given) — pass it to the detector, or ignore it.
-    It is shared by every session on that worker: hot lines are a
-    whole-daemon property, and the table is only ever mutated on the
-    worker's own domain. Worker-side telemetry comes from
-    [worker_metrics], not the sink — per-session reports stay
-    byte-identical to an offline replay. *)
+    [heatmap_cap] was given), shared by every session on that worker —
+    pass it to the detector, or ignore it. Worker-side telemetry comes
+    from [worker_metrics], not the sink, so per-session reports stay
+    byte-identical to an offline replay. [session_budget] is each
+    {!Session}'s budget. *)
 
-val open_session : t -> id:int -> slot
-(** Blocking (the Open message must land). *)
+val open_session : t -> id:int -> lenient:bool -> slot
+(** Blocking (the open message must land). *)
 
-val submit : t -> id:int -> Event.t -> unit
-(** Blocking while the worker's queue is full; raises
-    {!Pmtrace.Spsc.Closed} if the worker died. *)
+type input =
+  | Chunk of Bytes.t  (** the next bytes of the trace; the worker owns them *)
+  | End  (** the client's end of input ({!Session.finish}) *)
+  | Cut of Status.t * string option  (** the daemon ends the session ({!Session.cut_short}) *)
 
-val try_submit : t -> id:int -> Event.t -> bool
-(** [false] when the worker's queue is full — the backpressure signal;
-    never blocks. *)
-
-val finish_session : t -> id:int -> unit
-(** Ask the worker to finish the session's engine ({!Pmtrace.Engine.finish_one})
-    and publish the report into the slot. Blocking push. *)
-
-val queue_length : t -> id:int -> int
-(** Occupancy of the worker queue serving [id]. *)
+val offer : t -> slot -> input -> bool
+(** Non-blocking: [false] when the worker's queue is full, and nothing
+    was sent. Raises {!Pmtrace.Spsc.Closed} if the worker died. *)
 
 val metrics_snapshots : t -> Obs.Metrics.snapshot list
 (** One snapshot per worker: the last atomically-published snapshot (at
@@ -105,4 +111,4 @@ val flightrec_rings : t -> (string * Obs.Flightrec.t) list
 
 val stop : t -> unit
 (** Stop and join every worker. Sessions not yet finished are dropped
-    without a report — finish them first for a graceful drain. *)
+    without a report — end them first for a graceful drain. *)

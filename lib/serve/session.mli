@@ -1,76 +1,66 @@
-(** Per-session ingest state — socket-free, so the protocol core
-    (decoding, budget accounting, status transitions) is directly unit-
-    and fuzz-testable.
+(** One daemon session's decoding, on its worker — socket-free, so the
+    protocol core (decoding, the budget, status transitions) is directly
+    unit- and fuzz-testable.
 
-    The daemon owns the lifecycle (its connection state machine walks
-    a session from streaming through finishing to awaiting the
-    worker's report); this module owns the data: a
-    {!Pmtrace.Trace_io.Decoder} — the same one file replays use, so a
-    session frames, numbers, skips and ends its trace exactly as
-    [pmdb replay] does on the same bytes — the bounded pending queue of
-    decoded events, and the byte accounting that the backpressure
-    ladder and the memory budget read ({!live_bytes} = the decoder's
-    carried line + queued-event cost, so a budget in bytes bounds a
-    client sending one enormous line just as well as one outrunning its
-    worker). *)
+    A session is [pmdb replay] over the bytes its client sends: the
+    {!Pmtrace.Trace_io.Decoder} file replays use frames, numbers, skips
+    and ends the trace as [pmdb replay] does on the same bytes, and
+    hands each event to a callback (the session's engine on its worker,
+    a list in the tests). The session keeps what its result frame
+    reports: the terminal status (the first one wins), the skipped
+    [(line, error)] pairs and the synthesized-end flag. It ends itself
+    at a strict parse error ([Trace_error]) and past its budget
+    ([Evicted]), and ignores input once ended. *)
 
 open Pmtrace
 
 type t
 
-val create : id:int -> name:string -> lenient:bool -> now:float -> t
+val create : lenient:bool -> budget:int -> (Event.t -> unit) -> t
+(** [budget]: the most {!held_bytes} the session may hold. *)
 
-val id : t -> int
-val name : t -> string
+val feed : t -> Bytes.t -> off:int -> len:int -> unit
+(** Decode [b.[off, off + len)] ({!Trace_io.Decoder.feed}: chunk
+    boundaries are invisible). A strict session's first malformed line
+    ends it with [Trace_error] and the error ["line N: ..."]; a lenient
+    one records the line and goes on. Holding more than the budget after
+    the chunk ends it with [Evicted]. Either end cuts the session short
+    ({!cut_short}). *)
 
-val status : t -> Status.t
-val error : t -> string option
-
-val terminate : t -> Status.t -> string option -> unit
-(** Record the session's terminal status; the first call wins (a
-    session already quarantined keeps its original status). *)
-
-val feed : t -> now:float -> Bytes.t -> off:int -> len:int -> (unit, string) result
-(** {!Trace_io.Decoder.feed}: chunk boundaries are invisible, and a
-    strict session returns [Error "line N: ..."] at the first malformed
-    line (and sets the status to [Trace_error]); a lenient one skips and
-    counts it. *)
-
-val finish : t -> (unit, string) result
+val finish : t -> unit
 (** The client's end of input: {!Trace_io.Decoder.finish} — the last
     unterminated line is decoded and, for a lenient session, the end
     rule applies. A strict session gets no [program_end], like a strict
     file replay. *)
 
-val cut_short : t -> drop:bool -> unit
-(** The daemon ends the session before its input did (eviction, idle
-    timeout, shutdown, trace or detector quarantine, a connection
-    error): with [drop], discard the undelivered events; then
-    {!Trace_io.Decoder.truncate} drops the carried line and applies the
-    end rule, so end-of-trace rules fire for the truncated stream. The
-    rule reads the last {e decoded} event: a dropped [program_end]
-    still counts. *)
+val cut_short : t -> Status.t -> string option -> unit
+(** The session ends before its input did (eviction, idle timeout,
+    shutdown, a trace or detector quarantine, a connection error):
+    {!terminate}, then {!Trace_io.Decoder.truncate} drops the carried
+    line and applies the end rule, strict or lenient, so end-of-trace
+    rules fire for the truncated stream. A connection error passes
+    [Status.Ok], which leaves the status as it is. *)
 
-val peek_pending : t -> Event.t option
-(** The next decoded event, without consuming it — the daemon peeks,
-    offers it to the worker with a non-blocking submit, and only pops
-    on success, so a full worker queue never loses an event. *)
+val terminate : t -> Status.t -> string option -> unit
+(** Record the session's terminal status; the first call wins (a
+    session already quarantined keeps its original status). *)
 
-val pop_pending : t -> Event.t option
-(** Take the next decoded event for delivery to the worker. *)
+val ended : t -> bool
+(** [true] once {!finish} or {!cut_short} ran, or the session ended
+    itself. *)
 
-val pending_events : t -> int
+val status : t -> Status.t
+val error : t -> string option
 
-val live_bytes : t -> int
-(** Bytes this session holds in the daemon: carried line + pending
-    queue cost. The per-session budget gates on this. *)
+val held_bytes : t -> int
+(** The unterminated line carried between chunks plus the skip messages
+    collected so far, so one enormous line and a flood of garbage lines
+    are evicted alike. *)
 
-val events_delivered : t -> int
-val skipped : t -> int
+val events : t -> int
+(** Events emitted, including a synthesized end. *)
+
+val skipped_lines : t -> (int * string) list
+(** [(line number, error)] per skipped malformed line, in input order. *)
+
 val synthesized_end : t -> bool
-val last_activity : t -> float
-
-val created : t -> float
-(** The [now] given to {!create} — the daemon clock at accept. The
-    daemon observes [now - created] into [serve_session_e2e_seconds]
-    when the result frame is written (submit → result latency). *)

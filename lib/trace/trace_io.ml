@@ -333,7 +333,7 @@ let no_skip _ _ = ()
 module Decoder = struct
   type t = {
     lenient : bool;
-    emit : Event.t -> int -> unit;
+    emit : Event.t -> unit;
     on_skip : int -> string -> unit;
     cur : cursor;
     carry : Buffer.t;
@@ -375,7 +375,7 @@ module Decoder = struct
     else begin
       d.events <- d.events + 1;
       d.ended <- ends_trace ev;
-      d.emit ev (hi - lo)
+      d.emit ev
     end
 
   let carried_line d =
@@ -413,7 +413,7 @@ module Decoder = struct
       d.ended <- true;
       d.synthesized <- true;
       d.events <- d.events + 1;
-      d.emit Event.Program_end 0
+      d.emit Event.Program_end
     end
 
   let finish d =
@@ -462,7 +462,7 @@ let decode_file path d =
           in
           try go () with Sys_error msg -> Error msg)
 
-let strict decode f = decode (Decoder.create ~lenient:false (fun ev _ -> f ev))
+let strict decode f = decode (Decoder.create ~lenient:false f)
 
 let lenient ~metrics ~on_skip decode f =
   let skipped = ref [] in
@@ -470,7 +470,7 @@ let lenient ~metrics ~on_skip decode f =
     on_skip lineno msg;
     skipped := (lineno, msg) :: !skipped
   in
-  let d = Decoder.create ~on_skip ~lenient:true (fun ev _ -> f ev) in
+  let d = Decoder.create ~on_skip ~lenient:true f in
   Result.map
     (fun () ->
       let synthesized = Decoder.synthesized d in

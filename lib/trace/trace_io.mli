@@ -79,9 +79,8 @@ val ends_trace : Event.t -> bool
 module Decoder : sig
   type t
 
-  val create : ?on_skip:(int -> string -> unit) -> lenient:bool -> (Event.t -> int -> unit) -> t
-  (** [create ~lenient emit]: [emit ev len] gets each event and the
-      length of its line ([0] for a synthesized end). A lenient decoder
+  val create : ?on_skip:(int -> string -> unit) -> lenient:bool -> (Event.t -> unit) -> t
+  (** [create ~lenient emit]: [emit] gets each event. A lenient decoder
       counts a malformed line and passes its 1-based number and error
       to [on_skip]. *)
 

@@ -55,7 +55,7 @@ let push t e =
   t.live <- t.live + 1
 
 (* Remove by compaction, preserving insertion order so that scans (and
-   therefore observations like [find_overlap]) stay deterministic. *)
+   therefore observations like [iter_pending]) stay deterministic. *)
 let filter_in_place t keep =
   let w = ref 0 in
   for r = 0 to t.live - 1 do
@@ -133,16 +133,10 @@ let process_store t ~addr ~size ~epoch ~seq ~tid ~strand () =
     prior_seqs = take Pmtrace.Shard_router.max_prior_seqs (List.sort_uniq compare !priors);
   }
 
-let find_overlap t ~lo ~hi =
+let has_pending_overlap t ~lo ~hi =
   let probe = Addr.range ~lo ~hi in
-  let found = ref None in
-  let i = ref 0 in
-  while !found = None && !i < t.live do
-    let e = t.entries.(!i) in
-    if Addr.overlaps (range_of e) probe then found := Some e.seq;
-    incr i
-  done;
-  !found
+  let rec go i = i < t.live && (Addr.overlaps (range_of t.entries.(i)) probe || go (i + 1)) in
+  go 0
 
 let process_clf ?(seq = -1) t ~lo ~hi =
   let flush = Addr.range ~lo ~hi in
@@ -218,7 +212,6 @@ let process_fence ?(seq = -1) t =
   done;
   filter_in_place t (fun e -> not e.flushed)
 
-let has_pending_overlap t ~lo ~hi = find_overlap t ~lo ~hi <> None
 
 let exists_epoch_pending t =
   let rec go i = i < t.live && (t.entries.(i).epoch || go (i + 1)) in

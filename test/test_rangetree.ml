@@ -6,10 +6,10 @@ let test_insert_find () =
   Rangetree.insert t ~lo:30 ~hi:40 "b";
   Rangetree.insert t ~lo:5 ~hi:8 "c";
   Alcotest.(check int) "size" 3 (Rangetree.size t);
-  (match Rangetree.find_first_overlap t ~lo:15 ~hi:16 with
-  | Some (_, v) -> Alcotest.(check string) "find a" "a" v
-  | None -> Alcotest.fail "expected overlap");
-  Alcotest.(check bool) "no overlap in gap" true (Rangetree.find_first_overlap t ~lo:20 ~hi:30 = None);
+  (match Rangetree.overlapping t ~lo:15 ~hi:16 with
+  | [ (_, v) ] -> Alcotest.(check string) "find a" "a" v
+  | _ -> Alcotest.fail "expected one overlap");
+  Alcotest.(check bool) "no overlap in gap" false (Rangetree.exists_overlap t ~lo:20 ~hi:30);
   Rangetree.check_invariants t
 
 let test_empty_range_ignored () =
@@ -33,9 +33,9 @@ let test_remove_exact_and_first () =
   Rangetree.insert t ~lo:0 ~hi:10 p2;
   Alcotest.(check bool) "remove_first by identity" true (Rangetree.remove_first t ~lo:0 ~hi:10 (fun x -> x == p2));
   Alcotest.(check int) "one left" 1 (Rangetree.size t);
-  (match Rangetree.find_first_overlap t ~lo:0 ~hi:10 with
-  | Some (_, v) -> Alcotest.(check int) "survivor is p1" 1 !v
-  | None -> Alcotest.fail "expected survivor");
+  (match Rangetree.overlapping t ~lo:0 ~hi:10 with
+  | [ (_, v) ] -> Alcotest.(check int) "survivor is p1" 1 !v
+  | _ -> Alcotest.fail "expected one survivor");
   Alcotest.(check bool) "remove_first, any payload" true (Rangetree.remove_first t ~lo:0 ~hi:10 (fun _ -> true));
   Alcotest.(check bool) "now empty" true (Rangetree.is_empty t);
   Rangetree.check_invariants t
@@ -180,11 +180,11 @@ let prop_bounds_cover =
           List.for_all (fun ((r : Addr.range), _) -> r.Addr.lo >= lo && r.Addr.hi <= hi) (Rangetree.to_list t))
 
 (* The allocation-free probes agree with the list-building ones: the
-   snapshot with [overlapping], [exists_overlap] with
-   [find_first_overlap], and the snapshot survives the removals and
+   snapshot with [overlapping], [exists_overlap] with a non-empty
+   [overlapping], and the snapshot survives the removals and
    inserts a caller makes while walking it. *)
 let prop_snapshot_matches_overlapping =
-  QCheck.Test.make ~name:"collect_overlapping = overlapping; exists_overlap = find_first_overlap" ~count:300
+  QCheck.Test.make ~name:"collect_overlapping = overlapping; exists_overlap = (overlapping <> [])" ~count:300
     QCheck.(pair (small_list (pair (int_range 0 300) (int_range 1 40))) (small_list (pair (int_range 0 340) (int_range 0 40))))
     (fun (nodes, probes) ->
       let t = Rangetree.create () in
@@ -207,7 +207,7 @@ let prop_snapshot_matches_overlapping =
           List.length hits = List.length expected
           && List.for_all2 (fun (l, h, d) (l', h', d') -> l = l' && h = h' && d == d') hits expected
           && List.for_all Fun.id walked
-          && Rangetree.exists_overlap t ~lo ~hi = Option.is_some (Rangetree.find_first_overlap t ~lo ~hi))
+          && Rangetree.exists_overlap t ~lo ~hi = (Rangetree.overlapping t ~lo ~hi <> []))
         probes)
 
 let suite =

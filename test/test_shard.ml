@@ -526,10 +526,7 @@ let prop_flat_oracle_lockstep =
       let canon_clf (r : Space.clf_result) =
         (r.Space.matched, r.Space.newly_flushed, List.sort compare (List.combine r.Space.redundant r.Space.redundant_prov))
       in
-      let range_agrees ~lo ~hi =
-        Space.has_pending_overlap sp ~lo ~hi = F.has_pending_overlap fl ~lo ~hi
-        && Option.is_some (Space.find_overlap sp ~lo ~hi) = Option.is_some (F.find_overlap fl ~lo ~hi)
-      in
+      let range_agrees ~lo ~hi = Space.has_pending_overlap sp ~lo ~hi = F.has_pending_overlap fl ~lo ~hi in
       let step seq ev =
         let op_agrees =
           match ev with
