@@ -302,9 +302,11 @@ let replay_daemon_cmd ~socket ~file ~max_print ~lenient =
       if unlisted > 0 then Printf.eprintf "warning: %s: %d more malformed line(s) skipped\n" file unlisted;
       if frame.Serve.Wire.synthesized_end && not parse_failed then warn_truncated file;
       let code = Serve.Status.exit_code frame.Serve.Wire.status in
-      if frame.Serve.Wire.status <> Serve.Status.Ok then
-        die ~code "session %s: %s" (Serve.Status.name frame.Serve.Wire.status)
-          (Option.value frame.Serve.Wire.error ~default:"(no detail)");
+      let error = Option.value frame.Serve.Wire.error ~default:"(no detail)" in
+      (* A parse error reads as it does offline: "line N: ...". *)
+      if parse_failed then die ~code "%s" error
+      else if frame.Serve.Wire.status <> Serve.Status.Ok then
+        die ~code "session %s: %s" (Serve.Status.name frame.Serve.Wire.status) error;
       exit code
 
 let replay_cmd file detector config max_print lenient daemon metrics_file trace_out =
@@ -572,9 +574,9 @@ let daemon_stats_cmd ~prometheus socket =
   | Error msg -> die "%s" msg
   | Ok snap -> print_snapshot ~title:(Printf.sprintf "daemon telemetry: %s" socket) ~prometheus snap
 
-(* --follow: subscribe to the daemon's stats_stream and print each
-   merged-snapshot frame as it lands (--frames N bounds the stream on
-   the daemon side; 0 follows until the daemon goes away). *)
+(* --follow: poll the daemon's stats once per stream interval and print
+   each merged snapshot (--frames N stops after N; 0 follows until the
+   daemon goes away). *)
 let daemon_follow_cmd ~socket ~frames ~prometheus =
   let seen = ref 0 in
   match
@@ -762,7 +764,7 @@ let serve_cmd socket workers idle_timeout session_budget max_sessions detector c
 
 (* ---------------------------------------------------------------- *)
 (* heatmap: the hot-line table, from a local run or a live daemon;   *)
-(* top: the refreshing dashboard over the daemon's stats_stream.     *)
+(* top: the refreshing dashboard over the daemon's polled stats.      *)
 (* ---------------------------------------------------------------- *)
 
 let line_bytes = 64
@@ -819,9 +821,9 @@ let heatmap_cmd case trace workload n config cap top json daemon =
       print_heatmap ~what:src.what ~daemon:false ~top ~json (Obs.Heatmap.snapshot heatmap)
 
 let top_cmd socket once =
-  (* --once asks the daemon for exactly one stats frame (CI smoke and
-     scripting); otherwise follow the stream, clear + redraw per frame
-     when stdout is a terminal. *)
+  (* --once fetches exactly one stats snapshot (CI smoke and
+     scripting); otherwise poll once per stream interval, clear +
+     redraw per snapshot when stdout is a terminal. *)
   let frames = if once then 1 else 0 in
   let interactive = (not once) && Unix.isatty Unix.stdout in
   let prev = ref None in
@@ -839,7 +841,6 @@ let top_cmd socket once =
         true)
       ()
   with
-  | Ok 0 -> die "daemon closed the stream without a stats frame"
   | Ok n -> if not interactive then Printf.printf "stream closed after %d frame(s)\n" n
   | Error msg -> die "%s" msg
 
@@ -919,8 +920,8 @@ let max_sessions_arg =
 
 let metrics_file_arg =
   let doc =
-    "Write a Prometheus text-format exposition of the daemon's merged telemetry to $(docv) atomically every stream \
-     interval (scrape it with a node_exporter textfile collector, or validate with `pmdb stats --check-prometheus`)."
+    "Write a Prometheus text-format exposition of the daemon's merged telemetry to $(docv) atomically once a \
+     second (scrape it with a node_exporter textfile collector, or validate with `pmdb stats --check-prometheus`)."
   in
   Arg.(value & opt (some string) None & info [ "metrics-file" ] ~docv:"FILE" ~doc)
 
@@ -1063,7 +1064,7 @@ let check_prometheus_arg =
   Arg.(value & opt (some file) None & info [ "check-prometheus" ] ~docv:"FILE" ~doc)
 
 let follow_arg =
-  let doc = "With --daemon: subscribe to the stats stream and print each periodic merged snapshot as it arrives." in
+  let doc = "With --daemon: poll the daemon's stats once a second and print each merged snapshot." in
   Arg.(value & flag & info [ "follow" ] ~doc)
 
 let frames_arg =
@@ -1173,7 +1174,7 @@ let cmds =
       (Cmd.info "heatmap"
          ~doc:"Print the hottest cache lines (traffic, dirty time, bug density) of a run or a live daemon")
       heatmap_term;
-    Cmd.v (Cmd.info "top" ~doc:"Live dashboard over a running daemon's stats stream (throughput, latency, sessions)") top_term;
+    Cmd.v (Cmd.info "top" ~doc:"Live dashboard over a running daemon's stats, polled once a second (throughput, latency, sessions)") top_term;
     Cmd.v (Cmd.info "list" ~doc:"List available workloads") list_term;
   ]
 

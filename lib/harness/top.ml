@@ -1,5 +1,5 @@
 (* The `pmdb top` dashboard renderer: one merged metrics snapshot in,
-   one multi-line string out. Pure — the CLI owns the stream, the
+   one multi-line string out. Pure — the CLI owns the polling, the
    refresh loop and the terminal; keeping the renderer side-effect-free
    makes every layout decision unit-testable against synthetic
    snapshots.

@@ -1,8 +1,8 @@
 (** The [pmdb top] dashboard renderer: a merged daemon metrics snapshot
     in, a multi-line text frame out.
 
-    Pure by design — the CLI owns the [stats_stream] subscription, the
-    refresh cadence and the terminal (clear + redraw when interactive),
+    Pure by design — the CLI owns the polling of the daemon's [stats],
+    the refresh cadence and the terminal (clear + redraw when interactive),
     so the layout is unit-testable against synthetic snapshots. Rates
     derive from counter deltas between [prev] and [cur]; quantiles come
     from the snapshot's histogram buckets ({!Obs.Metrics.quantile});

@@ -64,7 +64,9 @@ let quantile v q =
         let cum' = cum +. float_of_int v.h_counts.(i) in
         if cum' >= target && v.h_counts.(i) > 0 then begin
           let lo = if i = 0 then 0.0 else v.h_bounds.(i - 1) in
-          let hi = if i >= nbounds then overflow_hi else v.h_bounds.(i) in
+          (* No quantile past the largest observation: a finite
+             bucket's upper edge is clamped to [h_max] too. *)
+          let hi = if i >= nbounds then overflow_hi else Float.max lo (Float.min v.h_bounds.(i) v.h_max) in
           let frac = (target -. cum) /. float_of_int v.h_counts.(i) in
           lo +. ((hi -. lo) *. Float.min 1.0 (Float.max 0.0 frac))
         end

@@ -88,7 +88,9 @@ val quantile : hist_view -> float -> float
 (** [quantile v q] for [q] in [0,1], linearly interpolated inside the
     winning bucket — including the overflow bucket, whose upper edge is
     the observed max ([h_max]), so a p99 past the last bound no longer
-    snaps to the bound verbatim. [0.0] on an empty histogram. *)
+    snaps to the bound verbatim. Every bucket's upper edge is clamped to
+    [h_max], so no quantile exceeds the largest observation. [0.0] on an
+    empty histogram. *)
 
 (** {1 Snapshots} *)
 

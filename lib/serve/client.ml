@@ -71,91 +71,57 @@ let replay_file ~socket ~name ?(lenient = false) path =
   | body -> run_session ~socket ~name ~lenient body
   | exception Sys_error msg -> Error msg
 
-let raw ~socket body =
+(* One exchange: send [body], half-close, and read the daemon's answer
+   to EOF. *)
+let exchange ~socket body =
   with_conn socket @@ fun fd ->
   wrap_io @@ fun () ->
   send_all fd body;
   half_close fd;
   Ok (read_all fd)
 
-let stats ~socket =
-  with_conn socket @@ fun fd ->
-  wrap_io @@ fun () ->
-  send_all fd (Wire.hello_line Wire.Stats ^ "\n");
-  half_close fd;
-  let raw = read_all fd in
-  if raw = "" then Error "daemon closed the connection without a reply"
-  else
-    match Obs.Json.of_string (first_line raw) with
-    | Error msg -> Error (Printf.sprintf "stats reply: %s" msg)
-    | Ok json -> Obs.Metrics.snapshot_of_json json
+let raw = exchange
 
-let heatmap ~socket =
-  with_conn socket @@ fun fd ->
-  wrap_io @@ fun () ->
-  send_all fd (Wire.hello_line Wire.Heatmap ^ "\n");
-  half_close fd;
-  let raw = read_all fd in
-  if raw = "" then Error "daemon closed the connection without a reply"
-  else
-    match Obs.Json.of_string (first_line raw) with
-    | Error msg -> Error (Printf.sprintf "heatmap reply: %s" msg)
-    | Ok json -> Obs.Heatmap.snapshot_of_json json
+(* One request: the [hello] exchange, its reply's first line parsed. *)
+let request ~socket hello parse =
+  match exchange ~socket (Wire.hello_line hello ^ "\n") with
+  | Error _ as e -> e
+  | Ok "" -> Error "daemon closed the connection without a reply"
+  | Ok reply -> parse (first_line reply)
 
-(* Follow a stats_stream: read newline-framed snapshot documents as
-   they arrive, handing each to [on_frame]. Bounded ([frames > 0]) the
-   daemon closes after the Nth frame; unbounded we read until the
-   daemon goes away or [on_frame] returns [false]. *)
+let json_reply what of_json line =
+  match Obs.Json.of_string line with
+  | Error msg -> Error (Printf.sprintf "%s reply: %s" what msg)
+  | Ok json -> of_json json
+
+let stats ~socket = request ~socket Wire.Stats (json_reply "stats" Obs.Metrics.snapshot_of_json)
+
+let heatmap ~socket = request ~socket Wire.Heatmap (json_reply "heatmap" Obs.Heatmap.snapshot_of_json)
+
+(* Follow the daemon's stats by polling: one snapshot at once, then one
+   per Daemon.stream_interval. A failed request after the first frame
+   means the daemon went away, which ends the follow. *)
 let stats_follow ~socket ?(frames = 0) ~on_frame () =
-  with_conn socket @@ fun fd ->
-  wrap_io @@ fun () ->
-  send_all fd (Wire.hello_line (Wire.Stats_stream { frames }) ^ "\n");
-  half_close fd;
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let seen = ref 0 in
-  let err = ref None in
-  let continue = ref true in
-  while !continue do
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> continue := false
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        let s = Buffer.contents buf in
-        Buffer.clear buf;
-        let parts = String.split_on_char '\n' s in
-        let rec feed = function
-          | [] -> ()
-          | [ tail ] -> Buffer.add_string buf tail (* incomplete line *)
-          | line :: rest ->
-              (if !continue && line <> "" then
-                 match Obs.Json.of_string line with
-                 | Error msg ->
-                     err := Some (Printf.sprintf "stats_stream frame: %s" msg);
-                     continue := false
-                 | Ok json -> (
-                     match Obs.Metrics.snapshot_of_json json with
-                     | Error msg ->
-                         err := Some (Printf.sprintf "stats_stream frame: %s" msg);
-                         continue := false
-                     | Ok snap ->
-                         incr seen;
-                         if not (on_frame snap) then continue := false));
-              feed rest
-        in
-        feed parts
-  done;
-  match !err with Some msg -> Error msg | None -> Ok !seen
+  let rec go seen =
+    match stats ~socket with
+    | Error _ when seen > 0 -> Ok seen
+    | Error msg -> Error msg
+    | Ok snap ->
+        let seen = seen + 1 in
+        if (not (on_frame snap)) || seen = frames then Ok seen
+        else begin
+          Unix.sleepf Daemon.stream_interval;
+          go seen
+        end
+  in
+  go 0
 
 let stop ~socket =
-  with_conn socket @@ fun fd ->
-  wrap_io @@ fun () ->
-  send_all fd (Wire.hello_line Wire.Stop ^ "\n");
-  half_close fd;
-  match result_of_reply (read_all fd) with
-  | Ok frame when frame.Wire.status = Status.Ok -> Ok ()
-  | Ok frame -> Error (Printf.sprintf "daemon answered %s" (Status.name frame.Wire.status))
-  | Error _ as e -> e
+  request ~socket Wire.Stop (fun line ->
+      match Wire.result_of_line line with
+      | Ok frame when frame.Wire.status = Status.Ok -> Ok ()
+      | Ok frame -> Error (Printf.sprintf "daemon answered %s" (Status.name frame.Wire.status))
+      | Error _ as e -> e)
 
 (* Deliberately misbehaving clients, for the CI soak job and the
    fault-tolerance tests. *)

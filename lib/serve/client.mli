@@ -3,7 +3,8 @@
     synthetic load generators and the fault-tolerance tests.
 
     Every entry point opens its own connection, performs one exchange
-    and closes; errors come back as [Error msg], never exceptions. *)
+    and closes ({!stats_follow} repeats {!stats}); errors come back as
+    [Error msg], never exceptions. *)
 
 val replay_file :
   socket:string -> name:string -> ?lenient:bool -> string -> (Wire.result_frame, string) result
@@ -33,11 +34,14 @@ val stats_follow :
   on_frame:(Obs.Metrics.snapshot -> bool) ->
   unit ->
   (int, string) result
-(** Subscribe to the daemon's [stats_stream]: each periodic merged
-    snapshot is handed to [on_frame], which returns [false] to
-    unsubscribe. With [frames > 0] the daemon closes the stream after
-    that many frames (default [0]: follow until the daemon goes away
-    or [on_frame] says stop). Returns the number of frames seen. *)
+(** Poll {!stats}: once at once, then once every
+    {!Daemon.stream_interval} seconds, handing each merged snapshot to
+    [on_frame], which returns [false] to stop. With [frames > 0] it
+    stops after that many snapshots (default [0]: follow until the
+    daemon goes away or [on_frame] says stop). A request that fails
+    after the first snapshot means the daemon went away and ends the
+    follow; one that fails before it is the error. Returns the number
+    of snapshots seen. *)
 
 val stop : socket:string -> (unit, string) result
 (** Ask the daemon to shut down gracefully. *)

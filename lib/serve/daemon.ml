@@ -23,45 +23,31 @@ let default_config ~socket =
     heatmap_cap = 0;
   }
 
-(* The select timeout (the housekeeping cadence, seconds: idle
-   timeouts, stats_stream frames, the metrics file, messages parked on a
-   full worker queue); the seconds between stats_stream frames and
-   metrics-file rewrites; slots per flight-recorder ring, on the
+(* The seconds between metrics-file rewrites (and between a
+   follower's stats polls); slots per flight-recorder ring, on the
    dispatch domain and on each worker. *)
-let tick = 0.02
 let stream_interval = 1.0
 let flightrec_capacity = 512
-
-(* A stats_stream subscriber: [remaining] frames still owed (-1 means
-   until disconnect), [last_frame] when the previous one went out. *)
-type stream_state = { mutable remaining : int; mutable last_frame : float }
 
 (* The dispatch domain's side of a session: it forwards the client's
    bytes to the session's worker, which decodes and detects. *)
 type session = {
   id : int;
   name : string;
-  created : float; (* daemon clock at accept, for submit->result latency *)
+  created : float; (* daemon clock at accept: submit->result latency, events/sec *)
   slot : Pool.slot;
   mutable last_activity : float;
   mutable outbox : Pool.input list; (* read, not yet taken by the full worker queue *)
   mutable paused : bool; (* backpressure: fd reads suspended *)
-  mutable last_events : int; (* events/sec gauge bookkeeping *)
-  mutable last_mark : float;
 }
 
 (* A connection's lifecycle, and the one session state machine.
    [Hello] reads the first line; a session then walks Streaming ->
    Awaiting (its end of input or its cut is sent), and is replied to
    and closed as soon as its worker's outcome lands, in either state;
-   stats/stop connections are answered and closed inside the hello
-   handler; stats_stream connections persist and are fed from the tick
-   loop. *)
-type conn_kind =
-  | Hello of Buffer.t
-  | Streaming of session
-  | Awaiting of session
-  | Stats_stream of stream_state
+   stats, heatmap and stop connections are answered and closed inside
+   the hello handler. *)
+type conn_kind = Hello of Buffer.t | Streaming of session | Awaiting of session
 
 type conn = { fd : Unix.file_descr; mutable kind : conn_kind; mutable eof : bool }
 
@@ -152,10 +138,11 @@ let bind_listener path =
   fd
 
 (* One byte down the self-pipe wakes the select: 's' requests shutdown,
-   'q' a black-box dump, 'w' (a worker: an outcome landed or a paused
-   session may read again) only the wake. Async-signal-safe enough for
-   OCaml signal handlers (they run at safe points); a byte dropped on a
-   full pipe is harmless, as the pipe is then already readable. *)
+   'q' a black-box dump, 'w' (a worker: an outcome landed, a paused
+   session may read again, or a full queue has room) only the wake.
+   Async-signal-safe enough for OCaml signal handlers (they run at safe
+   points); a byte dropped on a full pipe is harmless, as the pipe is
+   then already readable. *)
 let poke w c = try ignore (Unix.write_substring w (String.make 1 c) 0 1) with Unix.Unix_error _ -> ()
 
 let create ?(metrics = Obs.Metrics.disabled) ~make_sink cfg =
@@ -280,16 +267,12 @@ let note_end t s status =
   | Status.Timeout -> Obs.Metrics.inc t.metrics "serve_timeouts_total"
   | Status.Ok | Status.Shutdown | Status.Protocol_error -> ()
 
-(* Final reply for a session connection: zero its gauges (so a closed
-   session doesn't show stale queue depths in [stats]) and account the
-   terminal status before the frame goes out. [None]: the worker died,
-   and no report will ever arrive. *)
+(* Final reply for a session connection: account the terminal status
+   before the frame goes out. [None]: the worker died, and no report
+   will ever arrive. *)
 let e2e_bounds = [| 0.001; 0.005; 0.02; 0.1; 0.5; 2.0; 10.0; 60.0 |]
 
 let reply_session t conn s (outcome : Pool.outcome option) =
-  List.iter
-    (fun g -> Obs.Metrics.set t.metrics ~labels:(session_label s) g 0.0)
-    [ "serve_queue_depth"; "serve_live_bytes"; "serve_events_per_sec" ];
   (* Submit -> result: accept-time to result-frame-write, the whole
      session life through ingest, decoding and detector finish. *)
   Obs.Metrics.observe t.metrics ~bounds:e2e_bounds "serve_session_e2e_seconds" (Float.max 0.0 (now () -. s.created));
@@ -344,9 +327,34 @@ let end_session t conn s input =
 
 (* {2 Hello handling} *)
 
-(* Whole-daemon truth: the dispatch domain's registry merged with the
-   latest published snapshot of every worker registry. *)
-let merged_snapshot t = Obs.Metrics.merge (Obs.Metrics.snapshot t.metrics :: Pool.metrics_snapshots t.pool)
+(* The gauges of the connections open right now, read at snapshot time
+   and never stored, so a closed session has no series. Events/sec is
+   the average over the session's life so far. *)
+let live_gauges t =
+  let n = now () in
+  let gauge labels name v = { Obs.Metrics.name; labels; value = Obs.Metrics.V_gauge v } in
+  gauge [] "serve_sessions_active" (float_of_int (List.length t.conns))
+  :: List.concat_map
+       (fun conn ->
+         match conn.kind with
+         | Hello _ -> []
+         | Streaming s | Awaiting s ->
+             let labels = session_label s in
+             let age = n -. s.created in
+             let events = float_of_int (Pool.events s.slot) in
+             [
+               gauge labels "serve_queue_depth" (float_of_int (Pool.queued s.slot));
+               gauge labels "serve_live_bytes" (float_of_int (Pool.in_flight s.slot));
+               gauge labels "serve_events_per_sec" (if age > 0.0 then events /. age else 0.0);
+             ])
+       t.conns
+
+(* Whole-daemon truth, for every stats reply and metrics-file write:
+   the dispatch domain's registry merged with the latest published
+   snapshot of every worker registry and the live gauges. *)
+let merged_snapshot t =
+  let live = if Obs.Metrics.is_on t.metrics then [ live_gauges t ] else [] in
+  Obs.Metrics.merge ((Obs.Metrics.snapshot t.metrics :: live) @ Pool.metrics_snapshots t.pool)
 
 let stats_json t = Obs.Json.to_string ~indent:false (Obs.Metrics.snapshot_to_json (merged_snapshot t))
 
@@ -364,12 +372,6 @@ let handle_hello_line t conn line =
   | Ok Wire.Stats ->
       ignore (write_all t conn.fd (stats_json t ^ "\n"));
       remove_conn t conn
-  | Ok (Wire.Stats_stream { frames }) ->
-      if t.stopping then protocol_error t conn "daemon is shutting down"
-      else
-        (* last_frame = 0 makes the first frame go out on the next
-           tick, so a follower sees data immediately. *)
-        conn.kind <- Stats_stream { remaining = (if frames = 0 then -1 else frames); last_frame = 0.0 }
   | Ok Wire.Heatmap ->
       ignore (write_all t conn.fd (heatmap_json t ^ "\n"));
       remove_conn t conn
@@ -387,19 +389,7 @@ let handle_hello_line t conn line =
         let n = now () in
         Obs.Metrics.inc t.metrics "serve_sessions_opened_total";
         record t ~cat:"session" ~name:"open" ~a:id ~b:0;
-        conn.kind <-
-          Streaming
-            {
-              id;
-              name;
-              created = n;
-              slot;
-              last_activity = n;
-              outbox = [];
-              paused = false;
-              last_events = 0;
-              last_mark = n;
-            }
+        conn.kind <- Streaming { id; name; created = n; slot; last_activity = n; outbox = []; paused = false }
       end
 
 (* {2 Reading} *)
@@ -458,15 +448,6 @@ let handle_readable t conn =
           conn.eof <- true;
           end_session t conn s Pool.End
       | n -> forward t s ~off:0 ~len:n)
-  | Stats_stream _ ->
-      (* Subscribers only read; a half-close (EOF) is how one-shot
-         followers signal "send me my frames and go" — keep streaming,
-         a failed frame write reaps the connection. *)
-      (match Unix.read conn.fd read_buf 0 (Bytes.length read_buf) with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error _ -> remove_conn t conn
-      | 0 -> conn.eof <- true
-      | _ -> ())
   | Awaiting _ ->
       (* The reply is pending; ingest is over. Drain and discard
          whatever else the client sends so its writes never block. *)
@@ -475,7 +456,7 @@ let handle_readable t conn =
       | 0 -> conn.eof <- true
       | _ -> ())
 
-(* {2 Per-tick housekeeping} *)
+(* {2 Per-pass upkeep} *)
 
 (* A streaming session's fd leaves the read set while a message waits
    on a full worker queue or its bytes in flight reach the budget: the
@@ -483,36 +464,7 @@ let handle_readable t conn =
    control without a protocol. *)
 let paused t s = s.outbox <> [] || Pool.in_flight s.slot >= t.cfg.session_budget
 
-let update_gauges t s =
-  let n = now () in
-  if n -. s.last_mark >= 0.5 then begin
-    let events = Pool.events s.slot in
-    let rate = float_of_int (events - s.last_events) /. (n -. s.last_mark) in
-    Obs.Metrics.set t.metrics ~labels:(session_label s) "serve_events_per_sec" rate;
-    s.last_events <- events;
-    s.last_mark <- n
-  end;
-  Obs.Metrics.set t.metrics ~labels:(session_label s) "serve_queue_depth" (float_of_int (Pool.queued s.slot));
-  Obs.Metrics.set t.metrics ~labels:(session_label s) "serve_live_bytes" (float_of_int (Pool.in_flight s.slot))
-
-(* A stats_stream frame: one merged-snapshot JSON line. write_all
-   switches the fd to blocking; the subscriber stays in the select set,
-   so restore nonblock after every frame. *)
-let tick_stream t conn st =
-  let n = now () in
-  if n -. st.last_frame >= stream_interval then begin
-    st.last_frame <- n;
-    if not (write_all t conn.fd (stats_json t ^ "\n")) then remove_conn t conn
-    else begin
-      (try Unix.set_nonblock conn.fd with Unix.Unix_error _ -> ());
-      if st.remaining > 0 then begin
-        st.remaining <- st.remaining - 1;
-        if st.remaining = 0 then remove_conn t conn
-      end
-    end
-  end
-
-let tick_streaming t conn s =
+let check_streaming t conn s =
   (* Fd-throttling rung changes are flight-recorder events: the black
      box shows when flow control engaged around a failure. *)
   let paused_now = paused t s in
@@ -526,21 +478,38 @@ let tick_streaming t conn s =
       ~name:(if paused_now then "throttle_on" else "throttle_off")
       ~a:s.id ~b:(Pool.in_flight s.slot)
   end;
-  if (not paused_now) && t.cfg.idle_timeout > 0.0 && now () -. s.last_activity > t.cfg.idle_timeout then
+  if (not paused_now) && t.cfg.idle_timeout > 0.0 && now () -. s.last_activity >= t.cfg.idle_timeout then
     end_session t conn s
       (Pool.Cut (Status.Timeout, Some (Printf.sprintf "idle for more than %.1fs" t.cfg.idle_timeout)))
-  else update_gauges t s
 
-let tick_conn t conn =
+(* Every loop pass: reply to a session whose outcome landed, retry its
+   parked messages, and keep its pause state and idle clock. *)
+let check_conn t conn =
   match conn.kind with
   | Hello _ -> ()
-  | Stats_stream st -> tick_stream t conn st
   | Streaming s | Awaiting s -> (
       match Pool.result s.slot with
       | Some outcome -> reply_session t conn s (Some outcome)
       | None -> (
           flush t s;
-          match conn.kind with Streaming s -> tick_streaming t conn s | _ -> ()))
+          match conn.kind with Streaming s -> check_streaming t conn s | _ -> ()))
+
+(* The select timeout: the seconds to the earliest real deadline (the
+   idle timeout of a session being read, the next metrics-file write),
+   or -1.0 (wait for a read or a wake) when there is none. A paused
+   session has no deadline: its worker wakes the loop when it may read
+   again. One extra millisecond makes the wake land after the deadline,
+   not a rounding error before it. *)
+let select_timeout t =
+  let idle c =
+    match c.kind with
+    | Streaming s when t.cfg.idle_timeout > 0.0 && not s.paused -> Some (s.last_activity +. t.cfg.idle_timeout)
+    | _ -> None
+  in
+  let metrics = if t.cfg.metrics_file <> None then [ t.last_metrics_write +. stream_interval ] else [] in
+  match metrics @ List.filter_map idle t.conns with
+  | [] -> -1.0
+  | d :: ds -> Float.max 0.0 (List.fold_left Float.min d ds -. now ()) +. 0.001
 
 (* {2 Prometheus metrics file} *)
 
@@ -571,7 +540,7 @@ let wants_read t conn =
   match conn.kind with
   | Hello _ -> true
   | Streaming s -> not (paused t s)
-  | Stats_stream _ | Awaiting _ -> not conn.eof
+  | Awaiting _ -> not conn.eof
 
 (* One connection's failure never takes the daemon down; a dead worker
    fails only its own sessions. *)
@@ -580,7 +549,7 @@ let guard t conn f =
   | Spsc.Closed -> (
       match conn.kind with
       | Streaming s | Awaiting s -> reply_session t conn s None
-      | Hello _ | Stats_stream _ -> remove_conn t conn)
+      | Hello _ -> remove_conn t conn)
   | _ ->
       Obs.Metrics.inc t.metrics "serve_conn_errors_total";
       remove_conn t conn
@@ -591,10 +560,6 @@ let begin_shutdown t =
       guard t conn @@ fun () ->
       match conn.kind with
       | Hello _ -> protocol_error t conn "daemon is shutting down"
-      | Stats_stream _ ->
-          (* One farewell frame so a follower sees the final state. *)
-          ignore (write_all t conn.fd (stats_json t ^ "\n"));
-          remove_conn t conn
       | Streaming s -> end_session t conn s (Pool.Cut (Status.Shutdown, Some "daemon is shutting down"))
       | Awaiting _ -> ())
     t.conns
@@ -645,7 +610,7 @@ let run t =
       @ List.filter_map (fun c -> if wants_read t c then Some c.fd else None) t.conns
     in
     let readable, _, _ =
-      match Unix.select read_fds [] [] tick with
+      match Unix.select read_fds [] [] (select_timeout t) with
       | r -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [], [])
@@ -657,8 +622,7 @@ let run t =
       shutdown_started := true;
       begin_shutdown t
     end;
-    List.iter (fun conn -> guard t conn (fun () -> tick_conn t conn)) t.conns;
-    Obs.Metrics.set t.metrics "serve_sessions_active" (float_of_int (List.length t.conns));
+    List.iter (fun conn -> guard t conn (fun () -> check_conn t conn)) t.conns;
     (if t.cfg.metrics_file <> None then
        let n = now () in
        if n -. t.last_metrics_write >= stream_interval then begin

@@ -9,9 +9,16 @@
     worker decodes them with the session's {!Session} — the
     {!Pmtrace.Trace_io.Decoder} file replays use — straight into the
     session's engine, and publishes the outcome, which the dispatch
-    domain sends back as the session's one result frame. A worker wakes
-    the [select] through the daemon's self-pipe when an outcome lands,
-    so no session waits for the housekeeping tick.
+    domain sends back as the session's one result frame.
+
+    The loop wakes only for work. [select] blocks until a socket is
+    readable, a byte arrives on the daemon's self-pipe, or a real
+    deadline comes: the earliest idle timeout of a session being read,
+    or the next metrics-file write. With neither it waits with no
+    timeout, so an idle daemon sleeps. A worker writes to the self-pipe
+    when an outcome lands, when a paused session may read again, and
+    when it makes room in a queue the dispatch domain found full; a
+    signal handler or {!request_stop} does the same.
 
     Backpressure is one rung: a session's fd leaves the read set while
     its bytes in flight (read, not yet decoded) reach [session_budget]
@@ -42,9 +49,17 @@
 
     Telemetry is domain-safe: the dispatch domain's registry is merged
     ({!Obs.Metrics.merge}) with the workers' atomically-published
-    snapshots for every [stats] reply, [stats_stream] frame, and
-    metrics-file write, so the numbers are whole-daemon truth — not
-    just the dispatch domain's view.
+    snapshots for every [stats] reply and metrics-file write, so the
+    numbers are whole-daemon truth — not just the dispatch domain's
+    view. The live gauges are read at that moment and never stored:
+    [serve_sessions_active] (open connections) and, per live session,
+    [serve_queue_depth{session}] (chunks not yet decoded),
+    [serve_live_bytes{session}] (bytes not yet decoded) and
+    [serve_events_per_sec{session}] (events decoded over the seconds
+    since accept: the average over the session's life). A closed
+    session has no series. The daemon pushes nothing unasked: a
+    follower ([pmdb stats --daemon --follow], [pmdb top]) polls
+    [stats].
 
     The daemon also keeps an always-on flight recorder
     ({!Obs.Flightrec}): a fixed 512-slot ring of recent session
@@ -83,8 +98,8 @@ type config = {
 val default_config : socket:string -> config
 
 val stream_interval : float
-(** Seconds between [stats_stream] frames and metrics-file writes
-    (1.0). *)
+(** Seconds between metrics-file writes, and between a follower's
+    polls ({!Client.stats_follow}) (1.0). *)
 
 type t
 

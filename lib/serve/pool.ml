@@ -63,6 +63,7 @@ let publish st =
 
 type t = {
   queues : msg Spsc.t array;
+  room_wanted : bool Atomic.t array; (* per worker: {!offer} found its queue full *)
   mutable domains : unit Domain.t array; (* empty once stopped *)
   states : worker_state array;
 }
@@ -152,17 +153,21 @@ let handle ~budget ~wake make_sink st sessions msg =
           step st wake sessions s)
   | Stop -> ()
 
-let worker_loop ~budget ~wake make_sink st q =
+let worker_loop ~budget ~wake make_sink st q room_wanted =
   (* Closing the queue on exit poisons it: a router push after worker
      death raises [Spsc.Closed] instead of blocking forever. *)
   Fun.protect ~finally:(fun () -> Spsc.close q) @@ fun () ->
   let sessions = Hashtbl.create 16 in
   let rec go () =
     match Spsc.pop q with
-    | Stop -> ()
-    | msg ->
-        handle ~budget ~wake make_sink st sessions msg;
-        go ()
+    | msg -> (
+        (* The pop made room: a message parked on the full queue may go. *)
+        if Atomic.exchange room_wanted false then wake ();
+        match msg with
+        | Stop -> ()
+        | msg ->
+            handle ~budget ~wake make_sink st sessions msg;
+            go ())
     | exception Spsc.Closed -> ()
   in
   go ()
@@ -208,13 +213,17 @@ let create ?(worker_metrics = false) ?flightrec_capacity ?heatmap_cap ~wake ~wor
           unpublished = 0;
         })
   in
+  let room_wanted = Array.init workers (fun _ -> Atomic.make false) in
   let domains =
     Array.init workers (fun i ->
-        Domain.spawn (fun () -> worker_loop ~budget:session_budget ~wake make_sink states.(i) queues.(i)))
+        Domain.spawn (fun () ->
+            worker_loop ~budget:session_budget ~wake make_sink states.(i) queues.(i) room_wanted.(i)))
   in
-  { queues; domains; states }
+  { queues; room_wanted; domains; states }
 
-let queue t slot = t.queues.(slot.id mod Array.length t.queues)
+let worker t slot = slot.id mod Array.length t.queues
+
+let queue t slot = t.queues.(worker t slot)
 
 let open_session t ~id ~lenient =
   let slot =
@@ -224,7 +233,9 @@ let open_session t ~id ~lenient =
   slot
 
 (* A chunk counts as in flight before it is pushed, so the worker's
-   decrement never sees it early. *)
+   decrement never sees it early. On a full queue the worker is asked
+   for a wake at its next pop, and the push is tried once more: that
+   catches a worker that emptied the queue before it saw the request. *)
 let offer t slot input =
   let bytes, chunks = match input with Chunk b -> (Bytes.length b, 1) | End | Cut _ -> (0, 0) in
   let count sign =
@@ -232,7 +243,14 @@ let offer t slot input =
     ignore (Atomic.fetch_and_add slot.queued (sign * chunks))
   in
   count 1;
-  let sent = Spsc.try_push (queue t slot) (Input (slot, input)) in
+  let q = queue t slot and msg = Input (slot, input) in
+  let sent =
+    Spsc.try_push q msg
+    || begin
+         Atomic.set t.room_wanted.(worker t slot) true;
+         Spsc.try_push q msg
+       end
+  in
   if not sent then count (-1);
   sent
 

@@ -64,8 +64,9 @@ val create :
         cap, handed to [make_sink] so the session detectors feed it;
         see {!heatmap_snapshots}. Default: the disabled table. *) ->
   wake:(unit -> unit)
-    (** called on a worker domain when a session's outcome lands or its
-        bytes in flight fall back under [session_budget] *) ->
+    (** called on a worker domain when a session's outcome lands, when
+        its bytes in flight fall back under [session_budget], and when
+        the worker pops a message from a queue {!offer} found full *) ->
   workers:int ->
   session_budget:int ->
   (heatmap:Obs.Heatmap.t -> Sink.t) ->
@@ -89,7 +90,8 @@ type input =
 
 val offer : t -> slot -> input -> bool
 (** Non-blocking: [false] when the worker's queue is full, and nothing
-    was sent. Raises {!Pmtrace.Spsc.Closed} if the worker died. *)
+    was sent; the worker then calls [wake] when it next makes room.
+    Raises {!Pmtrace.Spsc.Closed} if the worker died. *)
 
 val metrics_snapshots : t -> Obs.Metrics.snapshot list
 (** One snapshot per worker: the last atomically-published snapshot (at

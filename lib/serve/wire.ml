@@ -7,7 +7,6 @@ let schema = "pmdb-serve/v1"
 type hello =
   | Session of { name : string; lenient : bool }
   | Stats
-  | Stats_stream of { frames : int }
   | Heatmap
   | Stop
 
@@ -22,9 +21,6 @@ let name_ok name =
 let hello_line = function
   | Session { name; lenient } -> Printf.sprintf "%s session %s %s" protocol name (if lenient then "lenient" else "strict")
   | Stats -> protocol ^ " stats"
-  | Stats_stream { frames } ->
-      if frames = 0 then protocol ^ " stats_stream"
-      else Printf.sprintf "%s stats_stream %d" protocol frames
   | Heatmap -> protocol ^ " heatmap"
   | Stop -> protocol ^ " stop"
 
@@ -32,11 +28,6 @@ let parse_hello line =
   match String.split_on_char ' ' (String.trim line) with
   | proto :: _ when proto <> protocol -> Error (Printf.sprintf "expected hello %S, got %S" protocol line)
   | [ _; "stats" ] -> Ok Stats
-  | [ _; "stats_stream" ] -> Ok (Stats_stream { frames = 0 })
-  | [ _; "stats_stream"; n ] -> (
-      match int_of_string_opt n with
-      | Some frames when frames > 0 -> Ok (Stats_stream { frames })
-      | _ -> Error (Printf.sprintf "bad stats_stream frame count %S" n))
   | [ _; "heatmap" ] -> Ok Heatmap
   | [ _; "stop" ] -> Ok Stop
   | [ _; "session"; name ] | [ _; "session"; name; "strict" ] ->

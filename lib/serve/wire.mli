@@ -5,7 +5,6 @@
     {v
       pmdb-serve/1 session <name> [strict|lenient]   event-stream session
       pmdb-serve/1 stats                             metrics snapshot, then close
-      pmdb-serve/1 stats_stream [N]                  periodic snapshot frames
       pmdb-serve/1 heatmap                           hot-line table, then close
       pmdb-serve/1 stop                              graceful daemon shutdown
     v}
@@ -14,11 +13,10 @@
     line format and half-closes (shutdown of its write side); the
     daemon answers with exactly one {!result_frame} rendered as a
     single JSON line (schema [pmdb-serve/v1]) and closes. [stats]
-    connections receive one [pmdb-metrics/v1] JSON document;
-    [stats_stream] connections receive one such document per line at
-    the daemon's stream interval — [N] frames then close when [N > 0]
-    is given, until disconnect (or daemon shutdown) otherwise. Any
-    malformed hello gets a [protocol-error] result frame.
+    connections receive one [pmdb-metrics/v1] JSON document and are
+    closed; the daemon pushes nothing unasked, so a follower polls
+    [stats]. Any malformed or unknown hello gets a [protocol-error]
+    result frame.
 
     The report embedded in a result frame round-trips every field of
     {!Pmtrace.Bug.report} (findings, causal chains, failure), so a
@@ -35,7 +33,6 @@ val schema : string
 type hello =
   | Session of { name : string; lenient : bool }
   | Stats
-  | Stats_stream of { frames : int }  (** [frames = 0]: stream until disconnect *)
   | Heatmap  (** merged hot-line table, one [pmdb-heatmap/v1] JSON line *)
   | Stop
 

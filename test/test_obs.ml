@@ -147,6 +147,20 @@ let test_quantiles () =
   M.hist_observe h 100.0;
   Alcotest.(check int) "view frozen" 4 v.M.h_count
 
+(* Every observation lies in 2.0–2.1, inside the 2.0–10.0 bucket: a
+   quantile interpolated up to the bucket's bound would read up to 10.0
+   when nothing took longer than 2.1. *)
+let test_quantile_within_observed_max () =
+  let h = M.hist_create ~bounds:[| 1.0; 2.0; 10.0 |] () in
+  for i = 1 to 100 do
+    M.hist_observe h (2.0 +. (0.1 *. float_of_int i /. 100.0))
+  done;
+  let v = M.hist_view h in
+  let p99 = M.quantile v 0.99 in
+  Alcotest.(check bool) (Printf.sprintf "p99 %.3f <= 2.1" p99) true (p99 <= 2.1);
+  Alcotest.(check bool) (Printf.sprintf "p99 %.3f >= 2.0" p99) true (p99 >= 2.0);
+  Alcotest.(check bool) "p100 is the max" true (M.quantile v 1.0 <= v.M.h_max)
+
 let test_snapshot_determinism () =
   let mk order =
     let t = M.create () in
@@ -754,4 +768,5 @@ let suite =
     Alcotest.test_case "space-spill-metric" `Quick test_space_spill_metric;
     Alcotest.test_case "trace-io-telemetry" `Quick test_trace_io_telemetry;
     Alcotest.test_case "crash-explore-telemetry" `Quick test_crash_explore_telemetry;
+    Alcotest.test_case "quantile-within-observed-max" `Quick test_quantile_within_observed_max;
   ]

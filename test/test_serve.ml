@@ -134,15 +134,10 @@ let test_wire_parse_hello () =
   | Ok (W.Session { lenient; _ }) -> Alcotest.(check bool) "lenient flag" true lenient
   | _ -> Alcotest.fail "lenient hello rejected");
   Alcotest.(check bool) "stats verb" true (W.parse_hello "pmdb-serve/1 stats" = Ok W.Stats);
-  Alcotest.(check bool) "stats_stream verb" true
-    (W.parse_hello "pmdb-serve/1 stats_stream" = Ok (W.Stats_stream { frames = 0 }));
-  Alcotest.(check bool) "bounded stats_stream" true
-    (W.parse_hello "pmdb-serve/1 stats_stream 5" = Ok (W.Stats_stream { frames = 5 }));
   Alcotest.(check bool) "stop verb" true (W.parse_hello "pmdb-serve/1 stop" = Ok W.Stop);
   let rejected s = match W.parse_hello s with Error _ -> true | Ok _ -> false in
-  Alcotest.(check bool) "zero-frame stats_stream" true (rejected "pmdb-serve/1 stats_stream 0");
-  Alcotest.(check bool) "negative stats_stream" true (rejected "pmdb-serve/1 stats_stream -3");
-  Alcotest.(check bool) "non-numeric stats_stream" true (rejected "pmdb-serve/1 stats_stream many");
+  (* The daemon pushes nothing unasked: the old streaming verb is gone. *)
+  Alcotest.(check bool) "stats_stream is not a verb" true (rejected "pmdb-serve/1 stats_stream");
   Alcotest.(check bool) "bad magic" true (rejected "pmdb-serve/2 session s");
   Alcotest.(check bool) "bad verb" true (rejected "pmdb-serve/1 sessions s");
   Alcotest.(check bool) "empty name" true (rejected "pmdb-serve/1 session ");
@@ -157,8 +152,6 @@ let test_wire_parse_hello () =
       W.Session { name = "w1"; lenient = false };
       W.Session { name = "w1"; lenient = true };
       W.Stats;
-      W.Stats_stream { frames = 0 };
-      W.Stats_stream { frames = 3 };
       W.Stop;
     ]
 
@@ -542,23 +535,27 @@ let offline_report body =
   | Error e -> Alcotest.fail ("offline parse failed: " ^ e)
   | Ok trace -> Recorder.replay trace (D.sink (D.create ~model:D.Strict ()))
 
-let start_daemon ?(idle_timeout = 0.5) ?(workers = 2) ?flightrec_dir ?(session_budget = 8 lsl 20)
-    ?(make_sink = fun ~heatmap -> D.sink (D.create ~model:D.Strict ~heatmap ())) ~metrics socket =
-  let cfg =
-    { (Serve.Daemon.default_config ~socket) with Serve.Daemon.workers; idle_timeout; flightrec_dir; session_budget }
-  in
+(* Run a daemon made from [cfg] on its own domain, once its listener is
+   up. *)
+let launch ?(make_sink = fun ~heatmap -> D.sink (D.create ~model:D.Strict ~heatmap ())) ~metrics cfg =
   let daemon = Serve.Daemon.create ~metrics ~make_sink cfg in
   let d = Domain.spawn (fun () -> Serve.Daemon.run daemon) in
-  (* Wait for the listener to come up. *)
   let rec wait tries =
     if tries = 0 then Alcotest.fail "daemon never bound its socket"
-    else if Sys.file_exists socket then ()
+    else if Sys.file_exists cfg.Serve.Daemon.socket_path then ()
     else (
       Unix.sleepf 0.02;
       wait (tries - 1))
   in
   wait 250;
-  d
+  (daemon, d)
+
+let start_daemon ?(idle_timeout = 0.5) ?(workers = 2) ?flightrec_dir ?(session_budget = 8 lsl 20) ?make_sink
+    ~metrics socket =
+  let cfg =
+    { (Serve.Daemon.default_config ~socket) with Serve.Daemon.workers; idle_timeout; flightrec_dir; session_budget }
+  in
+  snd (launch ?make_sink ~metrics cfg)
 
 let test_gate_eight_clients_two_misbehaving () =
   let socket = temp_socket () in
@@ -700,8 +697,8 @@ let test_soak_waves_leave_no_session_state () =
     match Serve.Client.stats ~socket with
     | Error e -> Alcotest.fail ("stats: " ^ e)
     | Ok snap ->
-        (* The gauge counts the connections open at the daemon's previous
-           loop turn, and this stats request is one of them: 1 means no
+        (* The gauge counts the connections open when the snapshot is
+           taken, and this stats request is one of them: 1 means no
            session connection outlived its wave. *)
         let active =
           match Obs.Metrics.find snap "serve_sessions_active" with Some (Obs.Metrics.V_gauge g) -> g | _ -> nan
@@ -810,7 +807,7 @@ let test_gate_detector_quarantine_isolated () =
       | Ok n -> Alcotest.(check bool) "perfetto dump non-empty" true (n > 0)))
 
 (* ---------------------------------------------------------------- *)
-(* stats_stream: live merged-snapshot frames                          *)
+(* Following stats: a poll of live merged snapshots                   *)
 (* ---------------------------------------------------------------- *)
 
 let test_stats_stream_follow () =
@@ -842,22 +839,17 @@ let test_stats_stream_follow () =
            (fun (s : Obs.Metrics.sample) -> s.Obs.Metrics.name = "serve_worker_events_total")
            snap))
     !frames;
-  (* The raw wire view: a bounded stream is exactly N newline-framed
-     snapshot documents, each independently parseable. *)
+  (* The daemon streams nothing: the old stats_stream hello is answered
+     like any unknown hello, with a protocol-error frame. *)
   (match Serve.Client.raw ~socket "pmdb-serve/1 stats_stream 2\n" with
   | Error e -> Alcotest.fail ("raw stats_stream: " ^ e)
-  | Ok reply ->
-      let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' reply) in
-      Alcotest.(check int) "two frames on the wire" 2 (List.length lines);
-      List.iter
-        (fun line ->
-          match Obs.Json.of_string line with
-          | Error e -> Alcotest.fail ("frame is not JSON: " ^ e)
-          | Ok json -> (
-              match Obs.Metrics.snapshot_of_json json with
-              | Error e -> Alcotest.fail ("frame is not a snapshot: " ^ e)
-              | Ok _ -> ()))
-        lines);
+  | Ok reply -> (
+      let line = match String.index_opt reply '\n' with Some i -> String.sub reply 0 i | None -> reply in
+      match Serve.Wire.result_of_line line with
+      | Error e -> Alcotest.fail ("reply is not a result frame: " ^ e)
+      | Ok frame ->
+          Alcotest.(check string) "answered with a protocol-error frame" "protocol-error"
+            (Serve.Status.name frame.Serve.Wire.status)));
   (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
   Domain.join handle
 
@@ -1169,6 +1161,12 @@ let test_budget_evicts_long_line_not_fast_client () =
 (* One client's eviction or throttling costs no one else              *)
 (* ---------------------------------------------------------------- *)
 
+(* [f ()] and the seconds it took. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
 (* A --lenient client streaming garbage far past a 1 MiB budget: the
    skip messages it makes count toward the budget, so the session is
    evicted while the client is still writing into a fd the daemon no
@@ -1179,11 +1177,6 @@ let test_lenient_flood_evicted_promptly () =
   let socket = temp_socket () in
   let handle = start_daemon ~idle_timeout:5.0 ~session_budget:(1 lsl 20) ~metrics:Obs.Metrics.disabled socket in
   let flood = "register_pmem 0 4096\nstore 1 0 8\n" ^ String.concat "" (List.init 500_000 (fun _ -> "garbage\n")) in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let flooder =
     Domain.spawn (fun () -> timed (fun () -> Serve.Client.replay_string ~socket ~name:"flood" ~lenient:true flood))
   in
@@ -1264,6 +1257,177 @@ let test_pause_is_not_idleness () =
       Alcotest.(check string) "throttled client ok" "ok" (Serve.Status.name frame.Serve.Wire.status);
       Alcotest.(check int) "every event decoded" events frame.Serve.Wire.events
 
+(* ---------------------------------------------------------------- *)
+(* The loop wakes only for work                                        *)
+(* ---------------------------------------------------------------- *)
+
+(* An unbounded follow polls until the daemon goes away, and then ends
+   with the snapshots it saw, not an error. *)
+let test_follow_ends_when_daemon_stops () =
+  let socket = temp_socket () in
+  let daemon, handle = launch ~metrics:(Obs.Metrics.create ()) (Serve.Daemon.default_config ~socket) in
+  let seen = Atomic.make 0 in
+  let follower =
+    Domain.spawn (fun () ->
+        Serve.Client.stats_follow ~socket
+          ~on_frame:(fun snap ->
+            if List.exists (fun (s : Obs.Metrics.sample) -> s.Obs.Metrics.name = "serve_sessions_active") snap then
+              Atomic.incr seen;
+            true)
+          ())
+  in
+  await "first snapshot" (fun () -> if Atomic.get seen >= 1 then Some () else None);
+  Serve.Daemon.request_stop daemon;
+  Domain.join handle;
+  match Domain.join follower with
+  | Error e -> Alcotest.fail ("follow after stop: " ^ e)
+  | Ok n ->
+      Alcotest.(check bool) (Printf.sprintf "%d snapshot(s) followed" n) true (n >= 1);
+      Alcotest.(check int) "every snapshot was live" n (Atomic.get seen)
+
+let session_gauges = [ "serve_queue_depth"; "serve_live_bytes"; "serve_events_per_sec" ]
+
+(* A hand-driven session client: connect, then send text as given. *)
+let connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  fd
+
+let send fd text = ignore (Unix.write_substring fd text 0 (String.length text))
+
+(* Half-close, read the result frame and close; a receive timeout set
+   on [fd] fails the test. *)
+let finish_session fd =
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let reply = Buffer.create 4096 in
+  let chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes reply chunk 0 n;
+        drain ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Unix.close fd;
+        Alcotest.fail "no result frame before the receive timeout"
+  in
+  drain ();
+  Unix.close fd;
+  match Serve.Wire.result_of_line (String.trim (Buffer.contents reply)) with
+  | Ok frame -> frame
+  | Error e -> Alcotest.fail ("result frame: " ^ e)
+
+(* Session gauges are read when a snapshot is taken: a live session has
+   them, and twenty closed sessions leave none behind. *)
+let test_closed_sessions_leave_no_gauges () =
+  let socket = temp_socket () in
+  let handle = start_daemon ~idle_timeout:5.0 ~metrics:(Obs.Metrics.create ()) socket in
+  let stats () = match Serve.Client.stats ~socket with Ok snap -> snap | Error e -> Alcotest.fail ("stats: " ^ e) in
+  let gauges_of snap =
+    List.filter (fun (s : Obs.Metrics.sample) -> List.mem s.Obs.Metrics.name session_gauges) snap
+  in
+  let fd = connect socket in
+  send fd "pmdb-serve/1 session live\nregister_pmem 0 4096\n";
+  let live = [ ("session", "live") ] in
+  await "gauge series for the live session" (fun () ->
+      let snap = stats () in
+      if List.for_all (fun name -> Obs.Metrics.find snap ~labels:live name <> None) session_gauges then Some ()
+      else None);
+  send fd "program_end\n";
+  Alcotest.(check string) "live session ok" "ok" (Serve.Status.name (finish_session fd).Serve.Wire.status);
+  for i = 1 to 20 do
+    match Serve.Client.replay_string ~socket ~name:(Printf.sprintf "gone-%d" i) trace_body with
+    | Ok frame -> Alcotest.(check string) (Printf.sprintf "session %d ok" i) "ok" (Serve.Status.name frame.Serve.Wire.status)
+    | Error e -> Alcotest.fail e
+  done;
+  let snap = stats () in
+  Alcotest.(check int) "21 sessions opened" 21 (Obs.Metrics.counter_value snap "serve_sessions_opened_total");
+  Alcotest.(check (list string)) "no gauge series for closed sessions" []
+    (List.map
+       (fun (s : Obs.Metrics.sample) -> s.Obs.Metrics.name ^ "{" ^ Obs.Metrics.labels_str s.Obs.Metrics.labels ^ "}")
+       (gauges_of snap));
+  (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
+  Domain.join handle
+
+(* With no traffic at all, the metrics-file deadline alone wakes the
+   loop: the file is written at once and rewritten about once a
+   second. *)
+let test_metrics_file_written_without_traffic () =
+  with_temp_dir @@ fun dir ->
+  let socket = temp_socket () in
+  let path = Filename.concat dir "metrics.prom" in
+  let cfg = { (Serve.Daemon.default_config ~socket) with Serve.Daemon.metrics_file = Some path } in
+  let daemon, handle = launch ~metrics:(Obs.Metrics.create ()) cfg in
+  let mtime () = try Some (Unix.stat path).Unix.st_mtime with Unix.Unix_error _ -> None in
+  let written, first_s = timed (fun () -> await "metrics file" mtime) in
+  let _, rewrite_s =
+    timed (fun () ->
+        await "rewrite of the metrics file" (fun () ->
+            match mtime () with Some m when m > written -> Some m | _ -> None))
+  in
+  Serve.Daemon.request_stop daemon;
+  Domain.join handle;
+  Alcotest.(check bool) (Printf.sprintf "written after %.2f s (<= 2 s)" first_s) true (first_s <= 2.0);
+  Alcotest.(check bool) (Printf.sprintf "rewritten %.2f s later (<= 2 s)" rewrite_s) true (rewrite_s <= 2.0);
+  match Obs.Prometheus.validate (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok n -> Alcotest.(check bool) (Printf.sprintf "%d samples" n) true (n > 0)
+  | Error e -> Alcotest.fail ("metrics file: " ^ e)
+
+(* A one-worker daemon with a slow detector, fed one line per write:
+   more chunks arrive than the worker's queue holds, so messages park on
+   the full queue and the session's fd is paused. Only the worker's
+   room wake resumes it; without that wake the session never ends (the
+   socket timeouts turn the stall into a failure). *)
+let test_full_worker_queue_session_finishes () =
+  let socket = temp_socket () in
+  let make_sink ~heatmap:_ =
+    let n = ref 0 in
+    Sink.make ~name:"slow"
+      ~on_event:(fun _ ->
+        incr n;
+        Unix.sleepf 0.002)
+      ~finish:(fun () -> { (Bug.empty_report "slow") with Bug.events_processed = !n })
+  in
+  let metrics = Obs.Metrics.create () in
+  let handle = start_daemon ~idle_timeout:5.0 ~workers:1 ~make_sink ~metrics socket in
+  let lines = 400 in
+  let fd = connect socket in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.0;
+  send fd "pmdb-serve/1 session queued\n";
+  for _ = 1 to lines do
+    send fd "fence 1\n";
+    Unix.sleepf 0.0001
+  done;
+  let frame = finish_session fd in
+  let stalls =
+    match Serve.Client.stats ~socket with
+    | Ok snap -> Obs.Metrics.counter_value snap "serve_backpressure_stalls_total"
+    | Error e -> Alcotest.fail ("stats: " ^ e)
+  in
+  (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
+  Domain.join handle;
+  Alcotest.(check string) "session ok" "ok" (Serve.Status.name frame.Serve.Wire.status);
+  Alcotest.(check int) "every event decoded" lines frame.Serve.Wire.events;
+  Alcotest.(check bool) (Printf.sprintf "the fd was paused (%d stall(s))" stalls) true (stalls >= 1)
+
+(* The idle deadline is the select timeout: a hung client is reaped at
+   the idle timeout, not at some later wake. *)
+let test_idle_reap_on_deadline () =
+  let idle_timeout = 0.3 in
+  let socket = temp_socket () in
+  let handle = start_daemon ~idle_timeout ~metrics:Obs.Metrics.disabled socket in
+  let frame, elapsed = timed (fun () -> Serve.Client.probe ~socket ~name:"hung" Serve.Client.Hang) in
+  (match Serve.Client.stop ~socket with Ok () -> () | Error e -> Alcotest.fail ("stop: " ^ e));
+  Domain.join handle;
+  (match frame with
+  | Error e -> Alcotest.fail ("hang probe: " ^ e)
+  | Ok frame -> Alcotest.(check string) "reaped as timeout" "timeout" (Serve.Status.name frame.Serve.Wire.status));
+  Alcotest.(check bool)
+    (Printf.sprintf "reaped after %.3f s (%.1f s idle timeout + 0.5 s)" elapsed idle_timeout)
+    true
+    (elapsed >= idle_timeout && elapsed <= idle_timeout +. 0.5)
+
 let suite =
   [
     Alcotest.test_case "spsc close poisons producer side" `Quick test_spsc_close_poisons_producer;
@@ -1300,4 +1464,10 @@ let suite =
       test_budget_evicts_long_line_not_fast_client;
     Alcotest.test_case "a lenient flood is evicted promptly" `Quick test_lenient_flood_evicted_promptly;
     Alcotest.test_case "a paused session is not idle" `Quick test_pause_is_not_idleness;
+    Alcotest.test_case "an unbounded follow ends when the daemon stops" `Quick test_follow_ends_when_daemon_stops;
+    Alcotest.test_case "closed sessions leave no gauge series" `Quick test_closed_sessions_leave_no_gauges;
+    Alcotest.test_case "the metrics file is written with no traffic" `Quick test_metrics_file_written_without_traffic;
+    Alcotest.test_case "a session that fills its worker's queue finishes" `Quick
+      test_full_worker_queue_session_finishes;
+    Alcotest.test_case "an idle session is reaped on its deadline" `Quick test_idle_reap_on_deadline;
   ]
