@@ -128,7 +128,7 @@ let on_fence t =
   end
 
 let on_tx_log t ~obj_addr ~size ~tid =
-  if Option.is_some (Pmdebugger.Tx_logs.note t.logs ~tid (Addr.of_base_size obj_addr size) ~seq:t.seq) then
+  if Pmdebugger.Tx_logs.note t.logs ~tid ~lo:obj_addr ~hi:(obj_addr + size) ~seq:t.seq then
     report_bug t Bug.Redundant_logging ~addr:obj_addr ~size ~detail:"object logged more than once in one transaction" ()
 
 let on_program_end t =

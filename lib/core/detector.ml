@@ -72,16 +72,40 @@ let all_rules_off =
     cross_failure = false;
   }
 
+(* One CLF's bookkeeping observation, summed over every space it
+   touched, reused for every CLF. The hit, when [has_hit], is the
+   canonical redundant hit: the minimum over (store seq, addr, size,
+   prior CLF), independent of bookkeeping walk order and of how shards
+   partitioned the range. *)
+type clf_tally = {
+  mutable matched : int;
+  mutable newly : int;
+  mutable has_hit : bool;
+  mutable hit_seq : int;
+  mutable hit_addr : int;
+  mutable hit_size : int;
+  mutable hit_prior : int;
+}
+
+(* A thread's epoch sections. [fences] holds the fence seqs of its
+   current (or last) outermost section, newest first; [begin_seq] is
+   the seq of its last outermost epoch_begin, -1 before the first
+   (seqs start at 1). *)
+type epoch = { mutable depth : int; mutable begin_seq : int; mutable fences : int list }
+
 type t = {
   model : model;
   rules : rule_set;
   make_space : unit -> Space.t;
   dspace : Space.t;
-  strand_spaces : (int, Space.t) Hashtbl.t;
+  (* Strand spaces in ascending strand id order, [strand_spaces.(i)] for
+     strand [strand_ids.(i)]: extended when [space_for] creates one, so
+     no CLF sorts them. *)
+  mutable strand_ids : int array;
+  mutable strand_spaces : Space.t array;
+  clf : clf_tally;
   cur_strand : (int, int) Hashtbl.t; (* tid -> active strand section *)
-  epoch_depth : (int, int) Hashtbl.t;
-  epoch_fences : (int, int list ref) Hashtbl.t; (* tid -> fence seqs, newest first *)
-  epoch_begin_seq : (int, int) Hashtbl.t; (* tid -> seq of the outermost epoch_begin *)
+  epochs : (int, epoch) Hashtbl.t;
   logs : Tx_logs.t;
   mutable registered : Addr.range list;
   mutable track_all : bool;
@@ -118,11 +142,11 @@ let create ?(model = Strict) ?rules ?(config = Order_config.empty) ?array_capaci
     rules;
     make_space;
     dspace = make_space ();
-    strand_spaces = Hashtbl.create 8;
+    strand_ids = [||];
+    strand_spaces = [||];
+    clf = { matched = 0; newly = 0; has_hit = false; hit_seq = 0; hit_addr = 0; hit_size = 0; hit_prior = 0 };
     cur_strand = Hashtbl.create 8;
-    epoch_depth = Hashtbl.create 8;
-    epoch_fences = Hashtbl.create 8;
-    epoch_begin_seq = Hashtbl.create 8;
+    epochs = Hashtbl.create 8;
     logs = Tx_logs.create ();
     registered = [];
     track_all = true;
@@ -146,9 +170,7 @@ let create ?(model = Strict) ?rules ?(config = Order_config.empty) ?array_capaci
    reports depend on which strands happened to hash where, breaking
    shard parity. (The pending walks additionally sort their candidates
    canonically — see [pending_walk_candidates].) *)
-let all_spaces t =
-  let strands = Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.strand_spaces [] in
-  t.dspace :: List.map snd (List.sort (fun (a, _) (b, _) -> compare (a : int) b) strands)
+let all_spaces t = t.dspace :: Array.to_list t.strand_spaces
 
 (* Pending-location candidates for the walks (epoch end, program end).
    The walks build their findings first and admit them in
@@ -231,22 +253,45 @@ let strand_of t tid =
   if Hashtbl.length t.cur_strand = 0 then -1
   else match Hashtbl.find t.cur_strand tid with s -> s | exception Not_found -> -1
 
+(* Binary search of [strand_ids]: the strand's index, or [-i - 1] when
+   it belongs at index [i]. *)
+let find_strand t strand =
+  let ids = t.strand_ids in
+  let lo = ref 0 and hi = ref (Array.length ids) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if ids.(mid) < strand then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length ids && ids.(!lo) = strand then !lo else - !lo - 1
+
+let add_strand_space t ~at strand =
+  let s = t.make_space () in
+  let insert a x =
+    Array.init (Array.length a + 1) (fun j -> if j < at then a.(j) else if j = at then x else a.(j - 1))
+  in
+  t.strand_ids <- insert t.strand_ids strand;
+  t.strand_spaces <- insert t.strand_spaces s;
+  s
+
 let space_for t tid =
   if Hashtbl.length t.cur_strand = 0 then t.dspace
   else
-    match Hashtbl.find_opt t.cur_strand tid with
-    | None -> t.dspace
-    | Some strand -> (
-        match Hashtbl.find_opt t.strand_spaces strand with
-        | Some s -> s
-        | None ->
-            let s = t.make_space () in
-            Hashtbl.replace t.strand_spaces strand s;
-            s)
+    match Hashtbl.find t.cur_strand tid with
+    | exception Not_found -> t.dspace
+    | strand ->
+        let i = find_strand t strand in
+        if i >= 0 then t.strand_spaces.(i) else add_strand_space t ~at:(-i - 1) strand
 
 let in_epoch t tid =
-  Hashtbl.length t.epoch_depth > 0
-  && match Hashtbl.find t.epoch_depth tid with d -> d > 0 | exception Not_found -> false
+  Hashtbl.length t.epochs > 0 && match Hashtbl.find t.epochs tid with e -> e.depth > 0 | exception Not_found -> false
+
+let epoch_of t tid =
+  match Hashtbl.find t.epochs tid with
+  | e -> e
+  | exception Not_found ->
+      let e = { depth = 0; begin_seq = -1; fences = [] } in
+      Hashtbl.replace t.epochs tid e;
+      e
 
 (* A variable is durable when it has been stored to and no space still
    tracks an unpersisted location overlapping it. *)
@@ -324,69 +369,78 @@ let on_store t ~addr ~size ~tid =
       fire_overwrite t ~addr ~size (Space.prior_seqs space)
   end
 
+let tally_reset c ~matched ~newly =
+  c.matched <- matched;
+  c.newly <- newly;
+  c.has_hit <- false
+
+(* (store seq, addr, size, prior CLF) sorts before the tally's hit. *)
+let hit_before c ~addr ~size ~seq ~prior =
+  if seq <> c.hit_seq then seq < c.hit_seq
+  else if addr <> c.hit_addr then addr < c.hit_addr
+  else if size <> c.hit_size then size < c.hit_size
+  else prior < c.hit_prior
+
+let tally_hit c ~addr ~size ~seq ~prior =
+  if (not c.has_hit) || hit_before c ~addr ~size ~seq ~prior then begin
+    c.has_hit <- true;
+    c.hit_seq <- seq;
+    c.hit_addr <- addr;
+    c.hit_size <- size;
+    c.hit_prior <- prior
+  end
+
+let rec tally_hits c redundant prov =
+  match (redundant, prov) with
+  | (addr, size) :: redundant, (seq, prior) :: prov ->
+      tally_hit c ~addr ~size ~seq ~prior;
+      tally_hits c redundant prov
+  | _ -> ()
+
+(* Redundant hits matter only to a CLF that persists nothing new, so a
+   space where it persists something adds none. *)
+let tally_add c (r : Space.clf_result) =
+  c.matched <- c.matched + r.Space.matched;
+  c.newly <- c.newly + r.Space.newly_flushed;
+  if r.Space.newly_flushed = 0 then tally_hits c r.Space.redundant r.Space.redundant_prov
+
+(* A CLWB acts on the physical line: under the strand extension it
+   must also update any other strand's space tracking the line. *)
+let clf_other t ~primary ~lo ~hi space =
+  if space != primary && Space.has_pending_overlap space ~lo ~hi then
+    tally_add t.clf (Space.process_clf space ~seq:t.seq ~lo ~hi)
+
 (* Like the store path, the CLF path is a scan (bookkeeping over one
    contiguous range, possibly a per-line clip) plus a fire (rules over
-   the merged observation and the event's full range). *)
+   the merged observation and the event's full range). The scan leaves
+   its observation in [t.clf]. *)
 let clf_scan t ~tid ~lo ~hi =
   let primary = space_for t tid in
-  let result = Space.process_clf primary ~seq:t.seq ~lo ~hi in
-  (* A CLWB acts on the physical line: under the strand extension it
-     must also update any other strand's space tracking the line. *)
-  let result =
-    if Hashtbl.length t.strand_spaces = 0 then result
-    else
-      List.fold_left
-        (fun (acc : Space.clf_result) space ->
-          if space == primary || not (Space.has_pending_overlap space ~lo ~hi) then acc
-          else begin
-            let r = Space.process_clf space ~seq:t.seq ~lo ~hi in
-            {
-              Space.matched = acc.Space.matched + r.Space.matched;
-              newly_flushed = acc.Space.newly_flushed + r.Space.newly_flushed;
-              redundant = acc.Space.redundant @ r.Space.redundant;
-              redundant_prov = acc.Space.redundant_prov @ r.Space.redundant_prov;
-            }
-          end)
-        result (all_spaces t)
-  in
+  tally_reset t.clf ~matched:0 ~newly:0;
+  tally_add t.clf (Space.process_clf primary ~seq:t.seq ~lo ~hi);
+  if Array.length t.strand_spaces > 0 then begin
+    clf_other t ~primary ~lo ~hi t.dspace;
+    for i = 0 to Array.length t.strand_spaces - 1 do
+      clf_other t ~primary ~lo ~hi t.strand_spaces.(i)
+    done
+  end;
   if Obs.Heatmap.is_on t.heatmap && (not t.silent) && hi > lo then
     for line = Addr.line_of lo to Addr.line_of (hi - 1) do
       Obs.Heatmap.on_clf t.heatmap ~seq:t.seq ~line
-    done;
-  result
+    done
 
-(* (addr, size, store seq, prior CLF seq) per redundant hit. *)
-let redundant_hits (r : Space.clf_result) =
-  List.map2
-    (fun (a, s) (store_seq, prior_clf) -> (a, s, store_seq, prior_clf))
-    r.Space.redundant r.Space.redundant_prov
-
-(* The canonical redundant hit: the minimum over (store seq, addr,
-   size, prior CLF), first one on ties. *)
-let rec canonical_hit best = function
-  | [] -> best
-  | (((a : int), (s : int), (q : int), (c : int)) as hit) :: rest ->
-      let better =
-        match best with
-        | None -> true
-        | Some (a', s', q', c') ->
-            q < q' || (q = q' && (a < a' || (a = a' && (s < s' || (s = s' && c < c')))))
-      in
-      canonical_hit (if better then Some hit else best) rest
-
-let clf_fire t ~addr ~size ~matched ~newly ~redundant =
+let clf_fire t ~addr ~size (c : clf_tally) =
+  let matched = c.matched and newly = c.newly in
   if t.rules.flush_nothing && matched = 0 && admit t Bug.Flush_nothing ~addr then
     emit t Bug.Flush_nothing ~addr ~size ~chain:[] ~detail:"CLF persists no prior store";
   (* A CLF is redundant only when it covers tracked locations yet
      persists nothing new: a line writeback that also persists a fresh
      store is useful, however many already-flushed neighbours share
-     the line. The reported hit is the canonical minimum over
-     (store seq, addr, size, prior CLF), independent of bookkeeping
-     walk order and of how shards partitioned the range. *)
+     the line. The reported hit is the canonical one. *)
   if t.rules.redundant_flush && matched > 0 && newly = 0 then begin
-    match canonical_hit None redundant with
-    | Some (a, s, store_seq, prior_clf) ->
-        if admit t Bug.Redundant_flush ~addr:a then
+    if c.has_hit then begin
+      let a = c.hit_addr and s = c.hit_size and store_seq = c.hit_seq and prior_clf = c.hit_prior in
+      if admit t Bug.Redundant_flush ~addr:a then
           emit t Bug.Redundant_flush ~addr:a ~size:s
             ~chain:
               (Bug.cause ~addr:a ~size:s ~cls:"store" ~note:"the store being re-flushed" store_seq
@@ -394,9 +448,9 @@ let clf_fire t ~addr ~size ~matched ~newly ~redundant =
               (if prior_clf >= 0 then [ Bug.cause ~addr:a ~size:s ~cls:"clf" ~note:"already flushed here" prior_clf ]
                else []))
             ~detail:"store flushed again before the fence"
-    | None ->
-        if admit t Bug.Redundant_flush ~addr then
-          emit t Bug.Redundant_flush ~addr ~size ~chain:[] ~detail:"store flushed again before the fence"
+    end
+    else if admit t Bug.Redundant_flush ~addr then
+      emit t Bug.Redundant_flush ~addr ~size ~chain:[] ~detail:"store flushed again before the fence"
   end;
   (* §5.2, Fig. 7b: a CLF that persists a location with a cross-strand
      ordering requirement violates it when the predecessor variable is
@@ -410,11 +464,8 @@ let clf_fire t ~addr ~size ~matched ~newly ~redundant =
 let on_clf t ~addr ~size ~tid =
   let hi = addr + size in
   if in_registered t ~lo:addr ~hi then begin
-    let r = clf_scan t ~tid ~lo:addr ~hi in
-    let matched = r.Space.matched and newly = r.Space.newly_flushed in
-    (* Redundant hits matter only to a redundant-flush candidate. *)
-    let redundant = if matched > 0 && newly = 0 && t.rules.redundant_flush then redundant_hits r else [] in
-    clf_fire t ~addr ~size ~matched ~newly ~redundant
+    clf_scan t ~tid ~lo:addr ~hi;
+    clf_fire t ~addr ~size t.clf
   end
 
 let on_fence t ~tid =
@@ -422,47 +473,37 @@ let on_fence t ~tid =
   Space.note_fence_sample space;
   Space.process_fence space ~seq:t.seq;
   if in_epoch t tid then begin
-    let fences =
-      match Hashtbl.find_opt t.epoch_fences tid with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.replace t.epoch_fences tid l;
-          l
-    in
-    fences := t.seq :: !fences
+    let e = epoch_of t tid in
+    e.fences <- t.seq :: e.fences
   end;
   check_order t;
   if t.crash_check_every_fence then run_crash_check t
 
 let on_epoch_begin t ~tid =
-  let d = match Hashtbl.find_opt t.epoch_depth tid with None -> 0 | Some d -> d in
+  let e = epoch_of t tid in
   (* Nested transactions collapse into the outermost one (§6). *)
-  if d = 0 then begin
-    Hashtbl.replace t.epoch_fences tid (ref []);
-    Hashtbl.replace t.epoch_begin_seq tid t.seq;
+  if e.depth = 0 then begin
+    e.fences <- [];
+    e.begin_seq <- t.seq;
     Tx_logs.reset t.logs ~tid
   end;
-  Hashtbl.replace t.epoch_depth tid (d + 1)
+  e.depth <- e.depth + 1
 
-let epoch_begin_cause t ~tid =
-  match Hashtbl.find_opt t.epoch_begin_seq tid with
-  | Some seq -> [ Bug.cause ~cls:"epoch" ~note:"epoch section opened here" seq ]
-  | None -> []
+let epoch_begin_cause e =
+  if e.begin_seq >= 0 then [ Bug.cause ~cls:"epoch" ~note:"epoch section opened here" e.begin_seq ] else []
 
 let on_epoch_end t ~tid =
-  let d = match Hashtbl.find_opt t.epoch_depth tid with None -> 0 | Some d -> d in
-  if d <= 1 then begin
-    Hashtbl.replace t.epoch_depth tid 0;
+  let e = epoch_of t tid in
+  if e.depth <= 1 then begin
+    e.depth <- 0;
     (* Rules at the outermost epoch end (§5.2). *)
-    let fences = match Hashtbl.find_opt t.epoch_fences tid with None -> [] | Some l -> List.rev !l in
-    if t.rules.redundant_epoch_fence && List.length fences > 1 && admit t Bug.Redundant_epoch_fence ~addr:(-tid - 1)
-    then
+    let nfences = List.length e.fences in
+    if t.rules.redundant_epoch_fence && nfences > 1 && admit t Bug.Redundant_epoch_fence ~addr:(-tid - 1) then
       emit t Bug.Redundant_epoch_fence ~addr:(-tid - 1) ~size:0
         ~chain:
-          (epoch_begin_cause t ~tid
-          @ List.map (fun seq -> Bug.cause ~cls:"fence" ~note:"fence inside the epoch section" seq) fences)
-        ~detail:(Printf.sprintf "%d fences inside one epoch section" (List.length fences));
+          (epoch_begin_cause e
+          @ List.rev_map (fun seq -> Bug.cause ~cls:"fence" ~note:"fence inside the epoch section" seq) e.fences)
+        ~detail:(Printf.sprintf "%d fences inside one epoch section" nfences);
     if t.rules.lack_durability_in_epoch && not t.silent then begin
       let space = space_for t tid in
       if Space.exists_epoch_pending space then
@@ -471,7 +512,7 @@ let on_epoch_end t ~tid =
         List.map
           (fun (addr, size, flushed, seq, clf_seq, fence_seq) ->
             let chain =
-              epoch_begin_cause t ~tid
+              epoch_begin_cause e
               @ Bug.cause ~addr ~size ~cls:"store" ~note:"stored inside the epoch" seq
                 ::
                 (if flushed && clf_seq >= 0 then
@@ -490,18 +531,23 @@ let on_epoch_end t ~tid =
     end;
     Tx_logs.reset t.logs ~tid
   end
-  else Hashtbl.replace t.epoch_depth tid (d - 1)
+  else e.depth <- e.depth - 1
 
 let on_tx_log t ~obj_addr ~size ~tid =
   if t.rules.redundant_logging then
-    match Tx_logs.note t.logs ~tid (Addr.of_base_size obj_addr size) ~seq:t.seq with
-    | Some { Tx_logs.range = prior; seq = log_seq } ->
-        if admit t Bug.Redundant_logging ~addr:obj_addr then
-          emit t Bug.Redundant_logging ~addr:obj_addr ~size
-            ~chain:
-              [ Bug.cause ~addr:prior.Addr.lo ~size:(Addr.size prior) ~cls:"tx_log" ~note:"object first logged here" log_seq ]
-            ~detail:"object logged more than once in one transaction"
-    | None -> ()
+    if
+      Tx_logs.note t.logs ~tid ~lo:obj_addr ~hi:(obj_addr + size) ~seq:t.seq
+      && admit t Bug.Redundant_logging ~addr:obj_addr
+    then begin
+      let lo = Tx_logs.prior_lo t.logs in
+      emit t Bug.Redundant_logging ~addr:obj_addr ~size
+        ~chain:
+          [
+            Bug.cause ~addr:lo ~size:(Tx_logs.prior_hi t.logs - lo) ~cls:"tx_log" ~note:"object first logged here"
+              (Tx_logs.prior_seq t.logs);
+          ]
+        ~detail:"object logged more than once in one transaction"
+    end
 
 let on_program_end t =
   if not t.finished then begin
@@ -623,14 +669,21 @@ let worker t =
       (fun ~seq ~tid ~lo ~hi ->
         t.seq <- seq;
         t.cur_class <- "clf";
-        let r = clf_scan t ~tid ~lo ~hi in
-        { Shard_router.co_matched = r.Space.matched; co_newly = r.Space.newly_flushed; co_redundant = redundant_hits r });
+        clf_scan t ~tid ~lo ~hi;
+        let c = t.clf in
+        {
+          Shard_router.co_matched = c.matched;
+          co_newly = c.newly;
+          co_redundant = (if c.has_hit then [ (c.hit_addr, c.hit_size, c.hit_seq, c.hit_prior) ] else []);
+        });
     w_fire_clf =
       (fun ~seq ~addr ~size obs ->
         t.seq <- seq;
         t.cur_class <- "clf";
-        clf_fire t ~addr ~size ~matched:obs.Shard_router.co_matched ~newly:obs.Shard_router.co_newly
-          ~redundant:obs.Shard_router.co_redundant);
+        let c = t.clf in
+        tally_reset c ~matched:obs.Shard_router.co_matched ~newly:obs.Shard_router.co_newly;
+        List.iter (fun (addr, size, seq, prior) -> tally_hit c ~addr ~size ~seq ~prior) obs.Shard_router.co_redundant;
+        clf_fire t ~addr ~size c);
     w_finish =
       (fun () ->
         on_program_end t;

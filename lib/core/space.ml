@@ -14,6 +14,10 @@ type t = {
   mutable metas : Clf_meta.t array;
   mutable nmetas : int;
   tree : Slot.payload Rangetree.t;
+  (* Tree nodes whose payload has [p_epoch]: every tree insert and
+     remove goes through [tree_add] / [tree_remove], which keep it, so
+     the epoch-end query needs no tree walk. *)
+  mutable epoch_nodes : int;
   (* Tree nodes flushed by CLFs since the last fence, oldest first, as
      parallel (lo, hi, payload) arrays: the fence removes exactly these
      instead of sweeping the whole tree, so a large spill tree of
@@ -85,6 +89,7 @@ let create ?(array_capacity = 100_000) ?(merge_threshold = 500) ?(mode = Hybrid)
     metas = [| Clf_meta.make ~start_idx:0 |];
     nmetas = 1;
     tree = Rangetree.create ();
+    epoch_nodes = 0;
     reg_lo = [||];
     reg_hi = [||];
     reg_p = [||];
@@ -121,9 +126,21 @@ let[@inline] meta_empty (m : Clf_meta.t) = m.Clf_meta.end_idx < m.Clf_meta.start
    their individual flag was never touched). *)
 let[@inline] slot_flushed (m : Clf_meta.t) (s : Slot.t) = s.Slot.flushed || m.Clf_meta.state = Clf_meta.All_flushed
 
+let tree_add t ~lo ~hi (p : Slot.payload) =
+  if p.Slot.p_epoch then t.epoch_nodes <- t.epoch_nodes + 1;
+  Rangetree.insert t.tree ~lo ~hi p
+
+let tree_remove t ~lo ~hi (p : Slot.payload) =
+  if Rangetree.remove t.tree ~lo ~hi p && p.Slot.p_epoch then t.epoch_nodes <- t.epoch_nodes - 1
+
+let count_epoch_nodes t =
+  let n = ref 0 in
+  Rangetree.iter t.tree (fun ~lo:_ ~hi:_ (p : Slot.payload) -> if p.Slot.p_epoch then incr n);
+  !n
+
 let tree_insert_payload t ~lo ~hi (p : Slot.payload) =
   bounds_add t ~lo ~hi;
-  Rangetree.insert t.tree ~lo ~hi p
+  tree_add t ~lo ~hi p
 
 let register t ~lo ~hi (p : Slot.payload) =
   let i = t.nreg in
@@ -187,7 +204,7 @@ let prior_seqs t =
 let insert_flushed_piece t ~lo ~hi (p : Slot.payload) =
   let fp = { p with Slot.p_flushed = true } in
   register t ~lo ~hi fp;
-  Rangetree.insert t.tree ~lo ~hi fp
+  tree_add t ~lo ~hi fp
 
 (* A store dirties its cache line again: any tracked overlapping
    location that was flushed (but not yet fenced) loses its flushed
@@ -264,11 +281,11 @@ let unflush_overlaps t ~need_overlap ~lo ~hi =
       if need_overlap then add_prior t p.Slot.p_seq;
       if lo <= rlo && rhi <= hi then begin
         if p.Slot.p_flushed then unregister t ~lo:rlo ~hi:rhi p;
-        ignore (Rangetree.remove t.tree ~lo:rlo ~hi:rhi p)
+        tree_remove t ~lo:rlo ~hi:rhi p
       end
       else if p.Slot.p_flushed then begin
         unregister t ~lo:rlo ~hi:rhi p;
-        ignore (Rangetree.remove t.tree ~lo:rlo ~hi:rhi p);
+        tree_remove t ~lo:rlo ~hi:rhi p;
         (* The hit meets [lo, hi), so its remainders are [rlo, lo) and
            [hi, rhi), each when non-empty. *)
         if rlo < lo then insert_flushed_piece t ~lo:rlo ~hi:lo p;
@@ -458,10 +475,10 @@ let process_clf t ~seq ~lo ~hi =
           incr newly;
           let fp = { p with Slot.p_flushed = true; p_clf_seq = seq } in
           register t ~lo:clo ~hi:chi fp;
-          ignore (Rangetree.remove t.tree ~lo:rlo ~hi:rhi p);
-          Rangetree.insert t.tree ~lo:clo ~hi:chi fp;
-          if rlo < clo then Rangetree.insert t.tree ~lo:rlo ~hi:clo { p with Slot.p_flushed = false; p_clf_seq = -1 };
-          if chi < rhi then Rangetree.insert t.tree ~lo:chi ~hi:rhi { p with Slot.p_flushed = false; p_clf_seq = -1 }
+          tree_remove t ~lo:rlo ~hi:rhi p;
+          tree_add t ~lo:clo ~hi:chi fp;
+          if rlo < clo then tree_add t ~lo:rlo ~hi:clo { p with Slot.p_flushed = false; p_clf_seq = -1 };
+          if chi < rhi then tree_add t ~lo:chi ~hi:rhi { p with Slot.p_flushed = false; p_clf_seq = -1 }
         end
       end
     done;
@@ -480,7 +497,7 @@ let process_fence t ~seq =
      newest registration first. *)
   for i = t.nreg - 1 downto 0 do
     let p = t.reg_p.(i) in
-    if p.Slot.p_flushed then ignore (Rangetree.remove t.tree ~lo:t.reg_lo.(i) ~hi:t.reg_hi.(i) p)
+    if p.Slot.p_flushed then tree_remove t ~lo:t.reg_lo.(i) ~hi:t.reg_hi.(i) p
   done;
   t.nreg <- 0;
   (* Array: per interval, All_flushed drops wholesale (metadata
@@ -518,6 +535,7 @@ let process_fence t ~seq =
     Rangetree.reorganize t.tree
       ~eq:(fun (a : Slot.payload) b -> a.Slot.p_flushed = b.Slot.p_flushed && a.Slot.p_epoch = b.Slot.p_epoch && a.Slot.p_strand = b.Slot.p_strand)
       ~merge:(fun a b -> if a.Slot.p_seq >= b.Slot.p_seq then a else b);
+    t.epoch_nodes <- count_epoch_nodes t;
     Obs.Metrics.inc t.metrics "space_reorganizations_total";
     Obs.Metrics.inc t.metrics ~by:(imax 0 (t.last_reorg_size - Rangetree.size t.tree)) "space_interval_merges_total";
     t.last_reorg_size <- Rangetree.size t.tree
@@ -557,7 +575,10 @@ let fold_pending t ~init ~f =
 
 exception Found
 
+(* The array holds one fence interval; the tree's answer is its count. *)
 let exists_epoch_pending t =
+  t.epoch_nodes > 0
+  ||
   try
     for k = 0 to t.nmetas - 1 do
       let m = t.metas.(k) in
@@ -567,7 +588,6 @@ let exists_epoch_pending t =
           if s.Slot.valid && s.Slot.epoch then raise_notrace Found
         done
     done;
-    Rangetree.iter t.tree (fun ~lo:_ ~hi:_ (p : Slot.payload) -> if p.Slot.p_epoch then raise_notrace Found);
     false
   with Found -> true
 
@@ -582,6 +602,7 @@ let clear t =
   t.live <- 0;
   reset_intervals t;
   Rangetree.clear t.tree;
+  t.epoch_nodes <- 0;
   (* Forget everything derived from the cleared contents: pending flush
      registrations would replay pre-clear bookkeeping into the next
      fence, and a stale reorg baseline suppresses merging until the
@@ -592,6 +613,11 @@ let clear t =
   t.bound_hi <- min_int
 
 let tree_size t = Rangetree.size t.tree
+
+let check_invariants t =
+  let walked = count_epoch_nodes t in
+  if t.epoch_nodes <> walked then
+    failwith (Printf.sprintf "Space: %d epoch tree nodes counted, %d found by a walk" t.epoch_nodes walked)
 
 let array_live t = t.live
 

@@ -110,7 +110,9 @@ val has_pending_overlap : t -> lo:int -> hi:int -> bool
 (** Any tracked (not yet durable) location overlapping the range? *)
 
 val exists_epoch_pending : t -> bool
-(** Any tracked location whose store came from an epoch section? *)
+(** Any tracked location whose store came from an epoch section? Walks
+    the current fence interval's array slots, not the tree: the space
+    counts its epoch tree nodes as they are inserted and removed. *)
 
 val iter_pending :
   t ->
@@ -129,6 +131,10 @@ val clear : t -> unit
 (** {1 Statistics} *)
 
 val tree_size : t -> int
+
+val check_invariants : t -> unit
+(** Raises [Failure] when the count of epoch tree nodes differs from a
+    walk of the tree. For tests. *)
 
 val array_live : t -> int
 

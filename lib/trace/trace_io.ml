@@ -98,11 +98,11 @@ let blank = Event.Call { func = ""; tid = -1 }
 let malformed = Event.Call { func = ""; tid = -2 }
 
 (* The characters [String.trim] strips. *)
-let is_trim_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+let[@inline] is_trim_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
 (* Token cursor over the trimmed line: [p] is the scan position and [e]
    the end of the line. One cursor is reused for every line of a fold. *)
-type cursor = { mutable p : int; mutable e : int }
+type cursor = { mutable p : int; mutable e : int; fields : int array  (** a plain line's numbers *) }
 
 let skip_spaces c b =
   let p = ref c.p in
@@ -310,7 +310,7 @@ let parse_error c b lo hi =
 
 let event_of_bytes b ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Trace_io.event_of_bytes";
-  let c = { p = 0; e = 0 } in
+  let c = { p = 0; e = 0; fields = Array.make 4 0 } in
   let ev = scan_line c b off (off + len) in
   if ev == blank then Ok None
   else if ev == malformed then Error (parse_error c b off (off + len))
@@ -319,11 +319,119 @@ let event_of_bytes b ~off ~len =
 let event_of_line line = event_of_bytes (Bytes.unsafe_of_string line) ~off:0 ~len:(String.length line)
 
 (* ------------------------------------------------------------------ *)
+(* One pass: a plain line is parsed from its first byte to its '\n'    *)
+(* with no separate framing, trimming or tokenizing pass. Plain is the *)
+(* form [add_event] prints, give or take space runs: a keyword from    *)
+(* its first byte, picked by that byte and its length; each field      *)
+(* spaces and 1 to 18 decimal digits; then [String.trim] whitespace (a *)
+(* CRLF line's '\r') before the '\n'. Every other line (a comment, a   *)
+(* blank or indented line, a tab inside, a sign, a prefix, 19+ digits, *)
+(* a name, a malformed token) and one that runs past the end of its    *)
+(* chunk goes to the framer and scanner above, which define the        *)
+(* grammar and every error; the framer resumes its '\n' search where   *)
+(* the pass stopped. Nothing here raises or calls out before the line  *)
+(* is known to be plain.                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The outcome of a line that leaves the plain form. *)
+let not_plain = Event.Call { func = ""; tid = -3 }
+
+let[@inline] is_keyword_char ch = (ch >= 'a' && ch <= 'z') || ch = '_'
+
+let[@inline] is_digit ch = ch >= '0' && ch <= '9'
+
+(* The event on the plain line starting at [lo], with [c.p] on its '\n';
+   or [not_plain], with no '\n' in [b.[lo, c.p)]. No byte at or past
+   [stop] is read. One function with inlined byte tests: every call
+   spills the live registers, which cost more than the scanner saves. *)
+let plain_line c b lo stop =
+  let p = ref lo in
+  while !p < stop && is_keyword_char (Bytes.unsafe_get b !p) do
+    incr p
+  done;
+  let kw = !p in
+  if kw = lo then begin
+    c.p <- lo;
+    not_plain
+  end
+  else begin
+    (* clf's kind, the one word field. *)
+    let kind_lo = ref kw in
+    if kw - lo = 3 && Bytes.unsafe_get b lo = 'c' then begin
+      while !p < stop && Bytes.unsafe_get b !p = ' ' do
+        incr p
+      done;
+      kind_lo := !p;
+      while !p < stop && is_keyword_char (Bytes.unsafe_get b !p) do
+        incr p
+      done
+    end;
+    let kind_lo = !kind_lo and kind_hi = !p in
+    (* Up to four fields, each a run of spaces and 1 to 18 decimal
+       digits, which cannot overflow. *)
+    let f = c.fields and n = ref 0 and more = ref true in
+    while !more do
+      let q = ref !p in
+      while !q < stop && Bytes.unsafe_get b !q = ' ' do
+        incr q
+      done;
+      let digits_lo = !q and v = ref 0 in
+      while !q < stop && is_digit (Bytes.unsafe_get b !q) do
+        v := (!v * 10) + Char.code (Bytes.unsafe_get b !q) - 48;
+        incr q
+      done;
+      let len = !q - digits_lo in
+      if digits_lo = !p || len = 0 || len > 18 || !n = 4 then more := false
+      else begin
+        Array.unsafe_set f !n !v;
+        incr n;
+        p := !q
+      end
+    done;
+    while !p < stop && Bytes.unsafe_get b !p <> '\n' && is_trim_space (Bytes.unsafe_get b !p) do
+      incr p
+    done;
+    c.p <- !p;
+    if !p >= stop || Bytes.unsafe_get b !p <> '\n' then not_plain
+    else
+      let f0 = Array.unsafe_get f 0 and f1 = Array.unsafe_get f 1 in
+      let f2 = Array.unsafe_get f 2 and f3 = Array.unsafe_get f 3 in
+      match (Bytes.unsafe_get b lo, kw - lo, !n) with
+      | 's', 5, 3 when token_is b lo kw "store" -> Event.Store { addr = f1; size = f2; tid = f0 }
+      | 'c', 3, 3 when token_is b lo kw "clf" -> (
+          let clf kind = Event.Clf { addr = f1; size = f2; kind; tid = f0 } in
+          match kind_hi - kind_lo with
+          | 4 when token_is b kind_lo kind_hi "clwb" -> clf Event.Clwb
+          | 7 when token_is b kind_lo kind_hi "clflush" -> clf Event.Clflush
+          | 10 when token_is b kind_lo kind_hi "clflushopt" -> clf Event.Clflushopt
+          | _ -> not_plain)
+      | 'f', 5, 1 when token_is b lo kw "fence" -> Event.Fence { tid = f0 }
+      | 't', 6, 3 when token_is b lo kw "tx_log" -> Event.Tx_log { obj_addr = f1; size = f2; tid = f0 }
+      | 'e', 11, 1 when token_is b lo kw "epoch_begin" -> Event.Epoch_begin { tid = f0 }
+      | 'e', 9, 1 when token_is b lo kw "epoch_end" -> Event.Epoch_end { tid = f0 }
+      | 's', 12, 2 when token_is b lo kw "strand_begin" -> Event.Strand_begin { tid = f0; strand = f1 }
+      | 's', 10, 2 when token_is b lo kw "strand_end" -> Event.Strand_end { tid = f0; strand = f1 }
+      | 'j', 11, 1 when token_is b lo kw "join_strand" -> Event.Join_strand { tid = f0 }
+      | 'r', 13, 2 when token_is b lo kw "register_pmem" -> Event.Register_pmem { base = f0; size = f1 }
+      | 'a', 14, 2 when token_is b lo kw "assert_durable" ->
+          Event.Annotation (Event.Assert_durable { addr = f0; size = f1 })
+      | 'a', 14, 4 when token_is b lo kw "assert_ordered" ->
+          Event.Annotation (Event.Assert_ordered { first_addr = f0; first_size = f1; then_addr = f2; then_size = f3 })
+      | 'a', 12, 2 when token_is b lo kw "assert_fresh" ->
+          Event.Annotation (Event.Assert_fresh { addr = f0; size = f1 })
+      | 'p', 11, 0 when token_is b lo kw "program_end" -> Event.Program_end
+      | _ ->
+          (* register_var and call (a name runs to the end of the line),
+             a wrong arity and anything else take the scanner. *)
+          not_plain
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Decoder: the one line framer and end rule. A line is the range      *)
-(* before a '\n', or the unterminated rest at [finish]. A line wholly   *)
-(* inside a chunk is scanned where it lies; only a line split across    *)
-(* chunks is copied, into [carry]. Line numbers count blank and comment *)
-(* lines.                                                               *)
+(* before a '\n', or the unterminated rest at [finish]. A line wholly  *)
+(* inside a chunk is parsed where it lies, in one pass when plain;     *)
+(* only a line split across chunks is copied, into [carry]. Line       *)
+(* numbers count blank and comment lines.                              *)
 (* ------------------------------------------------------------------ *)
 
 let ends_trace = function Event.Program_end -> true | _ -> false
@@ -345,7 +453,7 @@ module Decoder = struct
   }
 
   let create ?(on_skip = no_skip) ~lenient emit =
-    let cur = { p = 0; e = 0 } and carry = Buffer.create 256 in
+    let cur = { p = 0; e = 0; fields = Array.make 4 0 } and carry = Buffer.create 256 in
     { lenient; emit; on_skip; cur; carry; lineno = 0; events = 0; skipped = 0; ended = false; synthesized = false }
 
   let events d = d.events
@@ -358,6 +466,11 @@ module Decoder = struct
 
   (* A strict decoder's error, caught by [feed] and [finish]. *)
   exception Strict of string
+
+  let deliver d ev =
+    d.events <- d.events + 1;
+    d.ended <- ends_trace ev;
+    d.emit ev
 
   (* The line [b.[lo, hi)]. *)
   let line d b lo hi =
@@ -372,11 +485,7 @@ module Decoder = struct
       end
       else raise_notrace (Strict (Printf.sprintf "line %d: %s" d.lineno msg))
     end
-    else begin
-      d.events <- d.events + 1;
-      d.ended <- ends_trace ev;
-      d.emit ev
-    end
+    else deliver d ev
 
   let carried_line d =
     let b = Buffer.to_bytes d.carry in
@@ -385,23 +494,38 @@ module Decoder = struct
 
   let feed d b ~off ~len =
     if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Trace_io.Decoder.feed";
-    let stop = off + len in
+    let stop = off + len and c = d.cur in
     let rec go start =
-      (* The next '\n', bounded by [stop]: the bytes past a chunk in a
-         reused read buffer are stale. *)
-      let i = ref start in
-      while !i < stop && Bytes.unsafe_get b !i <> '\n' do
-        incr i
-      done;
-      let nl = !i in
-      if nl = stop then Buffer.add_subbytes d.carry b start (stop - start)
-      else begin
-        if Buffer.length d.carry = 0 then line d b start nl
+      let ev =
+        if Buffer.length d.carry = 0 then plain_line c b start stop
         else begin
-          Buffer.add_subbytes d.carry b start (nl - start);
-          carried_line d
-        end;
-        go (nl + 1)
+          c.p <- start;
+          not_plain
+        end
+      in
+      if ev != not_plain then begin
+        d.lineno <- d.lineno + 1;
+        deliver d ev;
+        go (c.p + 1)
+      end
+      else begin
+        (* The next '\n' from where the one pass stopped, bounded by
+           [stop]: the bytes past a chunk in a reused read buffer are
+           stale. *)
+        let i = ref c.p in
+        while !i < stop && Bytes.unsafe_get b !i <> '\n' do
+          incr i
+        done;
+        let nl = !i in
+        if nl = stop then Buffer.add_subbytes d.carry b start (stop - start)
+        else begin
+          if Buffer.length d.carry = 0 then line d b start nl
+          else begin
+            Buffer.add_subbytes d.carry b start (nl - start);
+            carried_line d
+          end;
+          go (nl + 1)
+        end
       end
     in
     try Ok (go off) with Strict msg -> Error msg

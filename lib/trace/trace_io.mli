@@ -86,7 +86,9 @@ module Decoder : sig
 
   val feed : t -> Bytes.t -> off:int -> len:int -> (unit, string) result
   (** Decode [b.[off, off + len)], never writing it. Whole lines are
-      scanned in place; only a line split across chunks is copied, so
+      scanned in place, a line in the printer's form (give or take
+      runs of spaces and trailing whitespace) in one pass that allocates
+      only its event; only a line split across chunks is copied, so
       any split of the same bytes gives the same events, line numbers
       and errors. A strict decoder returns
       [Error "line N: cannot parse event ..."] at the first malformed

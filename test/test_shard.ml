@@ -509,7 +509,8 @@ let prop_cap_parity =
 (* The space and the flat oracle in lockstep over a detector-shaped
    trace: after every store, CLF and fence, each observation a rule can
    read must agree — the op's own result, overlap queries on its range,
-   the epoch query and the whole pending set with its provenance. The
+   the epoch query, the count of epoch tree nodes behind it, and the
+   whole pending set with its provenance. The
    rules are a function of these observations, so agreement here means
    the findings agree too. Redundant hits are compared as a sorted set
    of (hit, provenance) pairs: their order is walk order. *)
@@ -553,6 +554,10 @@ let prop_flat_oracle_lockstep =
         op_agrees
         && Space.exists_epoch_pending sp = F.exists_epoch_pending fl
         && pending (Space.iter_pending sp) = pending (F.iter_pending fl)
+        &&
+        (* The space's count of epoch tree nodes equals a walk. *)
+        (Space.check_invariants sp;
+         true)
       in
       let trace = trace_of input in
       let rec go i = i = Array.length trace || (step (i + 1) trace.(i) && go (i + 1)) in

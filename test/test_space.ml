@@ -457,6 +457,33 @@ let test_strand_spaces_allocate_little () =
     (List.assoc "spaces" (Detector.report d).Bug.stats);
   Alcotest.(check bool) (Printf.sprintf "allocated %.0f bytes < 256 KiB" allocated) true (allocated < 256.0 *. 1024.0)
 
+(* The count of epoch tree nodes behind [exists_epoch_pending] stays
+   equal to a walk through every way the tree changes: spills (array
+   capacity 2), partial overwrites and CLFs that split nodes, fences,
+   merges past a threshold of 4, and [clear]; and the answer equals
+   the pending set's. *)
+let prop_epoch_count_is_a_walk =
+  QCheck.Test.make ~name:"epoch tree-node count equals a walk" ~count:300
+    QCheck.(small_list (triple (int_range 0 4) (int_range 0 40) bool))
+    (fun ops ->
+      let sp = mk ~array_capacity:2 ~merge_threshold:4 () in
+      List.for_all
+        (fun (op, slot, epoch) ->
+          let addr = slot * 8 in
+          (match op with
+          | 0 | 1 -> ignore (store sp ~epoch ~addr ~size:(if op = 0 then 8 else 20))
+          | 2 -> ignore (Space.process_clf sp ~lo:(addr + 4) ~hi:(addr + 36))
+          | 3 -> Space.process_fence sp
+          | _ ->
+              let lo = Pmem.Addr.line_base addr in
+              if slot = 0 then Space.clear sp else ignore (Space.process_clf sp ~lo ~hi:(lo + 64)));
+          Space.check_invariants sp;
+          let walked = ref false in
+          Space.iter_pending sp (fun ~addr:_ ~size:_ ~flushed:_ ~epoch ~seq:_ ~clf_seq:_ ~fence_seq:_ ->
+              if epoch then walked := true);
+          Space.exists_epoch_pending sp = !walked)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "store/flush/fence lifecycle" `Quick test_store_then_flush_then_fence;
@@ -482,4 +509,5 @@ let suite =
     Alcotest.test_case "slot array grows to a non-power-of-two cap" `Quick test_growth_caps_at_capacity;
     Alcotest.test_case "strand spaces allocate little" `Quick test_strand_spaces_allocate_little;
     QCheck_alcotest.to_alcotest prop_growth_boundary_parity;
+    QCheck_alcotest.to_alcotest prop_epoch_count_is_a_walk;
   ]
