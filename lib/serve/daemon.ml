@@ -297,7 +297,7 @@ let reply_session t conn s (outcome : Pool.outcome option) =
 (* {2 Forwarding} *)
 
 (* Hand the session's parked messages to its worker, in order, until
-   the worker's queue is full. Raises [Spsc.Closed] if the worker
+   the worker's queue is full. Raises [Pool.Closed] if the worker
    died. Bytes are counted as they are handed over, so what a reply
    drops from the outbox is not: the workers' serve_worker_bytes_total
    balances this count. *)
@@ -546,7 +546,7 @@ let wants_read t conn =
    fails only its own sessions. *)
 let guard t conn f =
   try f () with
-  | Spsc.Closed -> (
+  | Pool.Closed -> (
       match conn.kind with
       | Streaming s | Awaiting s -> reply_session t conn s None
       | Hello _ -> remove_conn t conn)

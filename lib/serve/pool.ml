@@ -52,9 +52,54 @@ type worker_state = {
 
 let publish_every = 512
 
-(* Worker queue slots, counted in messages: a chunk is one read of up to
-   64 KiB, and a session's bytes in flight are capped by its budget. *)
+(* Worker mailbox slots, counted in messages: a chunk is one read of up
+   to 64 KiB, and a session's bytes in flight are capped by its budget. *)
 let queue_capacity = 256
+
+exception Closed
+
+(* A worker's mailbox. An idle worker sleeps in [Condition.wait]. An
+   {!offer} that finds [queue_capacity] messages sets [room_wanted];
+   the worker's next take clears it and wakes the dispatch domain. The
+   worker closes the mailbox when it exits. *)
+type mailbox = {
+  lock : Mutex.t;
+  nonempty : Condition.t;
+  msgs : msg Queue.t;
+  mutable room_wanted : bool;
+  mutable closed : bool;
+}
+
+let mailbox () =
+  { lock = Mutex.create (); nonempty = Condition.create (); msgs = Queue.create (); room_wanted = false; closed = false }
+
+(* [false] when [bounded] and the mailbox is full. Raises [Closed] once
+   its worker has exited. *)
+let post mb ~bounded msg =
+  Mutex.protect mb.lock (fun () ->
+      if mb.closed then raise Closed;
+      if bounded && Queue.length mb.msgs >= queue_capacity then begin
+        mb.room_wanted <- true;
+        false
+      end
+      else begin
+        Queue.push msg mb.msgs;
+        Condition.signal mb.nonempty;
+        true
+      end)
+
+let take mb wake =
+  let msg, room_wanted =
+    Mutex.protect mb.lock (fun () ->
+        while Queue.is_empty mb.msgs do
+          Condition.wait mb.nonempty mb.lock
+        done;
+        let room_wanted = mb.room_wanted in
+        mb.room_wanted <- false;
+        (Queue.pop mb.msgs, room_wanted))
+  in
+  if room_wanted then wake ();
+  msg
 
 let publish st =
   Atomic.set st.snap (Obs.Metrics.snapshot st.reg);
@@ -62,8 +107,7 @@ let publish st =
   st.unpublished <- 0
 
 type t = {
-  queues : msg Spsc.t array;
-  room_wanted : bool Atomic.t array; (* per worker: {!offer} found its queue full *)
+  mailboxes : mailbox array;
   mutable domains : unit Domain.t array; (* empty once stopped *)
   states : worker_state array;
 }
@@ -153,29 +197,24 @@ let handle ~budget ~wake make_sink st sessions msg =
           step st wake sessions s)
   | Stop -> ()
 
-let worker_loop ~budget ~wake make_sink st q room_wanted =
-  (* Closing the queue on exit poisons it: a router push after worker
-     death raises [Spsc.Closed] instead of blocking forever. *)
-  Fun.protect ~finally:(fun () -> Spsc.close q) @@ fun () ->
+let worker_loop ~budget ~wake make_sink st mb =
+  (* Closing the mailbox on exit: a post after worker death raises
+     [Closed] instead of parking messages nobody will take. *)
+  Fun.protect ~finally:(fun () -> Mutex.protect mb.lock (fun () -> mb.closed <- true)) @@ fun () ->
   let sessions = Hashtbl.create 16 in
   let rec go () =
-    match Spsc.pop q with
-    | msg -> (
-        (* The pop made room: a message parked on the full queue may go. *)
-        if Atomic.exchange room_wanted false then wake ();
-        match msg with
-        | Stop -> ()
-        | msg ->
-            handle ~budget ~wake make_sink st sessions msg;
-            go ())
-    | exception Spsc.Closed -> ()
+    match take mb wake with
+    | Stop -> ()
+    | msg ->
+        handle ~budget ~wake make_sink st sessions msg;
+        go ()
   in
   go ()
 
 let create ?(worker_metrics = false) ?flightrec_capacity ?heatmap_cap ~wake ~workers ~session_budget
     make_sink =
   if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
-  let queues = Array.init workers (fun _ -> Spsc.create ~capacity:queue_capacity) in
+  let mailboxes = Array.init workers (fun _ -> mailbox ()) in
   let states =
     Array.init workers (fun i ->
         let labels = [ ("domain", string_of_int i) ] in
@@ -213,29 +252,23 @@ let create ?(worker_metrics = false) ?flightrec_capacity ?heatmap_cap ~wake ~wor
           unpublished = 0;
         })
   in
-  let room_wanted = Array.init workers (fun _ -> Atomic.make false) in
   let domains =
     Array.init workers (fun i ->
-        Domain.spawn (fun () ->
-            worker_loop ~budget:session_budget ~wake make_sink states.(i) queues.(i) room_wanted.(i)))
+        Domain.spawn (fun () -> worker_loop ~budget:session_budget ~wake make_sink states.(i) mailboxes.(i)))
   in
-  { queues; room_wanted; domains; states }
+  { mailboxes; domains; states }
 
-let worker t slot = slot.id mod Array.length t.queues
-
-let queue t slot = t.queues.(worker t slot)
+let mailbox_of t slot = t.mailboxes.(slot.id mod Array.length t.mailboxes)
 
 let open_session t ~id ~lenient =
   let slot =
     { id; in_flight = Atomic.make 0; queued = Atomic.make 0; events = Atomic.make 0; outcome = Atomic.make None }
   in
-  Spsc.push (queue t slot) (Open (slot, lenient));
+  ignore (post (mailbox_of t slot) ~bounded:false (Open (slot, lenient)));
   slot
 
-(* A chunk counts as in flight before it is pushed, so the worker's
-   decrement never sees it early. On a full queue the worker is asked
-   for a wake at its next pop, and the push is tried once more: that
-   catches a worker that emptied the queue before it saw the request. *)
+(* A chunk counts as in flight before it is posted, so the worker's
+   decrement never sees it early. *)
 let offer t slot input =
   let bytes, chunks = match input with Chunk b -> (Bytes.length b, 1) | End | Cut _ -> (0, 0) in
   let count sign =
@@ -243,14 +276,7 @@ let offer t slot input =
     ignore (Atomic.fetch_and_add slot.queued (sign * chunks))
   in
   count 1;
-  let q = queue t slot and msg = Input (slot, input) in
-  let sent =
-    Spsc.try_push q msg
-    || begin
-         Atomic.set t.room_wanted.(worker t slot) true;
-         Spsc.try_push q msg
-       end
-  in
+  let sent = post (mailbox_of t slot) ~bounded:true (Input (slot, input)) in
   if not sent then count (-1);
   sent
 
@@ -263,7 +289,7 @@ let flightrec_rings t =
 
 let stop t =
   if Array.length t.domains > 0 then begin
-    Array.iter (fun q -> try Spsc.push q Stop with Spsc.Closed -> ()) t.queues;
+    Array.iter (fun mb -> try ignore (post mb ~bounded:false Stop) with Closed -> ()) t.mailboxes;
     Array.iter Domain.join t.domains;
     t.domains <- [||];
     (* The workers have joined: publish their final registries so the

@@ -3,8 +3,9 @@
     A session runs on its worker as [pmdb replay] runs on a file: the
     worker decodes the bytes it is sent with the session's {!Session}
     straight into the session's engine ({!Pmtrace.Engine.open_one},
-    created on the worker). The daemon's dispatch domain is the one
-    producer of every worker's SPSC queue. Sessions are sticky: session
+    created on the worker). The daemon's dispatch domain posts to each
+    worker's mailbox (a mutex, a condition and a queue), where an idle
+    worker sleeps until a message comes. Sessions are sticky: session
     [id] always runs on worker [id mod workers], so detector state never
     crosses domains.
 
@@ -14,13 +15,16 @@
     past its budget, or at a detector quarantine (a detector exception,
     in [make_sink] included, is caught by the session's engine). After
     that the worker feeds the session nothing more; its siblings are
-    untouched. A worker domain that somehow dies closes its queue, so
-    {!offer} and {!open_session} raise {!Pmtrace.Spsc.Closed} rather
-    than wedging the daemon. *)
+    untouched. A worker domain that somehow dies closes its mailbox, so
+    {!offer} and {!open_session} raise {!Closed} rather than wedging
+    the daemon. *)
 
 open Pmtrace
 
 type t
+
+exception Closed
+(** The session's worker has exited. *)
 
 type outcome = {
   status : Status.t;  (** the first terminal status, [Ok] for a clean end *)
@@ -66,7 +70,7 @@ val create :
   wake:(unit -> unit)
     (** called on a worker domain when a session's outcome lands, when
         its bytes in flight fall back under [session_budget], and when
-        the worker pops a message from a queue {!offer} found full *) ->
+        the worker takes a message from a mailbox {!offer} found full *) ->
   workers:int ->
   session_budget:int ->
   (heatmap:Obs.Heatmap.t -> Sink.t) ->
@@ -81,7 +85,8 @@ val create :
     {!Session}'s budget. *)
 
 val open_session : t -> id:int -> lenient:bool -> slot
-(** Blocking (the open message must land). *)
+(** Never blocks: the open message lands even in a full mailbox.
+    Raises {!Closed} if the worker died. *)
 
 type input =
   | Chunk of Bytes.t  (** the next bytes of the trace; the worker owns them *)
@@ -89,9 +94,9 @@ type input =
   | Cut of Status.t * string option  (** the daemon ends the session ({!Session.cut_short}) *)
 
 val offer : t -> slot -> input -> bool
-(** Non-blocking: [false] when the worker's queue is full, and nothing
-    was sent; the worker then calls [wake] when it next makes room.
-    Raises {!Pmtrace.Spsc.Closed} if the worker died. *)
+(** Non-blocking: [false] when the worker's mailbox holds 256 messages,
+    and nothing was sent; the worker then calls [wake] when it next
+    makes room. Raises {!Closed} if the worker died. *)
 
 val metrics_snapshots : t -> Obs.Metrics.snapshot list
 (** One snapshot per worker: the last atomically-published snapshot (at

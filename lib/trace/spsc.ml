@@ -24,7 +24,7 @@
    consumer's [pop] drains whatever was already published, then raises
    [Closed] instead of waiting for a producer that is gone.
 
-   Exact delivery under a close race: [push]/[try_push] re-check
+   Exact delivery under a close race: [push] re-checks
    [closed] immediately before the publishing [tail] store (cheap early
    exit) and once more immediately after it. The post-publish check is
    what makes the guarantee exact rather than best-effort: with
@@ -69,18 +69,7 @@ let create ~capacity =
 
 let capacity t = t.mask + 1
 
-(* The two index reads can tear against a concurrent push/pop (tail
-   read, then the consumer advances head past it, or vice versa), so
-   clamp to the only occupancies a bounded ring can hold: [0..capacity].
-   Approximate by design — this feeds gauges, never control flow. *)
-let length t =
-  let tail = Atomic.get t.tail in
-  let head = Atomic.get t.head in
-  min (capacity t) (max 0 (tail - head))
-
 let close t = Atomic.set t.closed true
-
-let is_closed t = Atomic.get t.closed
 
 let spin_limit = 32
 
@@ -94,20 +83,6 @@ let backoff n =
        we yield the core. *)
     let k = min (n - spin_limit) 20 in
     Unix.sleepf (min max_sleep (1e-6 *. float_of_int (1 lsl k)))
-  end
-
-let try_push t v =
-  if Atomic.get t.closed then raise Closed;
-  let tail = Atomic.get t.tail in
-  if tail - t.cached_head >= capacity t then t.cached_head <- Atomic.get t.head;
-  if tail - t.cached_head >= capacity t then false
-  else begin
-    t.buf.(tail land t.mask) <- Some v;
-    if Atomic.get t.closed then raise Closed;
-    Atomic.set t.tail (tail + 1);
-    (* Post-publish re-check: see the close-race note in the header. *)
-    if Atomic.get t.closed then raise Closed;
-    true
   end
 
 let push t v =
@@ -131,6 +106,7 @@ let push t v =
   (* And immediately after: see the close-race note in the header. *)
   if Atomic.get t.closed then raise Closed
 
+(* The next element, or [None] while the queue looks empty. *)
 let try_pop t =
   let head = Atomic.get t.head in
   if head >= t.cached_tail then t.cached_tail <- Atomic.get t.tail;

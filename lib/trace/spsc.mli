@@ -1,7 +1,7 @@
 (** Bounded single-producer / single-consumer queue for the sharded
-    detection pipeline and the serving daemon: one domain pushes, one
-    domain pops. Exactly one domain may call {!push}/{!try_push} and
-    exactly one may call {!pop}/{!try_pop} over the queue's lifetime.
+    detection pipeline: one domain pushes, one domain pops. Exactly one
+    domain may call {!push} and exactly one may call {!pop} over the
+    queue's lifetime.
 
     Elements are published with a release/acquire-strength protocol
     (sequentially consistent atomics on the indices), so everything the
@@ -19,51 +19,32 @@
     (wrap the consumer loop in [Fun.protect ~finally:(fun () ->
     Spsc.close q)]).
 
-    Delivery under a close race is exact: {!push}/{!try_push} re-check
-    the closed flag immediately before and after the publishing store,
-    so a push that returns normally is guaranteed observable by a
-    consumer that drains after closing (as {!pop} does before raising),
-    and a push racing the close raises {!Closed} instead of publishing
-    an element nobody will ever pop. On such a raise the in-flight
-    element's delivery is indeterminate — callers must treat {!Closed}
-    as "the stream is torn down", not "exactly my element was
-    dropped". *)
+    Delivery under a close race is exact: {!push} re-checks the closed
+    flag immediately before and after the publishing store, so a push
+    that returns normally is guaranteed observable by a consumer that
+    drains after closing (as {!pop} does before raising), and a push
+    racing the close raises {!Closed} instead of publishing an element
+    nobody will ever pop. On such a raise the in-flight element's
+    delivery is indeterminate — callers must treat {!Closed} as "the
+    stream is torn down", not "exactly my element was dropped". *)
 
 type 'a t
 
 exception Closed
-(** Raised by {!push}/{!try_push} on a closed queue, and by {!pop} on a
-    closed {e and drained} queue. *)
+(** Raised by {!push} on a closed queue, and by {!pop} on a closed
+    {e and drained} queue. *)
 
 val create : capacity:int -> 'a t
 (** Capacity is rounded up to a power of two, minimum 2. *)
-
-val capacity : 'a t -> int
-
-val length : 'a t -> int
-(** Approximate occupancy, clamped to [0..capacity] — the head/tail
-    index pair is read non-atomically and can tear against a concurrent
-    push or pop, so transient values outside the ring's possible
-    occupancy are clipped rather than reported. Feeds the queue-depth
-    gauges; never use it for control flow. *)
 
 val close : 'a t -> unit
 (** Poison the queue. Idempotent; callable from either side (or a
     third party). Elements already published remain poppable. *)
 
-val is_closed : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 (** Blocks (backoff) while full. Raises {!Closed} if the queue is — or
     becomes, at any point up to and including the publish — closed. *)
 
-val try_push : 'a t -> 'a -> bool
-(** [false] when full, never blocks. Raises {!Closed} when closed, with
-    the same pre/post-publish re-checks as {!push}. *)
-
 val pop : 'a t -> 'a
 (** Blocks (backoff) while empty. Raises {!Closed} once the queue is
     closed and drained. *)
-
-val try_pop : 'a t -> 'a option
-(** [None] when currently empty (closed or not); never raises. *)

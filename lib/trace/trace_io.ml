@@ -82,46 +82,35 @@ let to_string trace =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Scanner: one line is a byte range [lo, hi) of a buffer. The grammar  *)
-(* is [String.trim], then tokens separated by runs of spaces (a tab     *)
-(* inside a line belongs to its token), then [int_of_string_opt] per    *)
-(* numeric field. The scanner implements exactly that in place: it      *)
-(* allocates the [Event.t] and nothing else on a well-formed line.      *)
+(* Parser. The grammar: [String.trim] the line; skip it if it is then  *)
+(* blank or starts with '#'; split it into tokens on runs of spaces (a *)
+(* tab inside a line belongs to its token); convert each numeric field *)
+(* with [int_of_string_opt]. [parse_line] implements exactly that.     *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad
-
-(* The two non-event outcomes of [scan_line], compared with [==]. They
-   never leave this module. *)
+(* The outcomes of [parse_line] that are not an event, compared with
+   [==]. They never leave this module. *)
 let blank = Event.Call { func = ""; tid = -1 }
 
 let malformed = Event.Call { func = ""; tid = -2 }
 
+(* The line runs past the end of its chunk. *)
+let partial = Event.Call { func = ""; tid = -3 }
+
+exception Bad
+
 (* The characters [String.trim] strips. *)
 let[@inline] is_trim_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-(* Token cursor over the trimmed line: [p] is the scan position and [e]
-   the end of the line. One cursor is reused for every line of a fold. *)
-type cursor = { mutable p : int; mutable e : int; fields : int array  (** a plain line's numbers *) }
+let[@inline] is_keyword_char ch = (ch >= 'a' && ch <= 'z') || ch = '_'
 
-let skip_spaces c b =
-  let p = ref c.p in
-  while !p < c.e && Bytes.unsafe_get b !p = ' ' do
-    incr p
-  done;
-  c.p <- !p
+let[@inline] is_digit ch = ch >= '0' && ch <= '9'
 
-(* Start of the next token; [c.p] is left at its end. *)
-let token c b =
-  skip_spaces c b;
-  let start = c.p in
-  if start >= c.e then raise_notrace Bad;
-  let p = ref start in
-  while !p < c.e && Bytes.unsafe_get b !p <> ' ' do
-    incr p
-  done;
-  c.p <- !p;
-  start
+(* One cursor is reused for every line of a decoder. *)
+type cursor = {
+  mutable p : int;  (** the parsed line's '\n' *)
+  fields : int array;  (** the line's numeric fields, at most four *)
+}
 
 let token_is b start stop s =
   let n = String.length s in
@@ -133,50 +122,65 @@ let token_is b start stop s =
   done;
   !i = n
 
-(* Plain decimal of up to 18 digits cannot overflow and is converted
-   digit by digit; any other token (sign, 0x/0o/0b/0u prefix, '_'
-   separators, 19+ digits, garbage) goes through [int_of_string_opt],
-   so the accepted set is exactly its by construction. *)
-let int_field c b =
-  let start = token c b in
-  let stop = c.p in
-  let n = ref 0 and plain = ref (stop - start <= 18) in
-  let p = ref start in
-  while !plain && !p < stop do
-    let d = Char.code (Bytes.unsafe_get b !p) - 48 in
-    if d >= 0 && d <= 9 then n := (!n * 10) + d else plain := false;
-    incr p
-  done;
-  if !plain then !n
-  else match int_of_string_opt (Bytes.sub_string b start (stop - start)) with Some v -> v | None -> raise_notrace Bad
+(* The event with keyword [b.[klo, khi)], clf's kind [b.[kind_lo,
+   kind_hi)], the [n] numeric fields in [c.fields] and [name] ("" for
+   none); or [malformed]. An address or a size must be non-negative:
+   [x lor y >= 0] tests two at once. *)
+let[@inline] event c b klo khi kind_lo kind_hi n name =
+  let f = c.fields in
+  let f0 = Array.unsafe_get f 0 and f1 = Array.unsafe_get f 1 in
+  let f2 = Array.unsafe_get f 2 and f3 = Array.unsafe_get f 3 in
+  match (Bytes.unsafe_get b klo, khi - klo, n) with
+  | 's', 5, 3 when f1 lor f2 >= 0 && token_is b klo khi "store" -> Event.Store { addr = f1; size = f2; tid = f0 }
+  | 'c', 3, 3 when f1 lor f2 >= 0 && token_is b klo khi "clf" -> (
+      match kind_hi - kind_lo with
+      | 4 when token_is b kind_lo kind_hi "clwb" -> Event.Clf { addr = f1; size = f2; kind = Event.Clwb; tid = f0 }
+      | 7 when token_is b kind_lo kind_hi "clflush" -> Event.Clf { addr = f1; size = f2; kind = Event.Clflush; tid = f0 }
+      | 10 when token_is b kind_lo kind_hi "clflushopt" ->
+          Event.Clf { addr = f1; size = f2; kind = Event.Clflushopt; tid = f0 }
+      | _ -> malformed)
+  | 'f', 5, 1 when token_is b klo khi "fence" -> Event.Fence { tid = f0 }
+  | 't', 6, 3 when f1 lor f2 >= 0 && token_is b klo khi "tx_log" -> Event.Tx_log { obj_addr = f1; size = f2; tid = f0 }
+  | 'e', 11, 1 when token_is b klo khi "epoch_begin" -> Event.Epoch_begin { tid = f0 }
+  | 'e', 9, 1 when token_is b klo khi "epoch_end" -> Event.Epoch_end { tid = f0 }
+  | 's', 12, 2 when token_is b klo khi "strand_begin" -> Event.Strand_begin { tid = f0; strand = f1 }
+  | 's', 10, 2 when token_is b klo khi "strand_end" -> Event.Strand_end { tid = f0; strand = f1 }
+  | 'j', 11, 1 when token_is b klo khi "join_strand" -> Event.Join_strand { tid = f0 }
+  | 'r', 13, 2 when f0 lor f1 >= 0 && token_is b klo khi "register_pmem" -> Event.Register_pmem { base = f0; size = f1 }
+  | 'r', 12, 2 when name <> "" && f0 lor f1 >= 0 && token_is b klo khi "register_var" ->
+      Event.Register_var { name; addr = f0; size = f1 }
+  | 'c', 4, 1 when name <> "" && token_is b klo khi "call" -> Event.Call { func = name; tid = f0 }
+  | 'a', 14, 2 when f0 lor f1 >= 0 && token_is b klo khi "assert_durable" ->
+      Event.Annotation (Event.Assert_durable { addr = f0; size = f1 })
+  | 'a', 14, 4 when f0 lor f1 lor f2 lor f3 >= 0 && token_is b klo khi "assert_ordered" ->
+      Event.Annotation (Event.Assert_ordered { first_addr = f0; first_size = f1; then_addr = f2; then_size = f3 })
+  | 'a', 12, 2 when f0 lor f1 >= 0 && token_is b klo khi "assert_fresh" ->
+      Event.Annotation (Event.Assert_fresh { addr = f0; size = f1 })
+  | 'p', 11, 0 when token_is b klo khi "program_end" -> Event.Program_end
+  | _ -> malformed
 
-(* An address or a size: negative values are malformed. *)
-let nat_field c b =
-  let v = int_field c b in
-  if v < 0 then raise_notrace Bad;
-  v
+(* The numeric token [b.[lo, hi)]. An optional sign and 1 to 18 decimal
+   digits cannot overflow and are converted digit by digit; any other
+   token (a 0x/0o/0b/0u prefix, '_' separators, 19+ digits, garbage)
+   goes through [int_of_string_opt], so the accepted set is exactly its
+   by construction. *)
+let int_token b lo hi =
+  let sign = Bytes.unsafe_get b lo in
+  let d = if sign = '-' || sign = '+' then lo + 1 else lo in
+  let p = ref d and v = ref 0 in
+  if hi - d <= 18 then
+    while !p < hi && is_digit (Bytes.unsafe_get b !p) do
+      v := (!v * 10) + Char.code (Bytes.unsafe_get b !p) - 48;
+      incr p
+    done;
+  if !p = hi && hi > d then (if sign = '-' then - !v else !v)
+  else match int_of_string_opt (Bytes.sub_string b lo (hi - lo)) with Some v -> v | None -> raise_notrace Bad
 
-let kind_field c b =
-  let start = token c b in
-  let stop = c.p in
-  if token_is b start stop "clwb" then Event.Clwb
-  else if token_is b start stop "clflush" then Event.Clflush
-  else if token_is b start stop "clflushopt" then Event.Clflushopt
-  else raise_notrace Bad
-
-(* No token may follow the last field. *)
-let finish c b =
-  skip_spaces c b;
-  if c.p < c.e then raise_notrace Bad
-
-(* The remaining tokens (at least one) joined by single spaces. *)
-let name_field c b =
-  skip_spaces c b;
-  let start = c.p and stop = c.e in
-  if start >= stop then raise_notrace Bad;
-  let out = Bytes.create (stop - start) in
-  let n = ref 0 in
-  for i = start to stop - 1 do
+(* [b.[lo, hi)] with its runs of spaces collapsed to one: the remaining
+   tokens joined by single spaces. *)
+let name_of b lo hi =
+  let out = Bytes.create (hi - lo) and n = ref 0 in
+  for i = lo to hi - 1 do
     let ch = Bytes.unsafe_get b i in
     if ch <> ' ' || Bytes.unsafe_get b (i - 1) <> ' ' then begin
       Bytes.unsafe_set out !n ch;
@@ -185,179 +189,97 @@ let name_field c b =
   done;
   Bytes.sub_string out 0 !n
 
-let parse_event c b =
-  let start = token c b in
-  let stop = c.p in
-  if token_is b start stop "store" then begin
-    let tid = int_field c b in
-    let addr = nat_field c b in
-    let size = nat_field c b in
-    finish c b;
-    Event.Store { addr; size; tid }
-  end
-  else if token_is b start stop "clf" then begin
-    let kind = kind_field c b in
-    let tid = int_field c b in
-    let addr = nat_field c b in
-    let size = nat_field c b in
-    finish c b;
-    Event.Clf { addr; size; kind; tid }
-  end
-  else if token_is b start stop "fence" then begin
-    let tid = int_field c b in
-    finish c b;
-    Event.Fence { tid }
-  end
-  else if token_is b start stop "register_pmem" then begin
-    let base = nat_field c b in
-    let size = nat_field c b in
-    finish c b;
-    Event.Register_pmem { base; size }
-  end
-  else if token_is b start stop "epoch_begin" then begin
-    let tid = int_field c b in
-    finish c b;
-    Event.Epoch_begin { tid }
-  end
-  else if token_is b start stop "epoch_end" then begin
-    let tid = int_field c b in
-    finish c b;
-    Event.Epoch_end { tid }
-  end
-  else if token_is b start stop "strand_begin" then begin
-    let tid = int_field c b in
-    let strand = int_field c b in
-    finish c b;
-    Event.Strand_begin { tid; strand }
-  end
-  else if token_is b start stop "strand_end" then begin
-    let tid = int_field c b in
-    let strand = int_field c b in
-    finish c b;
-    Event.Strand_end { tid; strand }
-  end
-  else if token_is b start stop "join_strand" then begin
-    let tid = int_field c b in
-    finish c b;
-    Event.Join_strand { tid }
-  end
-  else if token_is b start stop "tx_log" then begin
-    let tid = int_field c b in
-    let obj_addr = nat_field c b in
-    let size = nat_field c b in
-    finish c b;
-    Event.Tx_log { obj_addr; size; tid }
-  end
-  else if token_is b start stop "register_var" then begin
-    let addr = nat_field c b in
-    let size = nat_field c b in
-    let name = name_field c b in
-    Event.Register_var { name; addr; size }
-  end
-  else if token_is b start stop "call" then begin
-    let tid = int_field c b in
-    let func = name_field c b in
-    Event.Call { func; tid }
-  end
-  else if token_is b start stop "assert_durable" then begin
-    let addr = nat_field c b in
-    let size = nat_field c b in
-    finish c b;
-    Event.Annotation (Event.Assert_durable { addr; size })
-  end
-  else if token_is b start stop "assert_ordered" then begin
-    let first_addr = nat_field c b in
-    let first_size = nat_field c b in
-    let then_addr = nat_field c b in
-    let then_size = nat_field c b in
-    finish c b;
-    Event.Annotation (Event.Assert_ordered { first_addr; first_size; then_addr; then_size })
-  end
-  else if token_is b start stop "assert_fresh" then begin
-    let addr = nat_field c b in
-    let size = nat_field c b in
-    finish c b;
-    Event.Annotation (Event.Assert_fresh { addr; size })
-  end
-  else if token_is b start stop "program_end" then begin
-    finish c b;
-    Event.Program_end
-  end
-  else raise_notrace Bad
-
-(* Point the cursor at [b.[lo, hi)] without its [String.trim]
-   whitespace: [c.p] is the first kept byte, [c.e] one past the last. *)
-let trim c b lo hi =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi && is_trim_space (Bytes.unsafe_get b !lo) do
-    incr lo
+(* [outcome] for the line whose '\n' is the next from [p]. *)
+let to_newline c b p stop outcome =
+  let p = ref p in
+  while !p < stop && Bytes.unsafe_get b !p <> '\n' do
+    incr p
   done;
-  while !hi > !lo && is_trim_space (Bytes.unsafe_get b (!hi - 1)) do
-    decr hi
+  if !p >= stop then partial
+  else begin
+    c.p <- !p;
+    outcome
+  end
+
+(* The cold tail of [parse_line]: the rest of a line whose keyword
+   [b.[lo, kw)] the hot loop has read, from the start [ts] of the first
+   token that loop did not finish. clf's kind is [b.[kind_lo,
+   kind_hi)], or unread while [kind_lo] is -1; [c.fields] holds [n]
+   fields. The tail finds the '\n' and the end of the trimmed text, then
+   splits what lies between on spaces. *)
+let tail c b lo kw stop kind_lo kind_hi n ts =
+  let nl = ref ts in
+  while !nl < stop && Bytes.unsafe_get b !nl <> '\n' do
+    incr nl
   done;
-  c.p <- !lo;
-  c.e <- !hi
+  if !nl >= stop then partial
+  else begin
+    c.p <- !nl;
+    (* The keyword's letters bound this loop. *)
+    let e = ref !nl in
+    while is_trim_space (Bytes.unsafe_get b (!e - 1)) do
+      decr e
+    done;
+    let e = !e and p = ref ts and n = ref n and kind_lo = ref kind_lo and kind_hi = ref kind_hi and name = ref "" in
+    (* How many fields come before the keyword's name; -1 for none. *)
+    let name_at = if token_is b lo kw "call" then 1 else if token_is b lo kw "register_var" then 2 else -1 in
+    try
+      while !p < e do
+        while Bytes.unsafe_get b !p = ' ' do
+          incr p
+        done;
+        let t = !p in
+        if !n = name_at then begin
+          name := name_of b t e;
+          p := e
+        end
+        else begin
+          while !p < e && Bytes.unsafe_get b !p <> ' ' do
+            incr p
+          done;
+          if !kind_lo < 0 then begin
+            kind_lo := t;
+            kind_hi := !p
+          end
+          else if !n = 4 then raise_notrace Bad
+          else begin
+            Array.unsafe_set c.fields !n (int_token b t !p);
+            incr n
+          end
+        end
+      done;
+      event c b lo kw !kind_lo !kind_hi !n !name
+    with Bad -> malformed
+  end
 
-(* The event on the line [b.[lo, hi)], or [blank] / [malformed]. *)
-let scan_line c b lo hi =
-  trim c b lo hi;
-  if c.p >= c.e || Bytes.unsafe_get b c.p = '#' then blank
-  else try parse_event c b with Bad -> malformed
-
-let parse_error c b lo hi =
-  trim c b lo hi;
-  Printf.sprintf "cannot parse event %S" (Bytes.sub_string b c.p (c.e - c.p))
-
-let event_of_bytes b ~off ~len =
-  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Trace_io.event_of_bytes";
-  let c = { p = 0; e = 0; fields = Array.make 4 0 } in
-  let ev = scan_line c b off (off + len) in
-  if ev == blank then Ok None
-  else if ev == malformed then Error (parse_error c b off (off + len))
-  else Ok (Some ev)
-
-let event_of_line line = event_of_bytes (Bytes.unsafe_of_string line) ~off:0 ~len:(String.length line)
-
-(* ------------------------------------------------------------------ *)
-(* One pass: a plain line is parsed from its first byte to its '\n'    *)
-(* with no separate framing, trimming or tokenizing pass. Plain is the *)
-(* form [add_event] prints, give or take space runs: a keyword from    *)
-(* its first byte, picked by that byte and its length; each field      *)
-(* spaces and 1 to 18 decimal digits; then [String.trim] whitespace (a *)
-(* CRLF line's '\r') before the '\n'. Every other line (a comment, a   *)
-(* blank or indented line, a tab inside, a sign, a prefix, 19+ digits, *)
-(* a name, a malformed token) and one that runs past the end of its    *)
-(* chunk goes to the framer and scanner above, which define the        *)
-(* grammar and every error; the framer resumes its '\n' search where   *)
-(* the pass stopped. Nothing here raises or calls out before the line  *)
-(* is known to be plain.                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The outcome of a line that leaves the plain form. *)
-let not_plain = Event.Call { func = ""; tid = -3 }
-
-let[@inline] is_keyword_char ch = (ch >= 'a' && ch <= 'z') || ch = '_'
-
-let[@inline] is_digit ch = ch >= '0' && ch <= '9'
-
-(* The event on the plain line starting at [lo], with [c.p] on its '\n';
-   or [not_plain], with no '\n' in [b.[lo, c.p)]. No byte at or past
-   [stop] is read. One function with inlined byte tests: every call
-   spills the live registers, which cost more than the scanner saves. *)
-let plain_line c b lo stop =
+(* The event on the line at [lo], with [c.p] on its '\n'; [blank] or
+   [malformed] likewise; or [partial] when no '\n' comes before [stop].
+   No byte before [lo] or at or past [stop] is read. The hot loop reads
+   the printer's form give or take space runs: a keyword from [lo],
+   picked by its first byte and length; fields of spaces and 1 to 18
+   decimal digits, which cannot overflow; [String.trim] whitespace
+   before the '\n'. It allocates only the event and calls nothing
+   before the line's end is found: OCaml has no callee-saved registers,
+   so a call spills the live ones. Leading whitespace goes to [lead]; a
+   name, and the first byte that leaves the form, to [tail], which goes
+   on from the start of that byte's token, never from the line's. *)
+let rec parse_line c b lo stop =
   let p = ref lo in
   while !p < stop && is_keyword_char (Bytes.unsafe_get b !p) do
     incr p
   done;
   let kw = !p in
-  if kw = lo then begin
-    c.p <- lo;
-    not_plain
-  end
+  if kw = lo then lead c b lo stop
+  else if
+    ((kw - lo = 4 && Bytes.unsafe_get b lo = 'c') || (kw - lo = 12 && Bytes.unsafe_get b lo = 'r'))
+    && kw < stop
+    && Bytes.unsafe_get b kw = ' '
+  then (* call and register_var end in a name *)
+    tail c b lo kw stop kw kw 0 kw
   else begin
-    (* clf's kind, the one word field. *)
     let kind_lo = ref kw in
     if kw - lo = 3 && Bytes.unsafe_get b lo = 'c' then begin
+      (* clf's kind, the one word field. *)
       while !p < stop && Bytes.unsafe_get b !p = ' ' do
         incr p
       done;
@@ -367,8 +289,6 @@ let plain_line c b lo stop =
       done
     end;
     let kind_lo = !kind_lo and kind_hi = !p in
-    (* Up to four fields, each a run of spaces and 1 to 18 decimal
-       digits, which cannot overflow. *)
     let f = c.fields and n = ref 0 and more = ref true in
     while !more do
       let q = ref !p in
@@ -388,50 +308,51 @@ let plain_line c b lo stop =
         p := !q
       end
     done;
+    let p0 = !p in
     while !p < stop && Bytes.unsafe_get b !p <> '\n' && is_trim_space (Bytes.unsafe_get b !p) do
       incr p
     done;
-    c.p <- !p;
-    if !p >= stop || Bytes.unsafe_get b !p <> '\n' then not_plain
-    else
-      let f0 = Array.unsafe_get f 0 and f1 = Array.unsafe_get f 1 in
-      let f2 = Array.unsafe_get f 2 and f3 = Array.unsafe_get f 3 in
-      match (Bytes.unsafe_get b lo, kw - lo, !n) with
-      | 's', 5, 3 when token_is b lo kw "store" -> Event.Store { addr = f1; size = f2; tid = f0 }
-      | 'c', 3, 3 when token_is b lo kw "clf" -> (
-          let clf kind = Event.Clf { addr = f1; size = f2; kind; tid = f0 } in
-          match kind_hi - kind_lo with
-          | 4 when token_is b kind_lo kind_hi "clwb" -> clf Event.Clwb
-          | 7 when token_is b kind_lo kind_hi "clflush" -> clf Event.Clflush
-          | 10 when token_is b kind_lo kind_hi "clflushopt" -> clf Event.Clflushopt
-          | _ -> not_plain)
-      | 'f', 5, 1 when token_is b lo kw "fence" -> Event.Fence { tid = f0 }
-      | 't', 6, 3 when token_is b lo kw "tx_log" -> Event.Tx_log { obj_addr = f1; size = f2; tid = f0 }
-      | 'e', 11, 1 when token_is b lo kw "epoch_begin" -> Event.Epoch_begin { tid = f0 }
-      | 'e', 9, 1 when token_is b lo kw "epoch_end" -> Event.Epoch_end { tid = f0 }
-      | 's', 12, 2 when token_is b lo kw "strand_begin" -> Event.Strand_begin { tid = f0; strand = f1 }
-      | 's', 10, 2 when token_is b lo kw "strand_end" -> Event.Strand_end { tid = f0; strand = f1 }
-      | 'j', 11, 1 when token_is b lo kw "join_strand" -> Event.Join_strand { tid = f0 }
-      | 'r', 13, 2 when token_is b lo kw "register_pmem" -> Event.Register_pmem { base = f0; size = f1 }
-      | 'a', 14, 2 when token_is b lo kw "assert_durable" ->
-          Event.Annotation (Event.Assert_durable { addr = f0; size = f1 })
-      | 'a', 14, 4 when token_is b lo kw "assert_ordered" ->
-          Event.Annotation (Event.Assert_ordered { first_addr = f0; first_size = f1; then_addr = f2; then_size = f3 })
-      | 'a', 12, 2 when token_is b lo kw "assert_fresh" ->
-          Event.Annotation (Event.Assert_fresh { addr = f0; size = f1 })
-      | 'p', 11, 0 when token_is b lo kw "program_end" -> Event.Program_end
-      | _ ->
-          (* register_var and call (a name runs to the end of the line),
-             a wrong arity and anything else take the scanner. *)
-          not_plain
+    if !p >= stop then partial
+    else if Bytes.unsafe_get b !p = '\n' then begin
+      c.p <- !p;
+      event c b lo kw kind_lo kind_hi !n ""
+    end
+    else if Bytes.unsafe_get b p0 = ' ' then tail c b lo kw stop kind_lo kind_hi !n p0
+    else if !n > 0 then begin
+      (* The last field's token goes on past its digits: the tail reads
+         it again from its start, the byte after a space. *)
+      let t = ref p0 in
+      while Bytes.unsafe_get b (!t - 1) <> ' ' do
+        decr t
+      done;
+      tail c b lo kw stop kind_lo kind_hi (!n - 1) !t
+    end
+    else if kind_lo > kw then (* clf's kind goes on, or is not a word *)
+      tail c b lo kw stop (-1) 0 0 kind_lo
+    else (* the first token goes on past its letters: it is no keyword *)
+      to_newline c b p0 stop malformed
   end
+
+(* A line that does not start with a keyword's letter: leading
+   whitespace, a blank or comment line, or no keyword. *)
+and lead c b lo stop =
+  let p = ref lo in
+  while !p < stop && Bytes.unsafe_get b !p <> '\n' && is_trim_space (Bytes.unsafe_get b !p) do
+    incr p
+  done;
+  if !p >= stop then partial
+  else
+    let ch = Bytes.unsafe_get b !p in
+    if ch = '\n' || ch = '#' then to_newline c b !p stop blank
+    else if is_keyword_char ch then parse_line c b !p stop
+    else to_newline c b !p stop malformed
 
 (* ------------------------------------------------------------------ *)
 (* Decoder: the one line framer and end rule. A line is the range      *)
 (* before a '\n', or the unterminated rest at [finish]. A line wholly  *)
-(* inside a chunk is parsed where it lies, in one pass when plain;     *)
-(* only a line split across chunks is copied, into [carry]. Line       *)
-(* numbers count blank and comment lines.                              *)
+(* inside a chunk is parsed where it lies; only a line split across    *)
+(* chunks is copied, into [carry]. Line numbers count blank and        *)
+(* comment lines.                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let ends_trace = function Event.Program_end -> true | _ -> false
@@ -453,7 +374,7 @@ module Decoder = struct
   }
 
   let create ?(on_skip = no_skip) ~lenient emit =
-    let cur = { p = 0; e = 0; fields = Array.make 4 0 } and carry = Buffer.create 256 in
+    let cur = { p = 0; fields = Array.make 4 0 } and carry = Buffer.create 256 in
     { lenient; emit; on_skip; cur; carry; lineno = 0; events = 0; skipped = 0; ended = false; synthesized = false }
 
   let events d = d.events
@@ -472,13 +393,12 @@ module Decoder = struct
     d.ended <- ends_trace ev;
     d.emit ev
 
-  (* The line [b.[lo, hi)]. *)
-  let line d b lo hi =
+  (* [ev], parsed from the line at [b.[lo]] whose '\n' is at [d.cur.p]. *)
+  let[@inline] line d b lo ev =
     d.lineno <- d.lineno + 1;
-    let ev = scan_line d.cur b lo hi in
     if ev == blank then ()
     else if ev == malformed then begin
-      let msg = parse_error d.cur b lo hi in
+      let msg = Printf.sprintf "cannot parse event %S" (String.trim (Bytes.sub_string b lo (d.cur.p - lo))) in
       if d.lenient then begin
         d.skipped <- d.skipped + 1;
         d.on_skip d.lineno msg
@@ -487,48 +407,40 @@ module Decoder = struct
     end
     else deliver d ev
 
-  let carried_line d =
+  (* The carried line, completed by [b.[lo, hi)] and a '\n'. *)
+  let carried_line d b lo hi =
+    Buffer.add_subbytes d.carry b lo (hi - lo);
+    Buffer.add_char d.carry '\n';
     let b = Buffer.to_bytes d.carry in
     Buffer.clear d.carry;
-    line d b 0 (Bytes.length b)
+    line d b 0 (parse_line d.cur b 0 (Bytes.length b))
 
   let feed d b ~off ~len =
     if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Trace_io.Decoder.feed";
+    (* Bytes past [stop] in a reused read buffer are stale. *)
     let stop = off + len and c = d.cur in
     let rec go start =
-      let ev =
-        if Buffer.length d.carry = 0 then plain_line c b start stop
+      if start < stop then begin
+        let ev = parse_line c b start stop in
+        if ev == partial then Buffer.add_subbytes d.carry b start (stop - start)
         else begin
-          c.p <- start;
-          not_plain
-        end
-      in
-      if ev != not_plain then begin
-        d.lineno <- d.lineno + 1;
-        deliver d ev;
-        go (c.p + 1)
-      end
-      else begin
-        (* The next '\n' from where the one pass stopped, bounded by
-           [stop]: the bytes past a chunk in a reused read buffer are
-           stale. *)
-        let i = ref c.p in
-        while !i < stop && Bytes.unsafe_get b !i <> '\n' do
-          incr i
-        done;
-        let nl = !i in
-        if nl = stop then Buffer.add_subbytes d.carry b start (stop - start)
-        else begin
-          if Buffer.length d.carry = 0 then line d b start nl
-          else begin
-            Buffer.add_subbytes d.carry b start (nl - start);
-            carried_line d
-          end;
-          go (nl + 1)
+          line d b start ev;
+          go (c.p + 1)
         end
       end
     in
-    try Ok (go off) with Strict msg -> Error msg
+    try
+      if Buffer.length d.carry = 0 then go off
+      else if to_newline c b off stop blank == partial then Buffer.add_subbytes d.carry b off len
+      else begin
+        (* The carried line ends at the chunk's first '\n', [c.p], which
+           parsing it moves. *)
+        let nl = c.p in
+        carried_line d b off nl;
+        go (nl + 1)
+      end;
+      Ok ()
+    with Strict msg -> Error msg
 
   (* The end rule: a trace whose last event does not end it gets a
      synthesized [program_end], once. *)
@@ -541,7 +453,7 @@ module Decoder = struct
     end
 
   let finish d =
-    match if Buffer.length d.carry > 0 then carried_line d with
+    match if Buffer.length d.carry > 0 then carried_line d Bytes.empty 0 0 with
     | () ->
         if d.lenient then ensure_end d;
         Ok ()

@@ -39,18 +39,7 @@
     is [Printf.sprintf "cannot parse event %S"] of the trimmed line. A
     last line with no trailing newline is still a line. *)
 
-val add_event : Buffer.t -> Event.t -> unit
-(** Append the event's line, without a newline. Writes keywords and
-    decimal digits straight into the buffer. *)
-
 val event_to_line : Event.t -> string
-
-val event_of_line : string -> (Event.t option, string) result
-(** [Ok None] for blank/comment lines. *)
-
-val event_of_bytes : Bytes.t -> off:int -> len:int -> (Event.t option, string) result
-(** {!event_of_line} of the line [Bytes.sub b off len], scanned in
-    place. Raises [Invalid_argument] on an invalid range. *)
 
 val to_string : Recorder.trace -> string
 
@@ -85,15 +74,14 @@ module Decoder : sig
       to [on_skip]. *)
 
   val feed : t -> Bytes.t -> off:int -> len:int -> (unit, string) result
-  (** Decode [b.[off, off + len)], never writing it. Whole lines are
-      scanned in place, a line in the printer's form (give or take
-      runs of spaces and trailing whitespace) in one pass that allocates
-      only its event; only a line split across chunks is copied, so
-      any split of the same bytes gives the same events, line numbers
-      and errors. A strict decoder returns
-      [Error "line N: cannot parse event ..."] at the first malformed
-      line; feed it no more. Raises [Invalid_argument] on an invalid
-      range. *)
+  (** Decode [b.[off, off + len)], never writing it. A whole line is
+      parsed in place from its first byte to its newline, never going
+      back to its start, and allocates only its event (and a name);
+      only a line split across chunks is copied, so any split of the
+      same bytes gives the same events, line numbers and errors. A strict decoder
+      returns [Error "line N: cannot parse event ..."] at the first
+      malformed line; feed it no more. Raises [Invalid_argument] on an
+      invalid range. *)
 
   val finish : t -> (unit, string) result
   (** End of input: decode the unterminated last line, if any, then
@@ -107,7 +95,6 @@ module Decoder : sig
   (** Bytes of the unterminated line held between chunks. *)
 
   val events : t -> int
-  val skipped : t -> int
   val synthesized : t -> bool
 end
 

@@ -115,8 +115,8 @@ let prop_event_roundtrip =
         | _ -> Event.Program_end))
   in
   QCheck.Test.make ~name:"event line roundtrip (all constructors)" ~count:1000 (QCheck.make event_gen) (fun ev ->
-      match Trace_io.event_of_line (Trace_io.event_to_line ev) with
-      | Ok (Some ev') -> Trace_io.event_to_line ev = Trace_io.event_to_line ev'
+      match Trace_io.of_string (Trace_io.event_to_line ev) with
+      | Ok [| ev' |] -> Trace_io.event_to_line ev = Trace_io.event_to_line ev'
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -345,17 +345,35 @@ let test_iter_file_missing_file () =
   | Ok _ -> Alcotest.fail "expected error for missing file"
 
 (* ------------------------------------------------------------------ *)
-(* The scanner and printer against the reference implementations in    *)
+(* The parser and printer against the reference implementations in     *)
 (* Trace_io_oracle.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let same_parse line =
-  let expected = Trace_io_oracle.event_of_line line in
-  Trace_io.event_of_line line = expected
+(* The reference's events with the end rule: a [program_end] unless the
+   last event is one. *)
+let with_end events = match List.rev events with Event.Program_end :: _ -> events | _ -> events @ [ Event.Program_end ]
+
+(* [text] decoded leniently as the reference line loop decodes it: the
+   same events and skipped (line, error) pairs. A '\n' inside [text]
+   makes two lines on both sides. *)
+let same_parse text =
+  let events, skipped = Trace_io_oracle.lenient_of_string text in
+  let expected = (with_end events, skipped) in
+  let trace, stats = Trace_io.of_string_lenient text in
+  (Array.to_list trace, stats.Trace_io.skipped_lines) = expected
   &&
-  (* The same line scanned in place inside a larger buffer. *)
-  let b = Bytes.of_string ("ab\n" ^ line ^ "\ncd") in
-  Trace_io.event_of_bytes b ~off:3 ~len:(String.length line) = expected
+  (* The same text decoded in place inside a larger buffer, whose byte
+     past the chunk is a '\n'. *)
+  let b = Bytes.of_string ("ab\n" ^ text ^ "\ncd") in
+  let events = ref [] and skipped = ref [] in
+  let d =
+    Trace_io.Decoder.create ~lenient:true
+      ~on_skip:(fun lineno msg -> skipped := (lineno, msg) :: !skipped)
+      (fun ev -> events := ev :: !events)
+  in
+  Trace_io.Decoder.feed d b ~off:3 ~len:(String.length text) = Ok ()
+  && Trace_io.Decoder.finish d = Ok ()
+  && (List.rev !events, List.rev !skipped) = expected
 
 let test_scanner_edge_cases () =
   List.iter
@@ -406,6 +424,8 @@ let test_scanner_edge_cases () =
       "call 1  do   slabs free";
       "call 1";
       "call x main";
+      "call3 main";
+      "register_var7 0 8 x";
       "program_end";
       "program_end x";
       "program_endx";
@@ -558,9 +578,7 @@ let prop_folds_match_oracle =
   QCheck.Test.make ~name:"string and file folds = reference line loop" ~count:300
     (QCheck.make ~print:(Printf.sprintf "%S") text_gen) (fun text ->
       let events, skipped = Trace_io_oracle.lenient_of_string text in
-      let events =
-        match List.rev events with Event.Program_end :: _ -> events | _ -> events @ [ Event.Program_end ]
-      in
+      let events = with_end events in
       let trace, l = Trace_io.of_string_lenient text in
       let from_file =
         with_trace_file text (fun path ->
@@ -616,12 +634,12 @@ let prop_printer_matches_oracle =
     (QCheck.make wide_event_gen) (fun ev ->
       let line = Trace_io.event_to_line ev in
       line = Trace_io_oracle.event_to_line ev
-      && Trace_io.event_of_line line
-         = if negative_extent ev then Error (Printf.sprintf "cannot parse event %S" line) else Ok (Some ev))
+      && Trace_io.of_string line
+         = if negative_extent ev then Error (Printf.sprintf "line 1: cannot parse event %S" line) else Ok [| ev |])
 
-(* A printed line that leaves the canonical form late, so the decoder's
-   one-pass path gets as far as its last token or byte before it must
-   accept what the scanner accepts or hand the line over: a trailing
+(* A printed line that leaves the canonical form late, so the parser's
+   hot loop gets as far as its last token or byte before the line is
+   accepted there or taken over by the cold tail: a trailing
    [\r], tab or space; a 19- or 20-digit, signed or hex last field; a
    keyword that shares its first byte and length with another (or is
    the other assertion of the same length); a trailing token or byte; a
@@ -750,9 +768,7 @@ let prop_late_deviations_at_every_split =
   QCheck.Test.make ~name:"late deviations from the canonical form = reference, at every chunk split" ~count:300
     (QCheck.make ~print:(Printf.sprintf "%S") text_gen) (fun text ->
       let events, skipped = Trace_io_oracle.lenient_of_string text in
-      let lenient_events =
-        match List.rev events with Event.Program_end :: _ -> events | _ -> events @ [ Event.Program_end ]
-      in
+      let lenient_events = with_end events in
       let strict_events, strict_result = oracle_strict text in
       List.for_all
         (fun k ->
@@ -764,13 +780,13 @@ let prop_late_deviations_at_every_split =
         (List.init (String.length text + 1) Fun.id))
 
 (* ------------------------------------------------------------------ *)
-(* The file scanner's buffer: long lines, missing final newline, lines  *)
+(* The decoder's read buffer: long lines, missing final newline, lines *)
 (* split across reads.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_line_longer_than_buffer () =
-  (* A 200 KB name: longer than the scanner's read buffer, so the buffer
-     has to grow; the lines after it keep their numbers. *)
+  (* A 200 KB name: longer than the decoder's read buffer, so the line
+     is carried across reads; the lines after it keep their numbers. *)
   let name = String.init 200_000 (fun i -> if i mod 997 = 996 then ' ' else Char.chr (97 + (i mod 26))) in
   let var_line = "register_var 64 8 " ^ name in
   let text = "store 0 128 8\n" ^ var_line ^ "\n\nnot an event\nfence 0\n" in
@@ -847,19 +863,34 @@ let test_allocation_per_event () =
   let path = Filename.temp_file "pmdebugger" ".pmt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let save = minor_words (fun () -> ignore (Trace_io.save_stream path (fun emit -> Array.iter emit trace))) in
-  let events = ref 0 in
-  let parse =
-    minor_words (fun () ->
-        match Trace_io.iter_file path ~f:ignore with
-        | Ok stats -> events := stats.Trace_io.events
-        | Error m -> Alcotest.fail m)
-  in
-  Alcotest.(check int) "every event read back" n !events;
   let per_event w = w /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "iter_file allocates %.2f words/event over %d events (<= 6)" (per_event parse) n)
-    true
-    (per_event parse <= 6.0);
+  let check_parse form =
+    let events = ref 0 in
+    let parse =
+      minor_words (fun () ->
+          match Trace_io.iter_file path ~f:ignore with
+          | Ok stats -> events := stats.Trace_io.events
+          | Error m -> Alcotest.fail m)
+    in
+    Alcotest.(check int) (form ^ ": every event read back") n !events;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: iter_file allocates %.2f words/event over %d events (<= 6)" form (per_event parse) n)
+      true
+      (per_event parse <= 6.0)
+  in
+  let lines = String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) in
+  check_parse "printed";
+  (* The same gate on rewrites whose lines leave the printer's form. *)
+  List.iter
+    (fun (form, rewrite) ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun line -> if line <> "" then Out_channel.output_string oc (rewrite line ^ "\n")) lines);
+      check_parse form)
+    [
+      ("CRLF", fun line -> line ^ "\r");
+      ("leading tab", fun line -> "\t" ^ line);
+      ("doubled spaces", fun line -> String.concat "  " (String.split_on_char ' ' line));
+    ];
   Alcotest.(check bool)
     (Printf.sprintf "save_stream allocates %.2f words/event (<= 2)" (per_event save))
     true

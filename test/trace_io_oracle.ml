@@ -1,8 +1,10 @@
 (* The reference line parser: the straightforward trim / split / match
    implementation the trace format was first defined by. Trace_io's
-   in-place scanner must agree with it on every input — the same event,
-   or the same error text (see the differential tests in
-   test_trace_io.ml). *)
+   decoder, which parses each line in place in one function, must agree
+   with [lenient_of_string] on every text: the same events, and the
+   same skipped line numbers and error texts. The differential tests in
+   test_trace_io.ml compare whole texts, fed whole and at every chunk
+   split. *)
 
 open Pmtrace
 
